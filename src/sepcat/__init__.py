@@ -15,8 +15,7 @@ from .functors import (Adjunction, Functor, NatTrans, SepWitness,
                        compose_functors, extract_section, fully_faithful_on,
                        section_feasibility, separability_solve,
                        transfer_witness, validate_adjunction, validate_functor,
-                       validate_nat, vertical_compose, whisker_left,
-                       whisker_right)
+                       validate_nat)
 from .monads import (Monad, MonadSepWitness, monad_from_adjunction,
                      monad_separability_solve, sigma_from_xi, validate_monad)
 from .modules import (Comparison, EmAdjunction, MModule, ModuleMor,

@@ -62,9 +62,6 @@ class LinearCategory:
     def hom_dim(self, x, y) -> int:
         return self._dims.get((x, y), 0)
 
-    def comp_table(self, x, y, z):
-        return self._comp.get((x, y, z))
-
     def id_vec(self, x):
         return self._ids[x]
 
@@ -149,10 +146,6 @@ class CatObject:
         self.cat = cat
         self.summands = summands
         self.idem = idem
-
-    @property
-    def is_plain(self) -> bool:
-        return self.idem is None
 
     def plain(self) -> "CatObject":
         return self if self.idem is None else CatObject(self.cat, self.summands)
@@ -418,11 +411,6 @@ class MorSystem:
             self.sys.add_equal(a if isinstance(a, LinForm) else LinForm(a),
                                b if isinstance(b, LinForm) else LinForm(b),
                                label)
-
-    def require_zero(self, m: Morphism, label=None):
-        zero = self.field.zero()
-        for a in m.coords():
-            self.sys.add_equal(a if isinstance(a, LinForm) else LinForm(a), LinForm(zero), label)
 
     def solve(self):
         return self.sys.solve()

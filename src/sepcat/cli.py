@@ -2,7 +2,9 @@
 solves with witness persistence, and the report pipelines.
 
 Exit codes: 0 all checks pass, 1 at least one failed or infeasible check,
-2 input error (syntax, unresolved reference, unknown command or name).
+2 input error (syntax, unresolved reference, unknown command or name, or a
+declaration the command references failing its laws).  ``validate`` builds and
+validates every declaration; the other commands only what they reference.
 Reports are byte-identical across runs for a fixed workspace and seed.
 """
 
@@ -14,8 +16,10 @@ import os
 import random
 import sys
 
-from .complexes import ModuleComplex, derived_comparison_check
-from .equivariant import character_modules, to_module, xi_section
+from .complexes import ModuleComplex, derived_comparison_check, random_module_complex
+from .equivariant import (character_modules, eq_hom_space, equivariant_monad,
+                          induce_adjunction, to_equivariant, to_module,
+                          validate_action, xi_section)
 from .errors import (LawViolationError, MonadNotSeparableError,
                      NotInvertibleError, WorkspaceError)
 from .functors import separability_solve, validate_adjunction, validate_functor, validate_nat
@@ -104,7 +108,7 @@ def cmd_adjunction_check(ws: Workspace, name: str, opts) -> Checks:
 def cmd_separability(ws: Workspace, name: str, target: str, opts) -> Checks:
     checks = Checks()
     if target == "functor":
-        functor = ws._ref(ws.functors, name, "functor")
+        functor = ws.functor(name)
         result = separability_solve(functor)
     elif target == "monad":
         monad = ws.monad(name)
@@ -168,18 +172,15 @@ def cmd_em_report(ws: Workspace, name: str, opts) -> Checks:
 
 
 def cmd_equivariant_report(ws: Workspace, name: str, opts) -> Checks:
-    from .equivariant import validate_action
     checks = Checks()
     act = ws.action(name)
     checks.merge_report(f"equivariant-report {name}: group", act.group.validate())
     checks.merge_report(f"equivariant-report {name}: action", validate_action(act))
     eqc = ws.eqcat_for_action(name)
-    from .equivariant import induce_adjunction
     adj = induce_adjunction(eqc)
     checks.merge_report(f"equivariant-report {name}: induced adjunction",
                         validate_adjunction(adj))
     monad = monad_from_adjunction(adj)
-    from .equivariant import equivariant_monad, to_equivariant
     explicit = equivariant_monad(act)
     checks.add(f"equivariant-report {name}: monad matches the Kronecker formula",
                "pass" if monad.components_equal(explicit) else "fail")
@@ -192,7 +193,6 @@ def cmd_equivariant_report(ws: Workspace, name: str, opts) -> Checks:
         ok = back.carrier == z.carrier and back.alpha == z.alpha
         checks.add(f"equivariant-report {name}: dictionary roundtrip at {label}",
                    "pass" if ok else "fail")
-    from .equivariant import eq_hom_space
     for _ in range(opts.samples):
         a = labels[rng.randrange(len(labels))]
         b = labels[rng.randrange(len(labels))]
@@ -226,7 +226,6 @@ def cmd_equivariant_report(ws: Workspace, name: str, opts) -> Checks:
 def cmd_complex_report(ws: Workspace, name: str, opts) -> Checks:
     checks = Checks()
     act = ws.action(name)
-    from .equivariant import equivariant_monad
     monad = equivariant_monad(act)
     try:
         sigma = monad_separability_solve(monad)
@@ -240,14 +239,12 @@ def cmd_complex_report(ws: Workspace, name: str, opts) -> Checks:
     pool = _sample_modules(ws, name, monad)
     rng = random.Random(opts.seed)
     samples = []
-    for cname in ws.order.get("complexes", []):
-        c = ws.complexes[cname]
-        if isinstance(c, ModuleComplex) and \
-                ws.monad_meta.get(ws.complex_meta[cname]["monad"], {}).get("action") == name:
+    for cname in ws.order["complexes"]:
+        if ws.monad_meta.get(ws.complex_meta[cname].get("monad"), {}).get("action") == name:
+            c = ws.complexes[cname]
             samples.append(ModuleComplex(monad, c.modules,
                                          {n: c.underlying.diffs[n] for n in c.underlying.diffs},
                                          name=cname))
-    from .complexes import random_module_complex
     while len(samples) < opts.samples:
         length = rng.randint(1, 4)
         samples.append(random_module_complex(monad, pool, length, rng,
@@ -262,15 +259,15 @@ def run_entry(ws: Workspace, entry: dict, opts) -> Checks:
     if cmd == "validate":
         return cmd_validate(ws, opts)
     if cmd == "adjunction-check":
-        return cmd_adjunction_check(ws, entry["name"], opts)
+        return cmd_adjunction_check(ws, entry.get("name"), opts)
     if cmd == "separability":
-        return cmd_separability(ws, entry["name"], entry.get("target", "functor"), opts)
+        return cmd_separability(ws, entry.get("name"), entry.get("target", "functor"), opts)
     if cmd == "em-report":
-        return cmd_em_report(ws, entry["name"], opts)
+        return cmd_em_report(ws, entry.get("name"), opts)
     if cmd == "equivariant-report":
-        return cmd_equivariant_report(ws, entry["name"], opts)
+        return cmd_equivariant_report(ws, entry.get("name"), opts)
     if cmd == "complex-report":
-        return cmd_complex_report(ws, entry["name"], opts)
+        return cmd_complex_report(ws, entry.get("name"), opts)
     raise WorkspaceError(f"unknown command {cmd!r} in check suite")
 
 
@@ -310,21 +307,8 @@ def run(argv=None) -> int:
         return 2
     os.makedirs(opts.out, exist_ok=True)
     try:
-        ws = parse_workspace(opts.workspace, validate=(opts.command != "validate"))
-        if opts.command == "validate":
-            checks = cmd_validate(ws, opts)
-        elif opts.command == "adjunction-check":
-            checks = cmd_adjunction_check(ws, opts.name, opts)
-        elif opts.command == "separability":
-            checks = cmd_separability(ws, opts.name, opts.target, opts)
-        elif opts.command == "em-report":
-            checks = cmd_em_report(ws, opts.name, opts)
-        elif opts.command == "equivariant-report":
-            checks = cmd_equivariant_report(ws, opts.name, opts)
-        elif opts.command == "complex-report":
-            checks = cmd_complex_report(ws, opts.name, opts)
-        else:
-            raise WorkspaceError(f"unknown command {opts.command!r}")
+        ws = parse_workspace(opts.workspace, validate=False)
+        checks = run_entry(ws, {"run": opts.command, **vars(opts)}, opts)
     except WorkspaceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -202,11 +202,6 @@ class LiftedMonad:
     def on_complex(self, c: BoundedComplex) -> BoundedComplex:
         return apply_functor_to_complex(self.monad.functor, c)
 
-    def on_chain(self, f: ChainMap) -> ChainMap:
-        mf = self.monad.functor
-        parts = {n: mf.on_morphism(f.part(n)) for n in f.parts}
-        return ChainMap(self.on_complex(f.src), self.on_complex(f.dst), parts)
-
     def unit(self, c: BoundedComplex) -> ChainMap:
         parts = {n: self.monad.unit.at(c.term(n)) for n in c.degrees()}
         return ChainMap(c, self.on_complex(c), parts)

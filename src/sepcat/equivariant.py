@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import sympy
-
 from .category import (CatObject, LinearCategory, Morphism, MorSystem,
                        direct_sum, express_in_basis, extract_block,
                        hom_space_basis, int_invertible, invert_morphism,
@@ -390,14 +388,6 @@ class EquivariantCategory:
     def free_label(self, x) -> str:
         return self.free_label_map[x]
 
-    def realize_object(self, p_obj: CatObject) -> CatObject:
-        parts = [self.objects[l].carrier for l in p_obj.summands]
-        if p_obj.idem is None:
-            if not parts:
-                return self.action.base.zero_object()
-            return direct_sum(parts)
-        raise ValueError("realize_object expects a plain presentation object")
-
     def to_pres_mor(self, p_dom: CatObject, p_cod: CatObject, f: Morphism) -> Morphism:
         """Express a base-closure morphism between realizations as a presentation morphism."""
         dom_parts = [self.objects[l].carrier for l in p_dom.summands]
@@ -619,6 +609,27 @@ def _find_generator(group: FiniteGroup):
     return None
 
 
+def _rational_points(eqs, syms) -> list[dict]:
+    """The rational solutions of a polynomial system over Q, back-substituted
+    through a lex Gröbner basis from the last unknown on.  A branch on which an
+    unknown stays free lies on a positive-dimensional family and is dropped."""
+    import sympy
+    basis = sympy.groebner(eqs, *syms, order="lex").exprs
+    points = [{}]
+    for k in reversed(range(len(syms))):
+        grown = []
+        for point in points:
+            roots = None
+            for g in basis:
+                g = sympy.expand(g.subs(point)) if g.free_symbols <= set(syms[k:]) else 0
+                if g != 0:
+                    found = set(sympy.Poly(g, syms[k]).ground_roots())
+                    roots = found if roots is None else roots & found
+            grown.extend({**point, syms[k]: r} for r in roots or ())
+        points = grown
+    return points
+
+
 def character_modules(action: GroupAction, monad: Monad | None = None) -> list:
     """All modules carried by a single action-fixed base object, for cyclic G over Q.
 
@@ -634,6 +645,7 @@ def character_modules(action: GroupAction, monad: Monad | None = None) -> list:
     gen = _find_generator(group)
     if gen is None:
         raise ValueError(f"{group.name} is not cyclic")
+    import sympy  # costs about 0.4 s, so only this enumeration pays it
     n = group.order
     if monad is None:
         monad = equivariant_monad(action)
@@ -659,14 +671,8 @@ def character_modules(action: GroupAction, monad: Monad | None = None) -> list:
         id_vec = base.id_vec(x)
         eqs = [sympy.expand(prod[c] - sympy.Rational(id_vec[c].numerator, id_vec[c].denominator))
                for c in range(d)]
-        sols = sympy.solve(eqs, syms, dict=True)
-        rational = []
-        for s in sols:
-            vals = [s.get(sym, sym) for sym in syms]
-            if all(getattr(v, "is_number", False) and v.is_rational for v in vals):
-                rational.append(tuple(Fraction(int(sympy.Rational(v).p), int(sympy.Rational(v).q))
-                                      for v in vals))
-        rational = sorted(set(rational))
+        rational = sorted({tuple(Fraction(int(p[c].p), int(p[c].q)) for c in syms)
+                           for p in _rational_points(eqs, syms)})
 
         def twist_exact(g, vec):
             imgs = [action.functors[g].hom_map[(x, x)][i].blocks[0][0] for i in range(d)]

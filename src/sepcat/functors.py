@@ -251,25 +251,6 @@ def validate_nat(t: NatTrans) -> ValidationReport:
     return rep
 
 
-def vertical_compose(after: NatTrans, before: NatTrans) -> NatTrans:
-    comps = {x: after.components[x] @ before.components[x] for x in before.components}
-    return NatTrans(before.src, after.dst, comps, name=f"{after.name}∘{before.name}")
-
-
-def whisker_left(f: Functor, t: NatTrans) -> NatTrans:
-    """F t, with components F(t_x)."""
-    comps = {x: f.on_morphism(t.components[x]) for x in t.components}
-    return NatTrans(compose_functors(f, t.src), compose_functors(f, t.dst), comps,
-                    name=f"{f.name}{t.name}")
-
-
-def whisker_right(t: NatTrans, f: Functor) -> NatTrans:
-    """t F, with components t_{F(x)}."""
-    comps = {x: t.at(f.object_map[x]) for x in f.source.objects}
-    return NatTrans(compose_functors(t.src, f), compose_functors(t.dst, f), comps,
-                    name=f"{t.name}{f.name}")
-
-
 class Adjunction:
     """An adjoint pair (F, G; η, ε) with F left adjoint to G."""
 

@@ -188,10 +188,6 @@ class Matrix:
         return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)], cols=n)
 
     @classmethod
-    def from_rows(cls, field, rows, cols=None):
-        return cls(field, rows, cols=cols)
-
-    @classmethod
     def from_columns(cls, field, columns, rows: int):
         m = cls.zeros(field, rows, len(columns))
         for j, col in enumerate(columns):
@@ -279,10 +275,6 @@ class Matrix:
             out.append(acc)
         return out
 
-    def transpose(self):
-        return Matrix(self.field, [[self.data[i][j] for i in range(self.rows)]
-                                   for j in range(self.cols)], cols=self.rows)
-
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
                 and self.rows == other.rows and self.cols == other.cols
@@ -312,10 +304,6 @@ class Matrix:
     def rank(self) -> int:
         res = self.solve([self.field.zero()] * self.rows)
         return res.rank
-
-    def kernel_basis(self):
-        res = self.solve([self.field.zero()] * self.rows)
-        return res.kernel
 
     def inverse(self):
         if self.rows != self.cols:
@@ -444,9 +432,6 @@ class FormRing:
 
     def one(self):
         return LinForm(self.field.one())
-
-    def lift(self, s):
-        return s if isinstance(s, LinForm) else LinForm(s)
 
     def __eq__(self, other):
         return isinstance(other, FormRing) and self.field == other.field

@@ -112,12 +112,6 @@ class EmAdjunction:
     def free(self, x: CatObject) -> MModule:
         return free_module(self.monad, x)
 
-    def free_mor(self, f: Morphism) -> ModuleMor:
-        return ModuleMor(self.free(f.dom), self.free(f.cod), self.monad.functor.on_morphism(f))
-
-    def forget(self, m: MModule) -> CatObject:
-        return m.carrier
-
     def unit_at(self, x: CatObject) -> Morphism:
         return self.monad.unit.at(x)
 

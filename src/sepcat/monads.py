@@ -143,8 +143,6 @@ def monad_separability_solve(m: Monad, validate: bool = False):
     m2 = m.squared()
     sysm = MorSystem(cat.field)
     unknowns = {x: sysm.unknown(mf.object_map[x], m2.object_map[x]) for x in cat.objects}
-    zero = cat.field.zero()
-    one = cat.field.one()
     # naturality of σ on basis morphisms
     for (x, y), mors in sorted(mf.hom_map.items()):
         for i in range(len(mors)):

@@ -140,14 +140,6 @@ class Field:
     def from_int(self, n: int):
         return Fraction(n) if self.char == 0 else Fp(n, self.char)
 
-    def from_fraction(self, q: Fraction):
-        if self.char == 0:
-            return Fraction(q)
-        den = q.denominator
-        if den % self.char == 0:
-            raise NotInvertibleError(f"denominator {den} not invertible in F_{self.char}")
-        return Fp(q.numerator, self.char) / Fp(den, self.char)
-
     def parse(self, s: str):
         """Parse "n" or "p/q" (rationals), or a decimal residue (prime field)."""
         s = s.strip()
@@ -160,11 +152,6 @@ class Field:
 
     def fmt(self, x) -> str:
         return str(x)
-
-    def contains(self, x) -> bool:
-        if self.char == 0:
-            return isinstance(x, Fraction)
-        return isinstance(x, Fp) and x.p == self.char
 
     def invertible(self, n: int) -> bool:
         """Whether the positive integer n is invertible over this field."""

@@ -3,22 +3,28 @@ categories, groups, actions, equivariant objects, functors, adjunctions,
 monads, modules, complexes and check suites.
 
 Matrices are nested arrays of scalar strings; all cross-references are by
-name and must resolve; duplicate names are rejected.
+name and must resolve; duplicate names are rejected.  Parsing checks the
+structure of every declaration; a declaration is built, and its law suite run,
+only when something references it (see Workspace).
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 
-from .category import CatObject, LinearCategory, Morphism
-from .complexes import BoundedComplex, ModuleComplex
+from .category import (CatObject, LinearCategory, Morphism, hom_coord_dim,
+                       validate_presentation)
+from .complexes import BoundedComplex, ModuleComplex, validate_complex
 from .equivariant import (EquivariantObject, FiniteGroup, GroupAction,
                           equivariant_category, equivariant_monad,
-                          induce_adjunction)
-from .errors import WorkspaceError
-from .functors import Adjunction, Functor, NatTrans, compose_functors
-from .modules import MModule, free_module
-from .monads import Monad, monad_from_adjunction
+                          induce_adjunction, validate_action)
+from .errors import LawViolationError, WorkspaceError
+from .functors import (Adjunction, Functor, NatTrans, SepWitness, compose_functors,
+                       validate_adjunction, validate_functor, validate_nat)
+from .linalg import Matrix
+from .modules import MModule, free_module, validate_module
+from .monads import Monad, MonadSepWitness, monad_from_adjunction, validate_monad
 from .reports import ValidationReport
 from .scalars import Field
 
@@ -90,84 +96,236 @@ def parse_mor(cat: LinearCategory, data, dom: CatObject | None = None,
         raise WorkspaceError(f"morphism shape error: {exc}")
 
 
-# ------------------------------------------------------------------ parsing
+# ---------------------------------------------------------------- structure
+
+SECTIONS = ("fields", "categories", "groups", "actions", "equivariant_objects",
+            "functors", "nat_transformations", "adjunctions", "monads", "modules",
+            "complexes", "check_suites")
+
+_REF = (list, dict)  # an object or morphism: a bare list or an object with keys
+
+# Per section: the default kind (None for a section without kinds) and, per
+# kind, the keys of a declaration.  A section name as value marks a reference
+# into that section, a type the JSON type of the value; a trailing "?" marks an
+# optional key.  A complex is of modules when it names a monad.
+_SHAPES = {
+    "categories": (None, {None: {"field": "fields", "objects": list, "homs?": list,
+                                 "compositions?": list, "identities?": dict}}),
+    "groups": (None, {None: {"elements": list, "table": list}}),
+    "actions": ("trivial", {
+        "trivial": {"group": "groups", "category": "categories"},
+        "permutation": {"group": "groups", "category": "categories", "objects?": dict},
+        "explicit": {"group": "groups", "category": "categories", "functors": dict}}),
+    "equivariant_objects": (None, {None: {"action": "actions", "carrier": _REF,
+                                          "alpha": dict}}),
+    "functors": ("explicit", {
+        "identity": {"category": "categories"},
+        "action": {"action": "actions", "element": str},
+        "forgetful": {"action": "actions"},
+        "explicit": {"source": "categories", "target": "categories", "objects": dict,
+                     "homs?": dict}}),
+    "nat_transformations": (None, {None: {"source": "functors", "target": "functors",
+                                          "components": dict}}),
+    "adjunctions": ("induced", {"identity": {"category": "categories"},
+                                "induced": {"action": "actions"}}),
+    "monads": ("group", {"identity": {"category": "categories"},
+                         "group": {"action": "actions"},
+                         "from_adjunction": {"adjunction": "adjunctions"}}),
+    "modules": ("explicit", {"free": {"monad": "monads", "on": _REF},
+                             "explicit": {"monad": "monads", "carrier": _REF,
+                                          "action": _REF}}),
+    "complexes": (None, {
+        "of_modules": {"monad": "monads", "modules?": dict, "differentials?": dict},
+        "of_objects": {"category": "categories", "terms?": dict, "differentials?": dict}}),
+}
+
+
+class _Section(Mapping):
+    """One section's declarations by name; looking one up builds it."""
+
+    def __init__(self, ws: "Workspace", section: str):
+        self._ws, self._section, self._specs = ws, section, ws._specs[section]
+
+    def __contains__(self, name):
+        return name in self._specs
+
+    def __iter__(self):
+        return iter(self._specs)
+
+    def __len__(self):
+        return len(self._specs)
+
+    def __getitem__(self, name):
+        if name not in self._specs:
+            raise KeyError(name)
+        return self._ws._get(self._section, name)
+
 
 class Workspace:
-    """A fully resolved, validated declaration graph."""
+    """A workspace document whose declarations are built on first reference.
 
-    def __init__(self, path: str):
+    Construction makes one structural pass over every declaration: JSON
+    shapes, kinds and name references.  A declaration is built the first time
+    something references it, together with everything it references, and its
+    law suite runs then, once.  A lookup from outside the builders raises
+    WorkspaceError when the declaration or anything it references fails its
+    laws, unless validate_workspace has already reported the failure.
+    """
+
+    def __init__(self, path: str, raw: dict):
         self.path = path
-        self.fields: dict[str, Field] = {}
-        self.categories: dict[str, LinearCategory] = {}
-        self.groups: dict[str, FiniteGroup] = {}
-        self.actions: dict[str, GroupAction] = {}
-        self.equivariant_objects: dict[str, EquivariantObject] = {}
-        self.eqobj_action: dict[str, str] = {}
-        self.functors: dict[str, Functor] = {}
-        self.nat_transformations: dict[str, NatTrans] = {}
-        self.adjunctions: dict[str, Adjunction] = {}
-        self.adjunction_meta: dict[str, dict] = {}
-        self.monads: dict[str, Monad] = {}
-        self.monad_meta: dict[str, dict] = {}
-        self.modules: dict[str, MModule] = {}
-        self.module_monad_name: dict[str, str] = {}
-        self.complexes: dict[str, object] = {}
-        self.complex_meta: dict[str, dict] = {}
-        self.check_suites: dict[str, list] = {}
-        self.order: dict[str, list[str]] = {}
+        self._specs = {section: raw.get(section, {}) for section in SECTIONS}
+        for section, decls in self._specs.items():
+            if not isinstance(decls, dict):
+                raise WorkspaceError(f"section {section!r} must be an object")
+        self.order = {section: list(decls) for section, decls in self._specs.items()}
+        for name, spec in self._specs["fields"].items():
+            if not isinstance(spec, str):
+                raise WorkspaceError(f"field {name}: expected a field spec string")
+        meta = {section: {name: self._scan(section, name, spec)
+                          for name, spec in self._specs[section].items()}
+                for section in _SHAPES}
+        for name, spec in self._specs["check_suites"].items():
+            if not isinstance(spec, list) or not all(
+                    isinstance(e, dict) and e.get("run") != "validate" for e in spec):
+                raise WorkspaceError(f"check suite {name}: expected a list of entries, "
+                                     "none of them validate")
+        self.check_suites: dict[str, list] = self._specs["check_suites"]
+        self.adjunction_meta: dict[str, dict] = meta["adjunctions"]
+        self.monad_meta: dict[str, dict] = meta["monads"]
+        self.complex_meta: dict[str, dict] = meta["complexes"]
+        self.eqobj_action = {n: m["action"] for n, m in meta["equivariant_objects"].items()}
+        self.module_monad_name = {n: m["monad"] for n, m in meta["modules"].items()}
+        (self.fields, self.categories, self.groups, self.actions, self.equivariant_objects,
+         self.functors, self.nat_transformations, self.adjunctions, self.monads,
+         self.modules, self.complexes) = (_Section(self, s) for s in SECTIONS[:-1])
+        self._built: dict[tuple, object] = {}
+        self._reports: dict[tuple, ValidationReport] = {}
+        self._deps: dict[tuple, set] = {}  # everything a declaration references
+        self._stack: list[tuple] = []  # declarations being built, innermost last
+        self._checked: set[tuple] = set()  # their law suites passed or were reported
         self._eqcats: dict = {}
 
-    def _ref(self, table: dict, name, kind: str):
-        if name not in table:
-            raise WorkspaceError(f"unresolved reference to {kind} {name!r}")
-        return table[name]
+    def _scan(self, section: str, name: str, spec) -> dict:
+        """Check one declaration's shape, kind and references; return its metadata."""
+        word = _DECLARED[section][0]
+        if not isinstance(spec, dict):
+            raise WorkspaceError(f"{word} {name}: expected an object")
+        default, kinds = _SHAPES[section]
+        if section == "complexes":
+            kind = "of_modules" if "monad" in spec else "of_objects"
+        else:
+            kind = spec.get("kind", default) if default else None
+        if not isinstance(kind, (str, type(None))) or kind not in kinds:
+            raise WorkspaceError(f"{word} {name}: unknown kind {kind!r}")
+        meta = {"kind": kind} if kind else {}
+        for key, want in kinds[kind].items():
+            optional = key.endswith("?")
+            key = key.rstrip("?")
+            if key not in spec:
+                if optional:
+                    continue
+                raise WorkspaceError(f"{word} {name}: missing {key!r}")
+            if isinstance(want, str):
+                self._resolve(want, spec[key])
+                meta[key] = spec[key]
+            elif not isinstance(spec[key], want):
+                raise WorkspaceError(f"{word} {name}: {key!r} has the wrong JSON type")
+        for ref in spec.get("modules", {}).values() if kind == "of_modules" else ():
+            self._resolve("modules", ref)
+        return meta
 
-    def field(self, name):
-        return self._ref(self.fields, name, "field")
+    def _resolve(self, section: str, name) -> None:
+        if not isinstance(name, str) or name not in self._specs[section]:
+            raise WorkspaceError(f"unresolved reference to {_DECLARED[section][0]} {name!r}")
 
-    def category(self, name):
-        return self._ref(self.categories, name, "category")
+    def _get(self, section: str, name: str):
+        """The built declaration.  Inside a builder the lookup is recorded as a
+        dependency; from outside, every law suite it depends on must pass."""
+        self._resolve(section, name)
+        key = (section, name)
+        try:
+            obj = self._build(key)
+        finally:
+            closure = self._deps[key] | {key}
+            if self._stack:
+                self._deps[self._stack[-1]] |= closure
+        if not self._stack and key not in self._checked:
+            failed = self._failures(closure)
+            if failed:
+                raise WorkspaceError(f"workspace validation failed: {failed}")
+            self._checked |= closure
+        return obj
 
-    def group(self, name):
-        return self._ref(self.groups, name, "group")
+    def _build(self, key: tuple):
+        if key in self._built:
+            return self._built[key]
+        section, name = key
+        word, build, law_suite = _DECLARED[section]
+        self._deps[key] = set()
+        self._stack.append(key)
+        try:
+            obj = build(name, self._specs[section][name], self)
+            report = law_suite(obj)
+        except WorkspaceError:
+            raise
+        except (ArithmeticError, AttributeError, IndexError, KeyError, LawViolationError,
+                TypeError, ValueError) as exc:
+            # A builder may trip over a dependency that fails its laws: blame that.
+            failed = self._failures(self._deps[key])
+            if failed:
+                raise WorkspaceError(f"workspace validation failed: {failed}") from exc
+            if isinstance(exc, LawViolationError):
+                raise
+            detail = f"missing entry {exc}" if isinstance(exc, KeyError) else exc
+            raise WorkspaceError(f"{word} {name}: {detail}") from exc
+        finally:
+            self._stack.pop()
+        self._built[key] = obj
+        self._reports[key] = report
+        return obj
+
+    def _failures(self, keys) -> str:
+        """The built declarations among keys that fail their laws, in document order."""
+        failed = sorted((k for k in keys if k in self._reports and not self._reports[k].passed),
+                        key=lambda k: (SECTIONS.index(k[0]), self.order[k[0]].index(k[1])))
+        return "; ".join(f"{_DECLARED[s][0]} {n}" for s, n in failed)
 
     def action(self, name):
-        return self._ref(self.actions, name, "action")
+        return self._get("actions", name)
+
+    def functor(self, name):
+        return self._get("functors", name)
 
     def adjunction(self, name):
-        return self._ref(self.adjunctions, name, "adjunction")
+        return self._get("adjunctions", name)
 
     def monad(self, name):
-        return self._ref(self.monads, name, "monad")
+        return self._get("monads", name)
 
     def eqcat_for_action(self, name):
         """The equivariant presentation for an action, with declared extras."""
+        act = self.action(name)
+        extras = {label: self._get("equivariant_objects", label)
+                  for label, a in self.eqobj_action.items() if a == name}
         if name not in self._eqcats:
-            act = self.action(name)
-            extras = {label: z for label, z in self.equivariant_objects.items()
-                      if self.eqobj_action[label] == name}
             self._eqcats[name] = equivariant_category(act, extra=extras)
         return self._eqcats[name]
 
     def modules_for_monad_name(self, monad_name) -> dict:
-        return {n: m for n, m in self.modules.items()
-                if self.module_monad_name[n] == monad_name}
+        return {n: self.modules[n] for n, m in self.module_monad_name.items()
+                if m == monad_name}
 
     def monad_names_for_action(self, action_name) -> list[str]:
-        out = []
-        for n, meta in self.monad_meta.items():
-            if meta.get("action") == action_name:
-                out.append(n)
-        return out
+        return [n for n, meta in self.monad_meta.items() if meta.get("action") == action_name]
 
 
-def _parse_category(name, spec, ws) -> LinearCategory:
-    field = ws.field(spec["field"])
+# ----------------------------------------------------------------- builders
+
+def _build_category(name, spec, ws) -> LinearCategory:
+    field = ws.fields[spec["field"]]
     objects = spec["objects"]
-    label_of = {}
-    hom_dims = {}
-    pair_of_label = {}
-    labels = {}
+    hom_dims, pair_of_label, labels = {}, {}, {}
     for hom in spec.get("homs", []):
         x, y = hom["from"], hom["to"]
         basis = hom["basis"]
@@ -203,25 +361,27 @@ def _parse_category(name, spec, ws) -> LinearCategory:
             raise WorkspaceError(f"category {name}: {g}∘{f} is not composable")
         key = (fx, fy, gz)
         if key not in composition:
-            dyz = hom_dims.get((fy, gz), 0)
-            dxy = hom_dims.get((fx, fy), 0)
-            dxz = hom_dims.get((fx, gz), 0)
-            composition[key] = [[tuple([field.zero()] * dxz) for _ in range(dxy)]
-                                for _ in range(dyz)]
+            zero = tuple([field.zero()] * hom_dims.get((fx, gz), 0))
+            composition[key] = [[zero] * hom_dims.get((fx, fy), 0)
+                                for _ in range(hom_dims.get((fy, gz), 0))]
         composition[key][gi][fi] = combo((fx, gz), entry["is"])
-    identities = {}
-    for x, data in spec.get("identities", {}).items():
-        identities[x] = combo((x, x), data)
-    try:
-        return LinearCategory(field, objects, hom_dims, composition, identities,
-                              basis_labels=labels, name=name)
-    except ValueError as exc:
-        raise WorkspaceError(f"category {name}: {exc}")
+    identities = {x: combo((x, x), data) for x, data in spec.get("identities", {}).items()}
+    return LinearCategory(field, objects, hom_dims, composition, identities,
+                          basis_labels=labels, name=name)
 
 
-def _parse_action(name, spec, ws) -> GroupAction:
-    group = ws.group(spec["group"])
-    cat = ws.category(spec["category"])
+def _build_group(name, spec, ws) -> FiniteGroup:
+    elements, rows = spec["elements"], spec["table"]
+    if len(rows) != len(elements) or any(len(r) != len(elements) for r in rows):
+        raise WorkspaceError(f"group {name}: table must be |G|×|G|")
+    table = {(g, h): rows[i][j] for i, g in enumerate(elements)
+             for j, h in enumerate(elements)}
+    return FiniteGroup(elements, table, unit=spec.get("unit"), name=name)
+
+
+def _build_action(name, spec, ws) -> GroupAction:
+    group = ws.groups[spec["group"]]
+    cat = ws.categories[spec["category"]]
     kind = spec.get("kind", "trivial")
     if kind == "trivial":
         return GroupAction.trivial(group, cat, name=name)
@@ -233,13 +393,24 @@ def _parse_action(name, spec, ws) -> GroupAction:
                 p = {x: x for x in cat.objects}
             perms[g] = p
         return GroupAction.from_permutation(group, cat, perms, name=name)
-    if kind == "explicit":
-        functors = {}
-        for g in group.elements:
-            gspec = spec["functors"][g]
-            functors[g] = _parse_functor_body(f"{name}[{g}]", gspec, cat, cat, ws)
-        return GroupAction(group, cat, functors, name=name)
-    raise WorkspaceError(f"action {name}: unknown kind {kind!r}")
+    functors = {}
+    for g in group.elements:
+        gspec = spec["functors"][g]
+        functors[g] = _parse_functor_body(f"{name}[{g}]", gspec, cat, cat, ws)
+    return GroupAction(group, cat, functors, name=name)
+
+
+def _build_equivariant_object(name, spec, ws) -> EquivariantObject:
+    act = ws.actions[spec["action"]]
+    carrier = parse_obj(act.base, spec["carrier"])
+    alpha = {}
+    for g in act.group.elements:
+        mdata = spec["alpha"].get(g)
+        if mdata is None:
+            raise WorkspaceError(f"equivariant object {name}: missing α_{g}")
+        cod = act.functors[g].on_object(carrier)
+        alpha[g] = parse_mor(act.base, mdata, dom=carrier, cod=cod)
+    return EquivariantObject(act, carrier, alpha, name=name)
 
 
 def _parse_functor_body(name, spec, source, target, ws) -> Functor:
@@ -262,22 +433,31 @@ def _parse_functor_body(name, spec, source, target, ws) -> Functor:
     return Functor(source, target, object_map, hom_map, name=name)
 
 
-def _parse_functor(name, spec, ws) -> Functor:
+def _build_functor(name, spec, ws) -> Functor:
     kind = spec.get("kind", "explicit")
     if kind == "identity":
-        return Functor.identity(ws.category(spec["category"]), name=name)
+        return Functor.identity(ws.categories[spec["category"]], name=name)
     if kind == "action":
-        act = ws.action(spec["action"])
-        return act.functors[spec["element"]]
+        return ws.actions[spec["action"]].functors[spec["element"]]
     if kind == "forgetful":
-        eqc = ws.eqcat_for_action(spec["action"])
-        adj = induce_adjunction(eqc)
-        return adj.G
-    if kind == "explicit":
-        source = ws.category(spec["source"])
-        target = ws.category(spec["target"])
-        return _parse_functor_body(name, spec, source, target, ws)
-    raise WorkspaceError(f"functor {name}: unknown kind {kind!r}")
+        return induce_adjunction(ws.eqcat_for_action(spec["action"])).G
+    source = ws.categories[spec["source"]]
+    target = ws.categories[spec["target"]]
+    return _parse_functor_body(name, spec, source, target, ws)
+
+
+def _build_nat_transformation(name, spec, ws) -> NatTrans:
+    src = ws.functors[spec["source"]]
+    dst = ws.functors[spec["target"]]
+    if src.source is not dst.source or src.target is not dst.target:
+        raise WorkspaceError(f"natural transformation {name}: functors are not parallel")
+    comps = {}
+    for x in src.source.objects:
+        mdata = spec["components"].get(x)
+        if mdata is None:
+            raise WorkspaceError(f"natural transformation {name}: missing component at {x}")
+        comps[x] = parse_mor(src.target, mdata, dom=src.object_map[x], cod=dst.object_map[x])
+    return NatTrans(src, dst, comps, name=name)
 
 
 def _identity_adjunction(cat, name="") -> Adjunction:
@@ -289,157 +469,94 @@ def _identity_adjunction(cat, name="") -> Adjunction:
                       name=name)
 
 
+def _build_adjunction(name, spec, ws) -> Adjunction:
+    if spec.get("kind", "induced") == "identity":
+        return _identity_adjunction(ws.categories[spec["category"]], name=name)
+    return induce_adjunction(ws.eqcat_for_action(spec["action"]))
+
+
+def _build_monad(name, spec, ws) -> Monad:
+    kind = spec.get("kind", "group")
+    if kind == "identity":
+        return Monad.identity_monad(ws.categories[spec["category"]])
+    if kind == "group":
+        return equivariant_monad(ws.actions[spec["action"]], name=name)
+    return monad_from_adjunction(ws.adjunctions[spec["adjunction"]], name=name)
+
+
+def _build_module(name, spec, ws) -> MModule:
+    monad = ws.monads[spec["monad"]]
+    cat = monad.cat
+    if spec.get("kind", "explicit") == "free":
+        return free_module(monad, parse_obj(cat, spec["on"]), name=name)
+    carrier = parse_obj(cat, spec["carrier"])
+    action = parse_mor(cat, spec["action"], dom=monad.functor.on_object(carrier), cod=carrier)
+    return MModule(monad, carrier, action, name=name)
+
+
+def _build_complex(name, spec, ws):
+    if "monad" in spec:
+        monad = ws.monads[spec["monad"]]
+        mods = {int(deg): ws.modules[ref] for deg, ref in spec.get("modules", {}).items()}
+        diffs = {}
+        for deg, mdata in spec.get("differentials", {}).items():
+            n = int(deg)
+            if n not in mods or (n + 1) not in mods:
+                raise WorkspaceError(f"complex {name}: differential {n} out of support")
+            diffs[n] = parse_mor(monad.cat, mdata,
+                                 dom=mods[n].carrier, cod=mods[n + 1].carrier)
+        return ModuleComplex(monad, mods, diffs, name=name)
+    cat = ws.categories[spec["category"]]
+    terms = {int(d): parse_obj(cat, ref) for d, ref in spec.get("terms", {}).items()}
+    diffs = {}
+    for deg, mdata in spec.get("differentials", {}).items():
+        n = int(deg)
+        dom = terms.get(n, cat.zero_object())
+        cod = terms.get(n + 1, cat.zero_object())
+        diffs[n] = parse_mor(cat, mdata, dom=dom, cod=cod)
+    return BoundedComplex(cat, terms, diffs, name=name)
+
+
+# Per section: the word naming one declaration, its builder and its law suite.
+# The suites are looked up when called, so wrapping them module-wide applies.
+_DECLARED = {
+    "fields": ("field", lambda name, spec, ws: Field.from_spec(spec),
+               lambda f: ValidationReport()),
+    "categories": ("category", _build_category, lambda c: validate_presentation(c)),
+    "groups": ("group", _build_group, lambda g: g.validate()),
+    "actions": ("action", _build_action, lambda a: validate_action(a)),
+    "equivariant_objects": ("equivariant object", _build_equivariant_object,
+                            lambda z: z.validate()),
+    "functors": ("functor", _build_functor, lambda f: validate_functor(f)),
+    "nat_transformations": ("natural transformation", _build_nat_transformation,
+                            lambda t: validate_nat(t)),
+    "adjunctions": ("adjunction", _build_adjunction, lambda a: validate_adjunction(a)),
+    "monads": ("monad", _build_monad, lambda m: validate_monad(m)),
+    "modules": ("module", _build_module, lambda m: validate_module(m)),
+    "complexes": ("complex", _build_complex, lambda c: c.validate()
+                  if isinstance(c, ModuleComplex) else validate_complex(c)),
+}
+
+
+# ------------------------------------------------------------------ parsing
+
 def parse_workspace(path: str, validate: bool = True) -> Workspace:
-    """Parse and resolve a workspace file; optionally validate every declaration."""
+    """Read a workspace file and check the structure of every declaration.
+
+    With validate, every declaration is also built and its law suite run, and
+    any failure raises WorkspaceError; without, declarations are built on first
+    reference (see Workspace).
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh, object_pairs_hook=_no_duplicates)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise WorkspaceError(f"cannot read workspace: {exc}")
     except json.JSONDecodeError as exc:
         raise WorkspaceError(f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}")
     if not isinstance(raw, dict) or raw.get("schema") != SCHEMA:
         raise WorkspaceError(f"expected a workspace document with schema {SCHEMA!r}")
-
-    ws = Workspace(path)
-    ws.order = {section: list(raw.get(section, {})) for section in (
-        "fields", "categories", "groups", "actions", "equivariant_objects",
-        "functors", "nat_transformations", "adjunctions", "monads", "modules",
-        "complexes", "check_suites")}
-
-    for name, spec in raw.get("fields", {}).items():
-        try:
-            ws.fields[name] = Field.from_spec(spec)
-        except ValueError as exc:
-            raise WorkspaceError(f"field {name}: {exc}")
-
-    for name, spec in raw.get("categories", {}).items():
-        ws.categories[name] = _parse_category(name, spec, ws)
-
-    for name, spec in raw.get("groups", {}).items():
-        elements = spec["elements"]
-        table = {}
-        rows = spec["table"]
-        if len(rows) != len(elements) or any(len(r) != len(elements) for r in rows):
-            raise WorkspaceError(f"group {name}: table must be |G|×|G|")
-        for i, g in enumerate(elements):
-            for j, h in enumerate(elements):
-                table[(g, h)] = rows[i][j]
-        try:
-            ws.groups[name] = FiniteGroup(elements, table, unit=spec.get("unit"),
-                                          name=name)
-        except ValueError as exc:
-            raise WorkspaceError(f"group {name}: {exc}")
-
-    for name, spec in raw.get("actions", {}).items():
-        ws.actions[name] = _parse_action(name, spec, ws)
-
-    for name, spec in raw.get("equivariant_objects", {}).items():
-        act = ws.action(spec["action"])
-        carrier = parse_obj(act.base, spec["carrier"])
-        alpha = {}
-        for g in act.group.elements:
-            mdata = spec["alpha"].get(g)
-            if mdata is None:
-                raise WorkspaceError(f"equivariant object {name}: missing α_{g}")
-            cod = act.functors[g].on_object(carrier)
-            alpha[g] = parse_mor(act.base, mdata, dom=carrier, cod=cod)
-        ws.equivariant_objects[name] = EquivariantObject(act, carrier, alpha, name=name)
-        ws.eqobj_action[name] = spec["action"]
-
-    for name, spec in raw.get("functors", {}).items():
-        ws.functors[name] = _parse_functor(name, spec, ws)
-
-    for name, spec in raw.get("nat_transformations", {}).items():
-        src = ws._ref(ws.functors, spec["source"], "functor")
-        dst = ws._ref(ws.functors, spec["target"], "functor")
-        if src.source is not dst.source or src.target is not dst.target:
-            raise WorkspaceError(f"natural transformation {name}: functors are not parallel")
-        comps = {}
-        for x in src.source.objects:
-            mdata = spec["components"].get(x)
-            if mdata is None:
-                raise WorkspaceError(f"natural transformation {name}: missing component at {x}")
-            comps[x] = parse_mor(src.target, mdata,
-                                 dom=src.object_map[x], cod=dst.object_map[x])
-        ws.nat_transformations[name] = NatTrans(src, dst, comps, name=name)
-
-    for name, spec in raw.get("adjunctions", {}).items():
-        kind = spec.get("kind", "induced")
-        if kind == "identity":
-            ws.adjunctions[name] = _identity_adjunction(ws.category(spec["category"]),
-                                                        name=name)
-            ws.adjunction_meta[name] = {"kind": kind, "category": spec["category"]}
-        elif kind == "induced":
-            eqc = ws.eqcat_for_action(spec["action"])
-            ws.adjunctions[name] = induce_adjunction(eqc)
-            ws.adjunction_meta[name] = {"kind": kind, "action": spec["action"]}
-        else:
-            raise WorkspaceError(f"adjunction {name}: unknown kind {kind!r}")
-
-    for name, spec in raw.get("monads", {}).items():
-        kind = spec.get("kind", "group")
-        if kind == "identity":
-            ws.monads[name] = Monad.identity_monad(ws.category(spec["category"]))
-            ws.monad_meta[name] = {"kind": kind, "category": spec["category"]}
-        elif kind == "group":
-            ws.monads[name] = equivariant_monad(ws.action(spec["action"]), name=name)
-            ws.monad_meta[name] = {"kind": kind, "action": spec["action"]}
-        elif kind == "from_adjunction":
-            ws.monads[name] = monad_from_adjunction(ws.adjunction(spec["adjunction"]),
-                                                    name=name)
-            ws.monad_meta[name] = {"kind": kind, "adjunction": spec["adjunction"]}
-        else:
-            raise WorkspaceError(f"monad {name}: unknown kind {kind!r}")
-
-    for name, spec in raw.get("modules", {}).items():
-        monad = ws.monad(spec["monad"])
-        cat = monad.cat
-        kind = spec.get("kind", "explicit")
-        if kind == "free":
-            ws.modules[name] = free_module(monad, parse_obj(cat, spec["on"]), name=name)
-        elif kind == "explicit":
-            carrier = parse_obj(cat, spec["carrier"])
-            action = parse_mor(cat, spec["action"],
-                               dom=monad.functor.on_object(carrier), cod=carrier)
-            ws.modules[name] = MModule(monad, carrier, action, name=name)
-        else:
-            raise WorkspaceError(f"module {name}: unknown kind {kind!r}")
-        ws.module_monad_name[name] = spec["monad"]
-
-    for name, spec in raw.get("complexes", {}).items():
-        if "monad" in spec:
-            monad = ws.monad(spec["monad"])
-            mods = {}
-            for deg, ref in spec.get("modules", {}).items():
-                mods[int(deg)] = ws._ref(ws.modules, ref, "module")
-            diffs = {}
-            for deg, mdata in spec.get("differentials", {}).items():
-                n = int(deg)
-                if n not in mods or (n + 1) not in mods:
-                    raise WorkspaceError(f"complex {name}: differential {n} out of support")
-                diffs[n] = parse_mor(monad.cat, mdata,
-                                     dom=mods[n].carrier, cod=mods[n + 1].carrier)
-            ws.complexes[name] = ModuleComplex(monad, mods, diffs, name=name)
-            ws.complex_meta[name] = {"monad": spec["monad"]}
-        else:
-            cat = ws.category(spec["category"])
-            terms = {int(d): parse_obj(cat, ref)
-                     for d, ref in spec.get("terms", {}).items()}
-            diffs = {}
-            for deg, mdata in spec.get("differentials", {}).items():
-                n = int(deg)
-                dom = terms.get(n, cat.zero_object())
-                cod = terms.get(n + 1, cat.zero_object())
-                diffs[n] = parse_mor(cat, mdata, dom=dom, cod=cod)
-            ws.complexes[name] = BoundedComplex(cat, terms, diffs, name=name)
-            ws.complex_meta[name] = {"category": spec["category"]}
-
-    for name, spec in raw.get("check_suites", {}).items():
-        if not isinstance(spec, list):
-            raise WorkspaceError(f"check suite {name}: expected a list of entries")
-        ws.check_suites[name] = spec
-
+    ws = Workspace(path, raw)
     if validate:
         rep = validate_workspace(ws)
         if not rep.passed:
@@ -449,51 +566,22 @@ def parse_workspace(path: str, validate: bool = True) -> Workspace:
 
 
 def validate_workspace(ws: Workspace) -> ValidationReport:
-    """Run every declaration's law suite; failures are report content."""
-    from .category import validate_presentation
-    from .complexes import validate_complex
-    from .equivariant import validate_action
-    from .functors import validate_adjunction, validate_functor
-    from .modules import validate_module
-    from .monads import validate_monad
-
+    """Build every declaration and report its law suite; failures are report
+    content, and later lookups no longer raise for them."""
     rep = ValidationReport(f"workspace {ws.path}")
-    for name in ws.order.get("categories", []):
-        sub = validate_presentation(ws.categories[name])
-        rep.record(f"category {name}", sub.passed,
-                   "; ".join(n for n, _ in sub.failures()))
-    for name in ws.order.get("groups", []):
-        sub = ws.groups[name].validate()
-        rep.record(f"group {name}", sub.passed, "; ".join(n for n, _ in sub.failures()))
-    for name in ws.order.get("actions", []):
-        sub = validate_action(ws.actions[name])
-        rep.record(f"action {name}", sub.passed, "; ".join(n for n, _ in sub.failures()))
-    for name in ws.order.get("equivariant_objects", []):
-        sub = ws.equivariant_objects[name].validate()
-        rep.record(f"equivariant object {name}", sub.passed,
-                   "; ".join(n for n, _ in sub.failures()))
-    for name in ws.order.get("functors", []):
-        sub = validate_functor(ws.functors[name])
-        rep.record(f"functor {name}", sub.passed, "; ".join(n for n, _ in sub.failures()))
-    for name in ws.order.get("nat_transformations", []):
-        from .functors import validate_nat
-        sub = validate_nat(ws.nat_transformations[name])
-        rep.record(f"natural transformation {name}", sub.passed,
-                   "; ".join(n for n, _ in sub.failures()))
-    for name in ws.order.get("adjunctions", []):
-        sub = validate_adjunction(ws.adjunctions[name])
-        rep.record(f"adjunction {name}", sub.passed,
-                   "; ".join(n for n, _ in sub.failures()))
-    for name in ws.order.get("monads", []):
-        sub = validate_monad(ws.monads[name])
-        rep.record(f"monad {name}", sub.passed, "; ".join(n for n, _ in sub.failures()))
-    for name in ws.order.get("modules", []):
-        sub = validate_module(ws.modules[name])
-        rep.record(f"module {name}", sub.passed, "; ".join(n for n, _ in sub.failures()))
-    for name in ws.order.get("complexes", []):
-        c = ws.complexes[name]
-        sub = c.validate() if isinstance(c, ModuleComplex) else validate_complex(c)
-        rep.record(f"complex {name}", sub.passed, "; ".join(n for n, _ in sub.failures()))
+    for section in SECTIONS[1:-1]:
+        for name in ws.order[section]:
+            key, check = (section, name), f"{_DECLARED[section][0]} {name}"
+            try:
+                ws._build(key)
+            except WorkspaceError as exc:
+                if not ws._failures(ws._deps[key]):
+                    raise
+                rep.record(check, False, str(exc))
+                continue
+            sub = ws._reports[key]
+            rep.record(check, sub.passed, "; ".join(n for n, _ in sub.failures()))
+            ws._checked.add(key)
     return rep
 
 
@@ -515,22 +603,16 @@ def witness_to_json(name: str, target: str, witness) -> dict:
 
 def load_witness(path: str, ws: Workspace):
     """Re-ingest a witness file against its workspace and re-verify its laws."""
-    from .functors import SepWitness
-    from .linalg import Matrix
-    from .monads import MonadSepWitness
-
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if data.get("schema") != "sepcat-witness/1":
         raise WorkspaceError("not a witness file")
     name = data["workspace_ref"]
     if data["target"] == "functor":
-        functor = ws._ref(ws.functors, name, "functor")
+        functor = ws.functor(name)
         maps = {}
         for key, rows in data["maps"].items():
             x, y = key.split("|", 1)
-            d = functor.source.hom_dim(x, y)
-            from .category import hom_coord_dim
             amb = hom_coord_dim(functor.target, functor.object_map[x],
                                 functor.object_map[y])
             maps[(x, y)] = Matrix.parse(functor.source.field, rows, cols=amb)
