@@ -609,10 +609,11 @@ def _find_generator(group: FiniteGroup):
     return None
 
 
-def _rational_points(eqs, syms) -> list[dict]:
+def _rational_points(eqs, syms) -> list[dict] | None:
     """The rational solutions of a polynomial system over Q, back-substituted
-    through a lex Gröbner basis from the last unknown on.  A branch on which an
-    unknown stays free lies on a positive-dimensional family and is dropped."""
+    through a lex Gröbner basis from the last unknown on.  None when a branch
+    leaves an unknown free: the system then has a positive-dimensional family
+    of solutions, and an isolated point lying over its projection is missed."""
     import sympy
     basis = sympy.groebner(eqs, *syms, order="lex").exprs
     points = [{}]
@@ -625,7 +626,9 @@ def _rational_points(eqs, syms) -> list[dict]:
                 if g != 0:
                     found = set(sympy.Poly(g, syms[k]).ground_roots())
                     roots = found if roots is None else roots & found
-            grown.extend({**point, syms[k]: r} for r in roots or ())
+            if roots is None:
+                return None
+            grown.extend({**point, syms[k]: r} for r in roots)
         points = grown
     return points
 
@@ -671,8 +674,12 @@ def character_modules(action: GroupAction, monad: Monad | None = None) -> list:
         id_vec = base.id_vec(x)
         eqs = [sympy.expand(prod[c] - sympy.Rational(id_vec[c].numerator, id_vec[c].denominator))
                for c in range(d)]
+        points = _rational_points(eqs, syms)
+        if points is None:
+            points = [p for p in sympy.solve(eqs, syms, dict=True)
+                      if all(getattr(p.get(c), "is_rational", False) for c in syms)]
         rational = sorted({tuple(Fraction(int(p[c].p), int(p[c].q)) for c in syms)
-                           for p in _rational_points(eqs, syms)})
+                           for p in points})
 
         def twist_exact(g, vec):
             imgs = [action.functors[g].hom_map[(x, x)][i].blocks[0][0] for i in range(d)]

@@ -167,9 +167,10 @@ class Workspace:
     Construction makes one structural pass over every declaration: JSON
     shapes, kinds and name references.  A declaration is built the first time
     something references it, together with everything it references, and its
-    law suite runs then, once.  A lookup from outside the builders raises
-    WorkspaceError when the declaration or anything it references fails its
-    laws, unless validate_workspace has already reported the failure.
+    law suite runs then, once.  Looking up a declaration that fails its laws
+    raises WorkspaceError naming it, also from inside the build of a
+    declaration that references it, unless validate_workspace has already
+    reported the failures.
     """
 
     def __init__(self, path: str, raw: dict):
@@ -196,14 +197,14 @@ class Workspace:
         self.complex_meta: dict[str, dict] = meta["complexes"]
         self.eqobj_action = {n: m["action"] for n, m in meta["equivariant_objects"].items()}
         self.module_monad_name = {n: m["monad"] for n, m in meta["modules"].items()}
+        self._kinds = {(section, name): m.get("kind")
+                       for section, decls in meta.items() for name, m in decls.items()}
         (self.fields, self.categories, self.groups, self.actions, self.equivariant_objects,
          self.functors, self.nat_transformations, self.adjunctions, self.monads,
          self.modules, self.complexes) = (_Section(self, s) for s in SECTIONS[:-1])
         self._built: dict[tuple, object] = {}
         self._reports: dict[tuple, ValidationReport] = {}
-        self._deps: dict[tuple, set] = {}  # everything a declaration references
-        self._stack: list[tuple] = []  # declarations being built, innermost last
-        self._checked: set[tuple] = set()  # their law suites passed or were reported
+        self._reported = False  # set once validate_workspace has reported every failure
         self._eqcats: dict = {}
 
     def _scan(self, section: str, name: str, spec) -> dict:
@@ -240,21 +241,13 @@ class Workspace:
             raise WorkspaceError(f"unresolved reference to {_DECLARED[section][0]} {name!r}")
 
     def _get(self, section: str, name: str):
-        """The built declaration.  Inside a builder the lookup is recorded as a
-        dependency; from outside, every law suite it depends on must pass."""
+        """The built declaration; WorkspaceError names it when it fails its
+        laws, until validate_workspace has reported the failures."""
         self._resolve(section, name)
         key = (section, name)
-        try:
-            obj = self._build(key)
-        finally:
-            closure = self._deps[key] | {key}
-            if self._stack:
-                self._deps[self._stack[-1]] |= closure
-        if not self._stack and key not in self._checked:
-            failed = self._failures(closure)
-            if failed:
-                raise WorkspaceError(f"workspace validation failed: {failed}")
-            self._checked |= closure
+        obj = self._build(key)
+        if not self._reported and not self._reports[key].passed:
+            raise WorkspaceError(f"workspace validation failed: {_DECLARED[section][0]} {name}")
         return obj
 
     def _build(self, key: tuple):
@@ -262,34 +255,18 @@ class Workspace:
             return self._built[key]
         section, name = key
         word, build, law_suite = _DECLARED[section]
-        self._deps[key] = set()
-        self._stack.append(key)
         try:
-            obj = build(name, self._specs[section][name], self)
+            obj = build(name, self._specs[section][name], self._kinds.get(key), self)
             report = law_suite(obj)
         except WorkspaceError:
             raise
         except (ArithmeticError, AttributeError, IndexError, KeyError, LawViolationError,
                 TypeError, ValueError) as exc:
-            # A builder may trip over a dependency that fails its laws: blame that.
-            failed = self._failures(self._deps[key])
-            if failed:
-                raise WorkspaceError(f"workspace validation failed: {failed}") from exc
-            if isinstance(exc, LawViolationError):
-                raise
             detail = f"missing entry {exc}" if isinstance(exc, KeyError) else exc
             raise WorkspaceError(f"{word} {name}: {detail}") from exc
-        finally:
-            self._stack.pop()
         self._built[key] = obj
         self._reports[key] = report
         return obj
-
-    def _failures(self, keys) -> str:
-        """The built declarations among keys that fail their laws, in document order."""
-        failed = sorted((k for k in keys if k in self._reports and not self._reports[k].passed),
-                        key=lambda k: (SECTIONS.index(k[0]), self.order[k[0]].index(k[1])))
-        return "; ".join(f"{_DECLARED[s][0]} {n}" for s, n in failed)
 
     def action(self, name):
         return self._get("actions", name)
@@ -322,7 +299,7 @@ class Workspace:
 
 # ----------------------------------------------------------------- builders
 
-def _build_category(name, spec, ws) -> LinearCategory:
+def _build_category(name, spec, kind, ws) -> LinearCategory:
     field = ws.fields[spec["field"]]
     objects = spec["objects"]
     hom_dims, pair_of_label, labels = {}, {}, {}
@@ -370,7 +347,7 @@ def _build_category(name, spec, ws) -> LinearCategory:
                           basis_labels=labels, name=name)
 
 
-def _build_group(name, spec, ws) -> FiniteGroup:
+def _build_group(name, spec, kind, ws) -> FiniteGroup:
     elements, rows = spec["elements"], spec["table"]
     if len(rows) != len(elements) or any(len(r) != len(elements) for r in rows):
         raise WorkspaceError(f"group {name}: table must be |G|×|G|")
@@ -379,10 +356,9 @@ def _build_group(name, spec, ws) -> FiniteGroup:
     return FiniteGroup(elements, table, unit=spec.get("unit"), name=name)
 
 
-def _build_action(name, spec, ws) -> GroupAction:
+def _build_action(name, spec, kind, ws) -> GroupAction:
     group = ws.groups[spec["group"]]
     cat = ws.categories[spec["category"]]
-    kind = spec.get("kind", "trivial")
     if kind == "trivial":
         return GroupAction.trivial(group, cat, name=name)
     if kind == "permutation":
@@ -400,7 +376,7 @@ def _build_action(name, spec, ws) -> GroupAction:
     return GroupAction(group, cat, functors, name=name)
 
 
-def _build_equivariant_object(name, spec, ws) -> EquivariantObject:
+def _build_equivariant_object(name, spec, kind, ws) -> EquivariantObject:
     act = ws.actions[spec["action"]]
     carrier = parse_obj(act.base, spec["carrier"])
     alpha = {}
@@ -433,8 +409,7 @@ def _parse_functor_body(name, spec, source, target, ws) -> Functor:
     return Functor(source, target, object_map, hom_map, name=name)
 
 
-def _build_functor(name, spec, ws) -> Functor:
-    kind = spec.get("kind", "explicit")
+def _build_functor(name, spec, kind, ws) -> Functor:
     if kind == "identity":
         return Functor.identity(ws.categories[spec["category"]], name=name)
     if kind == "action":
@@ -446,7 +421,7 @@ def _build_functor(name, spec, ws) -> Functor:
     return _parse_functor_body(name, spec, source, target, ws)
 
 
-def _build_nat_transformation(name, spec, ws) -> NatTrans:
+def _build_nat_transformation(name, spec, kind, ws) -> NatTrans:
     src = ws.functors[spec["source"]]
     dst = ws.functors[spec["target"]]
     if src.source is not dst.source or src.target is not dst.target:
@@ -469,14 +444,13 @@ def _identity_adjunction(cat, name="") -> Adjunction:
                       name=name)
 
 
-def _build_adjunction(name, spec, ws) -> Adjunction:
-    if spec.get("kind", "induced") == "identity":
+def _build_adjunction(name, spec, kind, ws) -> Adjunction:
+    if kind == "identity":
         return _identity_adjunction(ws.categories[spec["category"]], name=name)
     return induce_adjunction(ws.eqcat_for_action(spec["action"]))
 
 
-def _build_monad(name, spec, ws) -> Monad:
-    kind = spec.get("kind", "group")
+def _build_monad(name, spec, kind, ws) -> Monad:
     if kind == "identity":
         return Monad.identity_monad(ws.categories[spec["category"]])
     if kind == "group":
@@ -484,18 +458,18 @@ def _build_monad(name, spec, ws) -> Monad:
     return monad_from_adjunction(ws.adjunctions[spec["adjunction"]], name=name)
 
 
-def _build_module(name, spec, ws) -> MModule:
+def _build_module(name, spec, kind, ws) -> MModule:
     monad = ws.monads[spec["monad"]]
     cat = monad.cat
-    if spec.get("kind", "explicit") == "free":
+    if kind == "free":
         return free_module(monad, parse_obj(cat, spec["on"]), name=name)
     carrier = parse_obj(cat, spec["carrier"])
     action = parse_mor(cat, spec["action"], dom=monad.functor.on_object(carrier), cod=carrier)
     return MModule(monad, carrier, action, name=name)
 
 
-def _build_complex(name, spec, ws):
-    if "monad" in spec:
+def _build_complex(name, spec, kind, ws):
+    if kind == "of_modules":
         monad = ws.monads[spec["monad"]]
         mods = {int(deg): ws.modules[ref] for deg, ref in spec.get("modules", {}).items()}
         diffs = {}
@@ -520,7 +494,7 @@ def _build_complex(name, spec, ws):
 # Per section: the word naming one declaration, its builder and its law suite.
 # The suites are looked up when called, so wrapping them module-wide applies.
 _DECLARED = {
-    "fields": ("field", lambda name, spec, ws: Field.from_spec(spec),
+    "fields": ("field", lambda name, spec, kind, ws: Field.from_spec(spec),
                lambda f: ValidationReport()),
     "categories": ("category", _build_category, lambda c: validate_presentation(c)),
     "groups": ("group", _build_group, lambda g: g.validate()),
@@ -566,8 +540,10 @@ def parse_workspace(path: str, validate: bool = True) -> Workspace:
 
 
 def validate_workspace(ws: Workspace) -> ValidationReport:
-    """Build every declaration and report its law suite; failures are report
-    content, and later lookups no longer raise for them."""
+    """Build every declaration and report its law suite.  A declaration whose
+    build fails once some law failure is on the report is recorded as failed,
+    since a dependency comes before it and its lookup may be what failed.
+    Afterwards the failures are report content, and lookups no longer raise."""
     rep = ValidationReport(f"workspace {ws.path}")
     for section in SECTIONS[1:-1]:
         for name in ws.order[section]:
@@ -575,13 +551,13 @@ def validate_workspace(ws: Workspace) -> ValidationReport:
             try:
                 ws._build(key)
             except WorkspaceError as exc:
-                if not ws._failures(ws._deps[key]):
+                if rep.passed:
                     raise
                 rep.record(check, False, str(exc))
                 continue
             sub = ws._reports[key]
             rep.record(check, sub.passed, "; ".join(n for n, _ in sub.failures()))
-            ws._checked.add(key)
+    ws._reported = True
     return rep
 
 

@@ -18,7 +18,7 @@ from sepcat import (EquivariantObject, FiniteGroup, Functor, GroupAction,
                     to_module, transfer_witness, validate_action,
                     validate_adjunction, validate_monad, xi_forgetful,
                     xi_section, zero_morphism)
-from sepcat.category import random_hom
+from sepcat.category import LinearCategory, random_hom, validate_presentation
 from sepcat.equivariant import character_modules, group_monad_functor
 from sepcat.functors import SepWitness
 from sepcat.standard import dual_numbers_category
@@ -282,6 +282,18 @@ class TestCharacterEnumeration:
     def test_rejected_over_prime_fields(self, act_z2_f2):
         with pytest.raises(ValueError):
             character_modules(act_z2_f2)
+
+    def test_isolated_points_beside_a_family(self, QQ, z2):
+        # End(pt) = M_2(Q), basis E11, E12, E21, E22: t² = Id is solved by ±Id
+        # and by a 2-dimensional family of reflections
+        one, zero = QQ.one(), QQ.zero()
+        table = [[tuple(one if (g % 2 == f // 2 and c == 2 * (g // 2) + f % 2) else zero
+                        for c in range(4)) for f in range(4)] for g in range(4)]
+        m2 = LinearCategory(QQ, ["pt"], {("pt", "pt"): 4}, {("pt", "pt", "pt"): table},
+                            {"pt": (one, zero, zero, one)}, name="M2")
+        assert validate_presentation(m2).passed
+        names = {m.name for m in character_modules(GroupAction.trivial(z2, m2))}
+        assert {"char(pt; 1,0,0,1)", "char(pt; -1,0,0,-1)"} <= names
 
 
 def test_cocycle_implies_alpha_e_identity(act_z2_q, act_swap_q, c1_q, c3_q):
