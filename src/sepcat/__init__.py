@@ -4,7 +4,7 @@ equivariant objects, and bounded-complex homotopy categories, all decided by
 exact linear algebra over Q and F_p."""
 
 from .scalars import Field, Fp, QQ
-from .linalg import (AffineSolution, Infeasible, LinForm, LinearSystem, Matrix,
+from .linalg import (AffineSolution, Infeasible, LinForm, Matrix,
                      div_by_int, solve_affine)
 from .category import (CatObject, LinearCategory, Morphism, MorSystem,
                        RetractWitness, direct_sum, biproduct, express_in_basis,

@@ -11,7 +11,7 @@ between (X, e) and (Y, e') is a block matrix f with f = e'∘f∘e.
 from __future__ import annotations
 
 from .errors import NotIdempotentError
-from .linalg import FormRing, LinearSystem, LinForm, Matrix
+from .linalg import LinForm, Matrix, solve_sparse
 from .reports import ValidationReport
 from .scalars import Field
 
@@ -166,14 +166,6 @@ class CatObject:
         return f"<Obj {'⊕'.join(self.summands) or '0'}{tag}>"
 
 
-def _join_rings(a, b):
-    if a is None:
-        return b
-    if b is None or a == b:
-        return a
-    raise ValueError("mixed scalar rings")
-
-
 def _raw_mul(cat, dst, mid, src, a_blocks, b_blocks, zero):
     a_nz = [[any(vec) for vec in row] for row in a_blocks]
     b_nz = [[any(vec) for vec in row] for row in b_blocks]
@@ -192,11 +184,15 @@ def _raw_mul(cat, dst, mid, src, a_blocks, b_blocks, zero):
 
 
 class Morphism:
-    """A block-matrix morphism of the additive/Karoubi closure."""
+    """A block-matrix morphism of the additive/Karoubi closure.
 
-    __slots__ = ("cat", "dom", "cod", "blocks", "ring")
+    Coordinates are field scalars, or `LinForm`s when the morphism carries the
+    unknowns of a `MorSystem`; the operators serve both alike.
+    """
 
-    def __init__(self, cat, dom: CatObject, cod: CatObject, blocks, ring=None):
+    __slots__ = ("cat", "dom", "cod", "blocks")
+
+    def __init__(self, cat, dom: CatObject, cod: CatObject, blocks):
         if dom.cat is not cat or cod.cat is not cat:
             raise ValueError("objects from a different category")
         blocks = _freeze_blocks(blocks)
@@ -210,10 +206,6 @@ class Morphism:
         self.dom = dom
         self.cod = cod
         self.blocks = blocks
-        self.ring = ring
-
-    def _zero(self):
-        return self.cat.field.zero() if self.ring is None else self.ring.zero()
 
     def __matmul__(self, other):
         """Composition self∘other."""
@@ -223,11 +215,9 @@ class Morphism:
             raise ValueError("morphisms from different categories")
         if other.cod != self.dom:
             raise ValueError(f"object mismatch: cod {other.cod!r} vs dom {self.dom!r}")
-        ring = _join_rings(self.ring, other.ring)
-        zero = self.cat.field.zero() if ring is None else ring.zero()
         blocks = _raw_mul(self.cat, self.cod.summands, self.dom.summands,
-                          other.dom.summands, self.blocks, other.blocks, zero)
-        return Morphism(self.cat, other.dom, self.cod, blocks, ring)
+                          other.dom.summands, self.blocks, other.blocks, self.cat.field.zero())
+        return Morphism(self.cat, other.dom, self.cod, blocks)
 
     def _check_parallel(self, other):
         if other.cat is not self.cat or other.dom != self.dom or other.cod != self.cod:
@@ -238,25 +228,22 @@ class Morphism:
         blocks = tuple(tuple(tuple(a + b for a, b in zip(va, vb))
                              for va, vb in zip(ra, rb))
                        for ra, rb in zip(self.blocks, other.blocks))
-        return Morphism(self.cat, self.dom, self.cod, blocks, _join_rings(self.ring, other.ring))
+        return Morphism(self.cat, self.dom, self.cod, blocks)
 
     def __sub__(self, other):
         self._check_parallel(other)
         blocks = tuple(tuple(tuple(a - b for a, b in zip(va, vb))
                              for va, vb in zip(ra, rb))
                        for ra, rb in zip(self.blocks, other.blocks))
-        return Morphism(self.cat, self.dom, self.cod, blocks, _join_rings(self.ring, other.ring))
+        return Morphism(self.cat, self.dom, self.cod, blocks)
 
     def __neg__(self):
         blocks = tuple(tuple(tuple(-a for a in v) for v in r) for r in self.blocks)
-        return Morphism(self.cat, self.dom, self.cod, blocks, self.ring)
+        return Morphism(self.cat, self.dom, self.cod, blocks)
 
     def scale(self, s):
-        ring = self.ring
-        if isinstance(s, LinForm):
-            ring = FormRing(self.cat.field)
         blocks = tuple(tuple(tuple(s * a for a in v) for v in r) for r in self.blocks)
-        return Morphism(self.cat, self.dom, self.cod, blocks, ring)
+        return Morphism(self.cat, self.dom, self.cod, blocks)
 
     def __rmul__(self, s):
         return self.scale(s)
@@ -280,7 +267,7 @@ class Morphism:
         return [a for r in self.blocks for v in r for a in v]
 
     @staticmethod
-    def from_coords(cat, dom: CatObject, cod: CatObject, coords, ring=None) -> "Morphism":
+    def from_coords(cat, dom: CatObject, cod: CatObject, coords) -> "Morphism":
         it = iter(coords)
         blocks = []
         for ti in cod.summands:
@@ -288,21 +275,21 @@ class Morphism:
             for sj in dom.summands:
                 row.append(tuple(next(it) for _ in range(cat.hom_dim(sj, ti))))
             blocks.append(tuple(row))
-        return Morphism(cat, dom, cod, blocks, ring)
+        return Morphism(cat, dom, cod, blocks)
 
     def absorbed(self) -> "Morphism":
         """e_cod ∘ self ∘ e_dom, the canonical Karoubi representative."""
         if self.dom.idem is None and self.cod.idem is None:
             return self
         cat = self.cat
-        zero = self._zero()
+        zero = cat.field.zero()
         left = self.cod.idem if self.cod.idem is not None else identity_blocks(cat, self.cod.summands)
         right = self.dom.idem if self.dom.idem is not None else identity_blocks(cat, self.dom.summands)
         blocks = _raw_mul(cat, self.cod.summands, self.dom.summands, self.dom.summands,
                           _raw_mul(cat, self.cod.summands, self.cod.summands, self.dom.summands,
                                    left, self.blocks, zero),
                           right, zero)
-        return Morphism(cat, self.dom, self.cod, blocks, self.ring)
+        return Morphism(cat, self.dom, self.cod, blocks)
 
     def __repr__(self):
         return f"<Mor {self.dom!r}→{self.cod!r}>"
@@ -312,17 +299,17 @@ def hom_coord_dim(cat, dom: CatObject, cod: CatObject) -> int:
     return sum(cat.hom_dim(sj, ti) for ti in cod.summands for sj in dom.summands)
 
 
-def zero_morphism(dom: CatObject, cod: CatObject, ring=None) -> Morphism:
+def zero_morphism(dom: CatObject, cod: CatObject) -> Morphism:
     cat = dom.cat
-    zero = cat.field.zero() if ring is None else ring.zero()
+    zero = cat.field.zero()
     blocks = tuple(tuple(tuple([zero] * cat.hom_dim(sj, ti)) for sj in dom.summands)
                    for ti in cod.summands)
-    return Morphism(cat, dom, cod, blocks, ring)
+    return Morphism(cat, dom, cod, blocks)
 
 
-def morphism(cat, dom: CatObject, cod: CatObject, blocks, ring=None) -> Morphism:
+def morphism(cat, dom: CatObject, cod: CatObject, blocks) -> Morphism:
     """Build a morphism from raw blocks, absorbing through the idempotents."""
-    m = Morphism(cat, dom, cod, blocks, ring)
+    m = Morphism(cat, dom, cod, blocks)
     if dom.idem is None and cod.idem is None:
         return m
     return m.absorbed()
@@ -383,24 +370,35 @@ def extract_block(f: Morphism, dom_parts, cod_parts, i: int, j: int) -> Morphism
     nc = len(dom_parts[j].summands)
     sub = tuple(tuple(f.blocks[row_off + r][col_off + c] for c in range(nc))
                 for r in range(nr))
-    return Morphism(cat, dom_parts[j], cod_parts[i], sub, f.ring)
+    return Morphism(cat, dom_parts[j], cod_parts[i], sub)
 
 
 class MorSystem:
-    """Affine constraint systems whose unknowns are morphism coordinates."""
+    """Affine constraint systems whose unknowns are morphism coordinates.
+
+    An unknown is a Morphism (or a Matrix) whose coordinates are `LinForm`
+    variables; composing it with concrete morphisms gives morphisms with
+    `LinForm` coordinates, and each `require_equal` adds one row per coordinate.
+    """
 
     def __init__(self, field: Field):
         self.field = field
-        self.sys = LinearSystem(field)
-        self.ring = FormRing(field)
+        self.n = 0
+        self.rows: list[dict] = []
+        self.consts: list = []
+        self.labels: list = []
 
-    def unknown(self, dom: CatObject, cod: CatObject, absorbed: bool = True) -> Morphism:
+    def variables(self, k: int) -> list[LinForm]:
+        """k fresh variables, numbered after those already allocated."""
+        start = self.n
+        self.n += k
+        return [LinForm.variable(i, self.field) for i in range(start, self.n)]
+
+    def unknown(self, dom: CatObject, cod: CatObject) -> Morphism:
+        """An unknown morphism dom→cod, constrained to be absorbed by the idempotents."""
         cat = dom.cat
-        n = hom_coord_dim(cat, dom, cod)
-        idx = self.sys.new_vars(n)
-        coords = [self.sys.var(i) for i in idx]
-        f = Morphism.from_coords(cat, dom, cod, coords, ring=self.ring)
-        if absorbed and (dom.idem is not None or cod.idem is not None):
+        f = Morphism.from_coords(cat, dom, cod, self.variables(hom_coord_dim(cat, dom, cod)))
+        if dom.idem is not None or cod.idem is not None:
             self.require_equal(f.absorbed(), f, label="absorption")
         return f
 
@@ -408,12 +406,13 @@ class MorSystem:
         if lhs.dom != rhs.dom or lhs.cod != rhs.cod:
             raise ValueError("constraint sides are not parallel")
         for a, b in zip(lhs.coords(), rhs.coords()):
-            self.sys.add_equal(a if isinstance(a, LinForm) else LinForm(a),
-                               b if isinstance(b, LinForm) else LinForm(b),
-                               label)
+            d = (a if isinstance(a, LinForm) else LinForm(a)) - b
+            self.rows.append(d.coeffs)
+            self.consts.append(-d.const)
+            self.labels.append(label)
 
     def solve(self):
-        return self.sys.solve()
+        return solve_sparse(self.rows, self.consts, self.n, self.field, self.labels)
 
     @staticmethod
     def eval_at(m: Morphism, values) -> Morphism:
@@ -427,21 +426,25 @@ class MorSystem:
         return Morphism.from_coords(m.cat, m.dom, m.cod, coords)
 
 
+def unit_morphisms(cat: LinearCategory, a: CatObject, b: CatObject) -> list[Morphism]:
+    """The unit-coordinate morphisms a→b, absorbed through the idempotents.
+
+    They span Hom(a, b); for plain objects they are its coordinate basis.
+    """
+    n = hom_coord_dim(cat, a, b)
+    zero, one = cat.field.zero(), cat.field.one()
+    return [Morphism.from_coords(cat, a, b, [one if j == i else zero for j in range(n)]).absorbed()
+            for i in range(n)]
+
+
 def hom_space_basis(cat: LinearCategory, a: CatObject, b: CatObject) -> list[Morphism]:
     """A basis of Hom(a, b) in the closure, deterministic in coordinate order."""
     key = (a, b)
     cached = cat._hom_basis_cache.get(key)
     if cached is not None:
         return cached
-    n = hom_coord_dim(cat, a, b)
     if a.idem is None and b.idem is None:
-        basis = []
-        zero = cat.field.zero()
-        one = cat.field.one()
-        for i in range(n):
-            coords = [zero] * n
-            coords[i] = one
-            basis.append(Morphism.from_coords(cat, a, b, coords))
+        basis = unit_morphisms(cat, a, b)
     else:
         sysm = MorSystem(cat.field)
         f = sysm.unknown(a, b)

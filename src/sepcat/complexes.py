@@ -8,7 +8,7 @@ subspaces are kernels and images of explicit matrices over the base field.
 
 from __future__ import annotations
 
-from .category import CatObject, Morphism, MorSystem, zero_morphism
+from .category import CatObject, Morphism, MorSystem, hom_space_basis, zero_morphism
 from .errors import MonadNotSeparableError
 from .linalg import rank_extension
 from .monads import Monad, MonadSepWitness, monad_separability_solve
@@ -143,12 +143,8 @@ def null_homotopic_space(x: BoundedComplex, y: BoundedComplex):
     cat = x.cat
     field = cat.field
     degs = list(_span_degrees(x, y))
-    h_bases = {}
-    for n in range(degs[0], degs[-1] + 2):
-        sysm = MorSystem(field)
-        hn = sysm.unknown(x.term(n), y.term(n - 1))
-        sol = sysm.solve()
-        h_bases[n] = [MorSystem.eval_kernel(hn, k) for k in sol.kernel]
+    h_bases = {n: hom_space_basis(cat, x.term(n), y.term(n - 1))
+               for n in range(degs[0], degs[-1] + 2)}
     vectors = []
     for n in sorted(h_bases):
         for b in h_bases[n]:

@@ -662,14 +662,21 @@ def character_modules(action: GroupAction, monad: Monad | None = None) -> list:
         d = base.hom_dim(x, x)
         syms = list(sympy.symbols(f"c0:{d}"))
 
-        def twist(g, vec):
+        def twist(g, vec, zero):
+            """^g(vec): the action of g on the coefficient vector of an endomorphism of x."""
             imgs = [action.functors[g].hom_map[(x, x)][i].blocks[0][0] for i in range(d)]
-            return [sum((vec[i] * imgs[i][c] for i in range(d)), sympy.Integer(0))
-                    for c in range(d)]
+            out_vec = []
+            for c in range(d):
+                acc = zero
+                for i in range(d):
+                    if vec[i] and imgs[i][c]:
+                        acc = acc + vec[i] * imgs[i][c]
+                out_vec.append(acc)
+            return out_vec
 
         prod = list(syms)
         for k in range(1, n):
-            tw = twist(powers[k], syms)
+            tw = twist(powers[k], syms, sympy.Integer(0))
             prod = base.compose_vec(x, x, x, prod, tw, zero=sympy.Integer(0))
         id_vec = base.id_vec(x)
         eqs = [sympy.expand(prod[c] - sympy.Rational(id_vec[c].numerator, id_vec[c].denominator))
@@ -681,23 +688,12 @@ def character_modules(action: GroupAction, monad: Monad | None = None) -> list:
         rational = sorted({tuple(Fraction(int(p[c].p), int(p[c].q)) for c in syms)
                            for p in points})
 
-        def twist_exact(g, vec):
-            imgs = [action.functors[g].hom_map[(x, x)][i].blocks[0][0] for i in range(d)]
-            out_vec = []
-            for c in range(d):
-                acc = base.field.zero()
-                for i in range(d):
-                    if vec[i] and imgs[i][c]:
-                        acc = acc + vec[i] * imgs[i][c]
-                out_vec.append(acc)
-            return out_vec
-
         for t_val in rational:
             lam_by_elem = {group.unit: list(base.id_vec(x)), gen: list(t_val)}
             for k in range(2, n):
                 prev = lam_by_elem[powers[k - 1]]
                 lam_by_elem[powers[k]] = base.compose_vec(
-                    x, x, x, prev, twist_exact(powers[k - 1], t_val))
+                    x, x, x, prev, twist(powers[k - 1], t_val, base.field.zero()))
             row = [tuple(lam_by_elem[h]) for h in group.elements]
             lam = Morphism(base, monad.functor.object_map[x], base.obj(x), (tuple(row),))
             mod = MModule(monad, base.obj(x), lam,

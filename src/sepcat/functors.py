@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from .category import (CatObject, LinearCategory, Morphism, MorSystem, direct_sum,
                        express_in_basis, extract_block, hom_coord_dim,
-                       hom_space_basis, morphism, zero_morphism)
+                       hom_space_basis, morphism, unit_morphisms, zero_morphism)
 from .errors import LawViolationError, NotFullyFaithfulError, PreconditionError
-from .linalg import FormRing, LinearSystem, LinForm, Matrix
+from .linalg import Matrix
 from .reports import ValidationReport
 
 
@@ -100,15 +100,14 @@ class Functor:
             cached = self._images[(x, y)] = (zero_morphism(fx, fy),
                                              hom_coord_dim(self.target, fx, fy), sparse)
         zero_image, n, images = cached
-        ring = FormRing(self.target.field) if any(isinstance(c, LinForm) for c in vec) else None
-        if ring is None and not any(vec):
+        if not any(vec):
             return zero_image
-        acc = [self.target.field.zero() if ring is None else ring.zero()] * n
+        acc = [self.target.field.zero()] * n
         for t, c in enumerate(vec):
             if c:
                 for p, a in images[t]:
                     acc[p] = acc[p] + c * a
-        return Morphism.from_coords(self.target, zero_image.dom, zero_image.cod, acc, ring)
+        return Morphism.from_coords(self.target, zero_image.dom, zero_image.cod, acc)
 
     def on_morphism(self, f: Morphism) -> Morphism:
         if f.cat is not self.source:
@@ -119,8 +118,7 @@ class Functor:
                    for j, sj in enumerate(f.dom.summands)]
                   for i, ti in enumerate(f.cod.summands)]
         raw = _assemble_grid(nested, cod_parts, dom_parts)
-        return Morphism(self.target, self.on_object(f.dom), self.on_object(f.cod),
-                        raw, ring=f.ring)
+        return Morphism(self.target, self.on_object(f.dom), self.on_object(f.cod), raw)
 
     def equals(self, other: "Functor") -> bool:
         return (self.source is other.source and self.target is other.target
@@ -215,8 +213,7 @@ class NatTrans:
         if a.idem is not None:
             e = Morphism(a.cat, plain, plain, a.idem)
             m = self.dst.on_morphism(e) @ m @ self.src.on_morphism(e)
-        res = Morphism(self.src.target, self.src.on_object(a), self.dst.on_object(a),
-                       m.blocks, ring=m.ring)
+        res = Morphism(self.src.target, self.src.on_object(a), self.dst.on_object(a), m.blocks)
         self._at_cache[a] = res
         return res
 
@@ -321,58 +318,54 @@ class SepWitness:
             raw.append(tuple(row))
         return morphism(src, a, b, raw)
 
-    def verify(self) -> ValidationReport:
-        """Re-check the retraction law and binaturality on all basis data."""
+    def _laws(self):
+        """Every law on basis data, in a fixed order, as (law, where, at, lhs, rhs).
+
+        First the retraction H(F b_t) = b_t per pair (x, y), then binaturality
+        H(F v∘g∘F u) = v∘H(g)∘u for basis u: x2→x, v: y→y2 and g of Hom(F x, F y).
+        `at` holds the basis indices, (x, y, t) or (x, y, x2, y2, iu, iv, gi).
+        """
         f = self.functor
         src, tgt = f.source, f.target
-        rep = ValidationReport("separability witness")
-        zero = src.field.zero()
-        one = src.field.one()
+        obj = {x: src.obj(x) for x in src.objects}
         pairs = [(x, y) for x in src.objects for y in src.objects]
-        retr_bad = []
-        n_retr = 0
         for (x, y) in pairs:
-            d = src.hom_dim(x, y)
-            for t in range(d):
-                coords = [zero] * d
-                coords[t] = one
-                ft = Morphism.from_coords(src, src.obj(x), src.obj(y), coords)
-                n_retr += 1
-                if self.apply(src.obj(x), src.obj(y), f.hom_map[(x, y)][t]) != ft:
-                    retr_bad.append(src.basis_label(x, y, t))
-        rep.record(f"retraction H(F(f)) = f ({n_retr} checks)", not retr_bad, "; ".join(retr_bad))
-
-        nat_bad = []
-        n_nat = 0
+            for t, b in enumerate(hom_space_basis(src, obj[x], obj[y])):
+                yield ("retraction", f"({x},{y})", (x, y, t),
+                       self.apply(obj[x], obj[y], f.hom_map[(x, y)][t]), b)
         for (x, y) in pairs:
-            gx, gy = f.object_map[x], f.object_map[y]
-            gbasis = hom_space_basis(tgt, gx, gy)
+            gbasis = hom_space_basis(tgt, f.object_map[x], f.object_map[y])
             if not gbasis:
                 continue
-            images = [self.apply(src.obj(x), src.obj(y), g) for g in gbasis]
+            images = [self.apply(obj[x], obj[y], g) for g in gbasis]
             for (x2, y2) in pairs:
-                du = src.hom_dim(x2, x)
-                dv = src.hom_dim(y, y2)
-                if not du or not dv:
-                    continue
-                for iu in range(du):
-                    ucoords = [zero] * du
-                    ucoords[iu] = one
-                    u = Morphism.from_coords(src, src.obj(x2), src.obj(x), ucoords)
+                where = f"({x},{y})→({x2},{y2})"
+                for iu, u in enumerate(hom_space_basis(src, obj[x2], obj[x])):
                     fu = f.hom_map[(x2, x)][iu]
-                    for iv in range(dv):
-                        vcoords = [zero] * dv
-                        vcoords[iv] = one
-                        v = Morphism.from_coords(src, src.obj(y), src.obj(y2), vcoords)
+                    for iv, v in enumerate(hom_space_basis(src, obj[y], obj[y2])):
                         fv = f.hom_map[(y, y2)][iv]
                         for gi, g in enumerate(gbasis):
-                            n_nat += 1
-                            lhs = self.apply(src.obj(x2), src.obj(y2), fv @ g @ fu)
-                            rhs = v @ images[gi] @ u
-                            if lhs != rhs:
-                                nat_bad.append(f"H({src.basis_label(y, y2, iv)}∘g{gi}∘{src.basis_label(x2, x, iu)})"
-                                               f" at ({x},{y})→({x2},{y2})")
-        rep.record(f"binaturality ({n_nat} checks)", not nat_bad, "; ".join(nat_bad[:6]))
+                            yield ("binaturality", where, (x, y, x2, y2, iu, iv, gi),
+                                   self.apply(obj[x2], obj[y2], fv @ g @ fu), v @ images[gi] @ u)
+
+    def verify(self) -> ValidationReport:
+        """Re-check the retraction law and binaturality on all basis data."""
+        src = self.functor.source
+        count = {"retraction": 0, "binaturality": 0}
+        bad = {"retraction": [], "binaturality": []}
+        for law, _, at, lhs, rhs in self._laws():
+            count[law] += 1
+            if lhs != rhs:
+                bad[law].append(at)
+        retr_bad = [src.basis_label(x, y, t) for x, y, t in bad["retraction"]]
+        nat_bad = [f"H({src.basis_label(y, y2, iv)}∘g{gi}∘{src.basis_label(x2, x, iu)})"
+                   f" at ({x},{y})→({x2},{y2})"
+                   for x, y, x2, y2, iu, iv, gi in bad["binaturality"]]
+        rep = ValidationReport("separability witness")
+        rep.record(f"retraction H(F(f)) = f ({count['retraction']} checks)", not retr_bad,
+                   "; ".join(retr_bad))
+        rep.record(f"binaturality ({count['binaturality']} checks)", not nat_bad,
+                   "; ".join(nat_bad[:6]))
         return rep
 
     def __repr__(self):
@@ -382,138 +375,45 @@ class SepWitness:
 def separability_solve(f: Functor):
     """Decide separability of f by exact affine feasibility; witness or Infeasible.
 
-    Unknowns are ordered by (source object pair, row-major matrix position);
-    the returned witness is the solver's first solution and is re-verified.
+    Each H_{x,y} is a matrix of unknowns, numbered by (source object pair,
+    row-major matrix position); the witness laws are imposed on that symbolic
+    witness, and the returned witness is the solver's first solution, re-verified.
     """
     validate_functor(f).require(PreconditionError, "separability_solve needs a functor")
     src, tgt = f.source, f.target
-    ls = LinearSystem(src.field)
-    zero = src.field.zero()
-    one = src.field.one()
-    pairs = [(x, y) for x in src.objects for y in src.objects]
-    amb = {}
-    start = {}
-    for (x, y) in pairs:
-        d = src.hom_dim(x, y)
-        a = hom_coord_dim(tgt, f.object_map[x], f.object_map[y])
-        amb[(x, y)] = a
-        if d and a:
-            start[(x, y)] = ls.new_vars(d * a).start
-
-    def h_forms(x, y, wvec):
-        d = src.hom_dim(x, y)
-        a = amb[(x, y)]
-        if not d:
-            return []
-        if not a or (x, y) not in start:
-            return [LinForm(zero)] * d
-        s = start[(x, y)]
-        out = []
-        for r in range(d):
-            coeffs = {}
-            for c, wc in enumerate(wvec):
-                if wc:
-                    coeffs[s + r * a + c] = wc
-            out.append(LinForm(zero, coeffs))
-        return out
-
-    for (x, y) in pairs:
-        d = src.hom_dim(x, y)
-        for t in range(d):
-            w = f.hom_map[(x, y)][t].coords()
-            forms = h_forms(x, y, w)
-            for r in range(d):
-                ls.add_equal(forms[r], one if r == t else zero, f"retraction ({x},{y})")
-
-    for (x, y) in pairs:
-        gx, gy = f.object_map[x], f.object_map[y]
-        gbasis = hom_space_basis(tgt, gx, gy)
-        if not gbasis:
-            continue
-        hg = {}
-        d_xy = src.hom_dim(x, y)
-        for gi, g in enumerate(gbasis):
-            forms = h_forms(x, y, g.coords())
-            hg[gi] = Morphism.from_coords(src, src.obj(x), src.obj(y), forms,
-                                          ring=FormRing(src.field)) if d_xy else None
-        for (x2, y2) in pairs:
-            du = src.hom_dim(x2, x)
-            dv = src.hom_dim(y, y2)
-            if not du or not dv:
-                continue
-            d2 = src.hom_dim(x2, y2)
-            for iu in range(du):
-                ucoords = [zero] * du
-                ucoords[iu] = one
-                u = Morphism.from_coords(src, src.obj(x2), src.obj(x), ucoords)
-                fu = f.hom_map[(x2, x)][iu]
-                for iv in range(dv):
-                    vcoords = [zero] * dv
-                    vcoords[iv] = one
-                    v = Morphism.from_coords(src, src.obj(y), src.obj(y2), vcoords)
-                    fv = f.hom_map[(y, y2)][iv]
-                    for gi, g in enumerate(gbasis):
-                        lhs = h_forms(x2, y2, (fv @ g @ fu).coords())
-                        if hg[gi] is None:
-                            rhs_coords = [zero] * d2
-                        else:
-                            rhs_coords = (v @ hg[gi] @ u).coords()
-                        for r in range(d2):
-                            rc = rhs_coords[r]
-                            ls.add_equal(lhs[r], rc if isinstance(rc, LinForm) else LinForm(rc),
-                                         f"binaturality ({x},{y})→({x2},{y2})")
-    sol = ls.solve()
+    sysm = MorSystem(src.field)
+    unknowns = {}
+    for x in src.objects:
+        for y in src.objects:
+            d = src.hom_dim(x, y)
+            if d:
+                a = hom_coord_dim(tgt, f.object_map[x], f.object_map[y])
+                unknowns[(x, y)] = Matrix(src.field, [sysm.variables(a) for _ in range(d)], cols=a)
+    for law, where, _, lhs, rhs in SepWitness(f, unknowns)._laws():
+        sysm.require_equal(lhs, rhs, f"{law} {where}")
+    sol = sysm.solve()
     if not sol.feasible:
         return sol
-    maps = {}
-    for (x, y) in pairs:
-        d = src.hom_dim(x, y)
-        a = amb[(x, y)]
-        if not d:
-            continue
-        if (x, y) not in start:
-            maps[(x, y)] = Matrix.zeros(src.field, d, a)
-            continue
-        s = start[(x, y)]
-        maps[(x, y)] = Matrix(src.field,
-                              [[sol.particular[s + r * a + c] for c in range(a)] for r in range(d)],
-                              cols=a)
+    maps = {key: Matrix(src.field, [[e.eval(sol.particular) for e in row] for row in h.data],
+                        cols=h.cols)
+            for key, h in unknowns.items()}
     w = SepWitness(f, maps)
     w.verify().require(LawViolationError, "solver-produced witness")
     return w
 
 
-def witness_matrix(w: SepWitness, a: CatObject, b: CatObject) -> Matrix:
-    """The matrix of H_{a,b} on ambient coordinates (inputs absorbed first)."""
-    f = w.functor
-    src, tgt = f.source, f.target
-    fa, fb = f.on_object(a), f.on_object(b)
-    n_in = hom_coord_dim(tgt, fa, fb)
-    n_out = hom_coord_dim(src, a, b)
-    zero = tgt.field.zero()
-    one = tgt.field.one()
-    cols = []
-    for c in range(n_in):
-        coords = [zero] * n_in
-        coords[c] = one
-        g = Morphism.from_coords(tgt, fa, fb, coords).absorbed()
-        cols.append(w.apply(a, b, g).coords())
-    return Matrix.from_columns(src.field, cols, n_out)
+def hom_matrix(fn, inputs, n_out: int, field, basis=None) -> Matrix:
+    """Matrix of a linear map on hom spaces: column j is fn(inputs[j]).
 
-
-def _hom_action_matrix(fn, cat_in, a_in, b_in, cat_out, a_out, b_out) -> Matrix:
-    """Matrix of a linear map on hom spaces, applied to absorbed coordinate morphisms."""
-    n_in = hom_coord_dim(cat_in, a_in, b_in)
-    n_out = hom_coord_dim(cat_out, a_out, b_out)
-    zero = cat_in.field.zero()
-    one = cat_in.field.one()
-    cols = []
-    for c in range(n_in):
-        coords = [zero] * n_in
-        coords[c] = one
-        g = Morphism.from_coords(cat_in, a_in, b_in, coords).absorbed()
-        cols.append(fn(g).coords())
-    return Matrix.from_columns(cat_out.field, cols, n_out)
+    The inputs are a hom basis, or `unit_morphisms` for a map on ambient
+    coordinates.  Columns hold the coordinates of each image, or its
+    coordinates in `basis` when one is given.
+    """
+    if basis is None:
+        cols = [fn(m).coords() for m in inputs]
+    else:
+        cols = [express_in_basis(fn(m), basis) for m in inputs]
+    return Matrix.from_columns(field, cols, n_out)
 
 
 def compose_witnesses(h_f: SepWitness, h_g: SepWitness) -> SepWitness:
@@ -529,7 +429,9 @@ def compose_witnesses(h_f: SepWitness, h_g: SepWitness) -> SepWitness:
             if not src.hom_dim(x, y):
                 continue
             fx, fy = f.object_map[x], f.object_map[y]
-            m_g = witness_matrix(h_g, fx, fy)
+            m_g = hom_matrix(lambda m: h_g.apply(fx, fy, m),
+                             unit_morphisms(g.target, g.on_object(fx), g.on_object(fy)),
+                             hom_coord_dim(g.source, fx, fy), src.field)
             maps[(x, y)] = h_f.maps[(x, y)] @ m_g
     w = SepWitness(gf, maps)
     w.verify().require(LawViolationError, "compose transfer")
@@ -548,7 +450,8 @@ def left_factor_witness(h_gf: SepWitness, g: Functor, f: Functor) -> SepWitness:
                 continue
             fx, fy = f.object_map[x], f.object_map[y]
             gfx, gfy = g.on_object(fx), g.on_object(fy)
-            m = _hom_action_matrix(g.on_morphism, mid, fx, fy, g.target, gfx, gfy)
+            m = hom_matrix(g.on_morphism, unit_morphisms(mid, fx, fy),
+                           hom_coord_dim(g.target, gfx, gfy), src.field)
             maps[(x, y)] = h_gf.maps[(x, y)] @ m
     w = SepWitness(f, maps)
     w.verify().require(LawViolationError, "left-factor transfer")
@@ -570,8 +473,8 @@ def retract_witness(h_f2: SepWitness, phi: NatTrans, psi: NatTrans) -> SepWitnes
                 continue
             fx, fy = f.object_map[x], f.object_map[y]
             f2x, f2y = f2.object_map[x], f2.object_map[y]
-            delta = _hom_action_matrix(lambda m, _x=x, _y=y: psi.components[_y] @ m @ phi.components[_x],
-                                       tgt, fx, fy, tgt, f2x, f2y)
+            delta = hom_matrix(lambda m: psi.components[y] @ m @ phi.components[x],
+                               unit_morphisms(tgt, fx, fy), hom_coord_dim(tgt, f2x, f2y), src.field)
             maps[(x, y)] = h_f2.maps[(x, y)] @ delta
     w = SepWitness(f, maps)
     w.verify().require(LawViolationError, "retract transfer")
@@ -594,25 +497,12 @@ def fully_faithful_witness(f: Functor) -> SepWitness:
             if len(tbasis) != d:
                 raise NotFullyFaithfulError(
                     f"hom dimensions differ at ({x},{y}): {d} vs {len(tbasis)}")
-            cols = []
-            zero = src.field.zero()
-            one = src.field.one()
-            for t in range(d):
-                cols.append(express_in_basis(f.hom_map[(x, y)][t], tbasis))
-            s_mat = Matrix.from_columns(src.field, cols, d)
+            # each ambient coordinate in the basis {F(b_t)}: the inverse hom bijection
             try:
-                s_inv = s_mat.inverse()
+                maps[(x, y)] = hom_matrix(lambda m: m, unit_morphisms(tgt, fx, fy), d, src.field,
+                                          basis=f.hom_map[(x, y)])
             except ValueError:
                 raise NotFullyFaithfulError(f"hom action at ({x},{y}) is not bijective")
-            n_in = hom_coord_dim(tgt, fx, fy)
-            ecols = []
-            for c in range(n_in):
-                coords = [zero] * n_in
-                coords[c] = one
-                m = Morphism.from_coords(tgt, fx, fy, coords).absorbed()
-                ecols.append(express_in_basis(m, tbasis))
-            e_mat = Matrix.from_columns(src.field, ecols, d)
-            maps[(x, y)] = s_inv @ e_mat
     w = SepWitness(f, maps)
     w.verify().require(LawViolationError, "fully-faithful witness")
     return w
@@ -633,10 +523,10 @@ def witness_from_section(adj: Adjunction, xi: NatTrans) -> SepWitness:
                 continue
             gx, gy = adj.G.object_map[x], adj.G.object_map[y]
 
-            def h(g, _x=x, _y=y):
-                return adj.counit.components[_y] @ adj.F.on_morphism(g) @ xi.components[_x]
+            def h(g):
+                return adj.counit.components[y] @ adj.F.on_morphism(g) @ xi.components[x]
 
-            maps[(x, y)] = _hom_action_matrix(h, csrc, gx, gy, src, src.obj(x), src.obj(y))
+            maps[(x, y)] = hom_matrix(h, unit_morphisms(csrc, gx, gy), d, src.field)
     w = SepWitness(adj.G, maps)
     w.verify().require(LawViolationError, "from-xi transfer")
     return w
@@ -682,15 +572,9 @@ def section_feasibility(adj: Adjunction):
     fg = compose_functors(adj.F, adj.G, name="FG")
     sysm = MorSystem(dcat.field)
     unknowns = {x: sysm.unknown(dcat.obj(x), fg.object_map[x]) for x in dcat.objects}
-    zero = dcat.field.zero()
-    one = dcat.field.one()
     for (x, y), mors in sorted(fg.hom_map.items()):
-        d = dcat.hom_dim(x, y)
-        for i in range(d):
-            coords = [zero] * d
-            coords[i] = one
-            base = Morphism.from_coords(dcat, dcat.obj(x), dcat.obj(y), coords)
-            sysm.require_equal(mors[i] @ unknowns[x], unknowns[y] @ base, "naturality")
+        for m, base in zip(mors, hom_space_basis(dcat, dcat.obj(x), dcat.obj(y))):
+            sysm.require_equal(m @ unknowns[x], unknowns[y] @ base, "naturality")
     for x in dcat.objects:
         sysm.require_equal(adj.counit.components[x] @ unknowns[x],
                            dcat.obj(x).identity(), "section law")
@@ -711,11 +595,7 @@ def fully_faithful_on(f: Functor, pairs) -> list[dict]:
             raise ValueError("pair objects are not in the functor's source closure")
         sbasis = hom_space_basis(f.source, a, b)
         tbasis = hom_space_basis(f.target, f.on_object(a), f.on_object(b))
-        if sbasis:
-            cols = [express_in_basis(f.on_morphism(m), tbasis) for m in sbasis]
-            rank = Matrix.from_columns(f.source.field, cols, len(tbasis)).rank()
-        else:
-            rank = 0
+        rank = hom_matrix(f.on_morphism, sbasis, len(tbasis), f.source.field, basis=tbasis).rank()
         out.append({
             "pair": (a, b),
             "dim_source": len(sbasis),

@@ -265,13 +265,13 @@ class Matrix:
         if len(vec) != self.cols:
             raise ValueError("dimension mismatch")
         zero = self.field.zero()
+        nonzero = [(k, v) for k, v in enumerate(vec) if v]
         out = []
-        for i in range(self.rows):
+        for ri in self.data:
             acc = zero
-            ri = self.data[i]
-            for k in range(self.cols):
-                if ri[k] and vec[k]:
-                    acc = acc + ri[k] * vec[k]
+            for k, v in nonzero:
+                if ri[k]:
+                    acc = acc + ri[k] * v
             out.append(acc)
         return out
 
@@ -305,20 +305,6 @@ class Matrix:
         res = self.solve([self.field.zero()] * self.rows)
         return res.rank
 
-    def inverse(self):
-        if self.rows != self.cols:
-            raise ValueError("only square matrices invert")
-        n = self.rows
-        cols = []
-        for j in range(n):
-            e = [self.field.zero()] * n
-            e[j] = self.field.one()
-            res = self.solve(e)
-            if not res.feasible or res.kernel:
-                raise ValueError("matrix is singular")
-            cols.append(res.particular)
-        return Matrix.from_columns(self.field, cols, n)
-
     def __repr__(self):
         return f"<Matrix {self.rows}x{self.cols} over {self.field.spec_str()}>"
 
@@ -345,7 +331,11 @@ def div_by_int(x, n: int):
 
 
 class LinForm:
-    """Affine form const + Σ coeff_i·x_i with exact scalar coefficients."""
+    """Affine form const + Σ coeff_i·x_i with exact scalar coefficients.
+
+    Field scalars defer to it in arithmetic and comparison, so a form can sit in
+    any coordinate of a Morphism or a Matrix as one more scalar.
+    """
 
     __slots__ = ("const", "coeffs")
 
@@ -403,9 +393,8 @@ class LinForm:
         return bool(self.coeffs) or bool(self.const)
 
     def __eq__(self, other):
-        if not isinstance(other, LinForm):
-            return NotImplemented
-        return self.const == other.const and self.coeffs == other.coeffs
+        o = self._as_form(other)
+        return self.const == o.const and self.coeffs == o.coeffs
 
     def eval(self, values, with_const: bool = True):
         acc = self.const if with_const else self.const - self.const
@@ -417,54 +406,3 @@ class LinForm:
     def __repr__(self):
         terms = " + ".join(f"{v}*x{i}" for i, v in sorted(self.coeffs.items()))
         return f"LinForm({self.const}{' + ' + terms if terms else ''})"
-
-
-class FormRing:
-    """Scalar ring of affine forms over a base field."""
-
-    __slots__ = ("field",)
-
-    def __init__(self, field: Field):
-        self.field = field
-
-    def zero(self):
-        return LinForm(self.field.zero())
-
-    def one(self):
-        return LinForm(self.field.one())
-
-    def __eq__(self, other):
-        return isinstance(other, FormRing) and self.field == other.field
-
-    def __hash__(self):
-        return hash(("FormRing", self.field))
-
-
-class LinearSystem:
-    """Accumulates affine constraints over fresh variables, then solves exactly."""
-
-    def __init__(self, field: Field):
-        self.field = field
-        self.n = 0
-        self.rows: list[dict] = []
-        self.consts: list = []
-        self.labels: list = []
-
-    def new_vars(self, k: int) -> range:
-        start = self.n
-        self.n += k
-        return range(start, start + k)
-
-    def var(self, i: int) -> LinForm:
-        return LinForm.variable(i, self.field)
-
-    def add_equal(self, lhs, rhs, label=None):
-        l = lhs if isinstance(lhs, LinForm) else LinForm(lhs)
-        r = rhs if isinstance(rhs, LinForm) else LinForm(rhs)
-        d = l - r
-        self.rows.append(d.coeffs)
-        self.consts.append(-d.const)
-        self.labels.append(label)
-
-    def solve(self):
-        return solve_sparse(self.rows, self.consts, self.n, self.field, self.labels)

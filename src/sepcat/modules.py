@@ -11,8 +11,7 @@ from __future__ import annotations
 from .category import (CatObject, Morphism, MorSystem, express_in_basis,
                        hom_space_basis, split_idempotent)
 from .errors import LawViolationError, NotFullyFaithfulError, PreconditionError
-from .functors import Adjunction, NatTrans
-from .linalg import Matrix
+from .functors import Adjunction, NatTrans, hom_matrix
 from .monads import Monad, MonadSepWitness, monad_from_adjunction
 from .reports import ValidationReport
 
@@ -180,9 +179,8 @@ class Comparison:
         dcat = self.adj.G.source
         dbasis = hom_space_basis(dcat, d1, d2)
         mbasis = module_hom_basis(self.on_object(d1), self.on_object(d2))
-        cols = [express_in_basis(self.adj.G.on_morphism(f), [m.mor for m in mbasis])
-                for f in dbasis]
-        mat = Matrix.from_columns(dcat.field, cols, len(mbasis))
+        mat = hom_matrix(self.adj.G.on_morphism, dbasis, len(mbasis), dcat.field,
+                         basis=[m.mor for m in mbasis])
         return mat, dbasis, mbasis
 
     def fully_faithful_on(self, pairs) -> list[dict]:

@@ -134,10 +134,13 @@ class MonadSepWitness:
         return f"<MonadSepWitness for {self.monad!r}>"
 
 
-def monad_separability_solve(m: Monad, validate: bool = False):
-    """Find a section σ of μ by exact affine feasibility; witness or Infeasible."""
-    if validate:
-        validate_monad(m).require(PreconditionError, "monad_separability_solve")
+def monad_separability_solve(m: Monad):
+    """Find a section σ of μ by exact affine feasibility; witness or Infeasible.
+
+    The monad must come from a validated builder (`equivariant_monad`,
+    `monad_from_adjunction` or a workspace declaration): its laws are not
+    re-checked here, and on a non-monad an "infeasible" verdict means nothing.
+    """
     cat = m.cat
     mf = m.functor
     m2 = m.squared()

@@ -157,17 +157,6 @@ def test_rational_solutions_are_exact(data, rows, cols):
         assert aug.rank() == a.rank() + 1
 
 
-def test_matrix_inverse_exact():
-    q = Field.rationals()
-    m = Matrix(q, [[Fraction(1), Fraction(2)], [Fraction(1, 3), Fraction(1)]])
-    inv = m.inverse()
-    assert m @ inv == Matrix.identity(q, 2)
-    assert inv @ m == Matrix.identity(q, 2)
-    singular = mat(q, [[1, 2], [2, 4]])
-    with pytest.raises(ValueError):
-        singular.inverse()
-
-
 def test_solver_pivots_deterministically():
     q = Field.rationals()
     a = mat(q, [[0, 1, 1], [0, 0, 1]])

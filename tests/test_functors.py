@@ -6,14 +6,15 @@ from fractions import Fraction
 import pytest
 
 from sepcat import (Functor, Infeasible,
-                    LinearCategory, Morphism, MorSystem, NatTrans, PreconditionError,
+                    LinearCategory, Morphism, MorSystem, NatTrans, NotFullyFaithfulError,
+                    PreconditionError,
                     SepWitness, compose_functors, extract_section,
                     fully_faithful_on, hom_space_basis, section_feasibility,
                     separability_solve, transfer_witness, validate_adjunction,
                     validate_functor, zero_morphism)
 from sepcat.equivariant import group_monad_functor
 from sepcat.functors import Adjunction
-from sepcat.linalg import FormRing
+from sepcat.linalg import LinForm
 
 
 @pytest.fixture(scope="module")
@@ -202,6 +203,20 @@ class TestExtractSection:
             assert lhs == eqcat_z3_q.cat.obj(l).identity()
 
 
+@pytest.fixture
+def collapse(double_hom_category):
+    """Identity on objects; both basis arrows x→y go to the first one."""
+    c4 = double_hom_category
+    basis_xy = hom_space_basis(c4, c4.obj("x"), c4.obj("y"))
+    return Functor(
+        c4, c4,
+        {x: c4.obj(x) for x in c4.objects},
+        {("x", "x"): (c4.obj("x").identity(),),
+         ("y", "y"): (c4.obj("y").identity(),),
+         ("x", "y"): (basis_xy[0], basis_xy[0])},
+        name="collapse")
+
+
 class TestFullyFaithfulOn:
     def test_identity_bijective(self, c2_q):
         idf = Functor.identity(c2_q)
@@ -209,21 +224,17 @@ class TestFullyFaithfulOn:
         for rec in fully_faithful_on(idf, pairs):
             assert rec["bijective"]
 
-    def test_collapse_on_double_hom_reports_rank_one(self, double_hom_category):
+    def test_collapse_on_double_hom_reports_rank_one(self, double_hom_category, collapse):
         c4 = double_hom_category
-        basis_xy = hom_space_basis(c4, c4.obj("x"), c4.obj("y"))
-        collapse = Functor(
-            c4, c4,
-            {x: c4.obj(x) for x in c4.objects},
-            {("x", "x"): (c4.obj("x").identity(),),
-             ("y", "y"): (c4.obj("y").identity(),),
-             ("x", "y"): (basis_xy[0], basis_xy[0])},   # both basis arrows ↦ the first
-            name="collapse")
         assert validate_functor(collapse).passed
         rec = fully_faithful_on(collapse, [(c4.obj("x"), c4.obj("y"))])[0]
         assert not rec["bijective"]
         assert rec["rank"] == 1
         assert rec["dim_source"] == 2
+
+    def test_collapse_has_no_fully_faithful_witness(self, collapse):
+        with pytest.raises(NotFullyFaithfulError):
+            transfer_witness("fully-faithful", collapse)
 
 
 def test_witness_roundtrip_from_xi(adj_z2_q):
@@ -235,9 +246,9 @@ def test_witness_roundtrip_from_xi(adj_z2_q):
     assert w2.verify().passed
 
 
-def _defining_sum(f, x, y, vec, ring=None):
+def _defining_sum(f, x, y, vec):
     """Σ_t c_t·F(b_t) over every hom-basis index, starting from the zero morphism."""
-    out = zero_morphism(f.object_map[x], f.object_map[y], ring)
+    out = zero_morphism(f.object_map[x], f.object_map[y])
     for t, c in enumerate(vec):
         out = out + f.hom_map[(x, y)][t].scale(c)
     return out
@@ -245,7 +256,6 @@ def _defining_sum(f, x, y, vec, ring=None):
 
 def test_on_hom_vec_is_the_defining_sum(QQ, monad_z2_q, act_swap_q, adj_z2_q, cw_q):
     rng = random.Random(11)
-    forms = FormRing(QQ)
     pt = cw_q.obj("pt")
     # Galois conjugation w ↦ w² = -1 - w: basis images share coordinates
     conj = Functor(cw_q, cw_q, {"pt": pt},
@@ -269,9 +279,7 @@ def test_on_hom_vec_is_the_defining_sum(QQ, monad_z2_q, act_swap_q, adj_z2_q, cw
                     vecs.append([Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d)])
                 for vec in vecs:
                     assert f.on_hom_vec(x, y, vec) == _defining_sum(f, x, y, vec)
-                # unknown coordinates, and all-zero forms, stay in the form ring
+                # unknown coordinates, and all-zero forms
                 unknown = MorSystem(QQ).unknown(src.obj(x), src.obj(y))
-                for vec in (list(unknown.blocks[0][0]), [forms.zero()] * d):
-                    img = f.on_hom_vec(x, y, vec)
-                    assert img.ring == forms
-                    assert img == _defining_sum(f, x, y, vec, forms)
+                for vec in (list(unknown.blocks[0][0]), [LinForm(QQ.zero())] * d):
+                    assert f.on_hom_vec(x, y, vec) == _defining_sum(f, x, y, vec)
