@@ -287,7 +287,8 @@ class SepWitness:
 
     The matrix at (x, y) acts on ambient block coordinates of Hom(F x, F y); on
     closure objects the witness extends blockwise and by conjugation with the
-    idempotents.
+    idempotents.  Entries may be `LinForm` unknowns: `separability_solve`
+    imposes the laws on such a symbolic witness.
     """
 
     def __init__(self, functor: Functor, maps: dict):
