@@ -11,7 +11,7 @@ between (X, e) and (Y, e') is a block matrix f with f = e'∘f∘e.
 from __future__ import annotations
 
 from .errors import NotIdempotentError
-from .linalg import LinForm, Matrix, solve_sparse
+from .linalg import LinForm, coordinate_map, solve_sparse
 from .reports import ValidationReport
 from .scalars import Field
 
@@ -454,22 +454,15 @@ def hom_space_basis(cat: LinearCategory, a: CatObject, b: CatObject) -> list[Mor
     return basis
 
 
+def basis_coordinates(basis, field):
+    """f ↦ coordinates of f in an independent family of parallel morphisms, eliminated once."""
+    to_coords = coordinate_map([b.coords() for b in basis], field)
+    return lambda f: to_coords(f.coords())
+
+
 def express_in_basis(f: Morphism, basis) -> list:
     """Coordinates of f in the given independent spanning set; exact."""
-    target = f.coords()
-    field = f.cat.field
-    if not basis:
-        if any(target):
-            raise ValueError("nonzero morphism with an empty basis")
-        return []
-    cols = [b.coords() for b in basis]
-    mat = Matrix.from_columns(field, cols, len(target))
-    res = mat.solve(target)
-    if not res.feasible:
-        raise ValueError("morphism does not lie in the span of the basis")
-    if res.kernel:
-        raise ValueError("the given family is linearly dependent")
-    return res.particular
+    return basis_coordinates(basis, f.cat.field)(f)
 
 
 class RetractWitness:

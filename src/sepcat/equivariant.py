@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .category import (CatObject, LinearCategory, Morphism, MorSystem,
-                       direct_sum, express_in_basis, extract_block,
+                       basis_coordinates, direct_sum, extract_block,
                        hom_space_basis, int_invertible, invert_morphism,
                        morphism)
 from .errors import (LawViolationError, NonInvertibleComponentError,
@@ -377,11 +377,12 @@ class EquivariantCategory:
     """A presentation of the full subcategory on finitely many equivariant objects."""
 
     def __init__(self, action: GroupAction, labels, objects: dict, bases: dict,
-                 cat: LinearCategory, free_label_map: dict):
+                 coords: dict, cat: LinearCategory, free_label_map: dict):
         self.action = action
         self.labels = tuple(labels)
         self.objects = objects
         self.bases = bases
+        self.coords = coords
         self.cat = cat
         self.free_label_map = free_label_map
 
@@ -397,8 +398,7 @@ class EquivariantCategory:
             row = []
             for j, lj in enumerate(p_dom.summands):
                 sub = extract_block(f, dom_parts, cod_parts, i, j)
-                coords = express_in_basis(sub, self.bases[(lj, li)])
-                row.append(tuple(coords))
+                row.append(tuple(self.coords[(lj, li)](sub)))
             raw.append(tuple(row))
         return morphism(self.cat, p_dom, p_cod, raw)
 
@@ -427,6 +427,7 @@ def equivariant_category(action: GroupAction, extra: dict | None = None,
     for l1 in labels:
         for l2 in labels:
             bases[(l1, l2)] = eq_hom_space(objects[l1], objects[l2])
+    coords = {key: basis_coordinates(basis, base.field) for key, basis in bases.items()}
     dims = {(l1, l2): len(bases[(l1, l2)]) for l1 in labels for l2 in labels}
     comp = {}
     for l1 in labels:
@@ -440,16 +441,15 @@ def equivariant_category(action: GroupAction, extra: dict | None = None,
                 for v in bases[(l2, l3)]:
                     row = []
                     for u in bases[(l1, l2)]:
-                        row.append(tuple(express_in_basis(v @ u, bases[(l1, l3)])))
+                        row.append(tuple(coords[(l1, l3)](v @ u)))
                     table.append(tuple(row))
                 comp[(l1, l2, l3)] = tuple(table)
-    idents = {l: tuple(express_in_basis(objects[l].carrier.identity(), bases[(l, l)]))
-              for l in labels}
+    idents = {l: tuple(coords[(l, l)](objects[l].carrier.identity())) for l in labels}
     cat = LinearCategory(base.field, labels, dims, comp, idents,
                          name=name or f"({base.name})^{action.group.name}")
     from .category import validate_presentation
     validate_presentation(cat).require(LawViolationError, "equivariant category presentation")
-    return EquivariantCategory(action, labels, objects, bases, cat, free_label_map)
+    return EquivariantCategory(action, labels, objects, bases, coords, cat, free_label_map)
 
 
 def induce_adjunction(eqcat: EquivariantCategory) -> Adjunction:
@@ -476,11 +476,10 @@ def induce_adjunction(eqcat: EquivariantCategory) -> Adjunction:
             if not d:
                 continue
             lx, ly = eqcat.free_label(x), eqcat.free_label(y)
-            mors = []
-            for i in range(d):
-                coords = express_in_basis(mf.hom_map[(x, y)][i], eqcat.bases[(lx, ly)])
-                mors.append(Morphism(pcat, f_object_map[x], f_object_map[y], ((tuple(coords),),)))
-            f_hom_map[(x, y)] = tuple(mors)
+            coords = eqcat.coords[(lx, ly)]
+            f_hom_map[(x, y)] = tuple(
+                Morphism(pcat, f_object_map[x], f_object_map[y], ((tuple(coords(m)),),))
+                for m in mf.hom_map[(x, y)])
     induction = Functor(base, pcat, f_object_map, f_hom_map, name="F")
 
     uf = compose_functors(forgetful, induction, name="UF")

@@ -11,8 +11,8 @@ affine solve over the matrix entries.
 
 from __future__ import annotations
 
-from .category import (CatObject, LinearCategory, Morphism, MorSystem, direct_sum,
-                       express_in_basis, extract_block, hom_coord_dim,
+from .category import (CatObject, LinearCategory, Morphism, MorSystem, basis_coordinates,
+                       direct_sum, extract_block, hom_coord_dim,
                        hom_space_basis, morphism, unit_morphisms, zero_morphism)
 from .errors import LawViolationError, NotFullyFaithfulError, PreconditionError
 from .linalg import Matrix
@@ -413,7 +413,8 @@ def hom_matrix(fn, inputs, n_out: int, field, basis=None) -> Matrix:
     if basis is None:
         cols = [fn(m).coords() for m in inputs]
     else:
-        cols = [express_in_basis(fn(m), basis) for m in inputs]
+        coords = basis_coordinates(basis, field)
+        cols = [coords(fn(m)) for m in inputs]
     return Matrix.from_columns(field, cols, n_out)
 
 

@@ -1,26 +1,40 @@
 """Dense exact matrices and the sparse affine-feasibility core.
 
 Every separability decision in the library reduces to exact feasibility of an
-affine system A·x = b.  The solver row-reduces sparse rows, pivoting on the
-first nonzero entry in column order; there are no tolerances anywhere.
+affine system A·x = b.  The solver row-reduces sparse rows in input order,
+pivoting on the smallest remaining column; there are no tolerances anywhere.
+
+Elimination runs on Python ints.  Over F_p a row holds the residues of its `Fp`
+entries, reduced mod p against monic pivot rows.  Over Q a row's denominators
+are cleared, a pivot row keeps its integer lead, and a row is updated
+fraction-free as lead·row − a·pivot_row, then divided by the gcd of its entries
+and constant.  Every row held is thus a nonzero multiple of the row that field
+elimination would hold, with the same support, so the pivots, reduced form and
+first contradicting row are exactly those of field elimination.  Field scalars
+are minted again only for the returned particular solution and kernel basis.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .scalars import Field, Fp
 
 
 class AffineSolution:
-    """A particular solution of A·x = b together with a kernel basis of A."""
+    """A particular solution of A·x = b together with a kernel basis of A.
 
-    __slots__ = ("particular", "kernel", "rank", "n_vars")
+    kernel[i] is 1 at the free column free[i] and 0 at every other free column.
+    """
+
+    __slots__ = ("particular", "kernel", "free", "rank", "n_vars")
     feasible = True
 
-    def __init__(self, particular, kernel, rank, n_vars):
+    def __init__(self, particular, kernel, free, rank, n_vars):
         self.particular = particular
         self.kernel = kernel
+        self.free = free
         self.rank = rank
         self.n_vars = n_vars
 
@@ -47,116 +61,169 @@ class Infeasible:
                 f" vars={self.n_vars}{tag}>")
 
 
+def _primitive(row: dict, cst: int) -> int:
+    """Divide an integer row and its constant by their gcd, in place; returns the constant."""
+    g = gcd(cst, *row.values())
+    if g > 1:
+        for j in row:
+            row[j] //= g
+        cst //= g
+    return cst
+
+
+def _int_row(entries: dict, cst, p: int):
+    """The row as ints: residues over F_p, a primitive multiple over Q; zeros dropped.
+
+    A scalar that is not of the field of characteristic p raises ValueError.
+    """
+    if not all(isinstance(v, Fp) and v.p == p if p else isinstance(v, Fraction)
+               for v in (cst, *entries.values())):
+        raise ValueError(f"a coefficient is not a scalar of {'F%d' % p if p else 'Q'}")
+    if p:
+        return {j: v.v for j, v in entries.items() if v.v}, cst.v
+    den = lcm(cst.denominator, *(v.denominator for v in entries.values()))
+    row = {j: v.numerator * (den // v.denominator) for j, v in entries.items() if v}
+    return row, _primitive(row, cst.numerator * (den // cst.denominator))
+
+
+def _eliminate(row: dict, cst: int, c: int, pivot, p: int) -> int:
+    """row ← lead·row − a·pivot_row, clearing column c, in place; returns the constant.
+
+    Over F_p the lead is 1 and entries are reduced mod p; over Q the row is made primitive.
+    """
+    a = row.pop(c)
+    lead, prow, pcst = pivot
+    if p:
+        for j, v in prow.items():
+            nv = (row.get(j, 0) - a * v) % p
+            if nv:
+                row[j] = nv
+            else:
+                del row[j]
+        return (cst - a * pcst) % p
+    if lead != 1:
+        for j in row:
+            row[j] *= lead
+    for j, v in prow.items():
+        nv = row.get(j, 0) - a * v
+        if nv:
+            row[j] = nv
+        else:
+            del row[j]
+    return _primitive(row, lead * cst - a * pcst)
+
+
+def _insert(pivots: dict, row: dict, cst: int, p: int):
+    """Reduce an integer row, in place, while its leading column has a pivot row.
+
+    A nonzero remainder becomes the pivot row (lead, rest, const) of its leading
+    column, monic over F_p, and None is returned; else the constant left over.
+    """
+    while row:
+        c = min(row)
+        pivot = pivots.get(c)
+        if pivot is None:
+            lead = row.pop(c)
+            if p and lead != 1:
+                inv = pow(lead, -1, p)
+                for j in row:
+                    row[j] = row[j] * inv % p
+                cst, lead = cst * inv % p, 1
+            pivots[c] = (lead, row, cst)
+            return None
+        cst = _eliminate(row, cst, c, pivot, p)
+    return cst
+
+
 def solve_sparse(rows, consts, n_vars, field: Field, labels=None):
     """Solve the sparse affine system given as (dict col->coeff, const) rows.
 
-    Pivot rows are stored without their (normalized) pivot entry.  Returns an
-    AffineSolution or an Infeasible certificate naming the first contradicting
-    row's label, if labels are supplied.
+    Rows are taken in input order; each is reduced against the pivot rows so
+    far until its smallest column is new, and pivots there.  The work is done
+    on ints (module docstring): each int row is a nonzero multiple of the field
+    row, so pivots, rank, particular solution and kernel basis are those of
+    field elimination.  Returns an AffineSolution or an Infeasible certificate
+    naming the first contradicting row's label, if labels are supplied.  A
+    coefficient or constant that is not a scalar of `field` raises ValueError.
     """
-    pivots: dict[int, tuple[dict, object]] = {}
-    bad_label = None
-    n_bad = 0
+    p = field.char
+    pivots: dict[int, tuple[int, dict, int]] = {}
+    bad = []
     for idx in range(len(rows)):
-        row = dict(rows[idx])
-        cst = consts[idx]
-        while row:
-            c = min(row)
-            if c not in pivots:
-                break
-            coef = row.pop(c)
-            prow, pcst = pivots[c]
-            for j, v in prow.items():
-                nv = row.get(j)
-                nv = -coef * v if nv is None else nv - coef * v
-                if nv:
-                    row[j] = nv
-                elif j in row:
-                    del row[j]
-            cst = cst - coef * pcst
-        if not row:
-            if cst:
-                n_bad += 1
-                if bad_label is None and labels is not None:
-                    bad_label = labels[idx]
-            continue
-        c = min(row)
-        coef = row.pop(c)
-        if coef != field.one():
-            row = {j: v / coef for j, v in row.items()}
-            cst = cst / coef
-        pivots[c] = (row, cst)
+        if _insert(pivots, *_int_row(rows[idx], consts[idx], p), p):
+            bad.append(idx)
     rank = len(pivots)
-    if n_bad:
-        return Infeasible(rank, rank + 1, n_vars, len(rows), bad_label)
+    if bad:
+        return Infeasible(rank, rank + 1, n_vars, len(rows),
+                          None if labels is None else labels[bad[0]])
 
-    # back-substitution to full reduced form
+    # back-substitution to full reduced form; the lead rides in its row meanwhile
     for c in sorted(pivots, reverse=True):
-        prow, pcst = pivots[c]
+        lead, prow, pcst = pivots[c]
+        prow[c] = lead
         for j in sorted(prow):
-            if j in pivots:
-                coef = prow.pop(j)
-                qrow, qcst = pivots[j]
-                for t, v in qrow.items():
-                    nv = prow.get(t)
-                    nv = -coef * v if nv is None else nv - coef * v
-                    if nv:
-                        prow[t] = nv
-                    elif t in prow:
-                        del prow[t]
-                pcst = pcst - coef * qcst
-        pivots[c] = (prow, pcst)
+            if j != c and j in pivots:
+                pcst = _eliminate(prow, pcst, j, pivots[j], p)
+        pivots[c] = (prow.pop(c), prow, pcst)
 
-    zero = field.zero()
+    zero, one = field.zero(), field.one()
+    free = [f for f in range(n_vars) if f not in pivots]
     particular = [zero] * n_vars
-    for c, (_, pcst) in pivots.items():
-        particular[c] = pcst
-    kernel = []
-    for f in range(n_vars):
-        if f in pivots:
-            continue
-        vec = [zero] * n_vars
-        vec[f] = field.one()
-        for c, (prow, _) in pivots.items():
-            if f in prow:
-                vec[c] = -prow[f]
-        kernel.append(vec)
-    return AffineSolution(particular, kernel, rank, n_vars)
-
-
-def _echelon_insert(pivots: dict, vec, field) -> bool:
-    """Reduce vec against the echelon rows; insert and return True if independent."""
-    row = {i: v for i, v in enumerate(vec) if v}
-    while row:
-        c = min(row)
-        if c not in pivots:
-            break
-        coef = row.pop(c)
-        for j, v in pivots[c].items():
-            nv = row.get(j)
-            nv = -coef * v if nv is None else nv - coef * v
-            if nv:
-                row[j] = nv
-            elif j in row:
-                del row[j]
-    if not row:
-        return False
-    c = min(row)
-    coef = row.pop(c)
-    if coef != field.one():
-        row = {j: v / coef for j, v in row.items()}
-    pivots[c] = row
-    return True
+    kernel = {f: [one if i == f else zero for i in range(n_vars)] for f in free}
+    for c, (lead, prow, pcst) in pivots.items():
+        particular[c] = Fp(pcst, p) if p else Fraction(pcst, lead)
+        for f, v in prow.items():
+            kernel[f][c] = Fp(-v, p) if p else Fraction(-v, lead)
+    return AffineSolution(particular, list(kernel.values()), free, rank, n_vars)
 
 
 def rank_extension(base_vectors, candidates, field):
     """Rank of the base family, plus indices of candidates extending it independently."""
+    p, zero = field.char, field.zero()
     pivots: dict = {}
+
+    def independent(vec) -> bool:
+        row, _ = _int_row({i: v for i, v in enumerate(vec) if v}, zero, p)
+        return _insert(pivots, row, 0, p) is None
+
     for v in base_vectors:
-        _echelon_insert(pivots, v, field)
-    base_rank = len(pivots)
-    chosen = [i for i, v in enumerate(candidates) if _echelon_insert(pivots, v, field)]
-    return base_rank, chosen
+        independent(v)
+    return len(pivots), [i for i, v in enumerate(candidates) if independent(v)]
+
+
+def coordinate_map(columns, field):
+    """Eliminate a family of vectors once; returns t ↦ the coordinates of t in it.
+
+    Solves B·x − t = 0 with x ordered before t.  For independent columns each x
+    column is a pivot, and a t in the span has x = the x part of Σ_f t_f·kernel_f
+    over the free (t) columns.  The map raises ValueError for a t outside the
+    span, and for every t when the family is dependent.
+    """
+    k, n = len(columns), len(columns[0]) if columns else 0
+    zero = field.zero()
+    rows = [{k + i: -field.one()} for i in range(n)]
+    for j, col in enumerate(columns):
+        for i, v in enumerate(col):
+            if v:
+                rows[i][j] = v
+    sol = solve_sparse(rows, [zero] * n, k + n, field)
+    dependent = bool(sol.free) and sol.free[0] < k
+    combos = [(f - k, [(i, v) for i, v in enumerate(vec) if v])
+              for f, vec in zip(sol.free, sol.kernel)]
+
+    def coords(t) -> list:
+        if dependent:
+            raise ValueError("the given family is linearly dependent")
+        w = {}
+        for f, entries in combos:
+            if t[f]:
+                for i, v in entries:
+                    w[i] = w.get(i, zero) + t[f] * v
+        if any(w.get(k + i, zero) != v for i, v in enumerate(t)):
+            raise ValueError("morphism does not lie in the span of the basis")
+        return [w.get(j, zero) for j in range(k)]
+
+    return coords
 
 
 class Matrix:
@@ -178,18 +245,9 @@ class Matrix:
             self.cols = cols
 
     @classmethod
-    def zeros(cls, field, rows, cols):
-        z = field.zero()
-        return cls(field, [[z] * cols for _ in range(rows)], cols=cols)
-
-    @classmethod
-    def identity(cls, field, n):
-        z, o = field.zero(), field.one()
-        return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)], cols=n)
-
-    @classmethod
     def from_columns(cls, field, columns, rows: int):
-        m = cls.zeros(field, rows, len(columns))
+        z = field.zero()
+        m = cls(field, [[z] * len(columns) for _ in range(rows)], cols=len(columns))
         for j, col in enumerate(columns):
             if len(col) != rows:
                 raise ValueError("column length mismatch")
@@ -203,37 +261,6 @@ class Matrix:
 
     def to_strings(self):
         return [[self.field.fmt(v) for v in row] for row in self.data]
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.data[i][j]
-
-    def row(self, i):
-        return list(self.data[i])
-
-    def column(self, j):
-        return [self.data[i][j] for i in range(self.rows)]
-
-    def _check_same(self, other):
-        if self.field != other.field:
-            raise ValueError("mixed fields")
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError(f"shape mismatch {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
-
-    def __add__(self, other):
-        self._check_same(other)
-        return Matrix(self.field,
-                      [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)],
-                      cols=self.cols)
-
-    def __sub__(self, other):
-        self._check_same(other)
-        return Matrix(self.field,
-                      [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)],
-                      cols=self.cols)
-
-    def __neg__(self):
-        return Matrix(self.field, [[-a for a in r] for r in self.data], cols=self.cols)
 
     def scale(self, s):
         return Matrix(self.field, [[s * a for a in r] for r in self.data], cols=self.cols)
@@ -280,26 +307,16 @@ class Matrix:
                 and self.rows == other.rows and self.cols == other.cols
                 and self.data == other.data)
 
-    def is_zero(self):
-        return all(not v for row in self.data for v in row)
-
-    def _sparse_rows(self):
-        rows = []
-        for r in self.data:
-            rows.append({j: v for j, v in enumerate(r) if v})
-        return rows
-
     def solve(self, b):
         """Solve self·x = b; returns AffineSolution or Infeasible."""
         if isinstance(b, Matrix):
             if b.cols != 1:
                 raise ValueError("right-hand side must be a column")
-            if b.field != self.field:
-                raise ValueError("mixed fields")
-            b = b.column(0)
+            b = [r[0] for r in b.data]
         if len(b) != self.rows:
             raise ValueError(f"dimension mismatch: {self.rows} rows vs {len(b)} entries")
-        return solve_sparse(self._sparse_rows(), list(b), self.cols, self.field)
+        rows = [{j: v for j, v in enumerate(r) if v} for r in self.data]
+        return solve_sparse(rows, list(b), self.cols, self.field)
 
     def rank(self) -> int:
         res = self.solve([self.field.zero()] * self.rows)

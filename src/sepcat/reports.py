@@ -36,12 +36,6 @@ class ValidationReport:
             raise exc(f"{where}: {lines}")
         return self
 
-    def summary(self) -> str:
-        lines = [f"[{'ok' if ok else 'FAIL'}] {name}" + (f": {detail}" if detail and not ok else "")
-                 for name, ok, detail in self.checks]
-        head = f"{self.subject}: " if self.subject else ""
-        return head + ("pass" if self.passed else "FAIL") + "\n" + "\n".join(lines)
-
     def __repr__(self):
         state = "pass" if self.passed else f"{len(self.failures())} failures"
         return f"<ValidationReport {self.subject!r}: {len(self.checks)} checks, {state}>"

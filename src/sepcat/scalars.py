@@ -84,11 +84,6 @@ class Fp:
             return NotImplemented
         return self * o.inverse()
 
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        return Fp(pow(self.v, k, self.p), self.p)
-
     def __bool__(self):
         return self.v != 0
 
