@@ -6,9 +6,18 @@ formal sums of base objects; Karoubi (idempotent-completion) objects carry an
 idempotent on the sum.  One block-matrix morphism calculus serves the base
 category, the additive closure and the idempotent completion: a morphism
 between (X, e) and (Y, e') is a block matrix f with f = e'∘f∘e.
+
+Composition visits nonzero A-blocks × nonzero B-blocks only, through structure
+constants compiled once to their nonzero entries (units marked, so they add
+without a multiply); untouched output blocks are the category's shared zero
+blocks.  The public `Morphism(...)` checks category, block grid and block
+lengths; producers whose shapes are right by construction (composition, sums,
+scaling, absorption, `from_coords`, functor images) use `Morphism._new`.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from .errors import NotIdempotentError
 from .linalg import LinForm, coordinate_map, solve_sparse
@@ -36,15 +45,18 @@ class LinearCategory:
                 raise ValueError(f"hom_dims mentions unknown object in ({x}, {y})")
             if d:
                 self._dims[(x, y)] = int(d)
+        # per (x, y, z) and basis pair (q, p): the nonzero (t, c), c None for a unit
         self._comp = {}
+        one = field.one()
         for (x, y, z), table in composition.items():
             dxy, dyz, dxz = self.hom_dim(x, y), self.hom_dim(y, z), self.hom_dim(x, z)
-            table = tuple(tuple(tuple(vec) for vec in row) for row in table)
             if len(table) != dyz or any(len(row) != dxy for row in table):
                 raise ValueError(f"composition table shape mismatch at ({x}, {y}, {z})")
             if any(len(vec) != dxz for row in table for vec in row):
                 raise ValueError(f"composition vector length mismatch at ({x}, {y}, {z})")
-            self._comp[(x, y, z)] = table
+            self._comp[(x, y, z)] = tuple(
+                tuple(tuple((t, None if c == one else c) for t, c in enumerate(vec) if c)
+                      for vec in row) for row in table)
         self._ids = {}
         for x in self.objects:
             if self.hom_dim(x, x) < 1:
@@ -58,9 +70,17 @@ class LinearCategory:
         self._labels = dict(basis_labels or {})
         self.name = name
         self._hom_basis_cache: dict = {}
+        self._zero_blocks: dict = {}
 
     def hom_dim(self, x, y) -> int:
         return self._dims.get((x, y), 0)
+
+    def zero_block(self, x, y) -> tuple:
+        """The zero coordinate vector of Hom(x, y), one shared tuple per pair."""
+        z = self._zero_blocks.get((x, y))
+        if z is None:
+            z = self._zero_blocks[(x, y)] = (self.field.zero(),) * self.hom_dim(x, y)
+        return z
 
     def id_vec(self, x):
         return self._ids[x]
@@ -79,17 +99,17 @@ class LinearCategory:
         table = self._comp.get((x, y, z))
         if table is None:
             return
+        f_nz = [(p, fp) for p, fp in enumerate(f_vec) if fp]
         for q, gq in enumerate(g_vec):
             if not gq:
                 continue
             rowq = table[q]
-            for p, fp in enumerate(f_vec):
-                if not fp:
-                    continue
-                coef = gq * fp
-                for t, c in enumerate(rowq[p]):
-                    if c:
-                        acc[t] = acc[t] + coef * c
+            for p, fp in f_nz:
+                entries = rowq[p]
+                if entries:
+                    coef = gq * fp
+                    for t, c in entries:
+                        acc[t] = acc[t] + (coef if c is None else coef * c)
 
     def compose_vec(self, x, y, z, g_vec, f_vec, zero=None):
         if zero is None:
@@ -103,17 +123,9 @@ class LinearCategory:
 
 
 def identity_blocks(cat: LinearCategory, summands):
-    zero = cat.field.zero()
-    out = []
-    for i, ti in enumerate(summands):
-        row = []
-        for j, sj in enumerate(summands):
-            if i == j:
-                row.append(cat.id_vec(sj))
-            else:
-                row.append(tuple([zero] * cat.hom_dim(sj, ti)))
-        out.append(tuple(row))
-    return tuple(out)
+    return tuple(tuple(cat.id_vec(sj) if i == j else cat.zero_block(sj, ti)
+                       for j, sj in enumerate(summands))
+                 for i, ti in enumerate(summands))
 
 
 def _check_endo_shape(cat, summands, blocks):
@@ -131,7 +143,7 @@ class CatObject:
     Plain objects (idem is None) carry the identity idempotent implicitly.
     """
 
-    __slots__ = ("cat", "summands", "idem")
+    __slots__ = ("cat", "summands", "idem", "_id")
 
     def __init__(self, cat: LinearCategory, summands, idem=None):
         summands = tuple(summands)
@@ -146,16 +158,19 @@ class CatObject:
         self.cat = cat
         self.summands = summands
         self.idem = idem
+        self._id = None
 
     def plain(self) -> "CatObject":
         return self if self.idem is None else CatObject(self.cat, self.summands)
 
     def identity(self) -> "Morphism":
-        blocks = self.idem if self.idem is not None else identity_blocks(self.cat, self.summands)
-        return Morphism(self.cat, self, self, blocks)
+        if self._id is None:
+            blocks = self.idem if self.idem is not None else identity_blocks(self.cat, self.summands)
+            self._id = Morphism._new(self.cat, self, self, blocks)
+        return self._id
 
     def __eq__(self, other):
-        return (isinstance(other, CatObject) and self.cat is other.cat
+        return self is other or (isinstance(other, CatObject) and self.cat is other.cat
                 and self.summands == other.summands and self.idem == other.idem)
 
     def __hash__(self):
@@ -166,20 +181,26 @@ class CatObject:
         return f"<Obj {'⊕'.join(self.summands) or '0'}{tag}>"
 
 
-def _raw_mul(cat, dst, mid, src, a_blocks, b_blocks, zero):
-    a_nz = [[any(vec) for vec in row] for row in a_blocks]
-    b_nz = [[any(vec) for vec in row] for row in b_blocks]
+def _nonzero_rows(blocks):
+    return tuple(tuple((j, v) for j, v in enumerate(row) if any(v)) for row in blocks)
+
+
+def _raw_mul(cat, dst, mid, src, a_rows, b_rows):
+    """Blocks of A∘B (dst ← mid ← src) from the nonzero block rows of A and B."""
+    zero = cat.field.zero()
+    accum = cat.accum_compose
     out = []
     for i, ti in enumerate(dst):
-        arow, arow_nz = a_blocks[i], a_nz[i]
-        row = []
-        for k, sk in enumerate(src):
-            acc = [zero] * cat.hom_dim(sk, ti)
-            for j, mj in enumerate(mid):
-                if arow_nz[j] and b_nz[j][k]:
-                    cat.accum_compose(sk, mj, ti, arow[j], b_blocks[j][k], acc)
-            row.append(tuple(acc))
-        out.append(tuple(row))
+        accs = {}
+        for j, g in a_rows[i]:
+            mj = mid[j]
+            for k, f in b_rows[j]:
+                acc = accs.get(k)
+                if acc is None:
+                    acc = accs[k] = [zero] * cat.hom_dim(src[k], ti)
+                accum(src[k], mj, ti, g, f, acc)
+        out.append(tuple(tuple(accs[k]) if k in accs else cat.zero_block(sk, ti)
+                         for k, sk in enumerate(src)))
     return tuple(out)
 
 
@@ -190,7 +211,7 @@ class Morphism:
     unknowns of a `MorSystem`; the operators serve both alike.
     """
 
-    __slots__ = ("cat", "dom", "cod", "blocks")
+    __slots__ = ("cat", "dom", "cod", "blocks", "_rows")
 
     def __init__(self, cat, dom: CatObject, cod: CatObject, blocks):
         if dom.cat is not cat or cod.cat is not cat:
@@ -202,10 +223,20 @@ class Morphism:
             for j, sj in enumerate(dom.summands):
                 if len(blocks[i][j]) != cat.hom_dim(sj, ti):
                     raise ValueError(f"block ({i},{j}) has wrong length")
-        self.cat = cat
-        self.dom = dom
-        self.cod = cod
-        self.blocks = blocks
+        self.cat, self.dom, self.cod, self.blocks, self._rows = cat, dom, cod, blocks, None
+
+    @classmethod
+    def _new(cls, cat, dom: CatObject, cod: CatObject, blocks) -> "Morphism":
+        """Unchecked construction from a tuple grid whose shape is right by construction."""
+        m = object.__new__(cls)
+        m.cat, m.dom, m.cod, m.blocks, m._rows = cat, dom, cod, blocks, None
+        return m
+
+    def nonzero_rows(self):
+        """Per block row, the (column, block) pairs of its nonzero blocks; computed once."""
+        if self._rows is None:
+            self._rows = _nonzero_rows(self.blocks)
+        return self._rows
 
     def __matmul__(self, other):
         """Composition self∘other."""
@@ -215,9 +246,9 @@ class Morphism:
             raise ValueError("morphisms from different categories")
         if other.cod != self.dom:
             raise ValueError(f"object mismatch: cod {other.cod!r} vs dom {self.dom!r}")
-        blocks = _raw_mul(self.cat, self.cod.summands, self.dom.summands,
-                          other.dom.summands, self.blocks, other.blocks, self.cat.field.zero())
-        return Morphism(self.cat, other.dom, self.cod, blocks)
+        blocks = _raw_mul(self.cat, self.cod.summands, self.dom.summands, other.dom.summands,
+                          self.nonzero_rows(), other.nonzero_rows())
+        return Morphism._new(self.cat, other.dom, self.cod, blocks)
 
     def _check_parallel(self, other):
         if other.cat is not self.cat or other.dom != self.dom or other.cod != self.cod:
@@ -228,22 +259,22 @@ class Morphism:
         blocks = tuple(tuple(tuple(a + b for a, b in zip(va, vb))
                              for va, vb in zip(ra, rb))
                        for ra, rb in zip(self.blocks, other.blocks))
-        return Morphism(self.cat, self.dom, self.cod, blocks)
+        return Morphism._new(self.cat, self.dom, self.cod, blocks)
 
     def __sub__(self, other):
         self._check_parallel(other)
         blocks = tuple(tuple(tuple(a - b for a, b in zip(va, vb))
                              for va, vb in zip(ra, rb))
                        for ra, rb in zip(self.blocks, other.blocks))
-        return Morphism(self.cat, self.dom, self.cod, blocks)
+        return Morphism._new(self.cat, self.dom, self.cod, blocks)
 
     def __neg__(self):
         blocks = tuple(tuple(tuple(-a for a in v) for v in r) for r in self.blocks)
-        return Morphism(self.cat, self.dom, self.cod, blocks)
+        return Morphism._new(self.cat, self.dom, self.cod, blocks)
 
     def scale(self, s):
         blocks = tuple(tuple(tuple(s * a for a in v) for v in r) for r in self.blocks)
-        return Morphism(self.cat, self.dom, self.cod, blocks)
+        return Morphism._new(self.cat, self.dom, self.cod, blocks)
 
     def __rmul__(self, s):
         return self.scale(s)
@@ -268,28 +299,30 @@ class Morphism:
 
     @staticmethod
     def from_coords(cat, dom: CatObject, cod: CatObject, coords) -> "Morphism":
-        it = iter(coords)
+        if dom.cat is not cat or cod.cat is not cat:
+            raise ValueError("objects from a different category")
+        coords, n = tuple(coords), hom_coord_dim(cat, dom, cod)
+        if len(coords) != n:
+            raise ValueError(f"{len(coords)} coordinates for an ambient hom dimension of {n}")
         blocks = []
+        pos = 0
         for ti in cod.summands:
             row = []
             for sj in dom.summands:
-                row.append(tuple(next(it) for _ in range(cat.hom_dim(sj, ti))))
+                d = cat.hom_dim(sj, ti)
+                row.append(coords[pos:pos + d])
+                pos += d
             blocks.append(tuple(row))
-        return Morphism(cat, dom, cod, blocks)
+        return Morphism._new(cat, dom, cod, tuple(blocks))
 
     def absorbed(self) -> "Morphism":
         """e_cod ∘ self ∘ e_dom, the canonical Karoubi representative."""
         if self.dom.idem is None and self.cod.idem is None:
             return self
-        cat = self.cat
-        zero = cat.field.zero()
-        left = self.cod.idem if self.cod.idem is not None else identity_blocks(cat, self.cod.summands)
-        right = self.dom.idem if self.dom.idem is not None else identity_blocks(cat, self.dom.summands)
-        blocks = _raw_mul(cat, self.cod.summands, self.dom.summands, self.dom.summands,
-                          _raw_mul(cat, self.cod.summands, self.cod.summands, self.dom.summands,
-                                   left, self.blocks, zero),
-                          right, zero)
-        return Morphism(cat, self.dom, self.cod, blocks)
+        cat, dst, src = self.cat, self.cod.summands, self.dom.summands
+        left = _raw_mul(cat, dst, dst, src, self.cod.identity().nonzero_rows(), self.nonzero_rows())
+        blocks = _raw_mul(cat, dst, src, src, _nonzero_rows(left), self.dom.identity().nonzero_rows())
+        return Morphism._new(cat, self.dom, self.cod, blocks)
 
     def __repr__(self):
         return f"<Mor {self.dom!r}→{self.cod!r}>"
@@ -301,10 +334,10 @@ def hom_coord_dim(cat, dom: CatObject, cod: CatObject) -> int:
 
 def zero_morphism(dom: CatObject, cod: CatObject) -> Morphism:
     cat = dom.cat
-    zero = cat.field.zero()
-    blocks = tuple(tuple(tuple([zero] * cat.hom_dim(sj, ti)) for sj in dom.summands)
-                   for ti in cod.summands)
-    return Morphism(cat, dom, cod, blocks)
+    if cod.cat is not cat:
+        raise ValueError("objects from a different category")
+    blocks = tuple(tuple(cat.zero_block(sj, ti) for sj in dom.summands) for ti in cod.summands)
+    return Morphism._new(cat, dom, cod, blocks)
 
 
 def morphism(cat, dom: CatObject, cod: CatObject, blocks) -> Morphism:
@@ -325,8 +358,7 @@ def direct_sum(objs) -> CatObject:
     summands = tuple(s for o in objs for s in o.summands)
     if all(o.idem is None for o in objs):
         return CatObject(cat, summands)
-    zero = cat.field.zero()
-    blocks = [[tuple([zero] * cat.hom_dim(sj, ti)) for sj in summands] for ti in summands]
+    blocks = [[cat.zero_block(sj, ti) for sj in summands] for ti in summands]
     roff = 0
     for o in objs:
         e = o.idem if o.idem is not None else identity_blocks(cat, o.summands)
@@ -343,15 +375,12 @@ def biproduct(objs):
     objs = list(objs)
     total = direct_sum(objs)
     cat = total.cat
-    zero = cat.field.zero()
     injections, projections = [], []
     offset = 0
     for o in objs:
         n = len(o.summands)
-        inc = [[tuple([zero] * cat.hom_dim(sj, ti)) for sj in o.summands]
-               for ti in total.summands]
-        prj = [[tuple([zero] * cat.hom_dim(sj, ti)) for sj in total.summands]
-               for ti in o.summands]
+        inc = [[cat.zero_block(sj, ti) for sj in o.summands] for ti in total.summands]
+        prj = [[cat.zero_block(sj, ti) for sj in total.summands] for ti in o.summands]
         for i, s in enumerate(o.summands):
             inc[offset + i][i] = cat.id_vec(s)
             prj[i][offset + i] = cat.id_vec(s)
@@ -415,14 +444,9 @@ class MorSystem:
         return solve_sparse(self.rows, self.consts, self.n, self.field, self.labels)
 
     @staticmethod
-    def eval_at(m: Morphism, values) -> Morphism:
-        coords = [a.eval(values) if isinstance(a, LinForm) else a for a in m.coords()]
-        return Morphism.from_coords(m.cat, m.dom, m.cod, coords)
-
-    @staticmethod
-    def eval_kernel(m: Morphism, kernel_vec) -> Morphism:
-        coords = [a.eval(kernel_vec, with_const=False) if isinstance(a, LinForm) else a
-                  for a in m.coords()]
+    def eval_at(m: Morphism, values, with_const: bool = True) -> Morphism:
+        """m at a solution; without the constants, at a kernel vector."""
+        coords = [a.eval(values, with_const) if isinstance(a, LinForm) else a for a in m.coords()]
         return Morphism.from_coords(m.cat, m.dom, m.cod, coords)
 
 
@@ -431,10 +455,8 @@ def unit_morphisms(cat: LinearCategory, a: CatObject, b: CatObject) -> list[Morp
 
     They span Hom(a, b); for plain objects they are its coordinate basis.
     """
-    n = hom_coord_dim(cat, a, b)
-    zero, one = cat.field.zero(), cat.field.one()
-    return [Morphism.from_coords(cat, a, b, [one if j == i else zero for j in range(n)]).absorbed()
-            for i in range(n)]
+    return [Morphism.from_coords(cat, a, b, e).absorbed()
+            for e in unit_vectors(cat.field, hom_coord_dim(cat, a, b))]
 
 
 def hom_space_basis(cat: LinearCategory, a: CatObject, b: CatObject) -> list[Morphism]:
@@ -449,7 +471,7 @@ def hom_space_basis(cat: LinearCategory, a: CatObject, b: CatObject) -> list[Mor
         sysm = MorSystem(cat.field)
         f = sysm.unknown(a, b)
         sol = sysm.solve()
-        basis = [MorSystem.eval_kernel(f, k) for k in sol.kernel]
+        basis = [MorSystem.eval_at(f, k, with_const=False) for k in sol.kernel]
     cat._hom_basis_cache[key] = basis
     return basis
 
@@ -529,62 +551,42 @@ def random_hom(cat, a: CatObject, b: CatObject, rng, lo: int = -2, hi: int = 2) 
     return out
 
 
+def unit_vectors(field, n: int) -> list:
+    """The coordinate unit vectors of k^n, as lists."""
+    zero, one = field.zero(), field.one()
+    return [[one if j == i else zero for j in range(n)] for i in range(n)]
+
+
 def validate_presentation(cat: LinearCategory) -> ValidationReport:
     """Check the category axioms on all basis data: unit laws and associativity."""
     rep = ValidationReport(f"category {cat.name}" if cat.name else "category")
     unit_bad = []
     n_unit = 0
     for (x, y), d in sorted(cat._dims.items(), key=lambda kv: (cat._oindex[kv[0][0]], cat._oindex[kv[0][1]])):
-        idx_ = cat.id_vec(x)
-        idy = cat.id_vec(y)
-        zero = cat.field.zero()
-        for i in range(d):
-            a = [zero] * d
-            a[i] = cat.field.one()
+        for i, a in enumerate(unit_vectors(cat.field, d)):
             n_unit += 2
-            left = cat.compose_vec(x, y, y, idy, a)
-            if list(left) != list(a):
+            if cat.compose_vec(x, y, y, cat.id_vec(y), a) != a:
                 unit_bad.append(f"id_{y}∘{cat.basis_label(x, y, i)}")
-            right = cat.compose_vec(x, x, y, a, idx_)
-            if list(right) != list(a):
+            if cat.compose_vec(x, x, y, a, cat.id_vec(x)) != a:
                 unit_bad.append(f"{cat.basis_label(x, y, i)}∘id_{x}")
     rep.record(f"unit laws ({n_unit} checks)", not unit_bad, "; ".join(unit_bad))
 
     assoc_bad = []
     n_assoc = 0
-    objects = cat.objects
-    zero = cat.field.zero()
-    one = cat.field.one()
-    for w in objects:
-        for x in objects:
-            dwx = cat.hom_dim(w, x)
-            if not dwx:
-                continue
-            for y in objects:
-                dxy = cat.hom_dim(x, y)
-                if not dxy:
-                    continue
-                for z in objects:
-                    dyz = cat.hom_dim(y, z)
-                    if not dyz:
-                        continue
-                    for ia in range(dwx):
-                        a = [zero] * dwx
-                        a[ia] = one
-                        for ib in range(dxy):
-                            b = [zero] * dxy
-                            b[ib] = one
-                            ba = cat.compose_vec(w, x, y, b, a)
-                            for ic in range(dyz):
-                                c = [zero] * dyz
-                                c[ic] = one
-                                n_assoc += 1
-                                cb = cat.compose_vec(x, y, z, c, b)
-                                lhs = cat.compose_vec(w, x, z, cb, a)
-                                rhs = cat.compose_vec(w, y, z, c, ba)
-                                if lhs != rhs:
-                                    assoc_bad.append(
-                                        f"({cat.basis_label(y, z, ic)}, {cat.basis_label(x, y, ib)},"
-                                        f" {cat.basis_label(w, x, ia)})")
+    for w, x, y, z in itertools.product(cat.objects, repeat=4):
+        dwx, dxy, dyz = cat.hom_dim(w, x), cat.hom_dim(x, y), cat.hom_dim(y, z)
+        if not (dwx and dxy and dyz):
+            continue
+        cs = unit_vectors(cat.field, dyz)
+        for ia, a in enumerate(unit_vectors(cat.field, dwx)):
+            for ib, b in enumerate(unit_vectors(cat.field, dxy)):
+                ba = cat.compose_vec(w, x, y, b, a)
+                for ic, c in enumerate(cs):
+                    n_assoc += 1
+                    if (cat.compose_vec(w, x, z, cat.compose_vec(x, y, z, c, b), a)
+                            != cat.compose_vec(w, y, z, c, ba)):
+                        assoc_bad.append(
+                            f"({cat.basis_label(y, z, ic)}, {cat.basis_label(x, y, ib)},"
+                            f" {cat.basis_label(w, x, ia)})")
     rep.record(f"associativity ({n_assoc} triples)", not assoc_bad, "; ".join(assoc_bad))
     return rep

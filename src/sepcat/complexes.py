@@ -124,7 +124,7 @@ def chain_map_space(x: BoundedComplex, y: BoundedComplex) -> list[ChainMap]:
     sol = sysm.solve()
     out = []
     for k in sol.kernel:
-        parts = {n: MorSystem.eval_kernel(unknowns[n], k) for n in unknowns}
+        parts = {n: MorSystem.eval_at(unknowns[n], k, with_const=False) for n in unknowns}
         out.append(ChainMap(x, y, parts))
     return out
 
@@ -464,7 +464,7 @@ def random_module_complex(monad: Monad, pool, length: int, rng, name: str = "") 
             sysm.require_equal(f @ prev, zero_morphism(prev.dom, mods[n + 1].carrier),
                                "d²=0")
             sol = sysm.solve()
-            basis = [MorSystem.eval_kernel(f, k) for k in sol.kernel]
+            basis = [MorSystem.eval_at(f, k, with_const=False) for k in sol.kernel]
         d = zero_morphism(mods[n].carrier, mods[n + 1].carrier)
         for b in basis:
             c = rng.randint(-2, 2)

@@ -257,7 +257,7 @@ def eq_hom_space(a: EquivariantObject, b: EquivariantObject) -> list[Morphism]:
                            act.functors[g].on_morphism(th) @ a.alpha[g],
                            f"equivariance at {g}")
     sol = sysm.solve()
-    return [MorSystem.eval_kernel(th, k) for k in sol.kernel]
+    return [MorSystem.eval_at(th, k, with_const=False) for k in sol.kernel]
 
 
 def _inverse_action(z: EquivariantObject, dom: CatObject) -> Morphism:
@@ -294,7 +294,7 @@ def group_monad_functor(action: GroupAction) -> Functor:
                         else:
                             sx = action.on_object_name(els[hj], x)
                             ty = action.on_object_name(h, y)
-                            row.append(tuple([cat.field.zero()] * cat.hom_dim(sx, ty)))
+                            row.append(cat.zero_block(sx, ty))
                     blocks.append(tuple(row))
                 mors.append(Morphism(cat, object_map[x], object_map[y], blocks))
             hom_map[(x, y)] = tuple(mors)
@@ -311,12 +311,11 @@ def free_equivariant(action: GroupAction, x: CatObject, name: str = "") -> Equiv
     n = len(els)
     mf = group_monad_functor(action)
     carrier = mf.on_object(x)
-    zero = cat.field.zero()
     nsum = len(x.summands)
     alpha = {}
     for g in els:
         target = action.functors[g].on_object(carrier)
-        blocks = [[tuple([zero] * cat.hom_dim(carrier.summands[c], target.summands[r]))
+        blocks = [[cat.zero_block(carrier.summands[c], target.summands[r])
                    for c in range(nsum * n)]
                   for r in range(nsum * n)]
         for j in range(nsum):
@@ -342,7 +341,6 @@ def equivariant_monad(action: GroupAction, name: str = "") -> Monad:
     e_idx = group.index(group.unit)
     unit_comps = {}
     mult_comps = {}
-    zero = cat.field.zero()
     for x in cat.objects:
         mx = mf.object_map[x]
         col = []
@@ -350,7 +348,7 @@ def equivariant_monad(action: GroupAction, name: str = "") -> Monad:
             if i == e_idx:
                 col.append((cat.id_vec(x),))
             else:
-                col.append((tuple([zero] * cat.hom_dim(x, mx.summands[i])),))
+                col.append((cat.zero_block(x, mx.summands[i]),))
         unit_comps[x] = Morphism(cat, cat.obj(x), mx, col)
         m2x = mf.on_object(mx)
         blocks = []
@@ -362,7 +360,7 @@ def equivariant_monad(action: GroupAction, name: str = "") -> Monad:
                     if group.mult(els[i], els[j]) == els[t]:
                         row.append(cat.id_vec(src_name))
                     else:
-                        row.append(tuple([zero] * cat.hom_dim(src_name, mx.summands[t])))
+                        row.append(cat.zero_block(src_name, mx.summands[t]))
             blocks.append(tuple(row))
         mult_comps[x] = Morphism(cat, m2x, mx, blocks)
     m2 = compose_functors(mf, mf, name="M²")
@@ -484,7 +482,6 @@ def induce_adjunction(eqcat: EquivariantCategory) -> Adjunction:
 
     uf = compose_functors(forgetful, induction, name="UF")
     e_idx = group.index(group.unit)
-    zero = base.field.zero()
     eta_comps = {}
     for x in base.objects:
         mx = uf.object_map[x]
@@ -493,7 +490,7 @@ def induce_adjunction(eqcat: EquivariantCategory) -> Adjunction:
             if i == e_idx:
                 col.append((base.id_vec(x),))
             else:
-                col.append((tuple([zero] * base.hom_dim(x, mx.summands[i])),))
+                col.append((base.zero_block(x, mx.summands[i]),))
         eta_comps[x] = Morphism(base, base.obj(x), mx, col)
     unit = NatTrans(Functor.identity(base), uf, eta_comps, name="η")
 

@@ -11,9 +11,11 @@ affine solve over the matrix entries.
 
 from __future__ import annotations
 
+import itertools
+
 from .category import (CatObject, LinearCategory, Morphism, MorSystem, basis_coordinates,
-                       direct_sum, extract_block, hom_coord_dim,
-                       hom_space_basis, morphism, unit_morphisms, zero_morphism)
+                       direct_sum, extract_block, hom_coord_dim, hom_space_basis, morphism,
+                       unit_morphisms, unit_vectors, zero_morphism)
 from .errors import LawViolationError, NotFullyFaithfulError, PreconditionError
 from .linalg import Matrix
 from .reports import ValidationReport
@@ -34,7 +36,7 @@ def _assemble_grid(nested, cod_parts, dom_parts):
                     flat[roff + r][coff + c] = m.blocks[r][c]
             coff += len(pj.summands)
         roff += len(pi.summands)
-    return flat
+    return tuple(map(tuple, flat))
 
 
 class Functor:
@@ -118,7 +120,7 @@ class Functor:
                    for j, sj in enumerate(f.dom.summands)]
                   for i, ti in enumerate(f.cod.summands)]
         raw = _assemble_grid(nested, cod_parts, dom_parts)
-        return Morphism(self.target, self.on_object(f.dom), self.on_object(f.cod), raw)
+        return Morphism._new(self.target, self.on_object(f.dom), self.on_object(f.cod), raw)
 
     def equals(self, other: "Functor") -> bool:
         return (self.source is other.source and self.target is other.target
@@ -159,28 +161,17 @@ def validate_functor(f: Functor) -> ValidationReport:
                "; ".join(map(str, id_bad)))
     comp_bad = []
     n = 0
-    zero = src.field.zero()
-    one = src.field.one()
-    for x in src.objects:
-        for y in src.objects:
-            dxy = src.hom_dim(x, y)
-            if not dxy:
-                continue
-            for z in src.objects:
-                dyz = src.hom_dim(y, z)
-                if not dyz:
-                    continue
-                for ib in range(dyz):
-                    b = [zero] * dyz
-                    b[ib] = one
-                    fb = f.hom_map[(y, z)][ib]
-                    for ia in range(dxy):
-                        a = [zero] * dxy
-                        a[ia] = one
-                        n += 1
-                        ba = src.compose_vec(x, y, z, b, a)
-                        if f.on_hom_vec(x, z, ba) != fb @ f.hom_map[(x, y)][ia]:
-                            comp_bad.append(f"({src.basis_label(y, z, ib)}, {src.basis_label(x, y, ia)})")
+    for x, y, z in itertools.product(src.objects, repeat=3):
+        dxy, dyz = src.hom_dim(x, y), src.hom_dim(y, z)
+        if not (dxy and dyz):
+            continue
+        for ib, b in enumerate(unit_vectors(src.field, dyz)):
+            fb = f.hom_map[(y, z)][ib]
+            for ia, a in enumerate(unit_vectors(src.field, dxy)):
+                n += 1
+                ba = src.compose_vec(x, y, z, b, a)
+                if f.on_hom_vec(x, z, ba) != fb @ f.hom_map[(x, y)][ia]:
+                    comp_bad.append(f"({src.basis_label(y, z, ib)}, {src.basis_label(x, y, ia)})")
     rep.record(f"composition preservation ({n} pairs)", not comp_bad, "; ".join(comp_bad))
     return rep
 

@@ -239,6 +239,8 @@ class Matrix:
             self.cols = len(self.data[0])
             if any(len(r) != self.cols for r in self.data):
                 raise ValueError("ragged rows")
+            if cols is not None and cols != self.cols:
+                raise ValueError(f"rows of length {self.cols}, expected {cols}")
         else:
             if cols is None:
                 raise ValueError("empty matrix needs an explicit column count")

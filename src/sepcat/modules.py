@@ -99,7 +99,7 @@ def module_hom_basis(a: MModule, b: MModule) -> list[ModuleMor]:
     f = sysm.unknown(a.carrier, b.carrier)
     sysm.require_equal(f @ a.action, b.action @ mf.on_morphism(f), "module morphism law")
     sol = sysm.solve()
-    return [ModuleMor(a, b, MorSystem.eval_kernel(f, k)) for k in sol.kernel]
+    return [ModuleMor(a, b, MorSystem.eval_at(f, k, with_const=False)) for k in sol.kernel]
 
 
 class EmAdjunction:

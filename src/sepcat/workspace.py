@@ -588,10 +588,18 @@ def load_witness(path: str, ws: Workspace):
         functor = ws.functor(name)
         maps = {}
         for key, rows in data["maps"].items():
-            x, y = key.split("|", 1)
+            x, _, y = key.partition("|")
+            d = functor.source.hom_dim(x, y)
+            if not d:
+                raise WorkspaceError(f"witness map key {key!r} is not a nonzero hom pair")
             amb = hom_coord_dim(functor.target, functor.object_map[x],
                                 functor.object_map[y])
-            maps[(x, y)] = Matrix.parse(functor.source.field, rows, cols=amb)
+            try:
+                maps[(x, y)] = h = Matrix.parse(functor.source.field, rows, cols=amb)
+                if h.rows != d:
+                    raise ValueError(f"{h.rows} rows, expected {d}")
+            except ValueError as exc:
+                raise WorkspaceError(f"witness map {key!r}: {exc}")
         w = SepWitness(functor, maps)
         rep = w.verify()
         return w, rep

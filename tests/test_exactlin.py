@@ -172,3 +172,10 @@ def test_solver_pivots_deterministically():
     r2 = solve_affine(a, vec(q, [1, 1]))
     assert r1.particular == r2.particular == [Fraction(0), Fraction(0), Fraction(1)]
     assert r1.kernel == r2.kernel
+
+
+def test_matrix_column_count_must_match_its_rows():
+    q = Field.rationals()
+    assert Matrix(q, [[Fraction(1), Fraction(2)]], cols=2).cols == 2
+    with pytest.raises(ValueError, match="rows of length 2, expected 3"):
+        Matrix(q, [[Fraction(1), Fraction(2)]], cols=3)

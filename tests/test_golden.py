@@ -3,7 +3,10 @@
 Each command runs in-process from the repository root with
 ``-w fixtures/workspace.json`` (the path is part of ``report.json``), and every
 file it writes is compared by SHA-256 with the value recorded for it.  A change
-that alters a verdict, a witness or a report byte fails here.
+that alters a verdict, a witness or a report byte fails here.  The two fixture
+commands that take tens of seconds, ``--complete-target em-report adj_s3_q`` and
+``complex-report triv_s3_q``, are pinned the same way by the CI workflow, each
+in a fresh process; together the two places pin all 45 fixture commands.
 """
 
 import contextlib
@@ -114,6 +117,98 @@ GOLDEN = [
     ("adjunction-check adj_z2_f2", 0, {
         "report.json":
             "465757496e6a1e5b8a930ce996924b9f385aaa56ca6d02006ea902abbe55791c",
+    }),
+    ("em-report adj_z2_q", 0, {
+        "report.json":
+            "d8c07ba714c34ffa6f3f3796580532cc22f40a9e6259ec751a8881ec8627d314",
+    }),
+    ("em-report adj_z3_q", 0, {
+        "report.json":
+            "ffd7108fd760da248145bde00825e945a9a596d5228b81041af82177a0d44c54",
+    }),
+    ("em-report adj_s3_q", 0, {
+        "report.json":
+            "88d8cb186949fe0020c216a08fb3cb8228d3b9b52a00f75a56a7d2c3c1dc9caf",
+    }),
+    ("em-report adj_swap_q", 0, {
+        "report.json":
+            "1332bffca95ad91f90fab8568f8eeaf16766b5307c5d0c5dd20dae8946b0d969",
+    }),
+    ("em-report adj_z3_c3q", 0, {
+        "report.json":
+            "a57012ac4cee65c1914037923d3e8407ff2dffac27d29f6acde89e5e0f1c8969",
+    }),
+    ("em-report adj_z2_f2", 1, {
+        "report.json":
+            "ad9a2fe0e004723224d245dceb6d49f036d3fed55ae7d77c6aaff42845115e70",
+    }),
+    ("--complete-target em-report adj_z3_q", 0, {
+        "report.json":
+            "52d95c005fd6be22ff137af8ac3140b1ad30a5ec394d25d0afdbad27dbb9c670",
+    }),
+    ("--complete-target em-report adj_swap_q", 0, {
+        "report.json":
+            "202614d0d84660eb83a02d34f93fdb33b1724f7dc9156a57c88e39c6e59ffa54",
+    }),
+    ("--complete-target em-report adj_z3_c3q", 0, {
+        "report.json":
+            "91b19583f0d938af4dfd5846643d2282f24a4c7ea0b2ac05c3c920febcd1e8b8",
+    }),
+    ("--complete-target em-report adj_z2_f2", 1, {
+        "report.json":
+            "ad9a2fe0e004723224d245dceb6d49f036d3fed55ae7d77c6aaff42845115e70",
+    }),
+    ("equivariant-report triv_z3_q", 0, {
+        "report.json":
+            "19ffb9de15fd390d5cf792287beb409abba3a01f1a3dbe48b13acd6440b776e2",
+    }),
+    ("equivariant-report triv_s3_q", 0, {
+        "report.json":
+            "5288de44c04bb2400107ac2d3a2df02f266a5b3241dc1684c5d6eeec3cb90350",
+    }),
+    ("equivariant-report triv_z3_c3q", 0, {
+        "report.json":
+            "5e3aa03c5a6646d1015a120f5bac2df8ed44616f10efd7241f1a307b5fcee6ce",
+    }),
+    ("equivariant-report swap_z2_q", 0, {
+        "report.json":
+            "243110087982401b77d67f3019531f9d3092e6b48f32d2654223af1705133499",
+    }),
+    ("equivariant-report triv_z2_f2", 1, {
+        "report.json":
+            "c5d46761ca92922674639eb710a24d1c35152829642f3c639a3b1aa37bc7ff40",
+    }),
+    ("equivariant-report triv_z3_f3", 1, {
+        "report.json":
+            "41d3df513dadf3fe5f3913c3b7164020ded6b8537754805b804a4e2bb5fc1f9d",
+    }),
+    ("equivariant-report triv_z3_qw", 0, {
+        "report.json":
+            "a17cacc9e8d743f0cd75d9c783af37396053d70f5dd431ff89b590514af680c5",
+    }),
+    ("complex-report triv_z3_q", 0, {
+        "report.json":
+            "caf3fa86c3fd69e82f40dd686b69fe29737d1ecf3955f4259f9bea5e06ebfec3",
+    }),
+    ("complex-report triv_z3_c3q", 0, {
+        "report.json":
+            "f7f872db0da8eda5014d3f048934107a89b6d3a429ffc8ba99ed73eabcebf8c2",
+    }),
+    ("complex-report swap_z2_q", 0, {
+        "report.json":
+            "f8eeb518770f4e22e7d708c5bf4e950dda99579f01ccaf6671757d353520d0ac",
+    }),
+    ("complex-report triv_z2_f2", 1, {
+        "report.json":
+            "e94f63a02ee18d9c872cc1b8eeadc67a6150dcb367ed0787f43014d7173f430c",
+    }),
+    ("complex-report triv_z3_f3", 1, {
+        "report.json":
+            "2e6783d54de844d4a7ded51db7a93fabd3e7ebef0c817fc87f4d8607ba9cb015",
+    }),
+    ("complex-report triv_z3_qw", 0, {
+        "report.json":
+            "4beeacc4a4effd36f58bb982e74724029406cf4bd5e8635b4d68369299d1654a",
     }),
 ]
 

@@ -157,6 +157,23 @@ class TestWitnessRoundTrip:
         w, rep = load_witness(str(tmp_path / "forget_z2_q.witness.json"), ws)
         assert rep.passed
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda maps: maps["F(pt)|F(pt)"].append(["0", "0", "0", "0"]), "3 rows, expected 2"),
+        (lambda maps: [row.append("0") for row in maps["F(pt)|F(pt)"]],
+         "rows of length 5, expected 4"),
+        (lambda maps: maps.__setitem__("F(pt)|nowhere", [["1"]]), "not a nonzero hom pair"),
+        (lambda maps: maps.__setitem__("F(pt)", [["1"]]), "not a nonzero hom pair"),
+    ], ids=["extra row", "extra column", "unknown object", "no pair"])
+    def test_malformed_functor_witness_is_rejected(self, tmp_path, edit, message):
+        assert run(["-w", FIXTURE, "--out", str(tmp_path),
+                    "separability", "forget_z2_q", "--target", "functor"]) == 0
+        path = tmp_path / "forget_z2_q.witness.json"
+        data = json.loads(path.read_text())
+        edit(data["maps"])
+        path.write_text(json.dumps(data))
+        with pytest.raises(WorkspaceError, match=message):
+            load_witness(str(path), parse_workspace(FIXTURE))
+
 
 class TestReports:
     def test_em_report_with_complete_target(self, tmp_path):
