@@ -75,6 +75,10 @@ class LinearCategory:
     def hom_dim(self, x, y) -> int:
         return self._dims.get((x, y), 0)
 
+    def hom_pairs(self) -> list:
+        """The pairs (x, y) with Hom(x, y) nonzero, x-major in object order."""
+        return [(x, y) for x in self.objects for y in self.objects if (x, y) in self._dims]
+
     def zero_block(self, x, y) -> tuple:
         """The zero coordinate vector of Hom(x, y), one shared tuple per pair."""
         z = self._zero_blocks.get((x, y))

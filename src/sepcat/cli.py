@@ -271,6 +271,17 @@ def run_entry(ws: Workspace, entry: dict, opts) -> Checks:
     raise WorkspaceError(f"unknown command {cmd!r} in check suite")
 
 
+def _count(text: str) -> int:
+    """A number of samples: an int of 0 or more."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected a count of 0 or more, got {text!r}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="sepcat",
@@ -278,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workspace", "-w", default="workspace.json",
                    help="workspace JSON file (default: workspace.json)")
     p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
-    p.add_argument("--samples", type=int, default=5,
+    p.add_argument("--samples", type=_count, default=5,
                    help="number of sampled checks where applicable (default 5)")
     p.add_argument("--complete-target", action="store_true",
                    help="construct essential preimages in the Karoubi closure")

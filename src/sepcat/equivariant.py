@@ -142,14 +142,10 @@ class GroupAction:
             p = perms[g]
             object_map = {x: cat.obj(p[x]) for x in cat.objects}
             hom_map = {}
-            for x in cat.objects:
-                for y in cat.objects:
-                    d = cat.hom_dim(x, y)
-                    if not d:
-                        continue
-                    if cat.hom_dim(p[x], p[y]) != d:
-                        raise ValueError(f"hom dimensions differ along the permutation of {g}")
-                    hom_map[(x, y)] = tuple(hom_space_basis(cat, cat.obj(p[x]), cat.obj(p[y])))
+            for x, y in cat.hom_pairs():
+                if cat.hom_dim(p[x], p[y]) != cat.hom_dim(x, y):
+                    raise ValueError(f"hom dimensions differ along the permutation of {g}")
+                hom_map[(x, y)] = tuple(hom_space_basis(cat, cat.obj(p[x]), cat.obj(p[y])))
             functors[g] = Functor(cat, cat, object_map, hom_map, name=f"Φ_{g}")
         return GroupAction(group, cat, functors, name=name)
 
@@ -277,27 +273,23 @@ def group_monad_functor(action: GroupAction) -> Functor:
     object_map = {x: direct_sum([cat.obj(action.on_object_name(h, x)) for h in els])
                   for x in cat.objects}
     hom_map = {}
-    for x in cat.objects:
-        for y in cat.objects:
-            d = cat.hom_dim(x, y)
-            if not d:
-                continue
-            mors = []
-            for i in range(d):
-                blocks = []
-                for hi, h in enumerate(els):
-                    row = []
-                    img = action.functors[h].hom_map[(x, y)][i]
-                    for hj in range(len(els)):
-                        if hi == hj:
-                            row.append(img.blocks[0][0])
-                        else:
-                            sx = action.on_object_name(els[hj], x)
-                            ty = action.on_object_name(h, y)
-                            row.append(cat.zero_block(sx, ty))
-                    blocks.append(tuple(row))
-                mors.append(Morphism(cat, object_map[x], object_map[y], blocks))
-            hom_map[(x, y)] = tuple(mors)
+    for x, y in cat.hom_pairs():
+        mors = []
+        for i in range(cat.hom_dim(x, y)):
+            blocks = []
+            for hi, h in enumerate(els):
+                row = []
+                img = action.functors[h].hom_map[(x, y)][i]
+                for hj in range(len(els)):
+                    if hi == hj:
+                        row.append(img.blocks[0][0])
+                    else:
+                        sx = action.on_object_name(els[hj], x)
+                        ty = action.on_object_name(h, y)
+                        row.append(cat.zero_block(sx, ty))
+                blocks.append(tuple(row))
+            mors.append(Morphism(cat, object_map[x], object_map[y], blocks))
+        hom_map[(x, y)] = tuple(mors)
     return Functor(cat, cat, object_map, hom_map, name="M")
 
 
@@ -468,16 +460,12 @@ def induce_adjunction(eqcat: EquivariantCategory) -> Adjunction:
 
     f_object_map = {x: pcat.obj(eqcat.free_label(x)) for x in base.objects}
     f_hom_map = {}
-    for x in base.objects:
-        for y in base.objects:
-            d = base.hom_dim(x, y)
-            if not d:
-                continue
-            lx, ly = eqcat.free_label(x), eqcat.free_label(y)
-            coords = eqcat.coords[(lx, ly)]
-            f_hom_map[(x, y)] = tuple(
-                Morphism(pcat, f_object_map[x], f_object_map[y], ((tuple(coords(m)),),))
-                for m in mf.hom_map[(x, y)])
+    for x, y in base.hom_pairs():
+        lx, ly = eqcat.free_label(x), eqcat.free_label(y)
+        coords = eqcat.coords[(lx, ly)]
+        f_hom_map[(x, y)] = tuple(
+            Morphism(pcat, f_object_map[x], f_object_map[y], ((tuple(coords(m)),),))
+            for m in mf.hom_map[(x, y)])
     induction = Functor(base, pcat, f_object_map, f_hom_map, name="F")
 
     uf = compose_functors(forgetful, induction, name="UF")

@@ -6,7 +6,10 @@ extends canonically to the additive/Karoubi closure (blockwise on summands,
 and (X, e) ↦ (F(X), F(e))).  A separability witness for F: C → D is a family
 of exact matrices H_{X,Y}: Hom_D(F X, F Y) → Hom_C(X, Y) satisfying the
 retraction law H(F(f)) = f and binaturality; existence is decided by one
-affine solve over the matrix entries.
+affine solve over the matrix entries.  Binaturality is imposed as its two
+one-sided laws H(F v∘g) = v∘H(g) and H(g∘F u) = H(g)∘u on basis morphisms:
+the joint law H(F v∘g∘F u) = v∘H(g)∘u gives each with u or v an identity,
+and H(F v∘(g∘F u)) = v∘H(g∘F u) = v∘H(g)∘u gives it back from them.
 """
 
 from __future__ import annotations
@@ -54,20 +57,15 @@ class Functor:
         for x in source.objects:
             if x not in self.object_map:
                 raise ValueError(f"object_map misses {x!r}")
-        for x in source.objects:
-            for y in source.objects:
-                d = source.hom_dim(x, y)
-                if d and len(self.hom_map.get((x, y), ())) != d:
-                    raise ValueError(f"hom_map misses the basis of Hom({x}, {y})")
+        for x, y in source.hom_pairs():
+            if len(self.hom_map.get((x, y), ())) != source.hom_dim(x, y):
+                raise ValueError(f"hom_map misses the basis of Hom({x}, {y})")
 
     @staticmethod
     def identity(cat: LinearCategory, name: str = "Id") -> "Functor":
         object_map = {x: cat.obj(x) for x in cat.objects}
-        hom_map = {}
-        for x in cat.objects:
-            for y in cat.objects:
-                if cat.hom_dim(x, y):
-                    hom_map[(x, y)] = tuple(hom_space_basis(cat, cat.obj(x), cat.obj(y)))
+        hom_map = {(x, y): tuple(hom_space_basis(cat, cat.obj(x), cat.obj(y)))
+                   for x, y in cat.hom_pairs()}
         return Functor(cat, cat, object_map, hom_map, name=name)
 
     def on_object(self, a: CatObject) -> CatObject:
@@ -273,6 +271,14 @@ def validate_adjunction(adj: Adjunction) -> ValidationReport:
     return rep
 
 
+# each law's check name, and the template of a failure: the basis label of b_t, v or
+# u, then g's index and the constraint label
+_LAWS = {"retraction H(F(f)) = f": "{0}",
+         "binaturality H(Fv∘g) = v∘H(g)": "v = {0}, g{1} in {2}",
+         "binaturality H(g∘Fu) = H(g)∘u": "u = {0}, g{1} in {2}"}
+RETRACTION, LEFT_NATURALITY, RIGHT_NATURALITY = _LAWS
+
+
 class SepWitness:
     """A separability witness: per base pair, an exact matrix retraction of F's hom action.
 
@@ -311,11 +317,16 @@ class SepWitness:
         return morphism(src, a, b, raw)
 
     def _laws(self):
-        """Every law on basis data, in a fixed order, as (law, where, at, lhs, rhs).
+        """Every law on basis data, in a fixed order, as (law, label, at, lhs, rhs).
 
-        First the retraction H(F b_t) = b_t per pair (x, y), then binaturality
-        H(F v∘g∘F u) = v∘H(g)∘u for basis u: x2→x, v: y→y2 and g of Hom(F x, F y).
-        `at` holds the basis indices, (x, y, t) or (x, y, x2, y2, iu, iv, gi).
+        First the retraction H(F b_t) = b_t per pair (x, y).  Then binaturality,
+        as two one-sided laws for each g of the basis of Hom(F x, F y):
+        H(F v∘g) = v∘H(g) for basis v: y→z, and H(g∘F u) = H(g)∘u for basis u: z→x.
+        They hold exactly when the joint law H(F v∘g∘F u) = v∘H(g)∘u does: the
+        joint law with u or v an identity (a combination of basis morphisms) is
+        a one-sided law, and H(F v∘(g∘F u)) = v∘H(g∘F u) = v∘H(g)∘u.
+        `label` names the constraint for the solver; `at` is the basis morphism
+        b_t, v or u as ((dom, cod, index),), followed by g's index.
         """
         f = self.functor
         src, tgt = f.source, f.target
@@ -323,41 +334,42 @@ class SepWitness:
         pairs = [(x, y) for x in src.objects for y in src.objects]
         for (x, y) in pairs:
             for t, b in enumerate(hom_space_basis(src, obj[x], obj[y])):
-                yield ("retraction", f"({x},{y})", (x, y, t),
+                yield (RETRACTION, f"retraction ({x},{y})", ((x, y, t),),
                        self.apply(obj[x], obj[y], f.hom_map[(x, y)][t]), b)
         for (x, y) in pairs:
             gbasis = hom_space_basis(tgt, f.object_map[x], f.object_map[y])
             if not gbasis:
                 continue
             images = [self.apply(obj[x], obj[y], g) for g in gbasis]
-            for (x2, y2) in pairs:
-                where = f"({x},{y})→({x2},{y2})"
-                for iu, u in enumerate(hom_space_basis(src, obj[x2], obj[x])):
-                    fu = f.hom_map[(x2, x)][iu]
-                    for iv, v in enumerate(hom_space_basis(src, obj[y], obj[y2])):
-                        fv = f.hom_map[(y, y2)][iv]
-                        for gi, g in enumerate(gbasis):
-                            yield ("binaturality", where, (x, y, x2, y2, iu, iv, gi),
-                                   self.apply(obj[x2], obj[y2], fv @ g @ fu), v @ images[gi] @ u)
+            for z in src.objects:
+                label = f"binaturality ({x},{y})→({x},{z})"
+                for iv, v in enumerate(hom_space_basis(src, obj[y], obj[z])):
+                    fv = f.hom_map[(y, z)][iv]
+                    for gi, g in enumerate(gbasis):
+                        yield (LEFT_NATURALITY, label, ((y, z, iv), gi),
+                               self.apply(obj[x], obj[z], fv @ g), v @ images[gi])
+                label = f"binaturality ({x},{y})→({z},{y})"
+                for iu, u in enumerate(hom_space_basis(src, obj[z], obj[x])):
+                    fu = f.hom_map[(z, x)][iu]
+                    for gi, g in enumerate(gbasis):
+                        yield (RIGHT_NATURALITY, label, ((z, x, iu), gi),
+                               self.apply(obj[z], obj[y], g @ fu), images[gi] @ u)
 
     def verify(self) -> ValidationReport:
-        """Re-check the retraction law and binaturality on all basis data."""
-        src = self.functor.source
-        count = {"retraction": 0, "binaturality": 0}
-        bad = {"retraction": [], "binaturality": []}
-        for law, _, at, lhs, rhs in self._laws():
+        """Re-check the retraction law and both one-sided laws on all basis data.
+
+        One check per law; a failing one names up to six places where it fails.
+        """
+        basis_label = self.functor.source.basis_label
+        count = dict.fromkeys(_LAWS, 0)
+        bad = {law: [] for law in _LAWS}
+        for law, label, ((a, b, i), *gi), lhs, rhs in self._laws():
             count[law] += 1
             if lhs != rhs:
-                bad[law].append(at)
-        retr_bad = [src.basis_label(x, y, t) for x, y, t in bad["retraction"]]
-        nat_bad = [f"H({src.basis_label(y, y2, iv)}∘g{gi}∘{src.basis_label(x2, x, iu)})"
-                   f" at ({x},{y})→({x2},{y2})"
-                   for x, y, x2, y2, iu, iv, gi in bad["binaturality"]]
+                bad[law].append(_LAWS[law].format(basis_label(a, b, i), *gi, label))
         rep = ValidationReport("separability witness")
-        rep.record(f"retraction H(F(f)) = f ({count['retraction']} checks)", not retr_bad,
-                   "; ".join(retr_bad))
-        rep.record(f"binaturality ({count['binaturality']} checks)", not nat_bad,
-                   "; ".join(nat_bad[:6]))
+        for law, n in count.items():
+            rep.record(f"{law} ({n} checks)", not bad[law], "; ".join(bad[law][:6]))
         return rep
 
     def __repr__(self):
@@ -375,23 +387,22 @@ def separability_solve(f: Functor):
     src, tgt = f.source, f.target
     sysm = MorSystem(src.field)
     unknowns = {}
-    for x in src.objects:
-        for y in src.objects:
-            d = src.hom_dim(x, y)
-            if d:
-                a = hom_coord_dim(tgt, f.object_map[x], f.object_map[y])
-                unknowns[(x, y)] = Matrix(src.field, [sysm.variables(a) for _ in range(d)], cols=a)
-    for law, where, _, lhs, rhs in SepWitness(f, unknowns)._laws():
-        sysm.require_equal(lhs, rhs, f"{law} {where}")
+    for x, y in src.hom_pairs():
+        a = hom_coord_dim(tgt, f.object_map[x], f.object_map[y])
+        rows = [sysm.variables(a) for _ in range(src.hom_dim(x, y))]
+        unknowns[(x, y)] = Matrix(src.field, rows, cols=a)
+    for _, label, _, lhs, rhs in SepWitness(f, unknowns)._laws():
+        sysm.require_equal(lhs, rhs, label)
     sol = sysm.solve()
     if not sol.feasible:
         return sol
-    maps = {key: Matrix(src.field, [[e.eval(sol.particular) for e in row] for row in h.data],
-                        cols=h.cols)
-            for key, h in unknowns.items()}
-    w = SepWitness(f, maps)
-    w.verify().require(LawViolationError, "solver-produced witness")
-    return w
+
+    def h_at(x, y):
+        h = unknowns[(x, y)]
+        return Matrix(src.field, [[e.eval(sol.particular) for e in row] for row in h.data],
+                      cols=h.cols)
+
+    return _verified_witness(f, h_at, "solver-produced witness")
 
 
 def hom_matrix(fn, inputs, n_out: int, field, basis=None) -> Matrix:
@@ -409,46 +420,41 @@ def hom_matrix(fn, inputs, n_out: int, field, basis=None) -> Matrix:
     return Matrix.from_columns(field, cols, n_out)
 
 
+def _verified_witness(f: Functor, h_at, what: str) -> SepWitness:
+    """The witness for f with matrix h_at(x, y) at each nonzero hom pair, re-verified."""
+    w = SepWitness(f, {(x, y): h_at(x, y) for x, y in f.source.hom_pairs()})
+    w.verify().require(LawViolationError, what)
+    return w
+
+
 def compose_witnesses(h_f: SepWitness, h_g: SepWitness) -> SepWitness:
     """A witness for the composite G∘F from witnesses for F and G."""
     f, g = h_f.functor, h_g.functor
     if f.target is not g.source:
         raise PreconditionError("witness functors are not composable")
-    gf = compose_functors(g, f)
-    src = f.source
-    maps = {}
-    for x in src.objects:
-        for y in src.objects:
-            if not src.hom_dim(x, y):
-                continue
-            fx, fy = f.object_map[x], f.object_map[y]
-            m_g = hom_matrix(lambda m: h_g.apply(fx, fy, m),
-                             unit_morphisms(g.target, g.on_object(fx), g.on_object(fy)),
-                             hom_coord_dim(g.source, fx, fy), src.field)
-            maps[(x, y)] = h_f.maps[(x, y)] @ m_g
-    w = SepWitness(gf, maps)
-    w.verify().require(LawViolationError, "compose transfer")
-    return w
+
+    def h_at(x, y):
+        fx, fy = f.object_map[x], f.object_map[y]
+        m_g = hom_matrix(lambda m: h_g.apply(fx, fy, m),
+                         unit_morphisms(g.target, g.on_object(fx), g.on_object(fy)),
+                         hom_coord_dim(g.source, fx, fy), f.source.field)
+        return h_f.maps[(x, y)] @ m_g
+
+    return _verified_witness(compose_functors(g, f), h_at, "compose transfer")
 
 
 def left_factor_witness(h_gf: SepWitness, g: Functor, f: Functor) -> SepWitness:
     """A witness for the left factor F extracted from one for G∘F."""
     if not compose_functors(g, f).equals(h_gf.functor):
         raise PreconditionError("witness is not for the composite of the given functors")
-    src, mid = f.source, f.target
-    maps = {}
-    for x in src.objects:
-        for y in src.objects:
-            if not src.hom_dim(x, y):
-                continue
-            fx, fy = f.object_map[x], f.object_map[y]
-            gfx, gfy = g.on_object(fx), g.on_object(fy)
-            m = hom_matrix(g.on_morphism, unit_morphisms(mid, fx, fy),
-                           hom_coord_dim(g.target, gfx, gfy), src.field)
-            maps[(x, y)] = h_gf.maps[(x, y)] @ m
-    w = SepWitness(f, maps)
-    w.verify().require(LawViolationError, "left-factor transfer")
-    return w
+
+    def h_at(x, y):
+        fx, fy = f.object_map[x], f.object_map[y]
+        m = hom_matrix(g.on_morphism, unit_morphisms(f.target, fx, fy),
+                       hom_coord_dim(g.target, g.on_object(fx), g.on_object(fy)), f.source.field)
+        return h_gf.maps[(x, y)] @ m
+
+    return _verified_witness(f, h_at, "left-factor transfer")
 
 
 def retract_witness(h_f2: SepWitness, phi: NatTrans, psi: NatTrans) -> SepWitness:
@@ -459,19 +465,14 @@ def retract_witness(h_f2: SepWitness, phi: NatTrans, psi: NatTrans) -> SepWitnes
     for x in src.objects:
         if psi.components[x] @ phi.components[x] != f2.object_map[x].identity():
             raise PreconditionError(f"ψ∘φ is not the identity at {x}")
-    maps = {}
-    for x in src.objects:
-        for y in src.objects:
-            if not src.hom_dim(x, y):
-                continue
-            fx, fy = f.object_map[x], f.object_map[y]
-            f2x, f2y = f2.object_map[x], f2.object_map[y]
-            delta = hom_matrix(lambda m: psi.components[y] @ m @ phi.components[x],
-                               unit_morphisms(tgt, fx, fy), hom_coord_dim(tgt, f2x, f2y), src.field)
-            maps[(x, y)] = h_f2.maps[(x, y)] @ delta
-    w = SepWitness(f, maps)
-    w.verify().require(LawViolationError, "retract transfer")
-    return w
+
+    def h_at(x, y):
+        delta = hom_matrix(lambda m: psi.components[y] @ m @ phi.components[x],
+                           unit_morphisms(tgt, f.object_map[x], f.object_map[y]),
+                           hom_coord_dim(tgt, f2.object_map[x], f2.object_map[y]), src.field)
+        return h_f2.maps[(x, y)] @ delta
+
+    return _verified_witness(f, h_at, "retract transfer")
 
 
 def fully_faithful_witness(f: Functor) -> SepWitness:
@@ -507,22 +508,15 @@ def witness_from_section(adj: Adjunction, xi: NatTrans) -> SepWitness:
     for x in src.objects:
         if adj.counit.components[x] @ xi.components[x] != src.obj(x).identity():
             raise PreconditionError(f"ε∘ξ is not the identity at {x}")
-    csrc = adj.G.target
-    maps = {}
-    for x in src.objects:
-        for y in src.objects:
-            d = src.hom_dim(x, y)
-            if not d:
-                continue
-            gx, gy = adj.G.object_map[x], adj.G.object_map[y]
 
-            def h(g):
-                return adj.counit.components[y] @ adj.F.on_morphism(g) @ xi.components[x]
+    def h_at(x, y):
+        def h(g):
+            return adj.counit.components[y] @ adj.F.on_morphism(g) @ xi.components[x]
 
-            maps[(x, y)] = hom_matrix(h, unit_morphisms(csrc, gx, gy), d, src.field)
-    w = SepWitness(adj.G, maps)
-    w.verify().require(LawViolationError, "from-xi transfer")
-    return w
+        return hom_matrix(h, unit_morphisms(adj.G.target, adj.G.object_map[x], adj.G.object_map[y]),
+                          src.hom_dim(x, y), src.field)
+
+    return _verified_witness(adj.G, h_at, "from-xi transfer")
 
 
 def transfer_witness(rule: str, *args) -> SepWitness:

@@ -392,20 +392,15 @@ def _build_equivariant_object(name, spec, kind, ws) -> EquivariantObject:
 def _parse_functor_body(name, spec, source, target, ws) -> Functor:
     object_map = {x: parse_obj(target, ref) for x, ref in spec["objects"].items()}
     hom_map = {}
-    for x in source.objects:
-        for y in source.objects:
-            d = source.hom_dim(x, y)
-            if not d:
-                continue
-            mors = []
-            for i in range(d):
-                lab = source.basis_label(x, y, i)
-                mdata = spec["homs"].get(lab)
-                if mdata is None:
-                    raise WorkspaceError(f"functor {name}: missing image of {lab!r}")
-                mors.append(parse_mor(target, mdata,
-                                      dom=object_map[x], cod=object_map[y]))
-            hom_map[(x, y)] = tuple(mors)
+    for x, y in source.hom_pairs():
+        mors = []
+        for i in range(source.hom_dim(x, y)):
+            lab = source.basis_label(x, y, i)
+            mdata = spec["homs"].get(lab)
+            if mdata is None:
+                raise WorkspaceError(f"functor {name}: missing image of {lab!r}")
+            mors.append(parse_mor(target, mdata, dom=object_map[x], cod=object_map[y]))
+        hom_map[(x, y)] = tuple(mors)
     return Functor(source, target, object_map, hom_map, name=name)
 
 

@@ -1,6 +1,8 @@
 """Functor/adjunction validation and the separability witness calculus."""
 
+import os
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,9 +14,13 @@ from sepcat import (Functor, Infeasible,
                     fully_faithful_on, hom_space_basis, section_feasibility,
                     separability_solve, transfer_witness, validate_adjunction,
                     validate_functor, zero_morphism)
+from sepcat.category import hom_coord_dim, unit_morphisms
 from sepcat.equivariant import group_monad_functor
-from sepcat.functors import Adjunction
+from sepcat.functors import Adjunction, hom_matrix
 from sepcat.linalg import LinForm
+from sepcat.workspace import parse_workspace
+
+FIXTURE = os.path.join(os.path.dirname(__file__), "..", "fixtures", "workspace.json")
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +129,66 @@ class TestSeparabilitySolve:
             assert isinstance(solved, SepWitness) == sec.feasible
             if sec.feasible:
                 assert xi is not None
+
+
+LEFT_LAW = "H(Fv∘g) = v∘H(g)"
+RIGHT_LAW = "H(g∘Fu) = H(g)∘u"
+
+
+def _precomposed(w, psi, side):
+    """H'(g) = H(ψ_y∘g) if side is "left", else H(g∘ψ_x), for target endomorphisms ψ.
+
+    H(ψ_y∘g∘Fu) = H(ψ_y∘g)∘u keeps the right law, and H(Fv∘g∘ψ_x) = v∘H(g∘ψ_x)
+    the left one; a ψ that is not natural breaks the other law.
+    """
+    f, tgt = w.functor, w.functor.target
+    maps = {}
+    for (x, y), h in w.maps.items():
+        fx, fy = f.object_map[x], f.object_map[y]
+        fn = (lambda m: psi[y] @ m) if side == "left" else (lambda m: m @ psi[x])
+        maps[(x, y)] = h @ hom_matrix(fn, unit_morphisms(tgt, fx, fy),
+                                      hom_coord_dim(tgt, fx, fy), tgt.field)
+    return SepWitness(f, maps)
+
+
+class TestBinaturalityFailures:
+    @pytest.fixture(scope="class")
+    def ws(self):
+        return parse_workspace(FIXTURE)
+
+    @pytest.mark.parametrize("side,broken,kept,var", [
+        ("left", LEFT_LAW, RIGHT_LAW, "v"),
+        ("right", RIGHT_LAW, LEFT_LAW, "u"),
+    ])
+    @pytest.mark.parametrize("functor", ["forget_z2_q", "adj_swap_q"])
+    def test_tampered_witness_fails_exactly_one_one_sided_law(self, ws, functor, side, broken,
+                                                               kept, var):
+        f = ws.adjunction(functor).G if functor.startswith("adj") else ws.functor(functor)
+        w = separability_solve(f)
+        assert w.verify().passed
+        # the first summand's projection at the first object is not natural
+        x0 = f.source.objects[0]
+        psi = {x: f.object_map[x].identity() for x in f.source.objects}
+        psi[x0] = unit_morphisms(f.target, f.object_map[x0], f.object_map[x0])[0]
+        rep = _precomposed(w, psi, side).verify()
+        assert not rep.passed
+        [(name, detail)] = [(n, d) for n, d in rep.failures() if "binaturality" in n]
+        assert broken in name and kept not in name
+        # the basis label of v or u, then g's index and the constraint's hom pairs
+        assert re.match(rf"{var} = \S+->\S+\[\d+\], g\d+ in binaturality \(", detail), detail
+        assert "None" not in detail
+        assert any(kept in n and ok for n, ok, _ in rep.checks)
+
+    def test_swap_g_one_sided_laws_are_vacuous(self, ws):
+        # every basis morphism of C3 is an identity and F(id) = id, so no choice
+        # of matrices breaks a one-sided law; a wrong scale breaks the retraction
+        f = ws.functor("swap_g")
+        w = separability_solve(f)
+        two = f.source.field.from_int(2)
+        rep = SepWitness(f, {k: h.scale(two) for k, h in w.maps.items()}).verify()
+        failed = dict(rep.failures())
+        assert list(failed) == ["retraction H(F(f)) = f (2 checks)"]
+        assert "None" not in failed["retraction H(F(f)) = f (2 checks)"]
 
 
 class TestTransferRules:

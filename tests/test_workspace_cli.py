@@ -116,6 +116,19 @@ class TestExitCodes:
                     "validate"])
         assert code == 2
 
+    def test_negative_samples_exits_two_with_one_error_line(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["-w", FIXTURE, "--out", str(tmp_path), "--samples", "-1",
+                 "equivariant-report", "triv_z2_q"])
+        assert exc.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "--samples" in errors[0], errors
+        assert not (tmp_path / "report.json").exists()
+
+    def test_zero_samples_is_valid(self, tmp_path):
+        assert run(["-w", FIXTURE, "--out", str(tmp_path), "--samples", "0",
+                    "equivariant-report", "triv_z2_q"]) == 0
+
     def test_complex_report_f2_records_monad_not_separable(self, tmp_path):
         code = run(["-w", FIXTURE, "--out", str(tmp_path),
                     "complex-report", "triv_z2_f2"])
