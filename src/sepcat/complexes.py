@@ -2,8 +2,15 @@
 componentwise lifting of monads, and the comparison check between module
 complexes and complexes-of-modules at the hom level.
 
-Everything is exact linear algebra: chain-map spaces and null-homotopic
-subspaces are kernels and images of explicit matrices over the base field.
+Every hom space in a homotopy category here is one quotient, maps modulo
+null-homotopic maps, and every hom dimension is computed the same way:
+  - one exact solve gives span vectors of the maps;
+  - homotopies h give null vectors dh + hd;
+  - the dimension is the number of span vectors that `rank_extension` picks
+    as extending the null vectors independently.
+Both families are flattened chain-map coordinates, degree by degree over
+`_span_degrees` in `coords()` order.  The count is dim(span + null) − dim null,
+which is dim span − dim null because each caller's null vectors lie in its span.
 """
 
 from __future__ import annotations
@@ -109,11 +116,14 @@ def _span_degrees(x: BoundedComplex, y: BoundedComplex):
     return range(lo, hi + 1)
 
 
-def chain_map_space(x: BoundedComplex, y: BoundedComplex) -> list[ChainMap]:
-    """A basis of the space of chain maps x → y."""
-    if x.cat is not y.cat:
-        raise ValueError("complexes over different presentations")
-    sysm = MorSystem(x.cat.field)
+def _homotopy_degrees(x: BoundedComplex, y: BoundedComplex):
+    """The degrees n of the homotopy components h_n: x_n → y_{n−1}."""
+    degs = _span_degrees(x, y)
+    return range(degs.start, degs.stop + 1)
+
+
+def _chain_unknowns(sysm: MorSystem, x: BoundedComplex, y: BoundedComplex) -> dict:
+    """Unknowns f_n: x_n → y_n over the span degrees, required to commute with d."""
     unknowns = {n: sysm.unknown(x.term(n), y.term(n)) for n in _span_degrees(x, y)}
 
     def u(n):
@@ -121,12 +131,18 @@ def chain_map_space(x: BoundedComplex, y: BoundedComplex) -> list[ChainMap]:
 
     for n in range(x.lo - 1, x.hi + 1):
         sysm.require_equal(u(n + 1) @ x.diff(n), y.diff(n) @ u(n), f"chain square {n}")
-    sol = sysm.solve()
-    out = []
-    for k in sol.kernel:
-        parts = {n: MorSystem.eval_at(unknowns[n], k, with_const=False) for n in unknowns}
-        out.append(ChainMap(x, y, parts))
-    return out
+    return unknowns
+
+
+def chain_map_space(x: BoundedComplex, y: BoundedComplex) -> list[ChainMap]:
+    """A basis of the space of chain maps x → y."""
+    if x.cat is not y.cat:
+        raise ValueError("complexes over different presentations")
+    sysm = MorSystem(x.cat.field)
+    unknowns = _chain_unknowns(sysm, x, y)
+    return [ChainMap(x, y, {n: MorSystem.eval_at(u, k, with_const=False)
+                            for n, u in unknowns.items()})
+            for k in sysm.solve().kernel]
 
 
 def _homotopy_output_coords(x: BoundedComplex, y: BoundedComplex, h_parts) -> list:
@@ -138,21 +154,16 @@ def _homotopy_output_coords(x: BoundedComplex, y: BoundedComplex, h_parts) -> li
     return out
 
 
-def null_homotopic_space(x: BoundedComplex, y: BoundedComplex):
-    """(rank, image coordinate vectors) of h ↦ dh + hd into chain-map coordinates."""
-    cat = x.cat
-    field = cat.field
-    degs = list(_span_degrees(x, y))
-    h_bases = {n: hom_space_basis(cat, x.term(n), y.term(n - 1))
-               for n in range(degs[0], degs[-1] + 2)}
-    vectors = []
-    for n in sorted(h_bases):
-        for b in h_bases[n]:
-            h_parts = {m: (b if m == n else zero_morphism(x.term(m), y.term(m - 1)))
-                       for m in range(degs[0], degs[-1] + 2)}
-            vectors.append(_homotopy_output_coords(x, y, h_parts))
-    rank, _ = rank_extension(vectors, [], field)
-    return rank, vectors
+def null_homotopic_space(x: BoundedComplex, y: BoundedComplex) -> list:
+    """Null vectors spanning the null-homotopic chain maps x → y.
+
+    One vector dh + hd per homotopy h that is a `hom_space_basis` element in
+    one degree and zero in the others.
+    """
+    degs = _homotopy_degrees(x, y)
+    zeros = {m: zero_morphism(x.term(m), y.term(m - 1)) for m in degs}
+    return [_homotopy_output_coords(x, y, {**zeros, n: b})
+            for n in degs for b in hom_space_basis(x.cat, x.term(n), y.term(n - 1))]
 
 
 class HomotopyHom:
@@ -169,18 +180,18 @@ class HomotopyHom:
 
 
 def kb_hom_basis(x: BoundedComplex, y: BoundedComplex) -> HomotopyHom:
-    """Hom in the homotopy category: chain maps modulo null-homotopic, exactly."""
+    """Hom in the homotopy category: chain maps modulo null-homotopic, exactly.
+
+    The representatives are the chain-map basis elements that extend the null
+    vectors; null-homotopic maps are chain maps, so their number is
+    chain_dim − null_dim.
+    """
     chain_basis = chain_map_space(x, y)
-    null_rank, null_vectors = null_homotopic_space(x, y)
-    chain_vectors = []
-    for cm in chain_basis:
-        coords = []
-        for n in _span_degrees(x, y):
-            coords.extend(cm.part(n).coords())
-        chain_vectors.append(coords)
-    base_rank, chosen = rank_extension(null_vectors, chain_vectors, x.cat.field)
+    chain_vectors = [[c for n in _span_degrees(x, y) for c in cm.part(n).coords()]
+                     for cm in chain_basis]
+    null_rank, chosen = rank_extension(null_homotopic_space(x, y), chain_vectors, x.cat.field)
     reps = [chain_basis[i] for i in chosen]
-    return HomotopyHom(len(chain_basis) - null_rank, len(chain_basis), null_rank, reps)
+    return HomotopyHom(len(reps), len(chain_basis), null_rank, reps)
 
 
 def apply_functor_to_complex(f, c: BoundedComplex, name: str = "") -> BoundedComplex:
@@ -290,95 +301,61 @@ class ModuleComplex:
 
 
 def module_chain_hom_dim(a: ModuleComplex, b: ModuleComplex) -> int:
-    """Hom dimension in the homotopy category of module complexes.
+    """d₁: hom dimension in the homotopy category of module complexes.
 
-    Chain maps that are degreewise module morphisms, modulo homotopies whose
-    components are module morphisms.
+    Span: chain maps that are degreewise module morphisms, one solve.  Null:
+    dh + hd over a kernel basis of the homotopies whose components are module
+    morphisms, a second solve.  Such a dh + hd is a chain map and, as a sum of
+    composites of module morphisms, a module map, so null ⊆ span.
     """
-    monad = a.monad
-    mf = monad.functor
+    if a.monad is not b.monad:
+        raise ValueError("modules over different monads")
+    mf = a.monad.functor
     x, y = a.underlying, b.underlying
     field = x.cat.field
-    degs = list(_span_degrees(x, y))
     sysm = MorSystem(field)
-    unknowns = {n: sysm.unknown(x.term(n), y.term(n)) for n in degs}
-
-    def u(n):
-        return unknowns.get(n) or zero_morphism(x.term(n), y.term(n))
-
-    for n in range(x.lo - 1, x.hi + 1):
-        sysm.require_equal(u(n + 1) @ x.diff(n), y.diff(n) @ u(n), f"chain {n}")
-    for n in degs:
-        sysm.require_equal(u(n) @ a.action_at(n), b.action_at(n) @ mf.on_morphism(u(n)),
+    unknowns = _chain_unknowns(sysm, x, y)
+    for n, u in unknowns.items():
+        sysm.require_equal(u @ a.action_at(n), b.action_at(n) @ mf.on_morphism(u),
                            f"module law {n}")
-    k1 = len(sysm.solve().kernel)
+    span = sysm.solve().kernel
 
     sys_h = MorSystem(field)
-    h_unknowns = {n: sys_h.unknown(x.term(n), y.term(n - 1))
-                  for n in range(degs[0], degs[-1] + 2)}
-    for n, hn in h_unknowns.items():
+    h = {n: sys_h.unknown(x.term(n), y.term(n - 1)) for n in _homotopy_degrees(x, y)}
+    for n, hn in h.items():
         sys_h.require_equal(hn @ a.action_at(n), b.action_at(n - 1) @ mf.on_morphism(hn),
                             f"module homotopy {n}")
-    n_modh = len(sys_h.solve().kernel)
-
-    sys_h0 = MorSystem(field)
-    h0 = {n: sys_h0.unknown(x.term(n), y.term(n - 1))
-          for n in range(degs[0], degs[-1] + 2)}
-    for n, hn in h0.items():
-        sys_h0.require_equal(hn @ a.action_at(n), b.action_at(n - 1) @ mf.on_morphism(hn),
-                             f"module homotopy {n}")
-    for n in degs:
-        zero_map = zero_morphism(x.term(n), y.term(n))
-        hd = h0.get(n + 1)
-        dh = h0.get(n)
-        expr = (y.diff(n - 1) @ dh) + (hd @ x.diff(n))
-        sys_h0.require_equal(expr, zero_map, f"vanishing image {n}")
-    k0 = len(sys_h0.solve().kernel)
-    null_dim = n_modh - k0
-    return k1 - null_dim
+    null = [_homotopy_output_coords(x, y, {n: MorSystem.eval_at(hn, k, with_const=False)
+                                           for n, hn in h.items()})
+            for k in sys_h.solve().kernel]
+    return len(rank_extension(null, span, field)[1])
 
 
 def lifted_module_hom_dim(a: ModuleComplex, b: ModuleComplex) -> int:
-    """Hom dimension of module objects over the lifted monad in the homotopy category.
+    """d₂: hom dimension of module objects over the lifted monad in the homotopy category.
 
-    Chain maps f with f∘λ − λ'∘M(f) null-homotopic, modulo null-homotopic
-    chain maps; the quotient is well defined because null-homotopic maps
-    satisfy the condition via the transported homotopy.
+    Span: the chain maps f with f∘λ − λ'∘M(f) = dh + hd for some homotopy h,
+    one solve of the joint (f, h) system.  The f unknowns come first, in
+    chain-map coordinate order, so each kernel vector's first entries are its
+    f.  Null: `null_homotopic_space`.  A null-homotopic f = dk + kd satisfies
+    the condition with the transported homotopy h = kλ − λ'M(k), so null ⊆ span.
     """
-    monad = a.monad
-    mf = monad.functor
+    if a.monad is not b.monad:
+        raise ValueError("modules over different monads")
+    mf = a.monad.functor
     x, y = a.underlying, b.underlying
     field = x.cat.field
     mx = apply_functor_to_complex(mf, x)
-    degs = list(_span_degrees(x, y))
-
     sysm = MorSystem(field)
-    f_unknowns = {n: sysm.unknown(x.term(n), y.term(n)) for n in degs}
-    h_unknowns = {n: sysm.unknown(mx.term(n), y.term(n - 1))
-                  for n in range(degs[0], degs[-1] + 2)}
-
-    def fu(n):
-        return f_unknowns.get(n) or zero_morphism(x.term(n), y.term(n))
-
-    for n in range(x.lo - 1, x.hi + 1):
-        sysm.require_equal(fu(n + 1) @ x.diff(n), y.diff(n) @ fu(n), f"chain {n}")
-    for n in degs:
-        lhs = (fu(n) @ a.action_at(n)) - (b.action_at(n) @ mf.on_morphism(fu(n)))
-        rhs = (y.diff(n - 1) @ h_unknowns[n]) + (h_unknowns[n + 1] @ mx.diff(n))
+    f = _chain_unknowns(sysm, x, y)
+    n_f = sysm.n
+    h = {n: sysm.unknown(mx.term(n), y.term(n - 1)) for n in _homotopy_degrees(x, y)}
+    for n, fn in f.items():
+        lhs = (fn @ a.action_at(n)) - (b.action_at(n) @ mf.on_morphism(fn))
+        rhs = (y.diff(n - 1) @ h[n]) + (h[n + 1] @ mx.diff(n))
         sysm.require_equal(lhs, rhs, f"module-up-to-homotopy {n}")
-    k_joint = len(sysm.solve().kernel)
-
-    sys_h = MorSystem(field)
-    h0 = {n: sys_h.unknown(mx.term(n), y.term(n - 1))
-          for n in range(degs[0], degs[-1] + 2)}
-    for n in degs:
-        expr = (y.diff(n - 1) @ h0[n]) + (h0[n + 1] @ mx.diff(n))
-        sys_h.require_equal(expr, zero_morphism(mx.term(n), y.term(n)), f"vanishing {n}")
-    k_h = len(sys_h.solve().kernel)
-    dim_s2 = k_joint - k_h
-
-    null_rank, _ = null_homotopic_space(x, y)
-    return dim_s2 - null_rank
+    span = [k[:n_f] for k in sysm.solve().kernel]
+    return len(rank_extension(null_homotopic_space(x, y), span, field)[1])
 
 
 def module_complex_retract(sw: MonadSepWitness, a: ModuleComplex):

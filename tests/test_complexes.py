@@ -73,6 +73,12 @@ class TestHomotopyHoms:
         s1 = stalk(c1_q, c1_q.obj("pt"), 1)
         assert kb_hom_basis(s0, s1).dim == 0
 
+    def test_zero_complex_has_zero_homs(self, c1_q):
+        zero = BoundedComplex(c1_q, {}, {}, name="zero")
+        s = stalk(c1_q, c1_q.obj("pt"), 3)
+        for a, b in ((zero, zero), (zero, s), (s, zero)):
+            assert kb_hom_basis(a, b).dim == 0
+
     def test_homotopy_invariance_under_contractible_summands(self, c1_q):
         pt = c1_q.obj("pt")
         s = stalk(c1_q, pt)
@@ -185,6 +191,39 @@ class TestDerivedComparison:
         ]
         rep = derived_comparison_check(act_z2_q, samples, monad=monad_z2_q, sigma=sigma_z2)
         assert rep.passed
+
+    def test_one_solve_for_the_span_and_one_for_module_homotopies(
+            self, monad_z2_q, chars_z2_q, c1_q, monkeypatch):
+        # d₁ solves for its span and its module homotopies, d₂ only for its joint span
+        from sepcat.category import MorSystem
+        pool = [chars_z2_q["triv"], chars_z2_q["sign"],
+                free_module(monad_z2_q, c1_q.obj("pt"))]
+        rng = random.Random(5)
+        a = random_module_complex(monad_z2_q, pool, 3, rng, name="A")
+        b = random_module_complex(monad_z2_q, pool, 3, rng, name="B")
+        module_chain_hom_dim(a, b), lifted_module_hom_dim(a, b)  # fill the hom-basis caches
+        solves = []
+        real_solve = MorSystem.solve
+
+        def counting_solve(sysm):
+            solves.append(sysm)
+            return real_solve(sysm)
+
+        monkeypatch.setattr(MorSystem, "solve", counting_solve)
+        module_chain_hom_dim(a, b)
+        assert len(solves) == 2
+        lifted_module_hom_dim(a, b)
+        assert len(solves) == 3
+
+    def test_mixed_monads_are_rejected(self, monad_z2_q, chars_z2_q, act_z2_q, act_z3_q, c1_q):
+        st = ModuleComplex(monad_z2_q, {0: chars_z2_q["triv"]}, {}, name="stalk(triv)")
+        for monad in (equivariant_monad(act_z3_q), equivariant_monad(act_z2_q)):
+            other = ModuleComplex(monad, {0: free_module(monad, c1_q.obj("pt"))}, {}, name="free")
+            for a, b in ((st, other), (other, st)):
+                with pytest.raises(ValueError, match="modules over different monads"):
+                    module_chain_hom_dim(a, b)
+                with pytest.raises(ValueError, match="modules over different monads"):
+                    lifted_module_hom_dim(a, b)
 
     def test_monad_not_separable_raises(self, act_z2_f2):
         monad = equivariant_monad(act_z2_f2)
