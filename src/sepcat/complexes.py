@@ -59,19 +59,11 @@ class BoundedComplex:
 
 def validate_complex(c: BoundedComplex) -> ValidationReport:
     rep = ValidationReport(f"complex {c.name}" if c.name else "complex")
-    shape_bad = []
-    for n, d in c.diffs.items():
-        if d.dom != c.term(n) or d.cod != c.term(n + 1):
-            shape_bad.append(n)
-    rep.record("differentials have the right endpoints", not shape_bad,
-               "; ".join(map(str, shape_bad)))
-    if shape_bad:
-        return rep
-    dd_bad = []
-    for n in range(c.lo - 1, c.hi + 1):
-        if not (c.diff(n + 1) @ c.diff(n)).is_zero():
-            dd_bad.append(n)
-    rep.record("d∘d = 0", not dd_bad, "; ".join(map(str, dd_bad)))
+    bad = [n for n, d in c.diffs.items() if d.dom != c.term(n) or d.cod != c.term(n + 1)]
+    if rep.record("differentials have the right endpoints", not bad, "; ".join(map(str, bad))):
+        rep.record_laws((("d∘d", (n,), c.diff(n + 1) @ c.diff(n),
+                          zero_morphism(c.term(n), c.term(n + 2))) for n in range(c.lo - 1, c.hi + 1)),
+                        {"d∘d": ("d∘d = 0", str)})
     return rep
 
 
@@ -90,15 +82,10 @@ class ChainMap:
         return p
 
     def verify(self) -> ValidationReport:
-        rep = ValidationReport("chain map")
-        bad = []
-        lo = min(self.src.lo, self.dst.lo) - 1
-        hi = max(self.src.hi, self.dst.hi)
-        for n in range(lo, hi + 1):
-            if self.part(n + 1) @ self.src.diff(n) != self.dst.diff(n) @ self.part(n):
-                bad.append(n)
-        rep.record("commutes with differentials", not bad, "; ".join(map(str, bad)))
-        return rep
+        degrees = range(min(self.src.lo, self.dst.lo) - 1, max(self.src.hi, self.dst.hi) + 1)
+        return ValidationReport("chain map").record_laws(
+            (("chain", (n,), self.part(n + 1) @ self.src.diff(n), self.dst.diff(n) @ self.part(n))
+             for n in degrees), {"chain": ("commutes with differentials", str)})
 
     def __eq__(self, other):
         if not isinstance(other, ChainMap):
@@ -230,25 +217,24 @@ class LiftedMonad:
         mf = m.functor
         mc = self.on_complex(c)
         rep.merge(validate_complex(mc))
-        assoc_bad, unit_bad, sec_bad = [], [], []
-        for n in c.degrees():
-            t = c.term(n)
-            mt = mf.on_object(t)
-            mu = m.mult.at(t)
-            if mu @ mf.on_morphism(mu) != mu @ m.mult.at(mt):
-                assoc_bad.append(n)
-            if mu @ mf.on_morphism(m.unit.at(t)) != mt.identity():
-                unit_bad.append(n)
-            if mu @ m.unit.at(mt) != mt.identity():
-                unit_bad.append(n)
-            if sw is not None:
-                sig = sw.sigma.at(t)
-                if mu @ sig != mt.identity():
-                    sec_bad.append(n)
-        rep.record("associativity degreewise", not assoc_bad, "; ".join(map(str, assoc_bad)))
-        rep.record("unit laws degreewise", not unit_bad, "; ".join(map(str, unit_bad)))
+
+        def laws():
+            for n in c.degrees():
+                t = c.term(n)
+                mt = mf.on_object(t)
+                mu = m.mult.at(t)
+                yield "associativity", (n,), mu @ mf.on_morphism(mu), mu @ m.mult.at(mt)
+                yield "unit", (n,), mu @ mf.on_morphism(m.unit.at(t)), mt.identity()
+                yield "unit", (n,), mu @ m.unit.at(mt), mt.identity()
+                if sw is not None:
+                    yield "section", (n,), mu @ sw.sigma.at(t), mt.identity()
+
+        checks = {"associativity": ("associativity degreewise", str),
+                  "unit": ("unit laws degreewise", str)}
         if sw is not None:
-            rep.record("μ∘σ = Id degreewise", not sec_bad, "; ".join(map(str, sec_bad)))
+            checks["section"] = ("μ∘σ = Id degreewise", str)
+        rep.record_laws(laws(), checks)
+        if sw is not None:
             rep.merge(self.section(sw, c).verify())
         return rep
 
@@ -285,12 +271,11 @@ class ModuleComplex:
         mf = self.monad.functor
         for n, m in sorted(self.modules.items()):
             rep.merge(validate_module(m))
-        bad = []
-        for n in self.underlying.degrees():
-            d = self.underlying.diff(n)
-            if d @ self.action_at(n) != self.action_at(n + 1) @ mf.on_morphism(d):
-                bad.append(n)
-        rep.record("differentials are module morphisms", not bad, "; ".join(map(str, bad)))
+        diff = self.underlying.diff
+        rep.record_laws((("module map", (n,), diff(n) @ self.action_at(n),
+                          self.action_at(n + 1) @ mf.on_morphism(diff(n)))
+                         for n in self.underlying.degrees()),
+                        {"module map": ("differentials are module morphisms", str)})
         return rep
 
     def degrees(self):
@@ -375,8 +360,8 @@ def module_complex_retract(sw: MonadSepWitness, a: ModuleComplex):
     rep = ValidationReport("complex-level retract of the free cover")
     rep.merge(s.verify())
     rep.merge(r.verify())
-    bad = [n for n in x.degrees() if r_parts[n] @ s_parts[n] != x.term(n).identity()]
-    rep.record("λ∘s = Id degreewise", not bad, "; ".join(map(str, bad)))
+    rep.record_laws((("retraction", (n,), r_parts[n] @ s_parts[n], x.term(n).identity())
+                     for n in x.degrees()), {"retraction": ("λ∘s = Id degreewise", str)})
     return s, r, rep
 
 

@@ -19,7 +19,7 @@ from .category import (CatObject, LinearCategory, Morphism, MorSystem,
 from .errors import (LawViolationError, NonInvertibleComponentError,
                      NotInvertibleError, PreconditionError)
 from .functors import (Adjunction, Functor, NatTrans, compose_functors,
-                       validate_adjunction, validate_functor, validate_nat)
+                       validate_adjunction, validate_functor, validate_nat, validate_section)
 from .monads import Monad, validate_monad
 from .reports import ValidationReport
 
@@ -173,13 +173,10 @@ def validate_action(a: GroupAction) -> ValidationReport:
     rep.record("Φ_g permutes the base objects", perm_ok)
     rep.record("Φ_e is the identity presentation",
                a.functors[a.group.unit].equals(Functor.identity(a.base)))
-    comp_bad = []
-    for g in a.group.elements:
-        for h in a.group.elements:
-            composite = compose_functors(a.functors[g], a.functors[h])
-            if not composite.equals(a.functors[a.group.mult(g, h)]):
-                comp_bad.append(f"({g},{h})")
-    rep.record("Φ_g∘Φ_h = Φ_gh", not comp_bad, "; ".join(comp_bad))
+    els = a.group.elements
+    bad = [f"({g},{h})" for g in els for h in els if not compose_functors(
+        a.functors[g], a.functors[h]).equals(a.functors[a.group.mult(g, h)])]
+    rep.record("Φ_g∘Φ_h = Φ_gh", not bad, "; ".join(bad))
     return rep
 
 
@@ -213,29 +210,25 @@ class EquivariantObject:
         rep = ValidationReport(f"equivariant object {self.name}" if self.name else "equivariant object")
         a = self.action
         g0 = a.group.unit
-        shape_bad = []
-        for g in a.group.elements:
-            m = self.alpha.get(g)
-            if m is None or m.dom != self.carrier or m.cod != a.functors[g].on_object(self.carrier):
-                shape_bad.append(g)
-        rep.record("components α_g: X → ^gX present", not shape_bad, "; ".join(map(str, shape_bad)))
-        if shape_bad:
-            return rep
-        rep.record("α_e = Id", self.alpha[g0] == self.carrier.identity())
-        cocycle_bad = []
-        for g in a.group.elements:
-            for g2 in a.group.elements:
-                lhs = a.functors[g].on_morphism(self.alpha[g2]) @ self.alpha[g]
-                if lhs != self.alpha[a.group.mult(g, g2)]:
-                    cocycle_bad.append(f"({g},{g2})")
-        rep.record("cocycle ^g(α_g')∘α_g = α_gg'", not cocycle_bad, "; ".join(cocycle_bad))
-        inv_bad = []
-        for g in a.group.elements:
-            left = a.functors[g].on_morphism(self.alpha[a.group.inv(g)])
-            if self.alpha[g] @ left != self.alpha[g].cod.identity():
-                inv_bad.append(g)
-        rep.record("α_g invertible", not inv_bad, "; ".join(map(str, inv_bad)))
+        bad = [g for g in a.group.elements if (m := self.alpha.get(g)) is None
+               or m.dom != self.carrier or m.cod != a.functors[g].on_object(self.carrier)]
+        if rep.record("components α_g: X → ^gX present", not bad, "; ".join(map(str, bad))):
+            rep.record("α_e = Id", self.alpha[g0] == self.carrier.identity())
+            rep.record_laws(self._laws(), {"cocycle": ("cocycle ^g(α_g')∘α_g = α_gg'", "({},{})".format),
+                                           "inverse": ("α_g invertible", str)})
         return rep
+
+    def _laws(self):
+        """The cocycle law per pair (g, g'), then α_g∘^g(α_{g⁻¹}) = Id per g."""
+        a = self.action
+        els = a.group.elements
+        for g in els:
+            for g2 in els:
+                yield ("cocycle", (g, g2), a.functors[g].on_morphism(self.alpha[g2]) @ self.alpha[g],
+                       self.alpha[a.group.mult(g, g2)])
+        for g in els:
+            left = a.functors[g].on_morphism(self.alpha[a.group.inv(g)])
+            yield "inverse", (g,), self.alpha[g] @ left, self.alpha[g].cod.identity()
 
     def __repr__(self):
         return f"<EquivObject {self.name or self.carrier!r}>"
@@ -573,16 +566,11 @@ def xi_section(eqcat: EquivariantCategory, adj: Adjunction) -> NatTrans:
     """ξ: Id → F∘U on the equivariant presentation, from the Maschke sections."""
     pcat = eqcat.cat
     fu = compose_functors(adj.F, adj.G, name="FU")
-    comps = {}
-    for l in eqcat.labels:
-        z = eqcat.objects[l]
-        raw_xi = xi_forgetful(eqcat.action, z)
-        comps[l] = eqcat.to_pres_mor(pcat.obj(l), fu.object_map[l], raw_xi)
+    comps = {l: eqcat.to_pres_mor(pcat.obj(l), fu.object_map[l],
+                                  xi_forgetful(eqcat.action, eqcat.objects[l]))
+             for l in eqcat.labels}
     xi = NatTrans(Functor.identity(pcat), fu, comps, name="ξ")
-    validate_nat(xi).require(LawViolationError, "Maschke section")
-    for l in eqcat.labels:
-        if adj.counit.components[l] @ comps[l] != pcat.obj(l).identity():
-            raise LawViolationError(f"ε∘ξ differs from the identity at {l}")
+    validate_section(adj, xi).require(LawViolationError, "Maschke section")
     return xi
 
 

@@ -10,6 +10,12 @@ affine solve over the matrix entries.  Binaturality is imposed as its two
 one-sided laws H(F v∘g) = v∘H(g) and H(g∘F u) = H(g)∘u on basis morphisms:
 the joint law H(F v∘g∘F u) = v∘H(g)∘u gives each with u or v an identity,
 and H(F v∘(g∘F u)) = v∘H(g∘F u) = v∘H(g)∘u gives it back from them.
+
+Each law family is written once, as a generator of (label, place, lhs, rhs)
+that a solver imposes on unknowns and a checker reads with
+`ValidationReport.record_laws`: `naturality_laws`, `section_laws` for a section
+ξ of the counit, and `SepWitness._laws`, which keys by law and starts each
+place with the finer label of its rows.
 """
 
 from __future__ import annotations
@@ -140,25 +146,11 @@ def compose_functors(outer: Functor, inner: Functor, name: str = "") -> Functor:
                    name=name or f"{outer.name}∘{inner.name}")
 
 
-def validate_functor(f: Functor) -> ValidationReport:
-    """Identity and composition preservation on all basis data, exactly."""
-    rep = ValidationReport(f"functor {f.name}" if f.name else "functor")
+def _functor_laws(f: Functor):
+    """F(id_x) = id_{F x}, then F(b∘a) = F(b)∘F(a) on basis pairs, as (key, place, lhs, rhs)."""
     src = f.source
-    ok_shapes = True
-    for (x, y), mors in f.hom_map.items():
-        for m in mors:
-            if m.dom != f.object_map[x] or m.cod != f.object_map[y]:
-                ok_shapes = False
-    rep.record("hom images have the right endpoints", ok_shapes)
-    id_bad = []
     for x in src.objects:
-        img = f.on_hom_vec(x, x, src.id_vec(x))
-        if img != f.object_map[x].identity():
-            id_bad.append(x)
-    rep.record(f"identity preservation ({len(src.objects)} objects)", not id_bad,
-               "; ".join(map(str, id_bad)))
-    comp_bad = []
-    n = 0
+        yield "identity", (x,), f.on_hom_vec(x, x, src.id_vec(x)), f.object_map[x].identity()
     for x, y, z in itertools.product(src.objects, repeat=3):
         dxy, dyz = src.hom_dim(x, y), src.hom_dim(y, z)
         if not (dxy and dyz):
@@ -166,11 +158,21 @@ def validate_functor(f: Functor) -> ValidationReport:
         for ib, b in enumerate(unit_vectors(src.field, dyz)):
             fb = f.hom_map[(y, z)][ib]
             for ia, a in enumerate(unit_vectors(src.field, dxy)):
-                n += 1
-                ba = src.compose_vec(x, y, z, b, a)
-                if f.on_hom_vec(x, z, ba) != fb @ f.hom_map[(x, y)][ia]:
-                    comp_bad.append(f"({src.basis_label(y, z, ib)}, {src.basis_label(x, y, ia)})")
-    rep.record(f"composition preservation ({n} pairs)", not comp_bad, "; ".join(comp_bad))
+                yield ("composition", (x, y, z, ia, ib),
+                       f.on_hom_vec(x, z, src.compose_vec(x, y, z, b, a)), fb @ f.hom_map[(x, y)][ia])
+
+
+def validate_functor(f: Functor) -> ValidationReport:
+    """Identity and composition preservation on all basis data, exactly."""
+    rep = ValidationReport(f"functor {f.name}" if f.name else "functor")
+    label = f.source.basis_label
+    ok_shapes = all(m.dom == f.object_map[x] and m.cod == f.object_map[y]
+                    for (x, y), mors in f.hom_map.items() for m in mors)
+    rep.record("hom images have the right endpoints", ok_shapes)
+    rep.record_laws(_functor_laws(f), {
+        "identity": ("identity preservation ({n} objects)", str),
+        "composition": ("composition preservation ({n} pairs)",
+                        lambda x, y, z, ia, ib: f"({label(y, z, ib)}, {label(x, y, ia)})")})
     return rep
 
 
@@ -210,30 +212,35 @@ class NatTrans:
         return f"<NatTrans {self.name or 'τ'}: {self.src.name or 'F'} → {self.dst.name or 'G'}>"
 
 
-def validate_nat(t: NatTrans) -> ValidationReport:
-    rep = ValidationReport(f"natural transformation {t.name}" if t.name else "natural transformation")
-    src = t.src.source
-    if t.src.source is not t.dst.source or t.src.target is not t.dst.target:
-        rep.record("parallel functors", False)
-        return rep
-    shape_bad = []
-    for x in src.objects:
-        c = t.components.get(x)
-        if c is None or c.dom != t.src.object_map[x] or c.cod != t.dst.object_map[x]:
-            shape_bad.append(x)
-    rep.record("components have the right endpoints", not shape_bad, "; ".join(map(str, shape_bad)))
-    if shape_bad:
-        return rep
-    nat_bad = []
-    n = 0
+def naturality_laws(t: NatTrans):
+    """Naturality of t on basis morphisms b: x→y, G(b)∘t_x = t_y∘F(b), as (label, place, lhs, rhs).
+
+    The place is b's basis index (x, y, i).  The components may be unknowns.
+    """
     for (x, y), mors in sorted(t.src.hom_map.items()):
-        for i in range(len(mors)):
-            n += 1
-            lhs = t.dst.hom_map[(x, y)][i] @ t.components[x]
-            rhs = t.components[y] @ mors[i]
-            if lhs != rhs:
-                nat_bad.append(src.basis_label(x, y, i))
-    rep.record(f"naturality ({n} squares)", not nat_bad, "; ".join(nat_bad))
+        for i, m in enumerate(mors):
+            yield ("naturality", (x, y, i), t.dst.hom_map[(x, y)][i] @ t.components[x],
+                   t.components[y] @ m)
+
+
+def validate_nat(t: NatTrans, laws=None, checks=None, into=None) -> ValidationReport:
+    """Component endpoints of t, then, when they fit, naturality and `checks` in one
+    pass over `laws` (by default `naturality_laws(t)`).
+
+    Recorded into the report `into` when one is given, with t's own checks named
+    under t's subject, as `ValidationReport.merge` would name them.
+    """
+    subject = f"natural transformation {t.name}" if t.name else "natural transformation"
+    rep, prefix = (ValidationReport(subject), "") if into is None else (into, f"{subject}: ")
+    if t.src.source is not t.dst.source or t.src.target is not t.dst.target:
+        rep.record(f"{prefix}parallel functors", False)
+        return rep
+    bad = [x for x in t.src.source.objects if (c := t.components.get(x)) is None
+           or c.dom != t.src.object_map[x] or c.cod != t.dst.object_map[x]]
+    if rep.record(f"{prefix}components have the right endpoints", not bad, "; ".join(map(str, bad))):
+        rep.record_laws(naturality_laws(t) if laws is None else laws, {
+            "naturality": (f"{prefix}naturality ({{n}} squares)", t.src.source.basis_label),
+            **(checks or {})})
     return rep
 
 
@@ -253,30 +260,23 @@ class Adjunction:
 
 def validate_adjunction(adj: Adjunction) -> ValidationReport:
     """The two triangle identities, checked exactly at every base object."""
-    rep = ValidationReport(f"adjunction {adj.name}" if adj.name else "adjunction")
-    bad1 = []
+    return ValidationReport(f"adjunction {adj.name}" if adj.name else "adjunction").record_laws(
+        _triangle_laws(adj), {"left": ("εF∘Fη = Id_F", str), "right": ("Gε∘ηG = Id_G", str)})
+
+
+def _triangle_laws(adj: Adjunction):
     for x in adj.F.source.objects:
         fx = adj.F.object_map[x]
-        lhs = adj.counit.at(fx) @ adj.F.on_morphism(adj.unit.components[x])
-        if lhs != fx.identity():
-            bad1.append(x)
-    rep.record("εF∘Fη = Id_F", not bad1, "; ".join(map(str, bad1)))
-    bad2 = []
+        yield ("left", (x,), adj.counit.at(fx) @ adj.F.on_morphism(adj.unit.components[x]),
+               fx.identity())
     for d in adj.G.source.objects:
         gd = adj.G.object_map[d]
-        lhs = adj.G.on_morphism(adj.counit.components[d]) @ adj.unit.at(gd)
-        if lhs != gd.identity():
-            bad2.append(d)
-    rep.record("Gε∘ηG = Id_G", not bad2, "; ".join(map(str, bad2)))
-    return rep
+        yield ("right", (d,), adj.G.on_morphism(adj.counit.components[d]) @ adj.unit.at(gd),
+               gd.identity())
 
 
-# each law's check name, and the template of a failure: the basis label of b_t, v or
-# u, then g's index and the constraint label
-_LAWS = {"retraction H(F(f)) = f": "{0}",
-         "binaturality H(Fv∘g) = v∘H(g)": "v = {0}, g{1} in {2}",
-         "binaturality H(g∘Fu) = H(g)∘u": "u = {0}, g{1} in {2}"}
-RETRACTION, LEFT_NATURALITY, RIGHT_NATURALITY = _LAWS
+RETRACTION, LEFT_NATURALITY, RIGHT_NATURALITY = (
+    "retraction H(F(f)) = f", "binaturality H(Fv∘g) = v∘H(g)", "binaturality H(g∘Fu) = H(g)∘u")
 
 
 class SepWitness:
@@ -317,7 +317,7 @@ class SepWitness:
         return morphism(src, a, b, raw)
 
     def _laws(self):
-        """Every law on basis data, in a fixed order, as (law, label, at, lhs, rhs).
+        """Every law on basis data, in a fixed order, as (law, place, lhs, rhs).
 
         First the retraction H(F b_t) = b_t per pair (x, y).  Then binaturality,
         as two one-sided laws for each g of the basis of Hom(F x, F y):
@@ -325,8 +325,9 @@ class SepWitness:
         They hold exactly when the joint law H(F v∘g∘F u) = v∘H(g)∘u does: the
         joint law with u or v an identity (a combination of basis morphisms) is
         a one-sided law, and H(F v∘(g∘F u)) = v∘H(g∘F u) = v∘H(g)∘u.
-        `label` names the constraint for the solver; `at` is the basis morphism
-        b_t, v or u as ((dom, cod, index),), followed by g's index.
+        The place starts with the label that names the constraint for the
+        solver, then the basis morphism b_t, v or u as (dom, cod, index),
+        then g's index.
         """
         f = self.functor
         src, tgt = f.source, f.target
@@ -334,7 +335,7 @@ class SepWitness:
         pairs = [(x, y) for x in src.objects for y in src.objects]
         for (x, y) in pairs:
             for t, b in enumerate(hom_space_basis(src, obj[x], obj[y])):
-                yield (RETRACTION, f"retraction ({x},{y})", ((x, y, t),),
+                yield (RETRACTION, (f"retraction ({x},{y})", x, y, t),
                        self.apply(obj[x], obj[y], f.hom_map[(x, y)][t]), b)
         for (x, y) in pairs:
             gbasis = hom_space_basis(tgt, f.object_map[x], f.object_map[y])
@@ -346,13 +347,13 @@ class SepWitness:
                 for iv, v in enumerate(hom_space_basis(src, obj[y], obj[z])):
                     fv = f.hom_map[(y, z)][iv]
                     for gi, g in enumerate(gbasis):
-                        yield (LEFT_NATURALITY, label, ((y, z, iv), gi),
+                        yield (LEFT_NATURALITY, (label, y, z, iv, gi),
                                self.apply(obj[x], obj[z], fv @ g), v @ images[gi])
                 label = f"binaturality ({x},{y})→({z},{y})"
                 for iu, u in enumerate(hom_space_basis(src, obj[z], obj[x])):
                     fu = f.hom_map[(z, x)][iu]
                     for gi, g in enumerate(gbasis):
-                        yield (RIGHT_NATURALITY, label, ((z, x, iu), gi),
+                        yield (RIGHT_NATURALITY, (label, z, x, iu, gi),
                                self.apply(obj[z], obj[y], g @ fu), images[gi] @ u)
 
     def verify(self) -> ValidationReport:
@@ -360,17 +361,14 @@ class SepWitness:
 
         One check per law; a failing one names up to six places where it fails.
         """
-        basis_label = self.functor.source.basis_label
-        count = dict.fromkeys(_LAWS, 0)
-        bad = {law: [] for law in _LAWS}
-        for law, label, ((a, b, i), *gi), lhs, rhs in self._laws():
-            count[law] += 1
-            if lhs != rhs:
-                bad[law].append(_LAWS[law].format(basis_label(a, b, i), *gi, label))
-        rep = ValidationReport("separability witness")
-        for law, n in count.items():
-            rep.record(f"{law} ({n} checks)", not bad[law], "; ".join(bad[law][:6]))
-        return rep
+        bl = self.functor.source.basis_label
+        return ValidationReport("separability witness").record_laws(self._laws(), {
+            RETRACTION: (f"{RETRACTION} ({{n}} checks)", lambda _, x, y, t: bl(x, y, t)),
+            LEFT_NATURALITY: (f"{LEFT_NATURALITY} ({{n}} checks)",
+                              lambda label, y, z, i, gi: f"v = {bl(y, z, i)}, g{gi} in {label}"),
+            RIGHT_NATURALITY: (f"{RIGHT_NATURALITY} ({{n}} checks)",
+                               lambda label, z, x, i, gi: f"u = {bl(z, x, i)}, g{gi} in {label}")},
+            limit=6)
 
     def __repr__(self):
         return f"<SepWitness for {self.functor!r}>"
@@ -391,7 +389,7 @@ def separability_solve(f: Functor):
         a = hom_coord_dim(tgt, f.object_map[x], f.object_map[y])
         rows = [sysm.variables(a) for _ in range(src.hom_dim(x, y))]
         unknowns[(x, y)] = Matrix(src.field, rows, cols=a)
-    for _, label, _, lhs, rhs in SepWitness(f, unknowns)._laws():
+    for _, (label, *_), lhs, rhs in SepWitness(f, unknowns)._laws():
         sysm.require_equal(lhs, rhs, label)
     sol = sysm.solve()
     if not sol.feasible:
@@ -504,10 +502,8 @@ def fully_faithful_witness(f: Functor) -> SepWitness:
 
 def witness_from_section(adj: Adjunction, xi: NatTrans) -> SepWitness:
     """H(g) = ε_Y∘F(g)∘ξ_X: a witness for the right adjoint from a counit section."""
+    validate_section(adj, xi).require(PreconditionError, "from-xi transfer needs a section of ε")
     src = adj.G.source
-    for x in src.objects:
-        if adj.counit.components[x] @ xi.components[x] != src.obj(x).identity():
-            raise PreconditionError(f"ε∘ξ is not the identity at {x}")
 
     def h_at(x, y):
         def h(g):
@@ -534,43 +530,46 @@ def transfer_witness(rule: str, *args) -> SepWitness:
     raise ValueError(f"unknown transfer rule {rule!r}")
 
 
+def section_laws(adj: Adjunction, xi: NatTrans):
+    """The laws of a section ξ: Id → FG of the counit: naturality, then ε∘ξ = Id per object."""
+    yield from naturality_laws(xi)
+    dcat = adj.G.source
+    for x in dcat.objects:
+        yield "section law", (x,), adj.counit.components[x] @ xi.components[x], dcat.obj(x).identity()
+
+
+def validate_section(adj: Adjunction, xi: NatTrans) -> ValidationReport:
+    """ξ's component endpoints, then, when they fit, one pass over `section_laws`."""
+    return validate_nat(xi, section_laws(adj, xi), {"section law": ("ε∘ξ = Id", str)})
+
+
 def extract_section(adj: Adjunction, w: SepWitness) -> NatTrans:
     """ξ_X = H_{X, FG X}(η_{G X}), verified to satisfy ε∘ξ = Id and naturality."""
     if not w.functor.equals(adj.G):
         raise PreconditionError("witness is not for the right adjoint")
     dcat = adj.G.source
     fg = compose_functors(adj.F, adj.G, name="FG")
-    comps = {}
-    for x in dcat.objects:
-        gx = adj.G.object_map[x]
-        fgx = fg.object_map[x]
-        comps[x] = w.apply(dcat.obj(x), fgx, adj.unit.at(gx))
+    comps = {x: w.apply(dcat.obj(x), fg.object_map[x], adj.unit.at(adj.G.object_map[x]))
+             for x in dcat.objects}
     xi = NatTrans(Functor.identity(dcat), fg, comps, name="ξ")
-    validate_nat(xi).require(LawViolationError, "extracted section")
-    for x in dcat.objects:
-        if adj.counit.components[x] @ comps[x] != dcat.obj(x).identity():
-            raise LawViolationError(f"ε∘ξ differs from the identity at {x}")
+    validate_section(adj, xi).require(LawViolationError, "extracted section")
     return xi
 
 
 def section_feasibility(adj: Adjunction):
-    """Independent affine solve for a ξ with ε∘ξ = Id; returns (result, ξ or None)."""
+    """Independent affine solve for a ξ obeying `section_laws`; returns (result, ξ or None)."""
     dcat = adj.G.source
     fg = compose_functors(adj.F, adj.G, name="FG")
     sysm = MorSystem(dcat.field)
+    idf = Functor.identity(dcat)
     unknowns = {x: sysm.unknown(dcat.obj(x), fg.object_map[x]) for x in dcat.objects}
-    for (x, y), mors in sorted(fg.hom_map.items()):
-        for m, base in zip(mors, hom_space_basis(dcat, dcat.obj(x), dcat.obj(y))):
-            sysm.require_equal(m @ unknowns[x], unknowns[y] @ base, "naturality")
-    for x in dcat.objects:
-        sysm.require_equal(adj.counit.components[x] @ unknowns[x],
-                           dcat.obj(x).identity(), "section law")
+    sysm.impose(section_laws(adj, NatTrans(idf, fg, unknowns, name="ξ?")))
     sol = sysm.solve()
     if not sol.feasible:
         return sol, None
     comps = {x: MorSystem.eval_at(unknowns[x], sol.particular) for x in dcat.objects}
-    xi = NatTrans(Functor.identity(dcat), fg, comps, name="ξ")
-    validate_nat(xi).require(LawViolationError, "solved section")
+    xi = NatTrans(idf, fg, comps, name="ξ")
+    validate_section(adj, xi).require(LawViolationError, "solved section")
     return sol, xi
 
 

@@ -129,25 +129,20 @@ class EmAdjunction:
 
     def validate(self, sample_modules=()) -> ValidationReport:
         """Triangle identities on base objects and sampled modules."""
-        rep = ValidationReport("free/forgetful adjunction")
+        return ValidationReport("free/forgetful adjunction").record_laws(
+            self._triangle_laws(sample_modules), {"free": ("ε_M F_M ∘ F_M η = Id", str),
+                                                  "module": ("G_M ε_M ∘ η G_M = Id ({n} modules)", repr)})
+
+    def _triangle_laws(self, sample_modules):
         monad = self.monad
         cat = monad.cat
-        bad1 = []
         for x in cat.objects:
             ob = cat.obj(x)
             fm = self.free(ob)
-            lhs = self.counit_at(fm).mor @ monad.functor.on_morphism(self.unit_at(ob))
-            if lhs != fm.carrier.identity():
-                bad1.append(x)
-        rep.record("ε_M F_M ∘ F_M η = Id", not bad1, "; ".join(map(str, bad1)))
-        bad2 = []
+            yield ("free", (x,), self.counit_at(fm).mor @ monad.functor.on_morphism(self.unit_at(ob)),
+                   fm.carrier.identity())
         for m in sample_modules:
-            lhs = self.counit_at(m).mor @ self.unit_at(m.carrier)
-            if lhs != m.carrier.identity():
-                bad2.append(repr(m))
-        rep.record(f"G_M ε_M ∘ η G_M = Id ({len(list(sample_modules))} modules)",
-                   not bad2, "; ".join(bad2))
-        return rep
+            yield "module", (m,), self.counit_at(m).mor @ self.unit_at(m.carrier), m.carrier.identity()
 
 
 def em_adjunction(monad: Monad) -> EmAdjunction:

@@ -1,11 +1,16 @@
-"""Monads with verified laws and separable-monad sections found by exact feasibility."""
+"""Monads with verified laws and separable-monad sections found by exact feasibility.
+
+The laws of a section σ: M → M² are written once, in `MonadSepWitness._laws`:
+`monad_separability_solve` imposes them on unknown components, and
+`MonadSepWitness.verify` re-checks a witness against them in one pass.
+"""
 
 from __future__ import annotations
 
 from .category import MorSystem
 from .errors import LawViolationError, PreconditionError
-from .functors import (Adjunction, Functor, NatTrans, compose_functors,
-                       validate_nat)
+from .functors import (Adjunction, Functor, NatTrans, compose_functors, naturality_laws,
+                       validate_nat, validate_section)
 from .reports import ValidationReport
 
 
@@ -53,46 +58,36 @@ def validate_monad(m: Monad) -> ValidationReport:
     """Associativity and both unit laws, exactly at every base object."""
     rep = ValidationReport(f"monad {m.name}" if m.name else "monad")
     mf = m.functor
-    cat = m.cat
-    shape_ok = True
-    for x in cat.objects:
-        mx = mf.object_map[x]
-        eta = m.unit.components.get(x)
-        mu = m.mult.components.get(x)
-        if eta is None or eta.dom != cat.obj(x) or eta.cod != mx:
-            shape_ok = False
-        if mu is None or mu.dom != mf.on_object(mx) or mu.cod != mx:
-            shape_ok = False
-    rep.record("unit/mult components have the right endpoints", shape_ok)
-    if not shape_ok:
-        return rep
-    assoc_bad, unit_bad = [], []
-    for x in cat.objects:
+
+    def fits(f, dom, cod):
+        return f is not None and f.dom == dom and f.cod == cod
+
+    if rep.record("unit/mult components have the right endpoints", all(
+            fits(m.unit.components.get(x), m.cat.obj(x), mf.object_map[x])
+            and fits(m.mult.components.get(x), mf.on_object(mf.object_map[x]), mf.object_map[x])
+            for x in m.cat.objects)):
+        rep.record_laws(_monad_laws(m), {
+            "associativity": ("associativity μ∘Mμ = μ∘μM", str),
+            "left unit": ("unit laws μ∘Mη = Id = μ∘ηM", "μ∘Mη at {}".format),
+            "right unit": ("unit laws μ∘Mη = Id = μ∘ηM", "μ∘ηM at {}".format)})
+    return rep
+
+
+def _monad_laws(m: Monad):
+    mf = m.functor
+    for x in m.cat.objects:
         mx = mf.object_map[x]
         mu_x = m.mult.components[x]
-        lhs = mu_x @ mf.on_morphism(mu_x)
-        rhs = mu_x @ m.mult.at(mx)
-        if lhs != rhs:
-            assoc_bad.append(x)
-        left_unit = mu_x @ mf.on_morphism(m.unit.components[x])
-        right_unit = mu_x @ m.unit.at(mx)
-        if left_unit != mx.identity():
-            unit_bad.append(f"μ∘Mη at {x}")
-        if right_unit != mx.identity():
-            unit_bad.append(f"μ∘ηM at {x}")
-    rep.record("associativity μ∘Mμ = μ∘μM", not assoc_bad, "; ".join(map(str, assoc_bad)))
-    rep.record("unit laws μ∘Mη = Id = μ∘ηM", not unit_bad, "; ".join(unit_bad))
-    return rep
+        yield "associativity", (x,), mu_x @ mf.on_morphism(mu_x), mu_x @ m.mult.at(mx)
+        yield "left unit", (x,), mu_x @ mf.on_morphism(m.unit.components[x]), mx.identity()
+        yield "right unit", (x,), mu_x @ m.unit.at(mx), mx.identity()
 
 
 def monad_from_adjunction(adj: Adjunction, name: str = "") -> Monad:
     """The monad (G F, η, G ε F) defined by an adjoint pair."""
     mf = compose_functors(adj.G, adj.F, name=name or "GF")
     unit = NatTrans(Functor.identity(mf.source), mf, dict(adj.unit.components), name="η")
-    mu_comps = {}
-    for x in mf.source.objects:
-        fx = adj.F.object_map[x]
-        mu_comps[x] = adj.G.on_morphism(adj.counit.at(fx))
+    mu_comps = {x: adj.G.on_morphism(adj.counit.at(adj.F.object_map[x])) for x in mf.source.objects}
     mult = NatTrans(compose_functors(mf, mf), mf, mu_comps, name="μ")
     m = Monad(mf, unit, mult, name=name)
     validate_monad(m).require(LawViolationError, "monad defined by adjunction")
@@ -106,32 +101,35 @@ class MonadSepWitness:
         self.monad = monad
         self.sigma = sigma
 
-    def verify(self) -> ValidationReport:
-        m = self.monad
-        cat = m.cat
+    def _laws(self):
+        """Every law of σ, as (label, place, lhs, rhs): naturality on basis morphisms,
+        then per base object μ∘σ = Id_M and the bimodule law Mμ∘σM = σ∘μ = μM∘Mσ
+        as its two equations.  The components of σ may be unknowns."""
+        m, sigma = self.monad, self.sigma
         mf = m.functor
-        rep = ValidationReport("monad separability witness")
-        rep.merge(validate_nat(self.sigma))
-        sec_bad, bim_bad = [], []
-        for x in cat.objects:
+        yield from naturality_laws(sigma)
+        for x in m.cat.objects:
             mx = mf.object_map[x]
-            sig_x = self.sigma.components[x]
+            sig_x = sigma.components[x]
             mu_x = m.mult.components[x]
-            if mu_x @ sig_x != mx.identity():
-                sec_bad.append(x)
-            left = mf.on_morphism(mu_x) @ self.sigma.at(mx)
+            yield "section law", (x,), mu_x @ sig_x, mx.identity()
             mid = sig_x @ mu_x
-            right = m.mult.at(mx) @ mf.on_morphism(sig_x)
-            if left != mid:
-                bim_bad.append(f"Mμ∘σM ≠ σ∘μ at {x}")
-            if mid != right:
-                bim_bad.append(f"σ∘μ ≠ μM∘Mσ at {x}")
-        rep.record("section law μ∘σ = Id_M", not sec_bad, "; ".join(map(str, sec_bad)))
-        rep.record("bimodule law Mμ∘σM = σ∘μ = μM∘Mσ", not bim_bad, "; ".join(bim_bad))
-        return rep
+            yield "bimodule left", (x,), mf.on_morphism(mu_x) @ sigma.at(mx), mid
+            yield "bimodule right", (x,), mid, m.mult.at(mx) @ mf.on_morphism(sig_x)
+
+    def verify(self) -> ValidationReport:
+        """Component endpoints of σ, then, when they fit, every law of `_laws` in one pass."""
+        return validate_nat(self.sigma, self._laws(), _SIGMA_CHECKS,
+                            into=ValidationReport("monad separability witness"))
 
     def __repr__(self):
         return f"<MonadSepWitness for {self.monad!r}>"
+
+
+_BIMODULE = "bimodule law Mμ∘σM = σ∘μ = μM∘Mσ"
+_SIGMA_CHECKS = {"section law": ("section law μ∘σ = Id_M", str),
+                 "bimodule left": (_BIMODULE, "Mμ∘σM ≠ σ∘μ at {}".format),
+                 "bimodule right": (_BIMODULE, "σ∘μ ≠ μM∘Mσ at {}".format)}
 
 
 def monad_separability_solve(m: Monad):
@@ -146,22 +144,7 @@ def monad_separability_solve(m: Monad):
     m2 = m.squared()
     sysm = MorSystem(cat.field)
     unknowns = {x: sysm.unknown(mf.object_map[x], m2.object_map[x]) for x in cat.objects}
-    # naturality of σ on basis morphisms
-    for (x, y), mors in sorted(mf.hom_map.items()):
-        for i in range(len(mors)):
-            m2_f = m2.hom_map[(x, y)][i]
-            sysm.require_equal(m2_f @ unknowns[x], unknowns[y] @ mors[i], "naturality")
-    # σ laws; the whiskered components extend the unknowns additively
-    sigma_forms = NatTrans(mf, m2, unknowns, name="σ?")
-    for x in cat.objects:
-        mx = mf.object_map[x]
-        mu_x = m.mult.components[x]
-        sysm.require_equal(mu_x @ unknowns[x], mx.identity(), "section law")
-        left = mf.on_morphism(mu_x) @ sigma_forms.at(mx)
-        mid = unknowns[x] @ mu_x
-        right = m.mult.at(mx) @ mf.on_morphism(unknowns[x])
-        sysm.require_equal(left, mid, "bimodule left")
-        sysm.require_equal(mid, right, "bimodule right")
+    sysm.impose(MonadSepWitness(m, NatTrans(mf, m2, unknowns, name="σ?"))._laws())
     sol = sysm.solve()
     if not sol.feasible:
         return sol
@@ -174,16 +157,10 @@ def monad_separability_solve(m: Monad):
 
 def sigma_from_xi(adj: Adjunction, xi: NatTrans, monad: Monad | None = None) -> MonadSepWitness:
     """σ = G ξ F for a counit section ξ; all witness laws are re-verified."""
-    dcat = adj.G.source
-    for x in dcat.objects:
-        if adj.counit.components[x] @ xi.components[x] != dcat.obj(x).identity():
-            raise PreconditionError(f"ε∘ξ is not the identity at {x}")
+    validate_section(adj, xi).require(PreconditionError, "σ = GξF needs a section of ε")
     if monad is None:
         monad = monad_from_adjunction(adj)
-    comps = {}
-    for x in monad.cat.objects:
-        fx = adj.F.object_map[x]
-        comps[x] = adj.G.on_morphism(xi.at(fx))
+    comps = {x: adj.G.on_morphism(xi.at(adj.F.object_map[x])) for x in monad.cat.objects}
     sigma = NatTrans(monad.functor, monad.squared(), comps, name="σ")
     w = MonadSepWitness(monad, sigma)
     w.verify().require(LawViolationError, "σ = GξF")

@@ -16,6 +16,25 @@ class ValidationReport:
         self.checks.append((name, bool(ok), detail))
         return bool(ok)
 
+    def record_laws(self, laws, checks: dict, limit: int | None = None) -> "ValidationReport":
+        """Record the checks of a law list, (key, place, lhs, rhs) each, in one pass.
+
+        `checks` maps each key to (name, detail): laws with one name form one
+        check, "{n}" in the name becomes their number, and detail(*place) names
+        a place where lhs ≠ rhs, at most `limit` of them.  Checks are recorded in
+        the order of `checks`, also those with no law.  Returns the report.
+        """
+        count = {name: 0 for name, _ in checks.values()}
+        bad = {name: [] for name in count}
+        for key, place, lhs, rhs in laws:
+            name, detail = checks[key]
+            count[name] += 1
+            if lhs != rhs:
+                bad[name].append(detail(*place))
+        for name, n in count.items():
+            self.record(name.replace("{n}", str(n)), not bad[name], "; ".join(bad[name][:limit]))
+        return self
+
     def merge(self, other: "ValidationReport") -> None:
         prefix = f"{other.subject}: " if other.subject else ""
         for name, ok, detail in other.checks:

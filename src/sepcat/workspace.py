@@ -602,6 +602,8 @@ def load_witness(path: str, ws: Workspace):
         monad = ws.monad(name)
         comps = {}
         for x, mdata in data["components"].items():
+            if x not in monad.cat.objects:
+                raise WorkspaceError(f"witness component key {x!r} is not a base object")
             comps[x] = parse_mor(monad.cat, mdata,
                                  dom=monad.functor.object_map[x],
                                  cod=monad.squared().object_map[x])

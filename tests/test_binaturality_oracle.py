@@ -43,7 +43,7 @@ def reference_joint_laws(w):
 
 
 def one_sided_laws(w):
-    for _, label, _, lhs, rhs in w._laws():
+    for _, (label, *_), lhs, rhs in w._laws():
         yield label, lhs, rhs
 
 

@@ -187,6 +187,33 @@ class TestWitnessRoundTrip:
         with pytest.raises(WorkspaceError, match=message):
             load_witness(str(path), parse_workspace(FIXTURE))
 
+    def _edited_monad_witness(self, tmp_path, edit):
+        assert run(["-w", FIXTURE, "--out", str(tmp_path),
+                    "separability", "grpmonad_z2_q", "--target", "monad"]) == 0
+        path = tmp_path / "grpmonad_z2_q.witness.json"
+        data = json.loads(path.read_text())
+        edit(data["components"])
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    def test_monad_witness_missing_a_component_fails_its_shape_check(self, tmp_path):
+        path = self._edited_monad_witness(tmp_path, lambda comps: comps.pop("pt"))
+        _, rep = load_witness(path, parse_workspace(FIXTURE))
+        assert rep.checks == [
+            ("natural transformation σ: components have the right endpoints", False, "pt")]
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda comps: comps.__setitem__("nowhere", comps["pt"]),
+         "witness component key 'nowhere' is not a base object"),
+        (lambda comps: comps["pt"]["blocks"].pop(), "morphism shape error"),
+        (lambda comps: comps["pt"]["blocks"][0][0].append("0"), "morphism shape error"),
+        (lambda comps: comps.__setitem__("pt", "σ"), "bad morphism"),
+    ], ids=["unknown object", "missing block row", "long block", "not a morphism"])
+    def test_malformed_monad_witness_is_rejected(self, tmp_path, edit, message):
+        path = self._edited_monad_witness(tmp_path, edit)
+        with pytest.raises(WorkspaceError, match=message):
+            load_witness(path, parse_workspace(FIXTURE))
+
 
 class TestReports:
     def test_em_report_with_complete_target(self, tmp_path):
