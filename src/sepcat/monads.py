@@ -3,6 +3,17 @@
 The laws of a section σ: M → M² are written once, in `MonadSepWitness._laws`:
 `monad_separability_solve` imposes them on unknown components, and
 `MonadSepWitness.verify` re-checks a witness against them in one pass.
+
+The bimodule law Mμ∘σM = σ∘μ = μM∘Mσ is imposed restricted along the units,
+with e = σ∘η: Id → M² (the separability idempotent σ(1)): Mμ_x∘e_{Mx} = σ_x is
+the left equation at η_{Mx}, σ_x = μ_{Mx}∘M(e_x) the right one at M(η_x), so
+each restricted row is a full row composed with a fixed morphism.  Conversely,
+for a natural σ (checked beside them), associativity with naturality of e at
+μ_x, resp. of μ at e_x, gives the full law back:
+    Mμ∘σM = Mμ∘MμM∘eM² = Mμ∘M²μ∘eM² = Mμ∘eM∘μ = σ∘μ,
+    μM∘Mσ = μM∘MμM∘M²e = μM∘μM²∘M²e = μM∘Me∘μ = σ∘μ.
+Both systems have the same row space of [A | b]; over a group monad the
+bimodule rows are |G| times fewer.
 """
 
 from __future__ import annotations
@@ -103,19 +114,20 @@ class MonadSepWitness:
 
     def _laws(self):
         """Every law of σ, as (label, place, lhs, rhs): naturality on basis morphisms,
-        then per base object μ∘σ = Id_M and the bimodule law Mμ∘σM = σ∘μ = μM∘Mσ
-        as its two equations.  The components of σ may be unknowns."""
+        then per base object μ∘σ = Id_M and, with e = σ∘η, the bimodule law as
+        Mμ_x∘e_{Mx} = σ_x and σ_x = μ_{Mx}∘M(e_x).  σ may have unknown components."""
         m, sigma = self.monad, self.sigma
         mf = m.functor
         yield from naturality_laws(sigma)
+        e = NatTrans(m.unit.src, m.squared(),
+                     {x: sigma.components[x] @ m.unit.components[x] for x in m.cat.objects})
         for x in m.cat.objects:
             mx = mf.object_map[x]
             sig_x = sigma.components[x]
             mu_x = m.mult.components[x]
             yield "section law", (x,), mu_x @ sig_x, mx.identity()
-            mid = sig_x @ mu_x
-            yield "bimodule left", (x,), mf.on_morphism(mu_x) @ sigma.at(mx), mid
-            yield "bimodule right", (x,), mid, m.mult.at(mx) @ mf.on_morphism(sig_x)
+            yield "bimodule left", (x,), mf.on_morphism(mu_x) @ e.at(mx), sig_x
+            yield "bimodule right", (x,), sig_x, m.mult.at(mx) @ mf.on_morphism(e.components[x])
 
     def verify(self) -> ValidationReport:
         """Component endpoints of σ, then, when they fit, every law of `_laws` in one pass."""

@@ -572,17 +572,25 @@ def witness_to_json(name: str, target: str, witness) -> dict:
     raise ValueError(f"unknown witness target {target!r}")
 
 
+def _witness_entry(data: dict, key: str, kind: type = str):
+    """data[key], which a witness file must hold as a JSON value of type `kind`."""
+    if not isinstance(data.get(key), kind):
+        raise WorkspaceError(f"witness file: {key!r} is missing or has the wrong JSON type")
+    return data[key]
+
+
 def load_witness(path: str, ws: Workspace):
-    """Re-ingest a witness file against its workspace and re-verify its laws."""
+    """Re-ingest a witness file against its workspace and re-verify its laws;
+    WorkspaceError names the key or entry at fault in a malformed file."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    if data.get("schema") != "sepcat-witness/1":
+    if not isinstance(data, dict) or data.get("schema") != "sepcat-witness/1":
         raise WorkspaceError("not a witness file")
-    name = data["workspace_ref"]
-    if data["target"] == "functor":
+    name, target = _witness_entry(data, "workspace_ref"), _witness_entry(data, "target")
+    if target == "functor":
         functor = ws.functor(name)
         maps = {}
-        for key, rows in data["maps"].items():
+        for key, rows in _witness_entry(data, "maps", dict).items():
             x, _, y = key.partition("|")
             d = functor.source.hom_dim(x, y)
             if not d:
@@ -593,22 +601,21 @@ def load_witness(path: str, ws: Workspace):
                 maps[(x, y)] = h = Matrix.parse(functor.source.field, rows, cols=amb)
                 if h.rows != d:
                     raise ValueError(f"{h.rows} rows, expected {d}")
-            except ValueError as exc:
-                raise WorkspaceError(f"witness map {key!r}: {exc}")
+            except (ArithmeticError, AttributeError, TypeError, ValueError) as exc:
+                raise WorkspaceError(f"witness map {key!r}: {exc}") from exc
         w = SepWitness(functor, maps)
-        rep = w.verify()
-        return w, rep
-    if data["target"] == "monad":
+        return w, w.verify()
+    if target == "monad":
         monad = ws.monad(name)
         comps = {}
-        for x, mdata in data["components"].items():
+        for x, mdata in _witness_entry(data, "components", dict).items():
             if x not in monad.cat.objects:
                 raise WorkspaceError(f"witness component key {x!r} is not a base object")
-            comps[x] = parse_mor(monad.cat, mdata,
-                                 dom=monad.functor.object_map[x],
-                                 cod=monad.squared().object_map[x])
-        w = MonadSepWitness(monad, NatTrans(monad.functor, monad.squared(), comps,
-                                            name="σ"))
-        rep = w.verify()
-        return w, rep
-    raise WorkspaceError(f"unknown witness target {data['target']!r}")
+            try:
+                comps[x] = parse_mor(monad.cat, mdata, dom=monad.functor.object_map[x],
+                                     cod=monad.squared().object_map[x])
+            except (ArithmeticError, AttributeError, TypeError, ValueError) as exc:
+                raise WorkspaceError(f"witness component {x!r}: {exc}") from exc
+        w = MonadSepWitness(monad, NatTrans(monad.functor, monad.squared(), comps, name="σ"))
+        return w, w.verify()
+    raise WorkspaceError(f"unknown witness target {target!r}")

@@ -189,6 +189,26 @@ class TestSeparabilitySolve:
             assert shifted.verify().passed
 
 
+@pytest.mark.parametrize("action, squares, places", [
+    ("act_z3_q", 1, ["pt"]), ("act_swap_q", 2, ["x", "y"])], ids=["z3_q", "swap_q"])
+@pytest.mark.parametrize("side", ["eta_M", "M_eta"])
+def test_one_sided_section_fails_only_the_bimodule_law(request, action, squares, places, side):
+    # ηM and Mη are natural sections of μ, each a bimodule map on one side only; the
+    # law restricted along the units must still reject each on the side it lacks
+    monad = equivariant_monad(request.getfixturevalue(action))
+    mf = monad.functor
+    comps = {x: monad.unit.at(mf.object_map[x]) if side == "eta_M"
+             else mf.on_morphism(monad.unit.components[x]) for x in monad.cat.objects}
+    rep = MonadSepWitness(monad, NatTrans(mf, monad.squared(), comps, name="σ")).verify()
+    failure = {"eta_M": "σ∘μ ≠ μM∘Mσ at {}", "M_eta": "Mμ∘σM ≠ σ∘μ at {}"}[side]
+    assert rep.checks == [
+        ("natural transformation σ: components have the right endpoints", True, ""),
+        (f"natural transformation σ: naturality ({squares} squares)", True, ""),
+        ("section law μ∘σ = Id_M", True, ""),
+        ("bimodule law Mμ∘σM = σ∘μ = μM∘Mσ", False, "; ".join(map(failure.format, places))),
+    ]
+
+
 class TestSigmaFromXi:
     def test_identity_monad(self, c1_q):
         from sepcat.functors import Adjunction

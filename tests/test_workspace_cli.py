@@ -176,7 +176,10 @@ class TestWitnessRoundTrip:
          "rows of length 5, expected 4"),
         (lambda maps: maps.__setitem__("F(pt)|nowhere", [["1"]]), "not a nonzero hom pair"),
         (lambda maps: maps.__setitem__("F(pt)", [["1"]]), "not a nonzero hom pair"),
-    ], ids=["extra row", "extra column", "unknown object", "no pair"])
+        (lambda maps: maps["F(pt)|F(pt)"][0].__setitem__(0, "x"),
+         r"^witness map 'F\(pt\)\|F\(pt\)': Invalid literal for Fraction"),
+        (lambda maps: maps.__setitem__("F(pt)|F(pt)", 5), r"^witness map 'F\(pt\)\|F\(pt\)': "),
+    ], ids=["extra row", "extra column", "unknown object", "no pair", "entry x", "map 5"])
     def test_malformed_functor_witness_is_rejected(self, tmp_path, edit, message):
         assert run(["-w", FIXTURE, "--out", str(tmp_path),
                     "separability", "forget_z2_q", "--target", "functor"]) == 0
@@ -208,11 +211,35 @@ class TestWitnessRoundTrip:
         (lambda comps: comps["pt"]["blocks"].pop(), "morphism shape error"),
         (lambda comps: comps["pt"]["blocks"][0][0].append("0"), "morphism shape error"),
         (lambda comps: comps.__setitem__("pt", "σ"), "bad morphism"),
-    ], ids=["unknown object", "missing block row", "long block", "not a morphism"])
+        (lambda comps: comps["pt"]["blocks"][0][0].__setitem__(0, "x"),
+         r"^witness component 'pt': Invalid literal for Fraction"),
+        (lambda comps: comps["pt"].__setitem__("blocks", 5), r"^witness component 'pt': "),
+    ], ids=["unknown object", "missing block row", "long block", "not a morphism", "entry x",
+            "blocks 5"])
     def test_malformed_monad_witness_is_rejected(self, tmp_path, edit, message):
         path = self._edited_monad_witness(tmp_path, edit)
         with pytest.raises(WorkspaceError, match=message):
             load_witness(path, parse_workspace(FIXTURE))
+
+    @pytest.mark.parametrize("name,target,edit,key", [
+        ("grpmonad_z2_q", "monad", lambda data: data.pop("workspace_ref"), "workspace_ref"),
+        ("grpmonad_z2_q", "monad", lambda data: data.pop("target"), "target"),
+        ("grpmonad_z2_q", "monad",
+         lambda data: data.__setitem__("components", list(data["components"].values())),
+         "components"),
+        ("forget_z2_q", "functor", lambda data: data.__setitem__("maps", list(data["maps"])),
+         "maps"),
+    ], ids=["no workspace_ref", "no target", "components list", "maps list"])
+    def test_malformed_witness_file_names_the_key(self, tmp_path, name, target, edit, key):
+        assert run(["-w", FIXTURE, "--out", str(tmp_path),
+                    "separability", name, "--target", target]) == 0
+        path = tmp_path / f"{name}.witness.json"
+        data = json.loads(path.read_text())
+        edit(data)
+        path.write_text(json.dumps(data))
+        with pytest.raises(WorkspaceError,
+                           match=f"^witness file: '{key}' is missing or has the wrong JSON type$"):
+            load_witness(str(path), parse_workspace(FIXTURE))
 
 
 class TestReports:
