@@ -4,8 +4,8 @@ between complexes of modules and module objects over the lifted monad."""
 
 import random
 
-from sepcat import (Field, FiniteGroup, GroupAction, equivariant_monad,
-                    free_module, kb_hom_basis, lift_monad,
+from sepcat import (Field, FiniteGroup, GroupAction, LiftedMonad,
+                    equivariant_monad, free_module, kb_hom_basis,
                     lifted_module_hom_dim, module_chain_hom_dim,
                     monad_separability_solve, random_module_complex)
 from sepcat.complexes import BoundedComplex, ModuleComplex
@@ -42,5 +42,5 @@ print("on random length-4 complexes: d1 =", module_chain_hom_dim(a, b),
       " d2 =", lifted_module_hom_dim(a, b))
 
 # The lifted monad laws hold degreewise, including the section law.
-lifted = lift_monad(monad)
+lifted = LiftedMonad(monad)
 print("lifted monad laws on A:", lifted.validate_on(a.underlying, sigma).passed)

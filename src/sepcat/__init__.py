@@ -4,8 +4,7 @@ equivariant objects, and bounded-complex homotopy categories, all decided by
 exact linear algebra over Q and F_p."""
 
 from .scalars import Field, Fp, QQ
-from .linalg import (AffineSolution, Infeasible, LinForm, Matrix,
-                     div_by_int, solve_affine)
+from .linalg import AffineSolution, Infeasible, LinForm, solve_sparse
 from .category import (CatObject, LinearCategory, Morphism, MorSystem,
                        RetractWitness, direct_sum, biproduct, express_in_basis,
                        hom_space_basis, int_invertible, invert_morphism,
@@ -19,8 +18,7 @@ from .functors import (Adjunction, Functor, NatTrans, SepWitness,
 from .monads import (Monad, MonadSepWitness, monad_from_adjunction,
                      monad_separability_solve, sigma_from_xi, validate_monad)
 from .modules import (Comparison, EmAdjunction, MModule, ModuleMor,
-                      check_equiv_up_to_retracts, comparison_apply,
-                      em_adjunction, essential_preimage, free_module,
+                      check_equiv_up_to_retracts, essential_preimage, free_module,
                       module_hom_basis, module_retract_of_free, validate_module,
                       xi_em_from_sigma)
 from .equivariant import (EquivariantCategory, EquivariantObject, FiniteGroup,
@@ -30,7 +28,7 @@ from .equivariant import (EquivariantCategory, EquivariantObject, FiniteGroup,
                           to_module, validate_action, xi_forgetful, xi_section)
 from .complexes import (BoundedComplex, ChainMap, HomotopyHom, LiftedMonad,
                         ModuleComplex, chain_map_space, derived_comparison_check,
-                        kb_hom_basis, lift_monad, module_chain_hom_dim,
+                        kb_hom_basis, module_chain_hom_dim,
                         lifted_module_hom_dim, module_complex_retract,
                         random_module_complex, validate_complex)
 from .errors import (LawViolationError, MonadNotSeparableError,

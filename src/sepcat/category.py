@@ -409,9 +409,10 @@ def extract_block(f: Morphism, dom_parts, cod_parts, i: int, j: int) -> Morphism
 class MorSystem:
     """Affine constraint systems whose unknowns are morphism coordinates.
 
-    An unknown is a Morphism (or a Matrix) whose coordinates are `LinForm`
-    variables; composing it with concrete morphisms gives morphisms with
-    `LinForm` coordinates, and each `require_equal` adds one row per coordinate.
+    An unknown is a Morphism (or a witness's image columns) whose coordinates
+    are `LinForm` variables; composing it with concrete morphisms gives
+    morphisms with `LinForm` coordinates, and each `require_equal` adds one row
+    per coordinate.
     """
 
     def __init__(self, field: Field):

@@ -239,10 +239,6 @@ class LiftedMonad:
         return rep
 
 
-def lift_monad(m: Monad) -> LiftedMonad:
-    return LiftedMonad(m)
-
-
 class ModuleComplex:
     """A bounded complex of modules: terms carry actions, differentials are module maps."""
 

@@ -316,6 +316,19 @@ def free_equivariant(action: GroupAction, x: CatObject, name: str = "") -> Equiv
     return z
 
 
+def _group_unit(action: GroupAction, m: Functor) -> NatTrans:
+    """η: Id → M with η_x = (id, 0, …, 0)^t onto the unit element's summand of M x = ⊕_h ^hx."""
+    cat, group = action.base, action.group
+    e_idx = group.index(group.unit)
+    comps = {}
+    for x in cat.objects:
+        mx = m.object_map[x]
+        col = [(cat.id_vec(x),) if i == e_idx else (cat.zero_block(x, mx.summands[i]),)
+               for i in range(len(group.elements))]
+        comps[x] = Morphism(cat, cat.obj(x), mx, col)
+    return NatTrans(Functor.identity(cat), m, comps, name="η")
+
+
 def equivariant_monad(action: GroupAction, name: str = "") -> Monad:
     """The group monad with unit (Id, 0, …, 0)^t and Kronecker-delta multiplication."""
     cat = action.base
@@ -323,18 +336,9 @@ def equivariant_monad(action: GroupAction, name: str = "") -> Monad:
     els = group.elements
     n = len(els)
     mf = group_monad_functor(action)
-    e_idx = group.index(group.unit)
-    unit_comps = {}
     mult_comps = {}
     for x in cat.objects:
         mx = mf.object_map[x]
-        col = []
-        for i, h in enumerate(els):
-            if i == e_idx:
-                col.append((cat.id_vec(x),))
-            else:
-                col.append((cat.zero_block(x, mx.summands[i]),))
-        unit_comps[x] = Morphism(cat, cat.obj(x), mx, col)
         m2x = mf.on_object(mx)
         blocks = []
         for t in range(n):
@@ -349,8 +353,7 @@ def equivariant_monad(action: GroupAction, name: str = "") -> Monad:
             blocks.append(tuple(row))
         mult_comps[x] = Morphism(cat, m2x, mx, blocks)
     m2 = compose_functors(mf, mf, name="M²")
-    monad = Monad(mf, NatTrans(Functor.identity(cat), mf, unit_comps, name="η"),
-                  NatTrans(m2, mf, mult_comps, name="μ"),
+    monad = Monad(mf, _group_unit(action, mf), NatTrans(m2, mf, mult_comps, name="μ"),
                   name=name or f"group monad {action.name}")
     validate_monad(monad).require(LawViolationError, "group monad")
     return monad
@@ -440,8 +443,6 @@ def induce_adjunction(eqcat: EquivariantCategory) -> Adjunction:
     action = eqcat.action
     base = action.base
     pcat = eqcat.cat
-    group = action.group
-    els = group.elements
     mf = group_monad_functor(action)
 
     u_object_map = {l: eqcat.objects[l].carrier for l in eqcat.labels}
@@ -461,19 +462,7 @@ def induce_adjunction(eqcat: EquivariantCategory) -> Adjunction:
             for m in mf.hom_map[(x, y)])
     induction = Functor(base, pcat, f_object_map, f_hom_map, name="F")
 
-    uf = compose_functors(forgetful, induction, name="UF")
-    e_idx = group.index(group.unit)
-    eta_comps = {}
-    for x in base.objects:
-        mx = uf.object_map[x]
-        col = []
-        for i in range(len(els)):
-            if i == e_idx:
-                col.append((base.id_vec(x),))
-            else:
-                col.append((base.zero_block(x, mx.summands[i]),))
-        eta_comps[x] = Morphism(base, base.obj(x), mx, col)
-    unit = NatTrans(Functor.identity(base), uf, eta_comps, name="η")
+    unit = _group_unit(action, compose_functors(forgetful, induction, name="UF"))
 
     fu = compose_functors(induction, forgetful, name="FU")
     eps_comps = {}

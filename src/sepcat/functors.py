@@ -4,9 +4,10 @@ separability witness calculus.
 A functor is presented by its action on base objects and on hom bases; it
 extends canonically to the additive/Karoubi closure (blockwise on summands,
 and (X, e) ↦ (F(X), F(e))).  A separability witness for F: C → D is a family
-of exact matrices H_{X,Y}: Hom_D(F X, F Y) → Hom_C(X, Y) satisfying the
-retraction law H(F(f)) = f and binaturality; existence is decided by one
-affine solve over the matrix entries.  Binaturality is imposed as its two
+of linear maps H_{X,Y}: Hom_D(F X, F Y) → Hom_C(X, Y), each held as its images
+of the unit morphisms of Hom_D(F X, F Y), satisfying the retraction law
+H(F(f)) = f and binaturality; existence is decided by one affine solve over
+the coordinates of those images.  Binaturality is imposed as its two
 one-sided laws H(F v∘g) = v∘H(g) and H(g∘F u) = H(g)∘u on basis morphisms:
 the joint law H(F v∘g∘F u) = v∘H(g)∘u gives each with u or v an identity,
 and H(F v∘(g∘F u)) = v∘H(g∘F u) = v∘H(g)∘u gives it back from them.
@@ -26,7 +27,7 @@ from .category import (CatObject, LinearCategory, Morphism, MorSystem, basis_coo
                        direct_sum, extract_block, hom_coord_dim, hom_space_basis, morphism,
                        unit_morphisms, unit_vectors, zero_morphism)
 from .errors import LawViolationError, NotFullyFaithfulError, PreconditionError
-from .linalg import Matrix
+from .linalg import rank_extension
 from .reports import ValidationReport
 
 
@@ -280,17 +281,29 @@ RETRACTION, LEFT_NATURALITY, RIGHT_NATURALITY = (
 
 
 class SepWitness:
-    """A separability witness: per base pair, an exact matrix retraction of F's hom action.
+    """A separability witness: per base pair, a retraction of F's hom action.
 
-    The matrix at (x, y) acts on ambient block coordinates of Hom(F x, F y); on
+    maps[(x, y)] lists the coordinates of H(e_k) in Hom(x, y) for the unit
+    morphisms e_k of Hom(F x, F y), one per ambient block coordinate; on
     closure objects the witness extends blockwise and by conjugation with the
-    idempotents.  Entries may be `LinForm` unknowns: `separability_solve`
+    idempotents.  Coordinates may be `LinForm` unknowns: `separability_solve`
     imposes the laws on such a symbolic witness.
     """
 
     def __init__(self, functor: Functor, maps: dict):
         self.functor = functor
         self.maps = dict(maps)
+
+    def _image(self, x, y, coords) -> list:
+        """Coordinates of H(g) = Σ_k g_k·H(e_k), summed over the nonzero g_k."""
+        src = self.functor.source
+        out = [src.field.zero()] * src.hom_dim(x, y)
+        for g, col in zip(coords, self.maps[(x, y)]):
+            if g:
+                for i, h in enumerate(col):
+                    if h:
+                        out[i] = out[i] + h * g
+        return out
 
     def apply(self, a: CatObject, b: CatObject, g: Morphism) -> Morphism:
         f = self.functor
@@ -300,7 +313,7 @@ class SepWitness:
             d = src.hom_dim(x, y)
             if not d:
                 return zero_morphism(a, b)
-            return Morphism.from_coords(src, a, b, self.maps[(x, y)].apply(g.coords()))
+            return Morphism.from_coords(src, a, b, self._image(x, y, g.coords()))
         dom_parts = [f.object_map[s] for s in a.summands]
         cod_parts = [f.object_map[s] for s in b.summands]
         raw = []
@@ -312,7 +325,7 @@ class SepWitness:
                     row.append(())
                     continue
                 sub = extract_block(g, dom_parts, cod_parts, i, j)
-                row.append(tuple(self.maps[(sj, ti)].apply(sub.coords())))
+                row.append(tuple(self._image(sj, ti, sub.coords())))
             raw.append(tuple(row))
         return morphism(src, a, b, raw)
 
@@ -377,9 +390,11 @@ class SepWitness:
 def separability_solve(f: Functor):
     """Decide separability of f by exact affine feasibility; witness or Infeasible.
 
-    Each H_{x,y} is a matrix of unknowns, numbered by (source object pair,
-    row-major matrix position); the witness laws are imposed on that symbolic
-    witness, and the returned witness is the solver's first solution, re-verified.
+    The unknowns of H_{x,y} are numbered by source object pair, then row-major
+    in (coordinate of Hom(x, y), unit morphism k): the image column H(e_k) is
+    every a-th of them from the k-th.  The witness laws are imposed on that
+    symbolic witness, and the returned witness is the solver's first solution,
+    re-verified.
     """
     validate_functor(f).require(PreconditionError, "separability_solve needs a functor")
     src, tgt = f.source, f.target
@@ -387,90 +402,82 @@ def separability_solve(f: Functor):
     unknowns = {}
     for x, y in src.hom_pairs():
         a = hom_coord_dim(tgt, f.object_map[x], f.object_map[y])
-        rows = [sysm.variables(a) for _ in range(src.hom_dim(x, y))]
-        unknowns[(x, y)] = Matrix(src.field, rows, cols=a)
+        xs = sysm.variables(src.hom_dim(x, y) * a)
+        unknowns[(x, y)] = [xs[k::a] for k in range(a)]
     for _, (label, *_), lhs, rhs in SepWitness(f, unknowns)._laws():
         sysm.require_equal(lhs, rhs, label)
     sol = sysm.solve()
     if not sol.feasible:
         return sol
-
-    def h_at(x, y):
-        h = unknowns[(x, y)]
-        return Matrix(src.field, [[e.eval(sol.particular) for e in row] for row in h.data],
-                      cols=h.cols)
-
-    return _verified_witness(f, h_at, "solver-produced witness")
+    return _verified_witness(f, {key: [[e.eval(sol.particular) for e in col] for col in cols]
+                                 for key, cols in unknowns.items()}, "solver-produced witness")
 
 
-def hom_matrix(fn, inputs, n_out: int, field, basis=None) -> Matrix:
-    """Matrix of a linear map on hom spaces: column j is fn(inputs[j]).
+def hom_matrix(fn, inputs, field, basis=None) -> list:
+    """A linear map on hom spaces as its image columns: column j is fn(inputs[j]).
 
     The inputs are a hom basis, or `unit_morphisms` for a map on ambient
     coordinates.  Columns hold the coordinates of each image, or its
     coordinates in `basis` when one is given.
     """
     if basis is None:
-        cols = [fn(m).coords() for m in inputs]
-    else:
-        coords = basis_coordinates(basis, field)
-        cols = [coords(fn(m)) for m in inputs]
-    return Matrix.from_columns(field, cols, n_out)
+        return [fn(m).coords() for m in inputs]
+    coords = basis_coordinates(basis, field)
+    return [coords(fn(m)) for m in inputs]
 
 
-def _verified_witness(f: Functor, h_at, what: str) -> SepWitness:
-    """The witness for f with matrix h_at(x, y) at each nonzero hom pair, re-verified."""
-    w = SepWitness(f, {(x, y): h_at(x, y) for x, y in f.source.hom_pairs()})
+def _verified_witness(f: Functor, maps: dict, what: str) -> SepWitness:
+    """The witness for f with the given image columns, re-verified."""
+    w = SepWitness(f, maps)
     w.verify().require(LawViolationError, what)
     return w
 
 
+def _tabulated_witness(f: Functor, h, what: str) -> SepWitness:
+    """The witness for f with H_{x,y}(g) = h(x, y, g), tabulated on unit morphisms, re-verified."""
+    units = {(x, y): unit_morphisms(f.target, f.object_map[x], f.object_map[y])
+             for x, y in f.source.hom_pairs()}
+    return _verified_witness(f, {(x, y): hom_matrix(lambda g: h(x, y, g), es, f.source.field)
+                                 for (x, y), es in units.items()}, what)
+
+
 def compose_witnesses(h_f: SepWitness, h_g: SepWitness) -> SepWitness:
-    """A witness for the composite G∘F from witnesses for F and G."""
+    """A witness for the composite G∘F from witnesses for F and G: g ↦ H_F(H_G(g))."""
     f, g = h_f.functor, h_g.functor
     if f.target is not g.source:
         raise PreconditionError("witness functors are not composable")
 
-    def h_at(x, y):
+    def h(x, y, m):
         fx, fy = f.object_map[x], f.object_map[y]
-        m_g = hom_matrix(lambda m: h_g.apply(fx, fy, m),
-                         unit_morphisms(g.target, g.on_object(fx), g.on_object(fy)),
-                         hom_coord_dim(g.source, fx, fy), f.source.field)
-        return h_f.maps[(x, y)] @ m_g
+        return h_f.apply(f.source.obj(x), f.source.obj(y), h_g.apply(fx, fy, m))
 
-    return _verified_witness(compose_functors(g, f), h_at, "compose transfer")
+    return _tabulated_witness(compose_functors(g, f), h, "compose transfer")
 
 
 def left_factor_witness(h_gf: SepWitness, g: Functor, f: Functor) -> SepWitness:
-    """A witness for the left factor F extracted from one for G∘F."""
+    """A witness for the left factor F extracted from one for G∘F: g ↦ H_{GF}(G(g))."""
     if not compose_functors(g, f).equals(h_gf.functor):
         raise PreconditionError("witness is not for the composite of the given functors")
 
-    def h_at(x, y):
-        fx, fy = f.object_map[x], f.object_map[y]
-        m = hom_matrix(g.on_morphism, unit_morphisms(f.target, fx, fy),
-                       hom_coord_dim(g.target, g.on_object(fx), g.on_object(fy)), f.source.field)
-        return h_gf.maps[(x, y)] @ m
+    def h(x, y, m):
+        return h_gf.apply(f.source.obj(x), f.source.obj(y), g.on_morphism(m))
 
-    return _verified_witness(f, h_at, "left-factor transfer")
+    return _tabulated_witness(f, h, "left-factor transfer")
 
 
 def retract_witness(h_f2: SepWitness, phi: NatTrans, psi: NatTrans) -> SepWitness:
-    """Transfer along φ: F'→F, ψ: F→F' with ψ∘φ = Id_{F'}."""
+    """Transfer along φ: F'→F, ψ: F→F' with ψ∘φ = Id_{F'}: g ↦ H_{F'}(ψ_y∘g∘φ_x)."""
     f2 = h_f2.functor
     f = phi.dst
-    src, tgt = f.source, f.target
+    src = f.source
     for x in src.objects:
         if psi.components[x] @ phi.components[x] != f2.object_map[x].identity():
             raise PreconditionError(f"ψ∘φ is not the identity at {x}")
 
-    def h_at(x, y):
-        delta = hom_matrix(lambda m: psi.components[y] @ m @ phi.components[x],
-                           unit_morphisms(tgt, f.object_map[x], f.object_map[y]),
-                           hom_coord_dim(tgt, f2.object_map[x], f2.object_map[y]), src.field)
-        return h_f2.maps[(x, y)] @ delta
+    def h(x, y, m):
+        return h_f2.apply(src.obj(x), src.obj(y), psi.components[y] @ m @ phi.components[x])
 
-    return _verified_witness(f, h_at, "retract transfer")
+    return _tabulated_witness(f, h, "retract transfer")
 
 
 def fully_faithful_witness(f: Functor) -> SepWitness:
@@ -491,28 +498,21 @@ def fully_faithful_witness(f: Functor) -> SepWitness:
                     f"hom dimensions differ at ({x},{y}): {d} vs {len(tbasis)}")
             # each ambient coordinate in the basis {F(b_t)}: the inverse hom bijection
             try:
-                maps[(x, y)] = hom_matrix(lambda m: m, unit_morphisms(tgt, fx, fy), d, src.field,
+                maps[(x, y)] = hom_matrix(lambda m: m, unit_morphisms(tgt, fx, fy), src.field,
                                           basis=f.hom_map[(x, y)])
             except ValueError:
                 raise NotFullyFaithfulError(f"hom action at ({x},{y}) is not bijective")
-    w = SepWitness(f, maps)
-    w.verify().require(LawViolationError, "fully-faithful witness")
-    return w
+    return _verified_witness(f, maps, "fully-faithful witness")
 
 
 def witness_from_section(adj: Adjunction, xi: NatTrans) -> SepWitness:
     """H(g) = ε_Y∘F(g)∘ξ_X: a witness for the right adjoint from a counit section."""
     validate_section(adj, xi).require(PreconditionError, "from-xi transfer needs a section of ε")
-    src = adj.G.source
 
-    def h_at(x, y):
-        def h(g):
-            return adj.counit.components[y] @ adj.F.on_morphism(g) @ xi.components[x]
+    def h(x, y, g):
+        return adj.counit.components[y] @ adj.F.on_morphism(g) @ xi.components[x]
 
-        return hom_matrix(h, unit_morphisms(adj.G.target, adj.G.object_map[x], adj.G.object_map[y]),
-                          src.hom_dim(x, y), src.field)
-
-    return _verified_witness(adj.G, h_at, "from-xi transfer")
+    return _tabulated_witness(adj.G, h, "from-xi transfer")
 
 
 def transfer_witness(rule: str, *args) -> SepWitness:
@@ -573,20 +573,22 @@ def section_feasibility(adj: Adjunction):
     return sol, xi
 
 
+def bijectivity_record(pair, cols, dim_target: int, field) -> dict:
+    """The rank of a hom map given by its image columns of a source basis, in
+    coordinates of a target basis, and whether the map is bijective."""
+    rank = rank_extension(cols, (), field)[0]
+    return {"pair": pair, "dim_source": len(cols), "dim_target": dim_target, "rank": rank,
+            "bijective": rank == len(cols) == dim_target}
+
+
 def fully_faithful_on(f: Functor, pairs) -> list[dict]:
     """Per pair: the rank of the induced hom map and whether it is bijective."""
     out = []
     for a, b in pairs:
         if a.cat is not f.source or b.cat is not f.source:
             raise ValueError("pair objects are not in the functor's source closure")
-        sbasis = hom_space_basis(f.source, a, b)
         tbasis = hom_space_basis(f.target, f.on_object(a), f.on_object(b))
-        rank = hom_matrix(f.on_morphism, sbasis, len(tbasis), f.source.field, basis=tbasis).rank()
-        out.append({
-            "pair": (a, b),
-            "dim_source": len(sbasis),
-            "dim_target": len(tbasis),
-            "rank": rank,
-            "bijective": rank == len(sbasis) == len(tbasis),
-        })
+        cols = hom_matrix(f.on_morphism, hom_space_basis(f.source, a, b), f.source.field,
+                          basis=tbasis)
+        out.append(bijectivity_record((a, b), cols, len(tbasis), f.source.field))
     return out

@@ -1,4 +1,4 @@
-"""Dense exact matrices and the sparse affine-feasibility core.
+"""The sparse affine-feasibility core: exact elimination over Q and F_p.
 
 Every separability decision in the library reduces to exact feasibility of an
 affine system A·x = b.  The solver row-reduces sparse rows in input order,
@@ -226,134 +226,11 @@ def coordinate_map(columns, field):
     return coords
 
 
-class Matrix:
-    """Dense matrix over an exact field."""
-
-    __slots__ = ("field", "rows", "cols", "data")
-
-    def __init__(self, field: Field, data, cols: int | None = None):
-        self.field = field
-        self.data = [list(r) for r in data]
-        self.rows = len(self.data)
-        if self.rows:
-            self.cols = len(self.data[0])
-            if any(len(r) != self.cols for r in self.data):
-                raise ValueError("ragged rows")
-            if cols is not None and cols != self.cols:
-                raise ValueError(f"rows of length {self.cols}, expected {cols}")
-        else:
-            if cols is None:
-                raise ValueError("empty matrix needs an explicit column count")
-            self.cols = cols
-
-    @classmethod
-    def from_columns(cls, field, columns, rows: int):
-        z = field.zero()
-        m = cls(field, [[z] * len(columns) for _ in range(rows)], cols=len(columns))
-        for j, col in enumerate(columns):
-            if len(col) != rows:
-                raise ValueError("column length mismatch")
-            for i, v in enumerate(col):
-                m.data[i][j] = v
-        return m
-
-    @classmethod
-    def parse(cls, field, string_rows, cols=None):
-        return cls(field, [[field.parse(s) for s in row] for row in string_rows], cols=cols)
-
-    def to_strings(self):
-        return [[self.field.fmt(v) for v in row] for row in self.data]
-
-    def scale(self, s):
-        return Matrix(self.field, [[s * a for a in r] for r in self.data], cols=self.cols)
-
-    def __matmul__(self, other):
-        if self.field != other.field:
-            raise ValueError("mixed fields")
-        if self.cols != other.rows:
-            raise ValueError(f"dimension mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        zero = self.field.zero()
-        out = []
-        for i in range(self.rows):
-            ri = self.data[i]
-            orow = []
-            for j in range(other.cols):
-                acc = zero
-                for k in range(self.cols):
-                    a = ri[k]
-                    if a:
-                        b = other.data[k][j]
-                        if b:
-                            acc = acc + a * b
-                orow.append(acc)
-            out.append(orow)
-        return Matrix(self.field, out, cols=other.cols)
-
-    def apply(self, vec):
-        """Matrix-vector product."""
-        if len(vec) != self.cols:
-            raise ValueError("dimension mismatch")
-        zero = self.field.zero()
-        nonzero = [(k, v) for k, v in enumerate(vec) if v]
-        out = []
-        for ri in self.data:
-            acc = zero
-            for k, v in nonzero:
-                if ri[k]:
-                    acc = acc + ri[k] * v
-            out.append(acc)
-        return out
-
-    def __eq__(self, other):
-        return (isinstance(other, Matrix) and self.field == other.field
-                and self.rows == other.rows and self.cols == other.cols
-                and self.data == other.data)
-
-    def solve(self, b):
-        """Solve self·x = b; returns AffineSolution or Infeasible."""
-        if isinstance(b, Matrix):
-            if b.cols != 1:
-                raise ValueError("right-hand side must be a column")
-            b = [r[0] for r in b.data]
-        if len(b) != self.rows:
-            raise ValueError(f"dimension mismatch: {self.rows} rows vs {len(b)} entries")
-        rows = [{j: v for j, v in enumerate(r) if v} for r in self.data]
-        return solve_sparse(rows, list(b), self.cols, self.field)
-
-    def rank(self) -> int:
-        res = self.solve([self.field.zero()] * self.rows)
-        return res.rank
-
-    def __repr__(self):
-        return f"<Matrix {self.rows}x{self.cols} over {self.field.spec_str()}>"
-
-
-def solve_affine(a: Matrix, b):
-    """Exact feasibility of A·x = b with particular solution and kernel basis."""
-    return a.solve(b)
-
-
-def div_by_int(x, n: int):
-    """Divide a scalar or Matrix by a positive integer, exactly.
-
-    Raises NotInvertibleError when the field characteristic divides n.
-    """
-    if n == 0:
-        raise ZeroDivisionError("division by zero")
-    if isinstance(x, Matrix):
-        return x.scale(x.field.inv_int(n))
-    if isinstance(x, Fraction):
-        return x / n
-    if isinstance(x, Fp):
-        return x * Field(x.p).inv_int(n)
-    raise TypeError(f"cannot divide {type(x).__name__} by an integer")
-
-
 class LinForm:
     """Affine form const + Σ coeff_i·x_i with exact scalar coefficients.
 
     Field scalars defer to it in arithmetic and comparison, so a form can sit in
-    any coordinate of a Morphism or a Matrix as one more scalar.
+    any coordinate of a Morphism or of a witness column as one more scalar.
     """
 
     __slots__ = ("const", "coeffs")

@@ -11,7 +11,8 @@ from __future__ import annotations
 from .category import (CatObject, Morphism, MorSystem, express_in_basis,
                        hom_space_basis, split_idempotent)
 from .errors import LawViolationError, NotFullyFaithfulError, PreconditionError
-from .functors import Adjunction, NatTrans, hom_matrix
+from .functors import Adjunction, NatTrans, bijectivity_record, hom_matrix
+from .linalg import coordinate_map
 from .monads import Monad, MonadSepWitness, monad_from_adjunction
 from .reports import ValidationReport
 
@@ -145,10 +146,6 @@ class EmAdjunction:
             yield "module", (m,), self.counit_at(m).mor @ self.unit_at(m.carrier), m.carrier.identity()
 
 
-def em_adjunction(monad: Monad) -> EmAdjunction:
-    return EmAdjunction(monad)
-
-
 class Comparison:
     """The comparison functor K(D) = (G(D), G(ε_D)), K(f) = G(f)."""
 
@@ -170,31 +167,20 @@ class Comparison:
         return km
 
     def hom_matrix(self, d1: CatObject, d2: CatObject):
-        """The induced map Hom_D(d1, d2) → Hom_modules(K d1, K d2) in chosen bases."""
+        """The induced map Hom_D(d1, d2) → Hom_modules(K d1, K d2) as its image
+        columns in chosen bases; returns (columns, D basis, module basis)."""
         dcat = self.adj.G.source
         dbasis = hom_space_basis(dcat, d1, d2)
         mbasis = module_hom_basis(self.on_object(d1), self.on_object(d2))
-        mat = hom_matrix(self.adj.G.on_morphism, dbasis, len(mbasis), dcat.field,
-                         basis=[m.mor for m in mbasis])
-        return mat, dbasis, mbasis
+        cols = hom_matrix(self.adj.G.on_morphism, dbasis, dcat.field, basis=[m.mor for m in mbasis])
+        return cols, dbasis, mbasis
 
     def fully_faithful_on(self, pairs) -> list[dict]:
         out = []
         for d1, d2 in pairs:
-            mat, dbasis, mbasis = self.hom_matrix(d1, d2)
-            rank = mat.rank()
-            out.append({"pair": (d1, d2), "dim_source": len(dbasis),
-                        "dim_target": len(mbasis), "rank": rank,
-                        "bijective": rank == len(dbasis) == len(mbasis)})
+            cols, _, mbasis = self.hom_matrix(d1, d2)
+            out.append(bijectivity_record((d1, d2), cols, len(mbasis), self.adj.G.source.field))
         return out
-
-
-def comparison_apply(adj: Adjunction, monad: Monad | None, arg):
-    """Apply the comparison functor to an object or a morphism of D."""
-    k = Comparison(adj, monad)
-    if isinstance(arg, Morphism):
-        return k.on_morphism(arg)
-    return k.on_object(arg)
 
 
 def xi_em_from_sigma(sw: MonadSepWitness, m: MModule) -> ModuleMor:
@@ -259,16 +245,15 @@ def essential_preimage(adj: Adjunction, sw: MonadSepWitness, m: MModule):
     fx = adj.F.on_object(x)
     s, r = module_retract_of_free(sw, m)
     e_mod = s @ r  # idempotent module endomorphism of the free module on X
-    mat, dbasis, mbasis = k.hom_matrix(fx, fx)
-    if not (len(dbasis) == len(mbasis) == mat.rank()):
-        raise NotFullyFaithfulError(
-            f"K is not bijective on Hom(F(X), F(X)): dims {len(dbasis)}/{len(mbasis)}, rank {mat.rank()}")
+    cols, dbasis, mbasis = k.hom_matrix(fx, fx)
+    rec = bijectivity_record((fx, fx), cols, len(mbasis), fx.cat.field)
+    if not rec["bijective"]:
+        raise NotFullyFaithfulError(f"K is not bijective on Hom(F(X), F(X)): dims "
+                                    f"{len(dbasis)}/{len(mbasis)}, rank {rec['rank']}")
+    # bijective: the columns are a basis, so ê's coordinates exist and are unique
     coords = express_in_basis(e_mod.mor, [mm.mor for mm in mbasis])
-    res = mat.solve(coords)
-    if not res.feasible or res.kernel:
-        raise NotFullyFaithfulError("cannot pull the idempotent back through K")
     e_hat = None
-    for c, f in zip(res.particular, dbasis):
+    for c, f in zip(coordinate_map(cols, fx.cat.field)(coords), dbasis):
         term = f.scale(c)
         e_hat = term if e_hat is None else e_hat + term
     if e_hat @ e_hat != e_hat:

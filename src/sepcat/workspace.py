@@ -22,7 +22,6 @@ from .equivariant import (EquivariantObject, FiniteGroup, GroupAction,
 from .errors import LawViolationError, WorkspaceError
 from .functors import (Adjunction, Functor, NatTrans, SepWitness, compose_functors,
                        validate_adjunction, validate_functor, validate_nat)
-from .linalg import Matrix
 from .modules import MModule, free_module, validate_module
 from .monads import Monad, MonadSepWitness, monad_from_adjunction, validate_monad
 from .reports import ValidationReport
@@ -509,6 +508,17 @@ _DECLARED = {
 
 # ------------------------------------------------------------------ parsing
 
+def _read_json(path: str, what: str, **kwargs):
+    """The JSON document in the file at path; WorkspaceError if it cannot be read or parsed."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh, **kwargs)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise WorkspaceError(f"cannot read {what}: {exc}")
+    except json.JSONDecodeError as exc:
+        raise WorkspaceError(f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+
+
 def parse_workspace(path: str, validate: bool = True) -> Workspace:
     """Read a workspace file and check the structure of every declaration.
 
@@ -516,13 +526,7 @@ def parse_workspace(path: str, validate: bool = True) -> Workspace:
     any failure raises WorkspaceError; without, declarations are built on first
     reference (see Workspace).
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh, object_pairs_hook=_no_duplicates)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise WorkspaceError(f"cannot read workspace: {exc}")
-    except json.JSONDecodeError as exc:
-        raise WorkspaceError(f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    raw = _read_json(path, "workspace", object_pairs_hook=_no_duplicates)
     if not isinstance(raw, dict) or raw.get("schema") != SCHEMA:
         raise WorkspaceError(f"expected a workspace document with schema {SCHEMA!r}")
     ws = Workspace(path, raw)
@@ -560,9 +564,11 @@ def validate_workspace(ws: Workspace) -> ValidationReport:
 
 def witness_to_json(name: str, target: str, witness) -> dict:
     if target == "functor":
-        maps = {}
-        for (x, y), mat in sorted(witness.maps.items()):
-            maps[f"{x}|{y}"] = mat.to_strings()
+        src = witness.functor.source
+        # row i holds coordinate i of every image column H(e_k)
+        maps = {f"{x}|{y}": [[src.field.fmt(col[i]) for col in cols]
+                             for i in range(src.hom_dim(x, y))]
+                for (x, y), cols in sorted(witness.maps.items())}
         return {"schema": "sepcat-witness/1", "kind": "functor-separability",
                 "workspace_ref": name, "target": target, "maps": maps}
     if target == "monad":
@@ -582,8 +588,7 @@ def _witness_entry(data: dict, key: str, kind: type = str):
 def load_witness(path: str, ws: Workspace):
     """Re-ingest a witness file against its workspace and re-verify its laws;
     WorkspaceError names the key or entry at fault in a malformed file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _read_json(path, "witness file")
     if not isinstance(data, dict) or data.get("schema") != "sepcat-witness/1":
         raise WorkspaceError("not a witness file")
     name, target = _witness_entry(data, "workspace_ref"), _witness_entry(data, "target")
@@ -598,9 +603,12 @@ def load_witness(path: str, ws: Workspace):
             amb = hom_coord_dim(functor.target, functor.object_map[x],
                                 functor.object_map[y])
             try:
-                maps[(x, y)] = h = Matrix.parse(functor.source.field, rows, cols=amb)
-                if h.rows != d:
-                    raise ValueError(f"{h.rows} rows, expected {d}")
+                parsed = [[functor.source.field.parse(s) for s in row] for row in rows]
+                if bad := [len(row) for row in parsed if len(row) != amb]:
+                    raise ValueError(f"rows of length {bad[0]}, expected {amb}")
+                if len(parsed) != d:
+                    raise ValueError(f"{len(parsed)} rows, expected {d}")
+                maps[(x, y)] = [list(col) for col in zip(*parsed)]
             except (ArithmeticError, AttributeError, TypeError, ValueError) as exc:
                 raise WorkspaceError(f"witness map {key!r}: {exc}") from exc
         w = SepWitness(functor, maps)

@@ -14,7 +14,6 @@ import pytest
 from sepcat import (Field, FiniteGroup, GroupAction, Infeasible, SepWitness, equivariant_category,
                     induce_adjunction, separability_solve)
 from sepcat.category import LinearCategory, MorSystem, hom_coord_dim, hom_space_basis
-from sepcat.linalg import Matrix
 from sepcat.standard import point_category, two_point_category
 
 
@@ -54,8 +53,8 @@ def assemble(f, laws):
     unknowns = {}
     for x, y in src.hom_pairs():
         a = hom_coord_dim(f.target, f.object_map[x], f.object_map[y])
-        unknowns[(x, y)] = Matrix(src.field, [sysm.variables(a) for _ in range(src.hom_dim(x, y))],
-                                  cols=a)
+        xs = sysm.variables(src.hom_dim(x, y) * a)
+        unknowns[(x, y)] = [xs[k::a] for k in range(a)]
     for label, lhs, rhs in laws(SepWitness(f, unknowns)):
         sysm.require_equal(lhs, rhs, label)
     return sysm, unknowns
@@ -109,5 +108,5 @@ def test_one_sided_and_joint_systems_agree(name, field):
     assert got.kernel == want.kernel
     assert isinstance(result, SepWitness)
     for key, h in unknowns.items():
-        assert result.maps[key].data == [[e.eval(want.particular) for e in row] for row in h.data]
+        assert result.maps[key] == [[e.eval(want.particular) for e in col] for col in h]
     assert joint_law_failures(result) == []

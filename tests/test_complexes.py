@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from sepcat import (BoundedComplex, MModule,
+from sepcat import (BoundedComplex, LiftedMonad, MModule,
                     MonadNotSeparableError, Monad, MonadSepWitness, Morphism,
                     derived_comparison_check, direct_sum,
-                    equivariant_monad, free_module, kb_hom_basis, lift_monad,
+                    equivariant_monad, free_module, kb_hom_basis,
                     lifted_module_hom_dim, module_chain_hom_dim,
                     module_complex_retract, monad_separability_solve,
                     random_module_complex, validate_complex)
@@ -97,13 +97,13 @@ class TestHomotopyHoms:
 class TestLiftedMonad:
     def test_identity_monad_lifts_to_identity(self, c1_q):
         m = Monad.identity_monad(c1_q)
-        lifted = lift_monad(m)
+        lifted = LiftedMonad(m)
         s = stalk(c1_q, c1_q.obj("pt"))
         ms = lifted.on_complex(s)
         assert ms.term(0) == c1_q.obj("pt")
 
     def test_group_monad_doubles_terms_and_laws_hold(self, monad_z2_q, c1_q, sigma_z2):
-        lifted = lift_monad(monad_z2_q)
+        lifted = LiftedMonad(monad_z2_q)
         pt = c1_q.obj("pt")
         c = interval(c1_q, pt)
         mc = lifted.on_complex(c)
@@ -112,7 +112,7 @@ class TestLiftedMonad:
         assert rep.passed
 
     def test_lifted_sigma_section_law_degreewise(self, monad_z2_q, c1_q, sigma_z2):
-        lifted = lift_monad(monad_z2_q)
+        lifted = LiftedMonad(monad_z2_q)
         c = interval(c1_q, direct_sum([c1_q.obj("pt"), c1_q.obj("pt")]))
         s = lifted.section(sigma_z2, c)
         mu = lifted.mult(c)

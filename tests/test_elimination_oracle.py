@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import sepcat.category
 from sepcat import (Field, FiniteGroup, GroupAction, equivariant_category, equivariant_monad,
                     induce_adjunction, monad_separability_solve, separability_solve)
-from sepcat.linalg import (AffineSolution, Infeasible, Matrix, coordinate_map, rank_extension,
+from sepcat.linalg import (AffineSolution, Infeasible, coordinate_map, rank_extension,
                            solve_sparse)
 from sepcat.scalars import Fp
 from sepcat.standard import point_category, two_point_category
@@ -258,7 +258,7 @@ def test_prime_field_scalar_in_a_rational_system_is_rejected(entry):
     with pytest.raises(ValueError, match="not a scalar of Q"):
         solve_sparse([{0: q.one()}], [entry], 1, q)
     with pytest.raises(ValueError, match="not a scalar of Q"):
-        Matrix(q, [[q.one(), entry]]).rank()
+        rank_extension([[q.one(), entry]], [], q)
 
 
 @settings(max_examples=100, deadline=None)
@@ -268,7 +268,8 @@ def test_coordinate_map_is_unique_coordinates(data, field, n, k):
     vectors = st.lists(scalars(field), min_size=n, max_size=n)
     columns = data.draw(st.lists(vectors, max_size=k))
     target = data.draw(vectors)
-    direct = Matrix.from_columns(field, columns, n).solve(target)
+    rows = [{j: col[i] for j, col in enumerate(columns)} for i in range(n)]
+    direct = solve_sparse(rows, target, len(columns), field)
     coords = coordinate_map(columns, field)
     if direct.feasible and not direct.kernel:
         assert coords(target) == direct.particular

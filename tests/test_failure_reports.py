@@ -20,8 +20,7 @@ from sepcat.category import LinearCategory, Morphism, validate_presentation
 from sepcat.complexes import module_complex_retract, validate_complex
 from sepcat.equivariant import character_modules, validate_action
 from sepcat.functors import validate_adjunction, validate_functor, validate_nat, validate_section
-from sepcat.linalg import Matrix
-from sepcat.modules import MModule, em_adjunction
+from sepcat.modules import EmAdjunction, MModule
 from sepcat.monads import validate_monad
 from sepcat.standard import a2_quiver_category, point_category
 
@@ -52,11 +51,10 @@ def bumped_witness(n, columns):
     g = induce_adjunction(equivariant_category(
         GroupAction.trivial(FiniteGroup.cyclic(n), point_category(QQ)))).G
     maps = dict(separability_solve(g).maps)
-    h = maps[("F(pt)", "F(pt)")]
-    data = [list(row) for row in h.data]
+    cols = [list(col) for col in maps[("F(pt)", "F(pt)")]]
     for j in columns:
-        data[0][j] += QQ.one()
-    maps[("F(pt)", "F(pt)")] = Matrix(QQ, data, cols=h.cols)
+        cols[j][0] += QQ.one()
+    maps[("F(pt)", "F(pt)")] = cols
     return SepWitness(g, maps)
 
 
@@ -222,7 +220,7 @@ def case_em_adjunction():
     m, chars = z2_monad_and_characters()
     bad = doubled_unit_monad(m)
     mods = [MModule(bad, c.carrier, c.action, name=k) for k, c in sorted(chars.items())]
-    return em_adjunction(bad).validate(mods)
+    return EmAdjunction(bad).validate(mods)
 
 
 EXPECTED = {
@@ -404,6 +402,7 @@ def test_section_preconditions_name_the_failing_law():
 
 def test_extracted_section_is_rechecked():
     adj, w, _ = doubled_section()
-    broken = SepWitness(w.functor, {k: h.scale(TWO) for k, h in w.maps.items()})
+    broken = SepWitness(w.functor, {k: [[TWO * v for v in col] for col in h]
+                                    for k, h in w.maps.items()})
     with pytest.raises(LawViolationError, match=r"^extracted section: ε∘ξ = Id \(F\(pt\)\)$"):
         extract_section(adj, broken)

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from sepcat import (Comparison, Functor, Infeasible, MModule, Monad,
+from sepcat import (Comparison, EmAdjunction, Functor, Infeasible, MModule, Monad,
                     MonadSepWitness, Morphism, NatTrans, check_equiv_up_to_retracts,
-                    compose_functors, em_adjunction, essential_preimage,
+                    compose_functors, essential_preimage,
                     equivariant_monad, free_module, module_hom_basis,
                     monad_from_adjunction,
                     monad_separability_solve, xi_em_from_sigma)
@@ -71,25 +71,25 @@ class TestModuleHomBasis:
 
 class TestEmAdjunction:
     def test_identity_monad_free_is_identity(self, c1_q):
-        em = em_adjunction(Monad.identity_monad(c1_q))
+        em = EmAdjunction(Monad.identity_monad(c1_q))
         fm = em.free(c1_q.obj("pt"))
         assert fm.carrier == c1_q.obj("pt")
         assert fm.action == c1_q.obj("pt").identity()
 
     def test_counit_at_sign_is_the_action_row(self, monad_z2_q, chars_z2_q):
-        em = em_adjunction(monad_z2_q)
+        em = EmAdjunction(monad_z2_q)
         eps = em.counit_at(chars_z2_q["sign"])
         want = tuple((Fraction(v),) for v in (1, -1))
         assert eps.mor.blocks == (want,)
 
     def test_triangles_on_samples(self, monad_z2_q, chars_z2_q, c1_q):
-        em = em_adjunction(monad_z2_q)
+        em = EmAdjunction(monad_z2_q)
         samples = [chars_z2_q["triv"], chars_z2_q["sign"],
                    free_module(monad_z2_q, c1_q.obj("pt"))]
         assert em.validate(samples).passed
 
     def test_defined_monad_componentwise(self, monad_z2_q):
-        em = em_adjunction(monad_z2_q)
+        em = EmAdjunction(monad_z2_q)
         assert em.defined_monad().components_equal(monad_z2_q)
 
 
@@ -131,14 +131,13 @@ class TestComparison:
             assert rec["bijective"]
 
     def test_comparison_on_morphisms_and_dispatcher(self, adj_z2_q, eqcat_z2_q):
-        from sepcat import comparison_apply
-        monad = monad_from_adjunction(adj_z2_q)
+        k = Comparison(adj_z2_q, monad_from_adjunction(adj_z2_q))
         pcat = eqcat_z2_q.cat
-        f = pcat.obj("F(pt)").identity()  # an endomorphism through the dispatcher
-        km = comparison_apply(adj_z2_q, monad, f)
+        f = pcat.obj("F(pt)").identity()
+        km = k.on_morphism(f)
         assert km.verify().passed
         assert km.mor == adj_z2_q.G.on_morphism(f)   # G_M∘K = G on morphisms
-        mod = comparison_apply(adj_z2_q, monad, pcat.obj("sign"))
+        mod = k.on_object(pcat.obj("sign"))
         assert mod.carrier == adj_z2_q.G.object_map["sign"]
 
     def test_comparison_agrees_with_dictionary_on_all_objects(self, adj_z2_q, eqcat_z2_q):

@@ -116,8 +116,8 @@ class TestMonadFromAdjunction:
         assert m.components_equal(monad_z2_q)
 
     def test_em_adjunction_roundtrip(self, monad_z2_q):
-        from sepcat import em_adjunction
-        em = em_adjunction(monad_z2_q)
+        from sepcat import EmAdjunction
+        em = EmAdjunction(monad_z2_q)
         rebuilt = em.defined_monad()
         assert rebuilt.components_equal(monad_z2_q)
 

@@ -241,6 +241,17 @@ class TestWitnessRoundTrip:
                            match=f"^witness file: '{key}' is missing or has the wrong JSON type$"):
             load_witness(str(path), parse_workspace(FIXTURE))
 
+    @pytest.mark.parametrize("content,message", [
+        ('{"schema": ', r"^syntax error at line 1, column 12: Expecting value$"),
+        (None, r"^cannot read witness file: \[Errno 2\] No such file or directory"),
+    ], ids=["truncated", "missing"])
+    def test_unreadable_witness_file_is_a_workspace_error(self, tmp_path, content, message):
+        path = tmp_path / "forget_z2_q.witness.json"
+        if content is not None:
+            path.write_text(content)
+        with pytest.raises(WorkspaceError, match=message):
+            load_witness(str(path), parse_workspace(FIXTURE, validate=False))
+
 
 class TestReports:
     def test_em_report_with_complete_target(self, tmp_path):
