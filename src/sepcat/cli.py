@@ -2,9 +2,10 @@
 solves with witness persistence, and the report pipelines.
 
 Exit codes: 0 all checks pass, 1 at least one failed or infeasible check,
-2 input error (syntax, unresolved reference, unknown command or name, or a
-declaration the command references failing its laws).  ``validate`` builds and
-validates every declaration; the other commands only what they reference.
+2 input error (syntax, unresolved reference, unknown command or name, a
+declaration the command references failing its laws, or an output directory
+that cannot be written).  ``validate`` builds and validates every declaration;
+the other commands only what they reference.
 Reports are byte-identical across runs for a fixed workspace and seed.
 """
 
@@ -17,8 +18,7 @@ import random
 import sys
 
 from .complexes import ModuleComplex, derived_comparison_check, random_module_complex
-from .equivariant import (character_modules, eq_hom_space, equivariant_monad,
-                          induce_adjunction, to_equivariant, to_module,
+from .equivariant import (character_modules, eq_hom_space, to_equivariant, to_module,
                           validate_action, xi_section)
 from .errors import (LawViolationError, MonadNotSeparableError,
                      NotInvertibleError, WorkspaceError)
@@ -177,11 +177,11 @@ def cmd_equivariant_report(ws: Workspace, name: str, opts) -> Checks:
     checks.merge_report(f"equivariant-report {name}: group", act.group.validate())
     checks.merge_report(f"equivariant-report {name}: action", validate_action(act))
     eqc = ws.eqcat_for_action(name)
-    adj = induce_adjunction(eqc)
+    adj = ws.adjunction_for_action(name)
     checks.merge_report(f"equivariant-report {name}: induced adjunction",
                         validate_adjunction(adj))
     monad = monad_from_adjunction(adj)
-    explicit = equivariant_monad(act)
+    explicit = act.group_monad()
     checks.add(f"equivariant-report {name}: monad matches the Kronecker formula",
                "pass" if monad.components_equal(explicit) else "fail")
     rng = random.Random(opts.seed)
@@ -226,7 +226,7 @@ def cmd_equivariant_report(ws: Workspace, name: str, opts) -> Checks:
 def cmd_complex_report(ws: Workspace, name: str, opts) -> Checks:
     checks = Checks()
     act = ws.action(name)
-    monad = equivariant_monad(act)
+    monad = act.group_monad()
     try:
         sigma = monad_separability_solve(monad)
         if isinstance(sigma, Infeasible):
@@ -316,27 +316,30 @@ def run(argv=None) -> int:
     if opts.command is None:
         parser.print_usage(sys.stderr)
         return 2
-    os.makedirs(opts.out, exist_ok=True)
+    rpath = os.path.join(opts.out, "report.json")
     try:
+        os.makedirs(opts.out, exist_ok=True)
         ws = parse_workspace(opts.workspace, validate=False)
         checks = run_entry(ws, {"run": opts.command, **vars(opts)}, opts)
+        report = {
+            "schema": REPORT_SCHEMA,
+            "command": opts.command,
+            "workspace": opts.workspace,
+            "seed": opts.seed,
+            "samples": opts.samples,
+            "status": "pass" if checks.all_pass else "fail",
+            "checks": checks.records,
+        }
+        with open(rpath, "w", encoding="utf-8") as fh:
+            json.dump(report, fh, sort_keys=True, indent=2)
+            fh.write("\n")
     except WorkspaceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    status = "pass" if checks.all_pass else "fail"
-    report = {
-        "schema": REPORT_SCHEMA,
-        "command": opts.command,
-        "workspace": opts.workspace,
-        "seed": opts.seed,
-        "samples": opts.samples,
-        "status": status,
-        "checks": checks.records,
-    }
-    rpath = os.path.join(opts.out, "report.json")
-    with open(rpath, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    except OSError as exc:
+        print(f"error: cannot write output directory {opts.out}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 2
     for r in checks.records:
         line = f"[{r['status']}] {r['check']}"
         if r["details"]:

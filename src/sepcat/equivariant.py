@@ -117,6 +117,13 @@ class GroupAction:
         self.base = base
         self.functors = dict(functors)
         self.name = name
+        self._monad = None
+
+    def group_monad(self) -> Monad:
+        """The group monad of this action, built and validated once."""
+        if self._monad is None:
+            self._monad = equivariant_monad(self)
+        return self._monad
 
     def functor(self, g) -> Functor:
         return self.functors[g]
@@ -189,6 +196,7 @@ class EquivariantObject:
         self.alpha = dict(alpha)
         self.name = name
         self._alpha_inv = None
+        self._modules = {}
 
     def alpha_inverse(self) -> dict:
         """The inverses (α_g)^{-1}: ^gX → X, each found once by an exact solve.
@@ -485,14 +493,18 @@ def induce_adjunction(eqcat: EquivariantCategory) -> Adjunction:
 
 
 def to_module(z: EquivariantObject, monad: Monad | None = None):
-    """The dictionary (X, α) ↦ (X, λ) with λ_h = (α_h)^{-1}."""
+    """The dictionary (X, α) ↦ (X, λ) with λ_h = (α_h)^{-1}, over the action's
+    group monad by default.  The validated module is built once per monad and
+    kept on z, like `alpha_inverse`; a failure is raised again on every call."""
     from .modules import MModule, validate_module
-    action = z.action
     if monad is None:
-        monad = equivariant_monad(action)
-    lam = _inverse_action(z, monad.functor.on_object(z.carrier))
-    mod = MModule(monad, z.carrier, lam, name=z.name or "dictionary image")
-    validate_module(mod).require(LawViolationError, "dictionary to-module")
+        monad = z.action.group_monad()
+    mod = z._modules.get(monad)
+    if mod is None:
+        lam = _inverse_action(z, monad.functor.on_object(z.carrier))
+        mod = MModule(monad, z.carrier, lam, name=z.name or "dictionary image")
+        validate_module(mod).require(LawViolationError, "dictionary to-module")
+        z._modules[monad] = mod
     return mod
 
 
@@ -599,7 +611,7 @@ def character_modules(action: GroupAction, monad: Monad | None = None) -> list:
 
     Solves the polynomial closure condition t·^g(t)·…·^{g^{n-1}}(t) = Id for
     λ_g = t exactly, keeping rational solutions; each returned module is
-    validated.
+    validated, and over the action's group monad unless another is given.
     """
     from .modules import MModule, validate_module
     base = action.base
@@ -612,7 +624,7 @@ def character_modules(action: GroupAction, monad: Monad | None = None) -> list:
     import sympy  # costs about 0.4 s, so only this enumeration pays it
     n = group.order
     if monad is None:
-        monad = equivariant_monad(action)
+        monad = action.group_monad()
     powers = [group.unit]
     for _ in range(1, n):
         powers.append(group.mult(powers[-1], gen))

@@ -205,6 +205,7 @@ class Workspace:
         self._reports: dict[tuple, ValidationReport] = {}
         self._reported = False  # set once validate_workspace has reported every failure
         self._eqcats: dict = {}
+        self._adjunctions: dict = {}
 
     def _scan(self, section: str, name: str, spec) -> dict:
         """Check one declaration's shape, kind and references; return its metadata."""
@@ -287,6 +288,12 @@ class Workspace:
         if name not in self._eqcats:
             self._eqcats[name] = equivariant_category(act, extra=extras)
         return self._eqcats[name]
+
+    def adjunction_for_action(self, name):
+        """The induced adjunction (F, U) on the action's equivariant presentation."""
+        if name not in self._adjunctions:
+            self._adjunctions[name] = induce_adjunction(self.eqcat_for_action(name))
+        return self._adjunctions[name]
 
     def modules_for_monad_name(self, monad_name) -> dict:
         return {n: self.modules[n] for n, m in self.module_monad_name.items()
@@ -409,7 +416,7 @@ def _build_functor(name, spec, kind, ws) -> Functor:
     if kind == "action":
         return ws.actions[spec["action"]].functors[spec["element"]]
     if kind == "forgetful":
-        return induce_adjunction(ws.eqcat_for_action(spec["action"])).G
+        return ws.adjunction_for_action(spec["action"]).G
     source = ws.categories[spec["source"]]
     target = ws.categories[spec["target"]]
     return _parse_functor_body(name, spec, source, target, ws)
@@ -441,7 +448,7 @@ def _identity_adjunction(cat, name="") -> Adjunction:
 def _build_adjunction(name, spec, kind, ws) -> Adjunction:
     if kind == "identity":
         return _identity_adjunction(ws.categories[spec["category"]], name=name)
-    return induce_adjunction(ws.eqcat_for_action(spec["action"]))
+    return ws.adjunction_for_action(spec["action"])
 
 
 def _build_monad(name, spec, kind, ws) -> Monad:

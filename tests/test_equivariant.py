@@ -169,6 +169,26 @@ class TestDictionary:
             assert back.carrier == z.carrier
             assert back.alpha == z.alpha
 
+    def test_module_is_built_once_per_monad(self, act_z2_q, monad_z2_q):
+        z = character_object(act_z2_q, {"e": 1, "g": -1}, "sign")
+        mod = to_module(z, monad=monad_z2_q)
+        assert to_module(z, monad=monad_z2_q) is mod
+        other = equivariant_monad(act_z2_q)
+        mod2 = to_module(z, monad=other)
+        assert mod2 is not mod and mod2.monad is other and mod.monad is monad_z2_q
+        assert mod2.action == mod.action
+        assert to_module(z, monad=other) is mod2
+
+    def test_default_monad_is_the_action_group_monad(self, z2, c1_q):
+        from sepcat import module_hom_basis
+        act = GroupAction.trivial(z2, c1_q, name="Z2 on C1")
+        z = free_equivariant(act, c1_q.obj("pt"))
+        sign = character_object(act, {"e": 1, "g": -1}, "sign")
+        assert to_module(z).monad is to_module(sign).monad is act.group_monad()
+        # two default calls once built two monads, and module_hom_basis refused the pair
+        assert len(module_hom_basis(to_module(z), to_module(sign))) == len(eq_hom_space(z, sign))
+        assert all(m.monad is act.group_monad() for m in character_modules(act))
+
     def test_hom_dimensions_agree_on_random_pairs(self, act_z2_q, monad_z2_q, c1_q):
         from sepcat import module_hom_basis
         rng = random.Random(42)

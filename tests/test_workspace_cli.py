@@ -125,6 +125,27 @@ class TestExitCodes:
         assert len(errors) == 1 and "--samples" in errors[0], errors
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("out, blocker", [
+        ("taken", "taken"),                                 # --out is a file
+        ("taken/sub", "taken"),                             # --out lies under a file
+        ("out", "out/report.json/"),                        # report.json is a directory
+        ("out", "out/grpmonad_z2_q.witness.json/"),         # the witness is a directory
+    ])
+    def test_unwritable_output_exits_two_with_one_error_line(self, tmp_path, capsys,
+                                                             out, blocker):
+        target = tmp_path / blocker
+        if blocker.endswith("/"):
+            target.mkdir(parents=True)
+        else:
+            target.write_text("keep")
+        code = run(["-w", FIXTURE, "--out", str(tmp_path / out),
+                    "separability", "grpmonad_z2_q", "--target", "monad"])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            f"error: cannot write output directory {tmp_path / out}: "), err
+        assert target.is_dir() or target.read_text() == "keep"
+
     def test_zero_samples_is_valid(self, tmp_path):
         assert run(["-w", FIXTURE, "--out", str(tmp_path), "--samples", "0",
                     "equivariant-report", "triv_z2_q"]) == 0
