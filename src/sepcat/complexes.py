@@ -282,8 +282,10 @@ class ModuleComplex:
         rep = ValidationReport(f"module complex {self.name}" if self.name else "module complex")
         rep.merge(validate_complex(self.underlying))
         mf = self.monad.functor
-        for n, m in sorted(self.modules.items()):
-            rep.merge(validate_module(m))
+        distinct = {id(m): m for m in self.modules.values()}  # a module may recur
+        reports = {k: validate_module(m) for k, m in distinct.items()}
+        for _, m in sorted(self.modules.items()):
+            rep.merge(reports[id(m)])
         diff = self.underlying.diff
         rep.record_laws((("module map", (n,), diff(n) @ self.action_at(n),
                           self.action_at(n + 1) @ mf.on_morphism(diff(n)))

@@ -10,8 +10,6 @@ the whole functor/adjunction/monad calculus applies to it verbatim.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .category import (CatObject, LinearCategory, Morphism, MorSystem,
                        basis_coordinates, direct_sum, extract_block,
                        hom_space_basis, int_invertible, invert_morphism,
@@ -22,6 +20,7 @@ from .functors import (Adjunction, Functor, NatTrans, compose_functors,
                        validate_adjunction, validate_functor, validate_nat, validate_section)
 from .monads import Monad, validate_monad
 from .reports import ValidationReport
+from .scalars import rational
 
 
 class FiniteGroup:
@@ -658,10 +657,10 @@ def character_modules(action: GroupAction, monad: Monad | None = None) -> list:
         if points is None:
             points = [p for p in sympy.solve(eqs, syms, dict=True)
                       if all(getattr(p.get(c), "is_rational", False) for c in syms)]
-        rational = sorted({tuple(Fraction(int(p[c].p), int(p[c].q)) for c in syms)
-                           for p in points})
+        roots = sorted({tuple(rational(int(p[c].p), int(p[c].q)) for c in syms)
+                        for p in points})
 
-        for t_val in rational:
+        for t_val in roots:
             lam_by_elem = {group.unit: list(base.id_vec(x)), gen: list(t_val)}
             for k in range(2, n):
                 prev = lam_by_elem[powers[k - 1]]

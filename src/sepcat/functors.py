@@ -196,16 +196,19 @@ class NatTrans:
             return res
         src_parts = [self.src.object_map[s] for s in a.summands]
         dst_parts = [self.dst.object_map[s] for s in a.summands]
+        for s, sp, dp in zip(a.summands, src_parts, dst_parts):
+            if self.components[s].dom != sp or self.components[s].cod != dp:
+                raise ValueError(f"component at {s} does not run {sp!r} -> {dp!r}")
         nested = [[self.components[si] if i == j else zero_morphism(src_parts[j], dst_parts[i])
                    for j in range(len(a.summands))]
                   for i, si in enumerate(a.summands)]
         raw = _assemble_grid(nested, dst_parts, src_parts)
         plain = a.plain()
-        m = Morphism(self.src.target, self.src.on_object(plain), self.dst.on_object(plain), raw)
+        m = Morphism._new(self.src.target, self.src.on_object(plain), self.dst.on_object(plain), raw)
         if a.idem is not None:
-            e = Morphism(a.cat, plain, plain, a.idem)
+            e = Morphism._new(a.cat, plain, plain, a.idem)
             m = self.dst.on_morphism(e) @ m @ self.src.on_morphism(e)
-        res = Morphism(self.src.target, self.src.on_object(a), self.dst.on_object(a), m.blocks)
+        res = Morphism._new(self.src.target, self.src.on_object(a), self.dst.on_object(a), m.blocks)
         self._at_cache[a] = res
         return res
 

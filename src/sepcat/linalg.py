@@ -11,7 +11,8 @@ fraction-free as lead·row − a·pivot_row, then divided by the gcd of its entr
 and constant.  Every row held is thus a nonzero multiple of the row that field
 elimination would hold, with the same support, so the pivots, reduced form and
 first contradicting row are exactly those of field elimination.  Field scalars
-are minted again only for the returned particular solution and kernel basis.
+are minted again only for the returned particular solution and kernel basis,
+over Q through `rational`, so an integral entry comes back as an int.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .scalars import Field, Fp
+from .scalars import Field, Fp, rational
 
 
 class AffineSolution:
@@ -74,9 +75,9 @@ def _primitive(row: dict, cst: int) -> int:
 def _int_row(entries: dict, cst, p: int):
     """The row as ints: residues over F_p, a primitive multiple over Q; zeros dropped.
 
-    A scalar that is not of the field of characteristic p raises ValueError.
+    A scalar not of the field (over Q: exactly an int or a Fraction) raises ValueError.
     """
-    if not all(isinstance(v, Fp) and v.p == p if p else isinstance(v, Fraction)
+    if not all(isinstance(v, Fp) and v.p == p if p else type(v) in (int, Fraction)
                for v in (cst, *entries.values())):
         raise ValueError(f"a coefficient is not a scalar of {'F%d' % p if p else 'Q'}")
     if p:
@@ -171,9 +172,9 @@ def solve_sparse(rows, consts, n_vars, field: Field, labels=None):
     particular = [zero] * n_vars
     kernel = {f: [one if i == f else zero for i in range(n_vars)] for f in free}
     for c, (lead, prow, pcst) in pivots.items():
-        particular[c] = Fp(pcst, p) if p else Fraction(pcst, lead)
+        particular[c] = Fp(pcst, p) if p else rational(pcst, lead)
         for f, v in prow.items():
-            kernel[f][c] = Fp(-v, p) if p else Fraction(-v, lead)
+            kernel[f][c] = Fp(-v, p) if p else rational(-v, lead)
     return AffineSolution(particular, list(kernel.values()), free, rank, n_vars)
 
 

@@ -1,9 +1,12 @@
 """Exact scalar arithmetic over the rationals and over prime fields.
 
-Rational scalars are plain `fractions.Fraction` values (always reduced, positive
-denominator).  Prime-field scalars are `Fp` residues kept canonical in [0, p).
-A `Field` object mints, parses and formats scalars and decides integer
-invertibility; the scalars themselves carry the arithmetic operators.
+A rational scalar is an `int` when integral, else a reduced `fractions.Fraction`
+(`rational` mints one); both print, compare and hash alike.  Ints keep 0, ±1
+and structure constants out of `Fraction` arithmetic, some 50 times slower.
+Nothing applies `/` to rational scalars (two ints would give a float):
+`Field.inv_int` divides.  Prime-field scalars are `Fp` residues kept canonical
+in [0, p).  A `Field` object mints, parses and formats scalars and decides
+integer invertibility; the scalars themselves carry the arithmetic operators.
 """
 
 from __future__ import annotations
@@ -22,6 +25,11 @@ def _is_prime(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+def rational(num: int, den: int):
+    """num/den as a rational scalar: an int when den divides num, else a Fraction."""
+    return num // den if num % den == 0 else Fraction(num, den)
 
 
 class Fp:
@@ -127,19 +135,19 @@ class Field:
         return self.char == 0
 
     def zero(self):
-        return Fraction(0) if self.char == 0 else Fp(0, self.char)
+        return 0 if self.char == 0 else Fp(0, self.char)
 
     def one(self):
-        return Fraction(1) if self.char == 0 else Fp(1, self.char)
+        return 1 if self.char == 0 else Fp(1, self.char)
 
     def from_int(self, n: int):
-        return Fraction(n) if self.char == 0 else Fp(n, self.char)
+        return n if self.char == 0 else Fp(n, self.char)
 
     def parse(self, s: str):
         """Parse "n" or "p/q" (rationals), or a decimal residue (prime field)."""
         s = s.strip()
         if self.char == 0:
-            return Fraction(s)
+            return rational(*Fraction(s).as_integer_ratio())
         if "/" in s:
             num, den = s.split("/", 1)
             return Fp(int(num), self.char) / Fp(int(den), self.char)
@@ -160,7 +168,7 @@ class Field:
                 f"{n} is not invertible over {self.spec_str()}"
                 + (f" (characteristic {self.char} divides it)" if self.char else ""))
         if self.char == 0:
-            return Fraction(1, n)
+            return rational(1, n)
         return Fp(pow(n, -1, self.char), self.char)
 
     def spec_str(self) -> str:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import sepcat.modules
 from sepcat import (BoundedComplex, LiftedMonad, MModule,
                     MonadNotSeparableError, Monad, MonadSepWitness, Morphism,
                     derived_comparison_check, direct_sum,
@@ -14,6 +15,7 @@ from sepcat import (BoundedComplex, LiftedMonad, MModule,
                     module_complex_retract, monad_separability_solve,
                     random_module_complex, validate_complex)
 from sepcat.complexes import ModuleComplex
+from sepcat.reports import ValidationReport
 
 
 def stalk(cat, obj, degree=0, name=""):
@@ -52,6 +54,32 @@ class TestValidateComplex:
         pt = c1_q.obj("pt")
         with pytest.raises(ValueError):
             BoundedComplex(c1_q, {n: pt for n in range(9)}, {}, support_cap=8)
+
+
+    def test_recurring_module_is_validated_once(self, monad_z2_q, chars_z2_q, c1_q,
+                                                monkeypatch):
+        triv, sign = chars_z2_q["triv"], chars_z2_q["sign"]
+        pt = c1_q.obj("pt")
+        mc = ModuleComplex(monad_z2_q, {0: triv, 1: triv, 2: sign, 3: triv},
+                           {0: pt.identity()}, name="recurring")
+        # the report as it reads when every degree validates its module afresh
+        want = ValidationReport("module complex recurring")
+        want.merge(validate_complex(mc.underlying))
+        for n in range(4):
+            want.merge(sepcat.modules.validate_module(mc.module(n)))
+        calls = []
+        real = sepcat.modules.validate_module
+
+        def counted(m):
+            calls.append(m)
+            return real(m)
+
+        monkeypatch.setattr(sepcat.modules, "validate_module", counted)
+        rep = mc.validate()
+        assert calls == [triv, sign]
+        assert rep.passed and rep.checks[:len(want.checks)] == want.checks
+        assert [name for name, _, _ in rep.checks[len(want.checks):]] == \
+            ["differentials are module morphisms"]
 
 
 class TestHomotopyHoms:

@@ -1,10 +1,12 @@
 """The integer eliminator against the field-arithmetic loop it replaced.
 
 `reference_solve_sparse` and `reference_rank_extension` are the earlier
-`Fraction`/`Fp` forward and backward loops, kept here verbatim as the oracle.
-Elimination on integers keeps every row a nonzero multiple of the field row,
-so rank, particular solution, kernel basis and the first contradicting label
-must all be identical, not merely equivalent.
+`Fraction`/`Fp` forward and backward loops, kept here as the oracle; they turn
+rational inputs into `Fraction`s first (`field_scalar`), so int entries are
+divided in field arithmetic.  Elimination on integers keeps every row a
+nonzero multiple of the field row, so rank, particular solution, kernel basis
+and the first contradicting label must all be identical, not merely
+equivalent, and every returned rational is an int exactly when it is integral.
 """
 
 from fractions import Fraction
@@ -22,13 +24,18 @@ from sepcat.scalars import Fp
 from sepcat.standard import point_category, two_point_category
 
 
+def field_scalar(v, field):
+    """A rational entry as a Fraction, so `/` on it is field division."""
+    return Fraction(v) if field.is_rational else v
+
+
 def reference_solve_sparse(rows, consts, n_vars, field, labels=None):
     pivots = {}
     bad_label = None
     n_bad = 0
     for idx in range(len(rows)):
-        row = dict(rows[idx])
-        cst = consts[idx]
+        row = {j: field_scalar(v, field) for j, v in rows[idx].items()}
+        cst = field_scalar(consts[idx], field)
         while row:
             c = min(row)
             if c not in pivots:
@@ -93,7 +100,7 @@ def reference_solve_sparse(rows, consts, n_vars, field, labels=None):
 
 
 def _reference_echelon_insert(pivots, vec, field):
-    row = {i: v for i, v in enumerate(vec) if v}
+    row = {i: field_scalar(v, field) for i, v in enumerate(vec) if v}
     while row:
         c = min(row)
         if c not in pivots:
@@ -126,7 +133,7 @@ def reference_rank_extension(base_vectors, candidates, field):
     return base_rank, chosen
 
 
-def assert_same(got, want):
+def assert_same(got, want, field):
     if isinstance(want, Infeasible):
         assert isinstance(got, Infeasible)
         assert (got.rank, got.rank_augmented, got.n_vars, got.n_rows, got.subsystem) == \
@@ -137,7 +144,16 @@ def assert_same(got, want):
     assert got.rank == rank
     assert got.particular == particular
     assert got.kernel == kernel
-    assert all(type(a) is type(b) for a, b in zip(got.particular, particular))
+    assert_scalar_types([got.particular, *got.kernel], field)
+
+
+def assert_scalar_types(vectors, field):
+    """Over Q an int exactly when integral, else a Fraction; over F_p an Fp."""
+    for a in (a for vec in vectors for a in vec):
+        if not field.is_rational:
+            assert type(a) is Fp
+        else:
+            assert type(a) is (int if a.denominator == 1 else Fraction), repr(a)
 
 
 FIELDS = [Field.rationals(), Field.prime(2), Field.prime(3), Field.prime(7)]
@@ -145,8 +161,9 @@ FIELDS = [Field.rationals(), Field.prime(2), Field.prime(3), Field.prime(7)]
 
 def scalars(field):
     if field.is_rational:
-        # denominators up to 7, signs of both kinds, so leads are often negative
-        return st.fractions(min_value=-9, max_value=9, max_denominator=7)
+        # denominators up to 7, signs of both kinds, so leads are often negative;
+        # integral entries come both as ints and as Fractions
+        return st.fractions(min_value=-9, max_value=9, max_denominator=7) | st.integers(-9, 9)
     return st.integers(0, field.char - 1).map(field.from_int)
 
 
@@ -191,7 +208,7 @@ def systems(draw):
 def test_solve_sparse_matches_field_elimination(system):
     rows, consts, n_vars, field, labels = system
     want = reference_solve_sparse([dict(r) for r in rows], list(consts), n_vars, field, labels)
-    assert_same(solve_sparse(rows, consts, n_vars, field, labels), want)
+    assert_same(solve_sparse(rows, consts, n_vars, field, labels), want, field)
 
 
 @settings(max_examples=150, deadline=None)
@@ -228,7 +245,7 @@ def test_separability_systems_match_field_elimination(name, monkeypatch):
 
     def checked(rows, consts, n_vars, field, labels=None):
         got = solve_sparse(rows, consts, n_vars, field, labels)
-        assert_same(got, reference_solve_sparse(rows, consts, n_vars, field, labels))
+        assert_same(got, reference_solve_sparse(rows, consts, n_vars, field, labels), field)
         seen.append(len(rows))
         return got
 
@@ -250,7 +267,7 @@ def test_scalar_of_another_field_is_rejected(entry):
         rank_extension([[f2.one(), entry if entry else Fp(1, 3)]], [], f2)
 
 
-@pytest.mark.parametrize("entry", [Fp(1, 2), Fp(3, 5), 1])
+@pytest.mark.parametrize("entry", [Fp(1, 2), Fp(3, 5), 0.5, True])
 def test_prime_field_scalar_in_a_rational_system_is_rejected(entry):
     q = Field.rationals()
     with pytest.raises(ValueError, match="not a scalar of Q"):
@@ -259,6 +276,26 @@ def test_prime_field_scalar_in_a_rational_system_is_rejected(entry):
         solve_sparse([{0: q.one()}], [entry], 1, q)
     with pytest.raises(ValueError, match="not a scalar of Q"):
         rank_extension([[q.one(), entry]], [], q)
+
+
+@pytest.mark.parametrize("n", [1, -3, 0, 6])
+def test_int_entry_in_a_rational_system_solves_as_its_fraction(n):
+    q = Field.rationals()
+    cases = [lambda e: solve_sparse([{0: q.one(), 1: e}], [q.zero()], 2, q),
+             lambda e: solve_sparse([{0: 2 * q.one()}], [e], 1, q),
+             lambda e: solve_sparse([{0: e, 1: 3}, {1: e}], [e, 4], 2, q)]
+    for solve in cases:
+        got, want = solve(n), solve(Fraction(n))
+        assert got.feasible == want.feasible
+        if got.feasible:
+            assert (got.rank, got.free, got.particular, got.kernel) == \
+                (want.rank, want.free, want.particular, want.kernel)
+            assert_scalar_types([got.particular, *got.kernel], q)
+            assert_scalar_types([want.particular, *want.kernel], q)
+        else:
+            assert (got.rank, got.n_vars, got.n_rows) == (want.rank, want.n_vars, want.n_rows)
+    assert rank_extension([[q.one(), n]], [[n, n]], q) == \
+        rank_extension([[q.one(), Fraction(n)]], [[Fraction(n), Fraction(n)]], q)
 
 
 @settings(max_examples=100, deadline=None)

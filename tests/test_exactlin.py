@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sepcat import Field, Infeasible, NotInvertibleError, solve_sparse
+from sepcat.scalars import rational
 
 
 def vec(field, entries):
@@ -43,6 +44,18 @@ class TestScalars:
         assert q.parse("6/4") == Fraction(3, 2)
         assert q.fmt(q.parse("-3/9")) == "-1/3"
         assert q.fmt(q.parse("5")) == "5"
+
+    def test_integral_rationals_are_ints(self):
+        q = Field.rationals()
+        minted = [q.zero(), q.one(), q.from_int(-4), q.parse("8/4"), q.parse(" -3 "),
+                  q.inv_int(1), rational(6, 3), rational(-5, -1)]
+        assert minted == [0, 1, -4, 2, -3, 1, 2, 5]
+        assert all(type(x) is int for x in minted)
+        fractions = [q.parse("6/4"), q.inv_int(3), rational(3, -6)]
+        assert fractions == [Fraction(3, 2), Fraction(1, 3), Fraction(-1, 2)]
+        assert all(type(x) is Fraction for x in fractions)
+        # the two types print, compare and hash alike, so output never shows which it is
+        assert str(2) == str(Fraction(2)) and hash(2) == hash(Fraction(2)) and 2 == Fraction(2)
 
     def test_prime_field_canonical_form(self):
         f5 = Field.prime(5)

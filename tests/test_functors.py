@@ -14,7 +14,7 @@ from sepcat import (Functor, Infeasible,
                     fully_faithful_on, hom_space_basis, section_feasibility,
                     separability_solve, transfer_witness, validate_adjunction,
                     validate_functor, zero_morphism)
-from sepcat.category import unit_morphisms
+from sepcat.category import CatObject, unit_morphisms
 from sepcat.equivariant import group_monad_functor
 from sepcat.functors import Adjunction, hom_matrix
 from sepcat.linalg import LinForm
@@ -350,3 +350,18 @@ def test_on_hom_vec_is_the_defining_sum(QQ, monad_z2_q, act_swap_q, adj_z2_q, cw
                 unknown = MorSystem(QQ).unknown(src.obj(x), src.obj(y))
                 for vec in (list(unknown.blocks[0][0]), [LinForm(QQ.zero())] * d):
                     assert f.on_hom_vec(x, y, vec) == _defining_sum(f, x, y, vec)
+
+
+def test_component_at_a_sum_is_diagonal_and_checks_endpoints(c3_q):
+    idf = Functor.identity(c3_q)
+    x, y = c3_q.obj("x"), c3_q.obj("y")
+    ident = NatTrans(idf, idf, {"x": x.identity(), "y": y.identity()})
+    half = Fraction(1, 2)
+    for a in (c3_q.obj("x", "y"), c3_q.obj("y", "x", "y"),
+              CatObject(c3_q, ("x", "x"), [[(half,), (half,)], [(half,), (half,)]])):
+        assert ident.at(a) == a.identity()
+    # End(x) and End(y) have the same dimension, so only the endpoints tell them apart
+    swapped = NatTrans(idf, idf, {"x": x.identity(), "y": x.identity()})
+    assert swapped.at(x) == x.identity()
+    with pytest.raises(ValueError, match="component at y"):
+        swapped.at(c3_q.obj("x", "y"))

@@ -3,10 +3,12 @@ and report determinism."""
 
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
 from sepcat import WorkspaceError
+from sepcat.category import LinearCategory, Morphism
 from sepcat.cli import run
 from sepcat.workspace import load_witness, parse_workspace, validate_workspace
 
@@ -301,3 +303,35 @@ class TestReports:
         d_checks = [c for c in report["checks"] if "d₁ = d₂" in c["check"]]
         assert len(d_checks) >= 25
         assert all(c["status"] == "pass" for c in d_checks)
+
+
+def test_every_rational_coordinate_of_the_built_workspace_is_an_int_or_a_fraction():
+    """Walk everything the validated fixture workspace holds: each coordinate of a
+    morphism over Q, and each identity and structure constant of a category over
+    Q, is exactly an int or a Fraction (never a float, bool or residue)."""
+    ws = parse_workspace(FIXTURE)
+    seen, stack, bad = set(), [ws], []
+    n_morphisms = n_categories = 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, Morphism) and obj.cat.field.is_rational:
+            n_morphisms += 1
+            bad += [c for c in obj.coords() if type(c) not in (int, Fraction)]
+        if isinstance(obj, LinearCategory) and obj.field.is_rational:
+            n_categories += 1
+            bad += [c for vec in obj._ids.values() for c in vec if type(c) not in (int, Fraction)]
+            bad += [c for table in obj._comp.values() for row in table for entries in row
+                    for _, c in entries if c is not None and type(c) not in (int, Fraction)]
+        if isinstance(obj, dict):
+            stack += [*obj.keys(), *obj.values()]
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack += obj
+        elif type(obj).__module__.startswith("sepcat"):
+            stack += vars(obj).values() if hasattr(obj, "__dict__") else ()
+            stack += [getattr(obj, s, None) for k in type(obj).__mro__
+                      for s in getattr(k, "__slots__", ())]
+    assert n_morphisms > 100 and n_categories > 5
+    assert not bad, bad[:5]
