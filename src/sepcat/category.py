@@ -7,10 +7,12 @@ idempotent on the sum.  One block-matrix morphism calculus serves the base
 category, the additive closure and the idempotent completion: a morphism
 between (X, e) and (Y, e') is a block matrix f with f = e'∘f∘e.
 
+Block shapes are known in one place: the category's layouts (a grid's coordinate
+count and block slices) and shared zero rows, each built once per summand profile.
 Composition visits nonzero A-blocks × nonzero B-blocks only, through structure
 constants compiled once to their nonzero entries (units marked, so they add
-without a multiply); untouched output blocks are the category's shared zero
-blocks.  The public `Morphism(...)` checks category, block grid and block
+without a multiply); an output row is the shared zero row, patched where anything
+accumulated.  The public `Morphism(...)` checks category, block grid and block
 lengths; producers whose shapes are right by construction (composition, sums,
 scaling, absorption, `from_coords`, functor images) use `Morphism._new`.
 """
@@ -26,7 +28,7 @@ from .scalars import Field
 
 
 def _freeze_blocks(blocks):
-    return tuple(tuple(tuple(vec) for vec in row) for row in blocks)
+    return tuple(tuple(map(tuple, row)) for row in blocks)
 
 
 class LinearCategory:
@@ -71,6 +73,9 @@ class LinearCategory:
         self.name = name
         self._hom_basis_cache: dict = {}
         self._zero_blocks: dict = {}
+        self._zero_rows: dict = {}
+        self._layouts: dict = {}
+        self._identities: dict = {}
 
     def hom_dim(self, x, y) -> int:
         return self._dims.get((x, y), 0)
@@ -85,6 +90,24 @@ class LinearCategory:
         if z is None:
             z = self._zero_blocks[(x, y)] = (self.field.zero(),) * self.hom_dim(x, y)
         return z
+
+    def zero_row(self, y, xs) -> tuple:
+        """The zero blocks of Hom(x, y) for x in xs, one shared tuple per (y, xs)."""
+        row = self._zero_rows.get((y, xs))
+        if row is None:
+            row = self._zero_rows[(y, xs)] = tuple(self.zero_block(x, y) for x in xs)
+        return row
+
+    def layout(self, xs, ys) -> tuple:
+        """(n, rows): the coordinate count of the grid ys ← xs and, per block row,
+        each block's slice of the row-major coordinates; built once per (xs, ys)."""
+        lay = self._layouts.get((xs, ys))
+        if lay is None:
+            ends = [0, *itertools.accumulate(len(b) for y in ys for b in self.zero_row(y, xs))]
+            cuts = map(slice, ends, ends[1:])
+            rows = tuple(tuple(itertools.islice(cuts, len(xs))) for _ in ys)
+            lay = self._layouts[(xs, ys)] = (ends[-1], rows)
+        return lay
 
     def id_vec(self, x):
         return self._ids[x]
@@ -127,18 +150,29 @@ class LinearCategory:
 
 
 def identity_blocks(cat: LinearCategory, summands):
-    return tuple(tuple(cat.id_vec(sj) if i == j else cat.zero_block(sj, ti)
-                       for j, sj in enumerate(summands))
-                 for i, ti in enumerate(summands))
+    """The identity grid on a summand profile, built once from the shared zero rows."""
+    grid = cat._identities.get(summands)
+    if grid is None:
+        rows = [list(cat.zero_row(ti, summands)) for ti in summands]
+        for i, ti in enumerate(summands):
+            rows[i][i] = cat.id_vec(ti)
+        grid = cat._identities[summands] = tuple(map(tuple, rows))
+    return grid
+
+
+def _check_block_lengths(cat, xs, ys, blocks, what):
+    """Raise naming the first block (i, j) whose length is not dim Hom(xs[j], ys[i])."""
+    for i, (y, row) in enumerate(zip(ys, blocks)):
+        want = cat.zero_row(y, xs)
+        if list(map(len, row)) != list(map(len, want)):
+            j = next(j for j, (b, z) in enumerate(zip(row, want)) if len(b) != len(z))
+            raise ValueError(f"{what} ({i},{j}) has wrong length")
 
 
 def _check_endo_shape(cat, summands, blocks):
     if len(blocks) != len(summands) or any(len(r) != len(summands) for r in blocks):
         raise ValueError("idempotent block grid does not match the summand profile")
-    for i, ti in enumerate(summands):
-        for j, sj in enumerate(summands):
-            if len(blocks[i][j]) != cat.hom_dim(sj, ti):
-                raise ValueError(f"idempotent block ({i},{j}) has wrong length")
+    _check_block_lengths(cat, summands, summands, blocks, "idempotent block")
 
 
 class CatObject:
@@ -186,25 +220,29 @@ class CatObject:
 
 
 def _nonzero_rows(blocks):
-    return tuple(tuple((j, v) for j, v in enumerate(row) if any(v)) for row in blocks)
+    return tuple(tuple(itertools.compress(enumerate(row), map(any, row))) for row in blocks)
 
 
 def _raw_mul(cat, dst, mid, src, a_rows, b_rows):
     """Blocks of A∘B (dst ← mid ← src) from the nonzero block rows of A and B."""
-    zero = cat.field.zero()
     accum = cat.accum_compose
     out = []
     for i, ti in enumerate(dst):
+        zrow = cat.zero_row(ti, src)
         accs = {}
         for j, g in a_rows[i]:
             mj = mid[j]
             for k, f in b_rows[j]:
                 acc = accs.get(k)
                 if acc is None:
-                    acc = accs[k] = [zero] * cat.hom_dim(src[k], ti)
+                    acc = accs[k] = list(zrow[k])
                 accum(src[k], mj, ti, g, f, acc)
-        out.append(tuple(tuple(accs[k]) if k in accs else cat.zero_block(sk, ti)
-                         for k, sk in enumerate(src)))
+        if accs:
+            row = list(zrow)
+            for k, acc in accs.items():
+                row[k] = tuple(acc)
+            zrow = tuple(row)
+        out.append(zrow)
     return tuple(out)
 
 
@@ -223,10 +261,7 @@ class Morphism:
         blocks = _freeze_blocks(blocks)
         if len(blocks) != len(cod.summands) or any(len(r) != len(dom.summands) for r in blocks):
             raise ValueError("block grid does not match dom/cod profiles")
-        for i, ti in enumerate(cod.summands):
-            for j, sj in enumerate(dom.summands):
-                if len(blocks[i][j]) != cat.hom_dim(sj, ti):
-                    raise ValueError(f"block ({i},{j}) has wrong length")
+        _check_block_lengths(cat, dom.summands, cod.summands, blocks, "block")
         self.cat, self.dom, self.cod, self.blocks, self._rows = cat, dom, cod, blocks, None
 
     @classmethod
@@ -305,19 +340,11 @@ class Morphism:
     def from_coords(cat, dom: CatObject, cod: CatObject, coords) -> "Morphism":
         if dom.cat is not cat or cod.cat is not cat:
             raise ValueError("objects from a different category")
-        coords, n = tuple(coords), hom_coord_dim(cat, dom, cod)
+        coords = tuple(coords)
+        n, rows = cat.layout(dom.summands, cod.summands)
         if len(coords) != n:
             raise ValueError(f"{len(coords)} coordinates for an ambient hom dimension of {n}")
-        blocks = []
-        pos = 0
-        for ti in cod.summands:
-            row = []
-            for sj in dom.summands:
-                d = cat.hom_dim(sj, ti)
-                row.append(coords[pos:pos + d])
-                pos += d
-            blocks.append(tuple(row))
-        return Morphism._new(cat, dom, cod, tuple(blocks))
+        return Morphism._new(cat, dom, cod, _sliced(rows, coords))
 
     def absorbed(self) -> "Morphism":
         """e_cod ∘ self ∘ e_dom, the canonical Karoubi representative."""
@@ -332,16 +359,20 @@ class Morphism:
         return f"<Mor {self.dom!r}→{self.cod!r}>"
 
 
+def _sliced(rows, coords: tuple) -> tuple:
+    """The block grid of a coordinate tuple, cut by a layout's rows of slices."""
+    return tuple(tuple(map(coords.__getitem__, row)) for row in rows)
+
+
 def hom_coord_dim(cat, dom: CatObject, cod: CatObject) -> int:
-    return sum(cat.hom_dim(sj, ti) for ti in cod.summands for sj in dom.summands)
+    return cat.layout(dom.summands, cod.summands)[0]
 
 
 def zero_morphism(dom: CatObject, cod: CatObject) -> Morphism:
     cat = dom.cat
     if cod.cat is not cat:
         raise ValueError("objects from a different category")
-    blocks = tuple(tuple(cat.zero_block(sj, ti) for sj in dom.summands) for ti in cod.summands)
-    return Morphism._new(cat, dom, cod, blocks)
+    return Morphism._new(cat, dom, cod, tuple(cat.zero_row(t, dom.summands) for t in cod.summands))
 
 
 def morphism(cat, dom: CatObject, cod: CatObject, blocks) -> Morphism:
@@ -362,7 +393,7 @@ def direct_sum(objs) -> CatObject:
     summands = tuple(s for o in objs for s in o.summands)
     if all(o.idem is None for o in objs):
         return CatObject(cat, summands)
-    blocks = [[cat.zero_block(sj, ti) for sj in summands] for ti in summands]
+    blocks = [list(cat.zero_row(ti, summands)) for ti in summands]
     roff = 0
     for o in objs:
         e = o.idem if o.idem is not None else identity_blocks(cat, o.summands)
@@ -383,8 +414,8 @@ def biproduct(objs):
     offset = 0
     for o in objs:
         n = len(o.summands)
-        inc = [[cat.zero_block(sj, ti) for sj in o.summands] for ti in total.summands]
-        prj = [[cat.zero_block(sj, ti) for sj in total.summands] for ti in o.summands]
+        inc = [list(cat.zero_row(ti, o.summands)) for ti in total.summands]
+        prj = [list(cat.zero_row(ti, total.summands)) for ti in o.summands]
         for i, s in enumerate(o.summands):
             inc[offset + i][i] = cat.id_vec(s)
             prj[i][offset + i] = cat.id_vec(s)
@@ -440,9 +471,9 @@ class MorSystem:
         if lhs.dom != rhs.dom or lhs.cod != rhs.cod:
             raise ValueError("constraint sides are not parallel")
         for a, b in zip(lhs.coords(), rhs.coords()):
-            d = (a if isinstance(a, LinForm) else LinForm(a)) - b
-            self.rows.append(d.coeffs)
-            self.consts.append(-d.const)
+            const, coeffs = LinForm.difference(a, b)
+            self.rows.append(coeffs)
+            self.consts.append(-const)
             self.labels.append(label)
 
     def impose(self, laws):

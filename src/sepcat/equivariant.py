@@ -10,6 +10,8 @@ the whole functor/adjunction/monad calculus applies to it verbatim.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .category import (CatObject, LinearCategory, Morphism, MorSystem,
                        basis_coordinates, direct_sum, extract_block,
                        hom_space_basis, int_invertible, invert_morphism,
@@ -277,17 +279,10 @@ def group_monad_functor(action: GroupAction) -> Functor:
         mors = []
         for i in range(cat.hom_dim(x, y)):
             blocks = []
-            for hi, h in enumerate(els):
-                row = []
-                img = action.functors[h].hom_map[(x, y)][i]
-                for hj in range(len(els)):
-                    if hi == hj:
-                        row.append(img.blocks[0][0])
-                    else:
-                        sx = action.on_object_name(els[hj], x)
-                        ty = action.on_object_name(h, y)
-                        row.append(cat.zero_block(sx, ty))
-                blocks.append(tuple(row))
+            for hi, (h, ty) in enumerate(zip(els, object_map[y].summands)):
+                row = list(cat.zero_row(ty, object_map[x].summands))
+                row[hi] = action.functors[h].hom_map[(x, y)][i].blocks[0][0]
+                blocks.append(row)
             mors.append(Morphism(cat, object_map[x], object_map[y], blocks))
         hom_map[(x, y)] = tuple(mors)
     return Functor(cat, cat, object_map, hom_map, name="M")
@@ -307,9 +302,7 @@ def free_equivariant(action: GroupAction, x: CatObject, name: str = "") -> Equiv
     alpha = {}
     for g in els:
         target = action.functors[g].on_object(carrier)
-        blocks = [[cat.zero_block(carrier.summands[c], target.summands[r])
-                   for c in range(nsum * n)]
-                  for r in range(nsum * n)]
+        blocks = [list(cat.zero_row(t, carrier.summands)) for t in target.summands]
         for j in range(nsum):
             for i, h in enumerate(els):
                 for i2 in range(n):
@@ -349,15 +342,12 @@ def equivariant_monad(action: GroupAction, name: str = "") -> Monad:
         m2x = mf.on_object(mx)
         blocks = []
         for t in range(n):
-            row = []
+            row = list(cat.zero_row(mx.summands[t], m2x.summands))
             for j in range(n):
                 for i in range(n):
-                    src_name = m2x.summands[j * n + i]
                     if group.mult(els[i], els[j]) == els[t]:
-                        row.append(cat.id_vec(src_name))
-                    else:
-                        row.append(cat.zero_block(src_name, mx.summands[t]))
-            blocks.append(tuple(row))
+                        row[j * n + i] = cat.id_vec(m2x.summands[j * n + i])
+            blocks.append(row)
         mult_comps[x] = Morphism(cat, m2x, mx, blocks)
     m2 = compose_functors(mf, mf, name="M²")
     monad = Monad(mf, _group_unit(action, mf), NatTrans(m2, mf, mult_comps, name="μ"),
@@ -605,12 +595,27 @@ def _rational_points(eqs, syms) -> list[dict] | None:
     return points
 
 
+def _rational_roots(a, n: int) -> list:
+    """The rationals r with r**n == a, sorted: ± the integer n-th roots (floors, by integer
+    Newton steps) of a's numerator and denominator, each kept only if r**n == a exactly."""
+    a, floors = Fraction(a), []
+    for m in (abs(a.numerator), a.denominator):
+        r = 1 << -(-m.bit_length() // n)
+        while r and (step := ((n - 1) * r + m // r ** (n - 1)) // n) < r:
+            r = step
+        floors.append(r)
+    r = rational(*floors)
+    return sorted({c for c in (r, -r) if c ** n == a})
+
+
 def character_modules(action: GroupAction, monad: Monad | None = None) -> list:
     """All modules carried by a single action-fixed base object, for cyclic G over Q.
 
     Solves the polynomial closure condition t·^g(t)·…·^{g^{n-1}}(t) = Id for
     λ_g = t exactly, keeping rational solutions; each returned module is
-    validated, and over the action's group monad unless another is given.
+    validated, and over the action's group monad unless another is given.  For
+    dim End(x) = 1 it is K·t^n = c (K: the product at t = 1, c: Id's coordinate),
+    solved by exact n-th roots; else by sympy, imported only then (about 0.4 s).
     """
     from .modules import MModule, validate_module
     base = action.base
@@ -620,7 +625,6 @@ def character_modules(action: GroupAction, monad: Monad | None = None) -> list:
     gen = _find_generator(group)
     if gen is None:
         raise ValueError(f"{group.name} is not cyclic")
-    import sympy  # costs about 0.4 s, so only this enumeration pays it
     n = group.order
     if monad is None:
         monad = action.group_monad()
@@ -632,7 +636,6 @@ def character_modules(action: GroupAction, monad: Monad | None = None) -> list:
         if any(action.on_object_name(h, x) != x for h in group.elements):
             continue
         d = base.hom_dim(x, x)
-        syms = list(sympy.symbols(f"c0:{d}"))
 
         def twist(g, vec, zero):
             """^g(vec): the action of g on the coefficient vector of an endomorphism of x."""
@@ -646,19 +649,27 @@ def character_modules(action: GroupAction, monad: Monad | None = None) -> list:
                 out_vec.append(acc)
             return out_vec
 
-        prod = list(syms)
+        if d == 1:
+            t, zero = [base.field.one()], base.field.zero()
+        else:
+            import sympy
+            t, zero = list(sympy.symbols(f"c0:{d}")), sympy.Integer(0)
+        prod = list(t)
         for k in range(1, n):
-            tw = twist(powers[k], syms, sympy.Integer(0))
-            prod = base.compose_vec(x, x, x, prod, tw, zero=sympy.Integer(0))
+            prod = base.compose_vec(x, x, x, prod, twist(powers[k], t, zero), zero=zero)
         id_vec = base.id_vec(x)
-        eqs = [sympy.expand(prod[c] - sympy.Rational(id_vec[c].numerator, id_vec[c].denominator))
-               for c in range(d)]
-        points = _rational_points(eqs, syms)
-        if points is None:
-            points = [p for p in sympy.solve(eqs, syms, dict=True)
-                      if all(getattr(p.get(c), "is_rational", False) for c in syms)]
-        roots = sorted({tuple(rational(int(p[c].p), int(p[c].q)) for c in syms)
-                        for p in points})
+        if d == 1:
+            scale = prod[0]
+            roots = [(r,) for r in _rational_roots(Fraction(id_vec[0]) / scale, n)] if scale else []
+        else:
+            eqs = [sympy.expand(prod[c] - sympy.Rational(id_vec[c].numerator,
+                                                         id_vec[c].denominator))
+                   for c in range(d)]
+            points = _rational_points(eqs, t)
+            if points is None:
+                points = [p for p in sympy.solve(eqs, t, dict=True)
+                          if all(getattr(p.get(c), "is_rational", False) for c in t)]
+            roots = sorted({tuple(rational(int(p[c].p), int(p[c].q)) for c in t) for p in points})
 
         for t_val in roots:
             lam_by_elem = {group.unit: list(base.id_vec(x)), gen: list(t_val)}

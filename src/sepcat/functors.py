@@ -23,30 +23,17 @@ from __future__ import annotations
 
 import itertools
 
-from .category import (CatObject, LinearCategory, Morphism, MorSystem, basis_coordinates,
-                       direct_sum, extract_block, hom_coord_dim, hom_space_basis, morphism,
-                       unit_morphisms, unit_vectors, zero_morphism)
+from .category import (CatObject, LinearCategory, Morphism, MorSystem, _nonzero_rows, _sliced,
+                       basis_coordinates, direct_sum, extract_block, hom_coord_dim,
+                       hom_space_basis, morphism, unit_morphisms, unit_vectors, zero_morphism)
 from .errors import LawViolationError, NotFullyFaithfulError, PreconditionError
 from .linalg import rank_extension
 from .reports import ValidationReport
 
 
-def _assemble_grid(nested, cod_parts, dom_parts):
-    """Flatten a grid of part-morphisms into raw blocks over concatenated summands."""
-    nrows = sum(len(p.summands) for p in cod_parts)
-    ncols = sum(len(p.summands) for p in dom_parts)
-    flat = [[None] * ncols for _ in range(nrows)]
-    roff = 0
-    for bi, pi in enumerate(cod_parts):
-        coff = 0
-        for bj, pj in enumerate(dom_parts):
-            m = nested[bi][bj]
-            for r in range(len(pi.summands)):
-                for c in range(len(pj.summands)):
-                    flat[roff + r][coff + c] = m.blocks[r][c]
-            coff += len(pj.summands)
-        roff += len(pi.summands)
-    return tuple(map(tuple, flat))
+def _assemble_grid(nested):
+    """Raw blocks of a grid of part-grids: each part row's block rows, joined side by side."""
+    return tuple(tuple(itertools.chain.from_iterable(rows)) for grids in nested for rows in zip(*grids))
 
 
 class Functor:
@@ -61,6 +48,7 @@ class Functor:
         self.name = name
         self._ocache: dict = {}
         self._images: dict = {}
+        self._zero_grids: dict = {}
         for x in source.objects:
             if x not in self.object_map:
                 raise ValueError(f"object_map misses {x!r}")
@@ -87,26 +75,24 @@ class Functor:
         elif a.idem is None:
             res = direct_sum(parts)
         else:
-            nested = [[self.on_hom_vec(sj, ti, a.idem[i][j])
-                       for j, sj in enumerate(a.summands)]
-                      for i, ti in enumerate(a.summands)]
-            raw = _assemble_grid(nested, parts, parts)
             summands = tuple(s for p in parts for s in p.summands)
+            raw = self._image_blocks(a.summands, a.summands, _nonzero_rows(a.idem), summands)
             res = CatObject(self.target, summands, raw)
         self._ocache[a] = res
         return res
 
-    def on_hom_vec(self, x, y, vec) -> Morphism:
-        """Image Σ c_t·F(b_t) of a hom-basis coefficient vector, a morphism F(x) → F(y)."""
+    def _image(self, x, y, vec) -> tuple:
+        """Blocks of the image Σ c_t·F(b_t): F(x) → F(y) of a hom-basis coefficient
+        vector; for a zero or empty one, the shared blocks of the zero image."""
         cached = self._images.get((x, y))
         if cached is None:
-            # the zero image, its coordinate count, and the nonzero coordinates of each F(b_t)
+            # the zero image, F(x) → F(y)'s layout, and the nonzero coordinates of each F(b_t)
             fx, fy = self.object_map[x], self.object_map[y]
             sparse = [[(p, a) for p, a in enumerate(m.coords()) if a]
                       for m in self.hom_map.get((x, y), ())]
-            cached = self._images[(x, y)] = (zero_morphism(fx, fy),
-                                             hom_coord_dim(self.target, fx, fy), sparse)
-        zero_image, n, images = cached
+            cached = self._images[(x, y)] = (zero_morphism(fx, fy).blocks,
+                                             self.target.layout(fx.summands, fy.summands), sparse)
+        zero_image, (n, rows), images = cached
         if not any(vec):
             return zero_image
         acc = [self.target.field.zero()] * n
@@ -114,18 +100,35 @@ class Functor:
             if c:
                 for p, a in images[t]:
                     acc[p] = acc[p] + c * a
-        return Morphism.from_coords(self.target, zero_image.dom, zero_image.cod, acc)
+        return _sliced(rows, tuple(acc))
+
+    def _image_blocks(self, xs, ys, nonzero_rows, fxs) -> tuple:
+        """Raw blocks of F on the grid ys ← xs with these nonzero block rows; F(xs) = fxs."""
+        out = []
+        for y, row in zip(ys, nonzero_rows):
+            if row:
+                zeros = self._zero_grids.get((y, xs))
+                if zeros is None:
+                    zeros = self._zero_grids[(y, xs)] = tuple(self._image(x, y, ()) for x in xs)
+                grids = list(zeros)
+                for j, vec in row:
+                    grids[j] = self._image(xs[j], y, vec)
+                out.extend(_assemble_grid((grids,)))
+            else:
+                out.extend(self.target.zero_row(t, fxs) for t in self.object_map[y].summands)
+        return tuple(out)
+
+    def on_hom_vec(self, x, y, vec) -> Morphism:
+        """Image Σ c_t·F(b_t) of a hom-basis coefficient vector, a morphism F(x) → F(y)."""
+        return Morphism._new(self.target, self.object_map[x], self.object_map[y],
+                             self._image(x, y, vec))
 
     def on_morphism(self, f: Morphism) -> Morphism:
         if f.cat is not self.source:
             raise ValueError("morphism not in the source category")
-        dom_parts = [self.object_map[s] for s in f.dom.summands]
-        cod_parts = [self.object_map[s] for s in f.cod.summands]
-        nested = [[self.on_hom_vec(sj, ti, f.blocks[i][j])
-                   for j, sj in enumerate(f.dom.summands)]
-                  for i, ti in enumerate(f.cod.summands)]
-        raw = _assemble_grid(nested, cod_parts, dom_parts)
-        return Morphism._new(self.target, self.on_object(f.dom), self.on_object(f.cod), raw)
+        dom, cod = self.on_object(f.dom), self.on_object(f.cod)
+        raw = self._image_blocks(f.dom.summands, f.cod.summands, f.nonzero_rows(), dom.summands)
+        return Morphism._new(self.target, dom, cod, raw)
 
     def equals(self, other: "Functor") -> bool:
         return (self.source is other.source and self.target is other.target
@@ -199,10 +202,11 @@ class NatTrans:
         for s, sp, dp in zip(a.summands, src_parts, dst_parts):
             if self.components[s].dom != sp or self.components[s].cod != dp:
                 raise ValueError(f"component at {s} does not run {sp!r} -> {dp!r}")
-        nested = [[self.components[si] if i == j else zero_morphism(src_parts[j], dst_parts[i])
+        nested = [[self.components[si].blocks if i == j
+                   else zero_morphism(src_parts[j], dst_parts[i]).blocks
                    for j in range(len(a.summands))]
                   for i, si in enumerate(a.summands)]
-        raw = _assemble_grid(nested, dst_parts, src_parts)
+        raw = _assemble_grid(nested)
         plain = a.plain()
         m = Morphism._new(self.src.target, self.src.on_object(plain), self.dst.on_object(plain), raw)
         if a.idem is not None:

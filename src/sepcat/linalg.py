@@ -266,11 +266,25 @@ class LinForm:
     def __neg__(self):
         return LinForm(-self.const, {i: -v for i, v in self.coeffs.items()})
 
+    @staticmethod
+    def difference(a, b) -> tuple:
+        """(const, coeffs) of a − b for forms or scalars a, b; one copy of the coefficients."""
+        const, coeffs = (a.const, dict(a.coeffs)) if isinstance(a, LinForm) else (a, {})
+        if not isinstance(b, LinForm):
+            return const - b, coeffs
+        for i, v in b.coeffs.items():
+            nv = coeffs[i] - v if i in coeffs else -v
+            if nv:
+                coeffs[i] = nv
+            elif i in coeffs:
+                del coeffs[i]
+        return const - b.const, coeffs
+
     def __sub__(self, other):
-        return self + (-self._as_form(other))
+        return LinForm(*LinForm.difference(self, other))
 
     def __rsub__(self, other):
-        return self._as_form(other) + (-self)
+        return LinForm(*LinForm.difference(other, self))
 
     def __mul__(self, other):
         if isinstance(other, LinForm):

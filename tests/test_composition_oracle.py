@@ -7,6 +7,12 @@ category built here records beside its compiled ones.  Both kernels add the
 same terms in the same order into each output block, so every coordinate must
 agree in value and type, and a `LinForm` coordinate in the order of its
 variables too.
+
+The per-block builders that the category's layouts and shared zero rows
+replaced are kept the same way: `reference_from_coords`,
+`reference_zero_blocks`, `reference_on_morphism` (nested per-block images
+joined by an index loop) and `reference_require_equal` (rows by `LinForm`
+subtraction as `a + (-b)`).
 """
 
 import contextlib
@@ -18,8 +24,10 @@ from hypothesis import strategies as st
 
 from sepcat import (Field, FiniteGroup, GroupAction, equivariant_category, equivariant_monad,
                     induce_adjunction, monad_separability_solve, separability_solve)
-from sepcat.category import (CatObject, LinearCategory, Morphism, hom_coord_dim, unit_morphisms,
-                             zero_morphism)
+from sepcat.category import (CatObject, LinearCategory, Morphism, MorSystem, hom_coord_dim,
+                             identity_blocks, unit_morphisms, zero_morphism)
+from sepcat.equivariant import group_monad_functor
+from sepcat.functors import Functor
 from sepcat.linalg import LinForm
 from sepcat.standard import (a2_quiver_category, dual_numbers_category, point_category,
                              two_point_category)
@@ -96,13 +104,16 @@ def reference_absorbed(f):
                              right, zero)
 
 
+def strict_scalar(a):
+    """A coordinate with its type, and a LinForm's variable order, made visible."""
+    if isinstance(a, LinForm):
+        return ("form", strict_scalar(a.const),
+                tuple((i, strict_scalar(v)) for i, v in a.coeffs.items()))
+    return (type(a).__name__, a)
+
+
 def strict(blocks):
-    """Blocks with each coordinate's type, and a LinForm's variable order, made visible."""
-    def one(a):
-        if isinstance(a, LinForm):
-            return ("form", one(a.const), tuple((i, one(v)) for i, v in a.coeffs.items()))
-        return (type(a).__name__, a)
-    return [[[one(a) for a in vec] for vec in row] for row in blocks]
+    return [[[strict_scalar(a) for a in vec] for vec in row] for row in blocks]
 
 
 def assert_same(got: Morphism, want_blocks):
@@ -307,3 +318,199 @@ class TestPublicConstructorChecks:
             Morphism.from_coords(self.cat, self.x, self.x, [self.one] * n)
         m = Morphism.from_coords(self.cat, self.x, self.x, [self.one] * 3)
         assert m == Morphism(self.cat, self.x, self.x, self.blocks())
+
+
+# ------------------------------------------ layouts, shared zero rows, functor images
+
+def reference_coord_dim(cat, dom, cod):
+    return sum(cat.hom_dim(sj, ti) for ti in cod.summands for sj in dom.summands)
+
+
+def reference_from_coords(cat, dom, cod, coords):
+    coords, blocks, pos = tuple(coords), [], 0
+    for ti in cod.summands:
+        row = []
+        for sj in dom.summands:
+            d = cat.hom_dim(sj, ti)
+            row.append(coords[pos:pos + d])
+            pos += d
+        blocks.append(tuple(row))
+    return tuple(blocks)
+
+
+def reference_zero_blocks(dom, cod):
+    cat = dom.cat
+    return tuple(tuple(cat.zero_block(sj, ti) for sj in dom.summands) for ti in cod.summands)
+
+
+def reference_on_hom_vec(fn, x, y, vec):
+    fx, fy = fn.object_map[x], fn.object_map[y]
+    if not any(vec):
+        return reference_zero_blocks(fx, fy)
+    acc = [fn.target.field.zero()] * reference_coord_dim(fn.target, fx, fy)
+    for t, c in enumerate(vec):
+        if c:
+            for p, a in enumerate(fn.hom_map[(x, y)][t].coords()):
+                if a:
+                    acc[p] = acc[p] + c * a
+    return reference_from_coords(fn.target, fx, fy, acc)
+
+
+def reference_assemble_grid(nested, cod_parts, dom_parts):
+    nrows = sum(len(p.summands) for p in cod_parts)
+    ncols = sum(len(p.summands) for p in dom_parts)
+    flat = [[None] * ncols for _ in range(nrows)]
+    roff = 0
+    for bi, pi in enumerate(cod_parts):
+        coff = 0
+        for bj, pj in enumerate(dom_parts):
+            for r in range(len(pi.summands)):
+                for c in range(len(pj.summands)):
+                    flat[roff + r][coff + c] = nested[bi][bj][r][c]
+            coff += len(pj.summands)
+        roff += len(pi.summands)
+    return tuple(map(tuple, flat))
+
+
+def reference_on_blocks(fn, dom, cod, blocks):
+    nested = [[reference_on_hom_vec(fn, sj, ti, blocks[i][j]) for j, sj in enumerate(dom.summands)]
+              for i, ti in enumerate(cod.summands)]
+    return reference_assemble_grid(nested, [fn.object_map[s] for s in cod.summands],
+                                   [fn.object_map[s] for s in dom.summands])
+
+
+def reference_on_morphism(fn, f):
+    return reference_on_blocks(fn, f.dom, f.cod, f.blocks)
+
+
+def reference_require_equal(lhs, rhs, label):
+    rows, consts, labels = [], [], []
+    for a, b in zip(lhs.coords(), rhs.coords()):
+        d = (a if isinstance(a, LinForm) else LinForm(a)) + (
+            -(b if isinstance(b, LinForm) else LinForm(b)))
+        rows.append(d.coeffs)
+        consts.append(-d.const)
+        labels.append(label)
+    return rows, consts, labels
+
+
+def strict_rows(rows):
+    return [tuple((i, strict_scalar(v)) for i, v in r.items()) for r in rows]
+
+
+IMAGE_KINDS = ["C2", "C3", "Cd"]
+_FUNCTORS = {}
+
+
+def functors(kind, field):
+    """The identity functor and the group monad functor of the trivial Z/2 and Z/3 actions."""
+    key = (kind, field.char)
+    if key not in _FUNCTORS:
+        cat = category(kind, field)
+        _FUNCTORS[key] = [Functor.identity(cat)] + [
+            group_monad_functor(GroupAction.trivial(FiniteGroup.cyclic(n), cat)) for n in (2, 3)]
+    return _FUNCTORS[key]
+
+
+@st.composite
+def parallel_grids(draw, kinds=sorted(BUILDERS)):
+    """A category, dom and cod objects (plain or Karoubi), and two morphisms dom → cod."""
+    field = draw(st.sampled_from(FIELDS))
+    kind = draw(st.sampled_from(kinds))
+    cat = category(kind, field)
+    dom, cod = objects(draw, cat), objects(draw, cat)
+    forms = draw(st.sampled_from([None, "f", "g", "both"]))
+    f = morphisms(draw, dom, cod, forms in ("f", "both"))
+    g = morphisms(draw, dom, cod, forms in ("g", "both"))
+    return kind, field, f, g
+
+
+@settings(max_examples=150, deadline=None)
+@given(parallel_grids())
+def test_layouts_match_per_block_slicing(case):
+    _, _, f, _ = case
+    cat, dom, cod = f.cat, f.dom, f.cod
+    assert hom_coord_dim(cat, dom, cod) == reference_coord_dim(cat, dom, cod)
+    coords = f.coords()
+    assert_same(Morphism.from_coords(cat, dom, cod, coords),
+                reference_from_coords(cat, dom, cod, coords))
+    assert_same(zero_morphism(dom, cod), reference_zero_blocks(dom, cod))
+    n, rows = cat.layout(dom.summands, cod.summands)
+    assert n == len(coords) and len(rows) == len(cod.summands)
+    assert all(len(row) == len(dom.summands) for row in rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(parallel_grids(IMAGE_KINDS), st.integers(0, 2))
+def test_functor_images_match_nested_images(case, which):
+    kind, field, f, _ = case
+    fn = functors(kind, field)[which]
+    assert_same(fn.on_morphism(f), reference_on_morphism(fn, f))
+    for a in (f.dom, f.cod):
+        if a.idem is not None:
+            assert strict(fn.on_object(a).idem) == strict(
+                reference_on_blocks(fn, a, a, a.idem))
+    for i, ti in enumerate(f.cod.summands):
+        for j, sj in enumerate(f.dom.summands):
+            assert_same(fn.on_hom_vec(sj, ti, f.blocks[i][j]),
+                        reference_on_hom_vec(fn, sj, ti, f.blocks[i][j]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(parallel_grids())
+def test_require_equal_matches_form_subtraction(case):
+    _, field, f, g = case
+    sysm = MorSystem(field)
+    sysm.require_equal(f, g, "f = g")
+    sysm.require_equal(g, f, ("g = f", 1))
+    rows, consts, labels = reference_require_equal(f, g, "f = g")
+    more = reference_require_equal(g, f, ("g = f", 1))
+    assert strict_rows(sysm.rows) == strict_rows(rows + more[0])
+    assert [strict_scalar(c) for c in sysm.consts] == [strict_scalar(c) for c in consts + more[1]]
+    assert sysm.labels == labels + more[2]
+    for a, b in zip(f.coords(), g.coords()):
+        for x, y in ((a, b), (b, a)):
+            if isinstance(x, LinForm) or isinstance(y, LinForm):
+                want = (x if isinstance(x, LinForm) else LinForm(x)) + (
+                    -(y if isinstance(y, LinForm) else LinForm(y)))
+                assert strict_scalar(x - y) == strict_scalar(want)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda k: k.spec_str())
+def test_shared_rows_stay_zero_and_identities_stay_identity(field):
+    """After compositions, sums and functor images, every cached zero block, zero
+    row, zero image and identity grid still holds what it held when built."""
+    for kind in IMAGE_KINDS:
+        cat = category(kind, field)
+        x = cat.obj(*cat.objects, cat.objects[0])
+        pool = unit_morphisms(cat, x, x) + [x.identity(), zero_morphism(x, x)]
+        total = zero_morphism(x, x)
+        for g in pool:
+            for f in pool:
+                total = total + g @ f - f
+                for fn in functors(kind, field):
+                    image = fn.on_morphism(g @ f)
+                    image @ fn.on_morphism(f) + fn.on_morphism(total)
+    zero = field.zero()
+    for kind in IMAGE_KINDS:
+        cat = category(kind, field)
+        for (x, y), block in cat._zero_blocks.items():
+            assert strict([[block]]) == strict([[(zero,) * cat.hom_dim(x, y)]])
+        for (y, xs), row in cat._zero_rows.items():
+            assert strict([row]) == strict([[(zero,) * cat.hom_dim(x, y) for x in xs]])
+        for summands, grid in cat._identities.items():
+            assert strict(grid) == strict(reference_identity(cat, summands))
+            assert identity_blocks(cat, summands) is grid
+        for (xs, ys), (n, rows) in cat._layouts.items():
+            assert n == reference_coord_dim(cat, CatObject(cat, xs), CatObject(cat, ys))
+            assert [[s.stop - s.start for s in row] for row in rows] == [
+                [cat.hom_dim(x, y) for x in xs] for y in ys]
+        for fn in functors(kind, field):
+            tgt = fn.target
+            for (x, y), (zero_image, _, _) in fn._images.items():
+                fx, fy = fn.object_map[x], fn.object_map[y]
+                assert strict(zero_image) == strict(reference_zero_blocks(fx, fy))
+            for (y, xs), grids in fn._zero_grids.items():
+                assert [strict(g) for g in grids] == [
+                    strict(reference_zero_blocks(fn.object_map[x], fn.object_map[y])) for x in xs]
+            assert all(all(not any(b) for b in row) for row in tgt._zero_rows.values())

@@ -2,12 +2,16 @@
 group monad with its Kronecker multiplication, the dictionary, and the
 Maschke section."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from sepcat import (EquivariantObject, FiniteGroup, Functor, GroupAction,
+from sepcat import (EquivariantObject, Field, FiniteGroup, Functor, GroupAction,
                     Infeasible, Monad, MonadSepWitness,
                     Morphism, NonInvertibleComponentError,
                     NotInvertibleError, eq_hom_space,
@@ -19,9 +23,13 @@ from sepcat import (EquivariantObject, FiniteGroup, Functor, GroupAction,
                     validate_adjunction, validate_monad, xi_forgetful,
                     xi_section, zero_morphism)
 from sepcat.category import LinearCategory, random_hom, validate_presentation
-from sepcat.equivariant import character_modules, group_monad_functor
+from sepcat.equivariant import (_find_generator, _rational_points, character_modules,
+                                group_monad_functor)
 from sepcat.functors import SepWitness
-from sepcat.standard import dual_numbers_category
+from sepcat.scalars import rational
+from sepcat.standard import dual_numbers_category, point_category
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def character_object(action, values, name=""):
@@ -314,6 +322,74 @@ class TestCharacterEnumeration:
         assert validate_presentation(m2).passed
         names = {m.name for m in character_modules(GroupAction.trivial(z2, m2))}
         assert {"char(pt; 1,0,0,1)", "char(pt; -1,0,0,-1)"} <= names
+
+
+def scaled_point_category(field):
+    """End(pt) = k with basis b, b∘b = 2b and Id = b/2: the closure condition of a
+    cyclic group of order n is 2^(n-1)·t^n = 1/2, with rational roots ±1/2."""
+    return LinearCategory(field, ["pt"], {("pt", "pt"): 1}, {("pt", "pt", "pt"): [[(2,)]]},
+                          {"pt": (Fraction(1, 2),)}, name="C1b")
+
+
+def one_dimensional_cases():
+    q = Field.rationals()
+    return {f"Z/{n} on {build.__name__}": GroupAction.trivial(FiniteGroup.cyclic(n), build(q))
+            for n in (2, 3, 4, 5, 6) for build in (point_category, scaled_point_category)}
+
+
+def enumerated_roots(act):
+    """The value t = λ_gen of each enumerated character, in enumeration order."""
+    gen = act.group.elements.index(_find_generator(act.group))
+    return [m.action.blocks[0][gen][0] for m in character_modules(act)]
+
+
+def groebner_roots(act, x="pt"):
+    """The rational roots of the closure condition by `_rational_points`, as the
+    enumeration solves it when End(x) has dimension above one."""
+    import sympy
+    base, group = act.base, act.group
+    gen, t = _find_generator(group), sympy.Symbol("c0")
+    prod, g = [t], gen
+    for _ in range(1, group.order):
+        image = act.functors[g].hom_map[(x, x)][0].blocks[0][0][0]
+        prod = base.compose_vec(x, x, x, prod, [t * image], zero=sympy.Integer(0))
+        g = group.mult(g, gen)
+    c = base.id_vec(x)[0]
+    eqs = [sympy.expand(prod[0] - sympy.Rational(c.numerator, c.denominator))]
+    return sorted(rational(int(p[t].p), int(p[t].q)) for p in _rational_points(eqs, [t]))
+
+
+class TestOneDimensionalCharacters:
+    @pytest.mark.parametrize("name", list(one_dimensional_cases()))
+    def test_roots_equal_those_of_the_groebner_path(self, name):
+        act = one_dimensional_cases()[name]
+        assert validate_presentation(act.base).passed
+        assert enumerated_roots(act) == groebner_roots(act)
+
+    def test_even_orders_find_the_negative_root(self):
+        cases = one_dimensional_cases()
+        assert enumerated_roots(cases["Z/4 on point_category"]) == [-1, 1]
+        assert enumerated_roots(cases["Z/6 on scaled_point_category"]) == [Fraction(-1, 2),
+                                                                          Fraction(1, 2)]
+        assert enumerated_roots(cases["Z/3 on scaled_point_category"]) == [Fraction(1, 2)]
+
+    def test_enumeration_on_the_point_leaves_sympy_unloaded(self):
+        script = (
+            "import sys\n"
+            "from sepcat import Field, FiniteGroup, GroupAction, character_modules\n"
+            "from sepcat.standard import point_category\n"
+            "cat = point_category(Field.rationals())\n"
+            "for n in (2, 3):\n"
+            "    act = GroupAction.trivial(FiniteGroup.cyclic(n), cat)\n"
+            "    print(*sorted(m.name for m in character_modules(act)), sep=',')\n"
+            "print('sympy' in sys.modules)\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["char(pt; -1),char(pt; 1)", "char(pt; 1)", "False"]
 
 
 def test_cocycle_implies_alpha_e_identity(act_z2_q, act_swap_q, c1_q, c3_q):
