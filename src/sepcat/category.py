@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import NotIdempotentError
-from .linalg import LinForm, coordinate_map, solve_sparse
+from .linalg import LinForm, _insert, _int_row, coordinate_map, solve_sparse
 from .reports import ValidationReport
 from .scalars import Field
 
@@ -76,6 +76,7 @@ class LinearCategory:
         self._zero_rows: dict = {}
         self._layouts: dict = {}
         self._identities: dict = {}
+        self._generators = None
 
     def hom_dim(self, x, y) -> int:
         return self._dims.get((x, y), 0)
@@ -108,6 +109,40 @@ class LinearCategory:
             rows = tuple(tuple(itertools.islice(cuts, len(xs))) for _ in ys)
             lay = self._layouts[(xs, ys)] = (ends[-1], rows)
         return lay
+
+    def generators(self) -> dict:
+        """Per hom pair (y, z), the indices of the basis morphisms that generate the
+        category under composition, picked once, greedily in `hom_pairs()` and basis
+        order: one not in the span W of the composites of identities and generators so
+        far becomes a generator, and W is closed again under left composition with
+        every generator.  So at the end every basis morphism lies in W by construction."""
+        if self._generators is None:
+            p, zero = self.field.char, self.field.zero()
+            pivots = {pair: {} for pair in self.hom_pairs()}
+            ending, leaving = {x: [] for x in self.objects}, {x: [] for x in self.objects}
+            todo = []  # (x, y, w, z, g): w in W by codomain, g a generator by domain; g∘w joins W
+            gens = self._generators = {pair: [] for pair in self.hom_pairs()}
+
+            def join(x, y, vec) -> bool:
+                row = {i: v for i, v in enumerate(vec) if v}
+                if not row or _insert(pivots[(x, y)], _int_row(row, zero, p)[0], 0, p) is not None:
+                    return False
+                ending[y].append((x, vec))
+                todo.extend((x, y, vec, z, g) for z, g in leaving[y])
+                return True
+
+            for x in self.objects:
+                join(x, x, self.id_vec(x))
+            for y, z in self.hom_pairs():
+                for i, e in enumerate(unit_vectors(self.field, self.hom_dim(y, z))):
+                    if join(y, z, e):
+                        gens[(y, z)].append(i)
+                        leaving[y].append((z, e))
+                        todo.extend((x, y, w, z, e) for x, w in ending[y])
+                        while todo:
+                            a, b, w, c, g = todo.pop()
+                            join(a, c, self.compose_vec(a, b, c, g, w))
+        return self._generators
 
     def id_vec(self, x):
         return self._ids[x]

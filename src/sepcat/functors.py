@@ -8,9 +8,11 @@ of linear maps H_{X,Y}: Hom_D(F X, F Y) → Hom_C(X, Y), each held as its images
 of the unit morphisms of Hom_D(F X, F Y), satisfying the retraction law
 H(F(f)) = f and binaturality; existence is decided by one affine solve over
 the coordinates of those images.  Binaturality is imposed as its two
-one-sided laws H(F v∘g) = v∘H(g) and H(g∘F u) = H(g)∘u on basis morphisms:
-the joint law H(F v∘g∘F u) = v∘H(g)∘u gives each with u or v an identity,
-and H(F v∘(g∘F u)) = v∘H(g∘F u) = v∘H(g)∘u gives it back from them.
+one-sided laws H(F v∘g) = v∘H(g) and H(g∘F u) = H(g)∘u for v, u in the source's
+generating set (`LinearCategory.generators`).  The joint law H(F v∘g∘F u) =
+v∘H(g)∘u gives each with u or v an identity, and H(F v∘(g∘F u)) = v∘H(g)∘u gives
+it back from them.  As F is a functor, the laws for v₁ and v₂ give
+H(F(v₁v₂)∘g) = v₁∘v₂∘H(g); for identities they hold trivially.
 
 Each law family is written once, as a generator of (label, place, lhs, rhs)
 that a solver imposes on unknowns and a checker reads with
@@ -341,10 +343,11 @@ class SepWitness:
 
         First the retraction H(F b_t) = b_t per pair (x, y).  Then binaturality,
         as two one-sided laws for each g of the basis of Hom(F x, F y):
-        H(F v∘g) = v∘H(g) for basis v: y→z, and H(g∘F u) = H(g)∘u for basis u: z→x.
-        They hold exactly when the joint law H(F v∘g∘F u) = v∘H(g)∘u does: the
-        joint law with u or v an identity (a combination of basis morphisms) is
-        a one-sided law, and H(F v∘(g∘F u)) = v∘H(g∘F u) = v∘H(g)∘u.
+        H(F v∘g) = v∘H(g) for v: y→z and H(g∘F u) = H(g)∘u for u: z→x in the
+        source's generating set.  As F is a functor (`separability_solve` checks
+        it) and the laws hold trivially for identities, every all-basis row is a
+        combination of these rows, constants included (module docstring): the
+        row space is that of all basis morphisms, and of the joint law.
         The place starts with the label that names the constraint for the
         solver, then the basis morphism b_t, v or u as (dom, cod, index),
         then g's index.
@@ -364,14 +367,14 @@ class SepWitness:
             images = [self.apply(obj[x], obj[y], g) for g in gbasis]
             for z in src.objects:
                 label = f"binaturality ({x},{y})→({x},{z})"
-                for iv, v in enumerate(hom_space_basis(src, obj[y], obj[z])):
-                    fv = f.hom_map[(y, z)][iv]
+                for iv in src.generators().get((y, z), ()):
+                    v, fv = hom_space_basis(src, obj[y], obj[z])[iv], f.hom_map[(y, z)][iv]
                     for gi, g in enumerate(gbasis):
                         yield (LEFT_NATURALITY, (label, y, z, iv, gi),
                                self.apply(obj[x], obj[z], fv @ g), v @ images[gi])
                 label = f"binaturality ({x},{y})→({z},{y})"
-                for iu, u in enumerate(hom_space_basis(src, obj[z], obj[x])):
-                    fu = f.hom_map[(z, x)][iu]
+                for iu in src.generators().get((z, x), ()):
+                    u, fu = hom_space_basis(src, obj[z], obj[x])[iu], f.hom_map[(z, x)][iu]
                     for gi, g in enumerate(gbasis):
                         yield (RIGHT_NATURALITY, (label, z, x, iu, gi),
                                self.apply(obj[z], obj[y], g @ fu), images[gi] @ u)

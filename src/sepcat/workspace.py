@@ -618,6 +618,8 @@ def load_witness(path: str, ws: Workspace):
                 maps[(x, y)] = [list(col) for col in zip(*parsed)]
             except (ArithmeticError, AttributeError, TypeError, ValueError) as exc:
                 raise WorkspaceError(f"witness map {key!r}: {exc}") from exc
+        if missing := next((f"{x}|{y}" for x, y in functor.source.hom_pairs() if (x, y) not in maps), None):
+            raise WorkspaceError(f"witness file: no map for hom pair {missing!r}")
         w = SepWitness(functor, maps)
         return w, w.verify()
     if target == "monad":

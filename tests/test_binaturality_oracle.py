@@ -7,14 +7,27 @@ Each joint row is a left row at g∘Fu plus v composed with a right row at g,
 and each one-sided row is the joint law with u or v an identity, so both
 systems have the same row space of [A | b] and hence the same reduced form:
 rank, particular solution and kernel must be identical, not merely equivalent.
+
+`reference_all_basis_laws` is the one-sided assembly before its restriction to
+the source's generating set: it imposes both one-sided laws for every basis v
+and u.  With F a functor, the laws for v₁ and v₂ give the law for v₁∘v₂, so
+each of its rows is a combination of the generator rows: again the same row
+space of [A | b] and the same solve, from fewer rows.
 """
+
+import os
 
 import pytest
 
 from sepcat import (Field, FiniteGroup, GroupAction, Infeasible, SepWitness, equivariant_category,
                     induce_adjunction, separability_solve)
-from sepcat.category import LinearCategory, MorSystem, hom_coord_dim, hom_space_basis
-from sepcat.standard import point_category, two_point_category
+from sepcat.category import (LinearCategory, MorSystem, hom_coord_dim, hom_space_basis,
+                             unit_vectors)
+from sepcat.linalg import rank_extension
+from sepcat.standard import a2_quiver_category, point_category, two_point_category
+from sepcat.workspace import parse_workspace
+
+FIXTURE = os.path.join(os.path.dirname(__file__), "..", "fixtures", "workspace.json")
 
 
 def reference_joint_laws(w):
@@ -39,6 +52,32 @@ def reference_joint_laws(w):
                     for gi, g in enumerate(gbasis):
                         yield (label, w.apply(obj[x2], obj[y2], fv @ g @ fu),
                                v @ images[gi] @ u)
+
+
+def reference_all_basis_laws(w):
+    f = w.functor
+    src, tgt = f.source, f.target
+    obj = {x: src.obj(x) for x in src.objects}
+    pairs = [(x, y) for x in src.objects for y in src.objects]
+    for (x, y) in pairs:
+        for t, b in enumerate(hom_space_basis(src, obj[x], obj[y])):
+            yield f"retraction ({x},{y})", w.apply(obj[x], obj[y], f.hom_map[(x, y)][t]), b
+    for (x, y) in pairs:
+        gbasis = hom_space_basis(tgt, f.object_map[x], f.object_map[y])
+        if not gbasis:
+            continue
+        images = [w.apply(obj[x], obj[y], g) for g in gbasis]
+        for z in src.objects:
+            label = f"binaturality ({x},{y})→({x},{z})"
+            for iv, v in enumerate(hom_space_basis(src, obj[y], obj[z])):
+                fv = f.hom_map[(y, z)][iv]
+                for gi, g in enumerate(gbasis):
+                    yield label, w.apply(obj[x], obj[z], fv @ g), v @ images[gi]
+            label = f"binaturality ({x},{y})→({z},{y})"
+            for iu, u in enumerate(hom_space_basis(src, obj[z], obj[x])):
+                fu = f.hom_map[(z, x)][iu]
+                for gi, g in enumerate(gbasis):
+                    yield label, w.apply(obj[z], obj[y], g @ fu), images[gi] @ u
 
 
 def one_sided_laws(w):
@@ -77,6 +116,10 @@ def _action(name, field):
             {z2.unit: {"x": "x", "y": "y"}, g: {"x": "y", "y": "x"}})
     if name == "Z/3 on Cw":
         return GroupAction.trivial(FiniteGroup.cyclic(3), cyclotomic_table_category(field))
+    if name == "S_3 on C1":
+        return GroupAction.trivial(FiniteGroup.symmetric(3), point_category(field))
+    if name == "Z/2 on A2":
+        return GroupAction.trivial(FiniteGroup.cyclic(2), a2_quiver_category(field))
     n = int(name[2])
     return GroupAction.trivial(FiniteGroup.cyclic(n), point_category(field))
 
@@ -110,3 +153,112 @@ def test_one_sided_and_joint_systems_agree(name, field):
     for key, h in unknowns.items():
         assert result.maps[key] == [[e.eval(want.particular) for e in col] for col in h]
     assert joint_law_failures(result) == []
+
+
+QQ, F2, F5 = Field.rationals(), Field.prime(2), Field.prime(5)
+RESTRICTION_CASES = ([(name, field) for name in ACTIONS for field in FIELDS]
+                     + [(name, field) for name in ("S_3 on C1", "Z/5 on C1") for field in (QQ, F2, F5)]
+                     + [("Z/2 on A2", field) for field in (QQ, F2)]
+                     + [(name, None) for name in ("forget_z2_q", "swap_g")])
+
+
+def case_functor(name, field):
+    """The forgetful functor G of the induced adjunction, or a fixture functor when field is None."""
+    if field is None:
+        return parse_workspace(FIXTURE).functor(name)
+    return induce_adjunction(equivariant_category(_action(name, field))).G
+
+
+def augmented_rows(sysm):
+    """The rows of [A | b], dense."""
+    out = []
+    for row, const in zip(sysm.rows, sysm.consts):
+        vec = [sysm.field.zero()] * (sysm.n + 1)
+        for j, v in row.items():
+            vec[j] = v
+        vec[-1] = const
+        out.append(vec)
+    return out
+
+
+def same_row_space(a, b) -> bool:
+    ra, rb = augmented_rows(a), augmented_rows(b)
+    return not rank_extension(ra, rb, a.field)[1] and not rank_extension(rb, ra, a.field)[1]
+
+
+def outcome(sol):
+    if isinstance(sol, Infeasible):
+        return "infeasible", sol.rank, sol.rank_augmented, sol.n_vars, sol.subsystem
+    return "feasible", sol.particular, sol.kernel, sol.free, sol.rank, sol.n_vars
+
+
+def case_id(case):
+    name, field = case
+    return name if field is None else f"{name} over {field.spec_str()}"
+
+
+@pytest.mark.parametrize("case", RESTRICTION_CASES, ids=case_id)
+def test_generator_laws_and_all_basis_laws_agree(case):
+    g = case_functor(*case)
+    generated, _ = assemble(g, one_sided_laws)
+    every, _ = assemble(g, reference_all_basis_laws)
+    assert same_row_space(generated, every)
+    assert outcome(generated.solve()) == outcome(every.solve())
+    src = g.source
+    if sum(map(len, src.generators().values())) < sum(src.hom_dim(*p) for p in src.hom_pairs()):
+        assert len(generated.rows) < len(every.rows)
+
+
+@pytest.mark.parametrize("name,count", [
+    ("Z/2 on C1", 1), ("Z/3 on C1", 1), ("Z/4 on C1", 1), ("Z/5 on C1", 1), ("S_3 on C1", 2),
+    ("Z/3 on Cw", 2)])
+def test_generator_counts(name, count):
+    assert sum(map(len, case_functor(name, QQ).source.generators().values())) == count
+
+
+def test_point_category_has_no_generators():
+    assert point_category(QQ).generators() == {("pt", "pt"): []}
+
+
+def composite_span_dims(cat):
+    """Per hom pair, the dimension of the span of all composites of generators and
+    identities, grown from the identities by left composition until nothing is new."""
+    field = cat.field
+    gens = [(y, z, unit_vectors(field, cat.hom_dim(y, z))[i])
+            for (y, z), picked in cat.generators().items() for i in picked]
+    span = {pair: [] for pair in cat.hom_pairs()}
+    for x in cat.objects:
+        span[(x, x)].append(list(cat.id_vec(x)))
+    grew = True
+    while grew:
+        grew = False
+        for y, z, g in gens:
+            for (x, cod), ws in list(span.items()):
+                if cod != y or (x, z) not in span:
+                    continue
+                composites = [cat.compose_vec(x, y, z, g, w) for w in ws]
+                new = rank_extension(span[(x, z)], composites, field)[1]
+                span[(x, z)].extend(composites[i] for i in new)
+                grew = grew or bool(new)
+    return {pair: rank_extension(vs, (), field)[0] for pair, vs in span.items()}
+
+
+@pytest.mark.parametrize("case", RESTRICTION_CASES + [("C1", None)], ids=case_id)
+def test_generators_and_identities_span_every_hom_space(case):
+    cat = point_category(QQ) if case[0] == "C1" else case_functor(*case).source
+    assert composite_span_dims(cat) == {p: cat.hom_dim(*p) for p in cat.hom_pairs()}
+
+
+def test_dropping_a_generator_changes_the_row_space(monkeypatch):
+    g = case_functor("S_3 on C1", QQ)
+    every, _ = assemble(g, reference_all_basis_laws)
+    generators = LinearCategory.generators
+
+    def weakened(cat):
+        gens = {pair: list(picked) for pair, picked in generators(cat).items()}
+        gens[[pair for pair, picked in gens.items() if picked][-1]].pop()
+        return gens
+
+    monkeypatch.setattr(LinearCategory, "generators", weakened)
+    generated, _ = assemble(g, one_sided_laws)
+    assert not same_row_space(generated, every)

@@ -3,6 +3,7 @@ and report determinism."""
 
 import json
 import os
+import re
 from fractions import Fraction
 
 import pytest
@@ -211,6 +212,21 @@ class TestWitnessRoundTrip:
         edit(data["maps"])
         path.write_text(json.dumps(data))
         with pytest.raises(WorkspaceError, match=message):
+            load_witness(str(path), parse_workspace(FIXTURE))
+
+    @pytest.mark.parametrize("edit,pair", [
+        (lambda maps: maps.clear(), "F(pt)|F(pt)"),
+        (lambda maps: maps.pop("triv_z2|F(pt)"), "triv_z2|F(pt)"),
+    ], ids=["no maps", "one pair deleted"])
+    def test_functor_witness_missing_a_hom_pair_is_rejected(self, tmp_path, edit, pair):
+        assert run(["-w", FIXTURE, "--out", str(tmp_path),
+                    "separability", "forget_z2_q", "--target", "functor"]) == 0
+        path = tmp_path / "forget_z2_q.witness.json"
+        data = json.loads(path.read_text())
+        edit(data["maps"])
+        path.write_text(json.dumps(data))
+        with pytest.raises(WorkspaceError,
+                           match=f"^witness file: no map for hom pair '{re.escape(pair)}'$"):
             load_witness(str(path), parse_workspace(FIXTURE))
 
     def _edited_monad_witness(self, tmp_path, edit):
