@@ -32,6 +32,7 @@ class BoundedComplex:
         self.cat = cat
         self.terms = {int(n): t for n, t in terms.items() if t.summands}
         self.diffs = {int(n): d for n, d in diffs.items()}
+        self._zero_diffs: dict = {}
         self.name = name
         if self.terms:
             self.lo = min(self.terms)
@@ -42,12 +43,12 @@ class BoundedComplex:
             self.lo, self.hi = 0, -1
 
     def term(self, n: int) -> CatObject:
-        return self.terms.get(n, self.cat.zero_object())
+        return self.terms.get(n) or self.cat.zero_object()
 
     def diff(self, n: int) -> Morphism:
-        d = self.diffs.get(n)
+        d = self.diffs.get(n) or self._zero_diffs.get(n)
         if d is None:
-            return zero_morphism(self.term(n), self.term(n + 1))
+            d = self._zero_diffs[n] = zero_morphism(self.term(n), self.term(n + 1))
         return d
 
     def degrees(self):

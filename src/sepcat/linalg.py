@@ -26,7 +26,8 @@ from .scalars import Field, Fp, rational
 class AffineSolution:
     """A particular solution of A·x = b together with a kernel basis of A.
 
-    kernel[i] is 1 at the free column free[i] and 0 at every other free column.
+    kernel[i] is 1 at the free column free[i] and 0 at every other free column, and
+    the particular solution is 0 at all of them: in a given column order, a unique form.
     """
 
     __slots__ = ("particular", "kernel", "free", "rank", "n_vars")
@@ -136,6 +137,17 @@ def _insert(pivots: dict, row: dict, cst: int, p: int):
     return cst
 
 
+def _back_substitute(pivots: dict, p: int):
+    """Clear each pivot column from the other pivot rows, in place; the lead rides along."""
+    for c in sorted(pivots, reverse=True):
+        lead, prow, pcst = pivots[c]
+        prow[c] = lead
+        for j in sorted(prow):
+            if j != c and j in pivots:
+                pcst = _eliminate(prow, pcst, j, pivots[j], p)
+        pivots[c] = (prow.pop(c), prow, pcst)
+
+
 def solve_sparse(rows, consts, n_vars, field: Field, labels=None):
     """Solve the sparse affine system given as (dict col->coeff, const) rows.
 
@@ -157,16 +169,7 @@ def solve_sparse(rows, consts, n_vars, field: Field, labels=None):
     if bad:
         return Infeasible(rank, rank + 1, n_vars, len(rows),
                           None if labels is None else labels[bad[0]])
-
-    # back-substitution to full reduced form; the lead rides in its row meanwhile
-    for c in sorted(pivots, reverse=True):
-        lead, prow, pcst = pivots[c]
-        prow[c] = lead
-        for j in sorted(prow):
-            if j != c and j in pivots:
-                pcst = _eliminate(prow, pcst, j, pivots[j], p)
-        pivots[c] = (prow.pop(c), prow, pcst)
-
+    _back_substitute(pivots, p)
     zero, one = field.zero(), field.one()
     free = [f for f in range(n_vars) if f not in pivots]
     particular = [zero] * n_vars
@@ -176,6 +179,29 @@ def solve_sparse(rows, consts, n_vars, field: Field, labels=None):
         for f, v in prow.items():
             kernel[f][c] = Fp(-v, p) if p else rational(-v, lead)
     return AffineSolution(particular, list(kernel.values()), free, rank, n_vars)
+
+
+def reduced_form(particular, kernel, field: Field) -> AffineSolution:
+    """What `solve_sparse` returns for any system solved by particular + span(kernel):
+    the reduced echelon basis, pivoting on last nonzero entries, of the span of
+    (particular, 1) and the (kernel_i, 0), which must be independent.  It is
+    eliminated with the columns reversed, so the appended coordinate comes first."""
+    p, n, zero, one = field.char, len(particular), field.zero(), field.one()
+    pivots: dict[int, tuple[int, dict, int]] = {}
+    for vec in [[one, *particular[::-1]]] + [[zero, *k[::-1]] for k in kernel]:
+        row, _ = _int_row({j: v for j, v in enumerate(vec) if v}, zero, p)
+        if _insert(pivots, row, 0, p) is not None:
+            raise ValueError("the kernel vectors are linearly dependent")
+    _back_substitute(pivots, p)
+    vectors = []  # by pivot column, so the kernel vectors come first, the particular last
+    for c in sorted(pivots, reverse=True):
+        lead, prow, _ = pivots[c]
+        vec = [zero] * (n + 1)
+        for j, v in [(c, lead), *prow.items()]:
+            vec[n - j] = Fp(v, p) if p else rational(v, lead)
+        vectors.append(vec[:n])
+    free = [n - c for c in sorted(pivots, reverse=True) if c]
+    return AffineSolution(vectors[-1], vectors[:-1], free, n - len(free), n)
 
 
 def rank_extension(base_vectors, candidates, field):

@@ -1,27 +1,33 @@
 """Monads with verified laws and separable-monad sections found by exact feasibility.
 
-The laws of a section σ: M → M² are written once, in `MonadSepWitness._laws`:
-`monad_separability_solve` imposes them on unknown components, and
-`MonadSepWitness.verify` re-checks a witness against them in one pass.
-
-The bimodule law Mμ∘σM = σ∘μ = μM∘Mσ is imposed restricted along the units,
-with e = σ∘η: Id → M² (the separability idempotent σ(1)): Mμ_x∘e_{Mx} = σ_x is
-the left equation at η_{Mx}, σ_x = μ_{Mx}∘M(e_x) the right one at M(η_x), so
-each restricted row is a full row composed with a fixed morphism.  Conversely,
-for a natural σ (checked beside them), associativity with naturality of e at
-μ_x, resp. of μ at e_x, gives the full law back:
+The laws of a section σ: M → M² are written once, in `MonadSepWitness._laws`,
+which `MonadSepWitness.verify` checks in one pass.  With e = σ∘η, the bimodule
+law Mμ∘σM = σ∘μ = μM∘Mσ is stated restricted along the units: Mμ_x∘e_{Mx} = σ_x
+(left, at η_{Mx}) and σ_x = μ_{Mx}∘M(e_x) (right, at M(η_x)).  For a natural σ,
+associativity and naturality of e at μ_x, resp. of μ at e_x, give it back:
     Mμ∘σM = Mμ∘MμM∘eM² = Mμ∘M²μ∘eM² = Mμ∘eM∘μ = σ∘μ,
     μM∘Mσ = μM∘MμM∘M²e = μM∘μM²∘M²e = μM∘Me∘μ = σ∘μ.
-Both systems have the same row space of [A | b]; over a group monad the
-bimodule rows are |G| times fewer.
+
+`monad_separability_solve` solves for the separability idempotent e: Id → M²
+(DeMeyer–Ingraham) instead: e natural, μ∘e = η, Mμ∘eM = μM∘Me; |G|² unknowns
+per object of a group monad on the point, where σ has |G|³.  By the lines above
+and μM∘Me∘η = μM∘ηM²∘e = e, σ ↦ σ∘η and e ↦ μM∘Me are inverse linear bijections
+of the solution sets and of the homogeneous ones, so the σ system has rank
+n_σ − n_e + rank_e.  The e solutions are mapped to σ and reduced as eliminating
+the σ system would (`reduced_form`).  When no e exists, the σ system's first
+contradiction is a right row: σ = ηM satisfies every other row, and `_laws`
+lists every object's section and left rows before any right row.
 """
 
 from __future__ import annotations
 
-from .category import MorSystem
+from functools import cached_property
+
+from .category import Morphism, MorSystem
 from .errors import LawViolationError, PreconditionError
 from .functors import (Adjunction, Functor, NatTrans, compose_functors, naturality_laws,
                        validate_nat, validate_section)
+from .linalg import Infeasible, reduced_form
 from .reports import ValidationReport
 
 
@@ -46,6 +52,11 @@ class Monad:
             self._squared = compose_functors(self.functor, self.functor,
                                              name=f"{self.functor.name}²")
         return self._squared
+
+    @cached_property
+    def mult_images(self) -> dict:
+        """M(μ_x): M³x → M²x per base object x, built once."""
+        return {x: self.functor.on_morphism(mu) for x, mu in self.mult.components.items()}
 
     @staticmethod
     def identity_monad(cat, name: str = "Id") -> "Monad":
@@ -89,7 +100,7 @@ def _monad_laws(m: Monad):
     for x in m.cat.objects:
         mx = mf.object_map[x]
         mu_x = m.mult.components[x]
-        yield "associativity", (x,), mu_x @ mf.on_morphism(mu_x), mu_x @ m.mult.at(mx)
+        yield "associativity", (x,), mu_x @ m.mult_images[x], mu_x @ m.mult.at(mx)
         yield "left unit", (x,), mu_x @ mf.on_morphism(m.unit.components[x]), mx.identity()
         yield "right unit", (x,), mu_x @ m.unit.at(mx), mx.identity()
 
@@ -114,8 +125,8 @@ class MonadSepWitness:
 
     def _laws(self):
         """Every law of σ, as (label, place, lhs, rhs): naturality on basis morphisms,
-        then per base object μ∘σ = Id_M and, with e = σ∘η, the bimodule law as
-        Mμ_x∘e_{Mx} = σ_x and σ_x = μ_{Mx}∘M(e_x).  σ may have unknown components."""
+        per base object μ∘σ = Id_M and Mμ_x∘e_{Mx} = σ_x with e = σ∘η, then per base
+        object σ_x = μ_{Mx}∘M(e_x).  σ may have unknown components."""
         m, sigma = self.monad, self.sigma
         mf = m.functor
         yield from naturality_laws(sigma)
@@ -123,11 +134,11 @@ class MonadSepWitness:
                      {x: sigma.components[x] @ m.unit.components[x] for x in m.cat.objects})
         for x in m.cat.objects:
             mx = mf.object_map[x]
-            sig_x = sigma.components[x]
-            mu_x = m.mult.components[x]
-            yield "section law", (x,), mu_x @ sig_x, mx.identity()
-            yield "bimodule left", (x,), mf.on_morphism(mu_x) @ e.at(mx), sig_x
-            yield "bimodule right", (x,), sig_x, m.mult.at(mx) @ mf.on_morphism(e.components[x])
+            yield "section law", (x,), m.mult.components[x] @ sigma.components[x], mx.identity()
+            yield "bimodule left", (x,), m.mult_images[x] @ e.at(mx), sigma.components[x]
+        for x in m.cat.objects:
+            yield ("bimodule right", (x,), sigma.components[x],
+                   m.mult.at(mf.object_map[x]) @ mf.on_morphism(e.components[x]))
 
     def verify(self) -> ValidationReport:
         """Component endpoints of σ, then, when they fit, every law of `_laws` in one pass."""
@@ -145,25 +156,36 @@ _SIGMA_CHECKS = {"section law": ("section law μ∘σ = Id_M", str),
 
 
 def monad_separability_solve(m: Monad):
-    """Find a section σ of μ by exact affine feasibility; witness or Infeasible.
+    """Find a section σ = μM∘Me of μ by solving for e = σ∘η; witness or Infeasible.
 
     The monad must come from a validated builder (`equivariant_monad`,
     `monad_from_adjunction` or a workspace declaration): its laws are not
     re-checked here, and on a non-monad an "infeasible" verdict means nothing.
     """
-    cat = m.cat
-    mf = m.functor
-    m2 = m.squared()
+    cat, mf, m2 = m.cat, m.functor, m.squared()
     sysm = MorSystem(cat.field)
-    unknowns = {x: sysm.unknown(mf.object_map[x], m2.object_map[x]) for x in cat.objects}
-    sysm.impose(MonadSepWitness(m, NatTrans(mf, m2, unknowns, name="σ?"))._laws())
+    e = NatTrans(m.unit.src, m2, {x: sysm.unknown(cat.obj(x), m2.object_map[x])
+                                  for x in cat.objects}, name="e?")
+    sysm.impose(naturality_laws(e))
+    sysm.impose(("section law", (x,), m.mult.components[x] @ e.components[x],
+                 m.unit.components[x]) for x in cat.objects)
+    sigma = {x: m.mult.at(mf.object_map[x]) @ mf.on_morphism(ex) for x, ex in e.components.items()}
+    sysm.impose(("bimodule", (x,), m.mult_images[x] @ e.at(mf.object_map[x]), sigma[x])
+                for x in cat.objects)
     sol = sysm.solve()
+    n_sigma = sum(len(s.coords()) for s in sigma.values())
     if not sol.feasible:
-        return sol
-    comps = {x: MorSystem.eval_at(unknowns[x], sol.particular) for x in cat.objects}
+        rank = n_sigma - sysm.n + sol.rank
+        return Infeasible(rank, rank + 1, n_sigma, sol.n_rows, "bimodule right")
+    flat = [[c for s in sigma.values() for c in MorSystem.eval_at(s, v, const).coords()]
+            for v, const in [(sol.particular, True), *((k, False) for k in sol.kernel)]]
+    red = reduced_form(flat[0], flat[1:], cat.field)
+    values = iter(red.particular)
+    comps = {x: Morphism.from_coords(cat, s.dom, s.cod, [next(values) for _ in s.coords()])
+             for x, s in sigma.items()}
     w = MonadSepWitness(m, NatTrans(mf, m2, comps, name="σ"))
     w.verify().require(LawViolationError, "solver-produced monad witness")
-    w.solution = sol
+    w.solution = red
     return w
 
 

@@ -486,8 +486,8 @@ def _build_complex(name, spec, kind, ws):
     diffs = {}
     for deg, mdata in spec.get("differentials", {}).items():
         n = int(deg)
-        dom = terms.get(n, cat.zero_object())
-        cod = terms.get(n + 1, cat.zero_object())
+        dom = terms.get(n) or cat.zero_object()
+        cod = terms.get(n + 1) or cat.zero_object()
         diffs[n] = parse_mor(cat, mdata, dom=dom, cod=cod)
     return BoundedComplex(cat, terms, diffs, name=name)
 

@@ -12,14 +12,14 @@ equivalent, and every returned rational is an int exactly when it is integral.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import sepcat.category
 from sepcat import (Field, FiniteGroup, GroupAction, equivariant_category, equivariant_monad,
                     induce_adjunction, monad_separability_solve, separability_solve)
 from sepcat.linalg import (AffineSolution, Infeasible, coordinate_map, rank_extension,
-                           solve_sparse)
+                           reduced_form, solve_sparse)
 from sepcat.scalars import Fp
 from sepcat.standard import point_category, two_point_category
 
@@ -222,6 +222,51 @@ def test_rank_extension_matches_field_elimination(data, field, dim):
         candidates += data.draw(st.lists(st.sampled_from(pool), max_size=2))
     assert rank_extension(base, candidates, field) == \
         reference_rank_extension(base, candidates, field)
+
+
+@st.composite
+def invertible_matrices(draw, k, field):
+    """A k×k matrix P·L·U: a permutation, unit lower and invertible upper triangular."""
+    scal, zero, one = scalars(field), field.zero(), field.one()
+    lower = [[draw(scal) if j < i else one if j == i else zero for j in range(k)]
+             for i in range(k)]
+    upper = [[draw(scal.filter(bool)) if j == i else draw(scal) if j > i else zero
+              for j in range(k)] for i in range(k)]
+    lu = [[sum((lower[i][t] * upper[t][j] for t in range(k)), zero) for j in range(k)]
+          for i in range(k)]
+    return [lu[i] for i in draw(st.permutations(range(k)))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), systems())
+def test_reduced_form_recovers_the_reduced_solution(data, system):
+    """Any description of a solution set reduces to the one `solve_sparse` returns.
+
+    The kernel is recombined by an invertible matrix and the particular solution
+    moved by a kernel combination; `reduced_form` must undo both exactly.
+    """
+    rows, consts, n_vars, field, _ = system
+    want = solve_sparse(rows, consts, n_vars, field)
+    assume(want.feasible)
+    k, zero = len(want.kernel), field.zero()
+
+    def combination(coefficients):
+        return [sum((c * vec[j] for c, vec in zip(coefficients, want.kernel)), zero)
+                for j in range(n_vars)]
+
+    kernel = [combination(row) for row in data.draw(invertible_matrices(k, field))]
+    shift = combination(data.draw(st.lists(scalars(field), min_size=k, max_size=k)))
+    particular = [a + b for a, b in zip(want.particular, shift)]
+    got = reduced_form(particular, kernel, field)
+    assert (got.particular, got.kernel, got.free, got.rank, got.n_vars) == \
+        (want.particular, want.kernel, want.free, want.rank, want.n_vars)
+    assert_scalar_types([got.particular, *got.kernel], field)
+
+
+def test_reduced_form_rejects_a_dependent_kernel():
+    q = Field.rationals()
+    with pytest.raises(ValueError, match="dependent"):
+        reduced_form([0, 0], [[1, 2], [Fraction(1, 2), 1]], q)
 
 
 def _actions():

@@ -7,6 +7,8 @@ that alters a verdict, a witness or a report byte fails here.  The two fixture
 commands that take tens of seconds, ``--complete-target em-report adj_s3_q`` and
 ``complex-report triv_s3_q``, are pinned the same way by the CI workflow, each
 in a fresh process; together the two places pin all 45 fixture commands.
+The outcomes of the 40 separability decisions that the benchmark's sweep makes
+are pinned here too, built through the public API.
 """
 
 import contextlib
@@ -16,6 +18,9 @@ import os
 
 import pytest
 
+from sepcat import (Field, FiniteGroup, GroupAction, Infeasible, MonadSepWitness,
+                    equivariant_category, equivariant_monad, induce_adjunction,
+                    monad_separability_solve, separability_solve, standard)
 from sepcat.cli import run
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -221,3 +226,63 @@ def test_fixture_command_output_is_pinned(command, code, files, tmp_path, monkey
     assert got == code
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert written == files
+
+
+def _sweep_field(n, divides):
+    """The smallest prime dividing n (divides) or not dividing it."""
+    primes = (p for p in range(2, 100) if all(p % d for d in range(2, p)))
+    return Field.prime(next(p for p in primes if (n % p == 0) == divides))
+
+
+def _sweep_results():
+    """The 40 separability decisions of the separability-sweep workload, in its order.
+
+    Monads of Z/2..Z/7 and S_3 and functors of Z/2..Z/5 and S_3 acting trivially
+    on the point, each over Q, over F_p with p ∤ |G| and with p | |G|; then each
+    target for the Z/2 swap on two points and for Z/3 on Q(ω), over Q.
+    """
+    q = Field.rationals()
+
+    def decide(target, action):
+        if target == "monad":
+            return monad_separability_solve(equivariant_monad(action))
+        return separability_solve(induce_adjunction(equivariant_category(action)).G)
+
+    for target, orders in (("monad", range(2, 8)), ("functor", range(2, 6))):
+        groups = [(f"Z/{n}", FiniteGroup.cyclic(n)) for n in orders]
+        for name, group in groups + [("S_3", FiniteGroup.symmetric(3))]:
+            n = len(group.elements)
+            for field in (q, _sweep_field(n, False), _sweep_field(n, True)):
+                action = GroupAction.trivial(group, standard.point_category(field))
+                yield f"{target} {name} over {field.spec_str()}", decide(target, action)
+    z2 = FiniteGroup.cyclic(2)
+    g = next(h for h in z2.elements if h != z2.unit)
+    swap = {z2.unit: {"x": "x", "y": "y"}, g: {"x": "y", "y": "x"}}
+    for target in ("monad", "functor"):
+        action = GroupAction.from_permutation(z2, standard.two_point_category(q), swap)
+        yield f"{target} Z/2 swap on C3 over Q", decide(target, action)
+        action = GroupAction.trivial(FiniteGroup.cyclic(3), standard.cyclotomic_point_category(q))
+        yield f"{target} Z/3 on Cw over Q", decide(target, action)
+
+
+def _sweep_line(name, result):
+    if isinstance(result, Infeasible):
+        return (f"{name}: infeasible {result.rank} {result.rank_augmented} {result.n_vars}"
+                f" {result.subsystem}")
+    if isinstance(result, MonadSepWitness):
+        comps = result.sigma.components
+        coords = [comps[x].coords() for x in sorted(comps)]
+    else:
+        coords = [result.maps[key] for key in sorted(result.maps)]
+    return f"{name}: {coords!r}"
+
+
+# The sweep's witnesses and certificates, pinned by SHA-256: the solvers may be
+# rewritten, but their outcomes may not move.
+SWEEP_SHA256 = "d7e364c1da2e932d703d8cac56ac2895aa33e38465eaddb00c059ce4d8637e82"
+
+
+def test_sweep_outcomes_are_pinned():
+    lines = [_sweep_line(name, result) for name, result in _sweep_results()]
+    assert len(lines) == 40
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SWEEP_SHA256
