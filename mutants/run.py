@@ -1,0 +1,115 @@
+#!/usr/bin/env python3
+"""The mutant registry: each entry breaks sepcat in one place, and named tests must catch it.
+
+An entry is (id, file, snippet, replacement, test node ids).  For each entry the
+runner copies src/, tests/, fixtures/, demos/, README.md and pyproject.toml to a
+temporary directory, replaces the snippet, which must occur exactly once in the
+file, and runs the named tests there with pytest; the mutant is killed when they
+fail.  First the tests of every entry run once on an unmutated copy and must
+pass, so that a test that fails anyway, or a node id that names no test, cannot
+count as a kill.  Stdlib only; the file is not collected by pytest.
+
+    python3 mutants/run.py
+
+Exit status: 0 when every mutant is killed, 1 when one survives or the unmutated
+copy fails, 2 for a snippet that does not match exactly once.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "fixtures", "demos", "README.md", "pyproject.toml")
+CRITERION_7 = "tests/test_acceptance.py::test_criterion_7_derived_comparison"
+
+MUTANTS = (
+    ("independence-counts-zero", "src/sepcat/linalg.py",
+     "    return _insert(pivots, row, 0, field.char) is None\n",
+     "    return not row or _insert(pivots, row, 0, field.char) is None\n",
+     (CRITERION_7,)),
+    ("witness-parts-transposed", "src/sepcat/functors.py",
+     "partwise(g, [f.object_map[s] for s in a.summands],\n"
+     "                        [f.object_map[s] for s in b.summands], a, b",
+     "partwise(g, [f.object_map[s] for s in b.summands],\n"
+     "                        [f.object_map[s] for s in a.summands], a, b",
+     ("tests/test_acceptance.py::test_criterion_9_witness_calculus_coherence",)),
+    ("witness-summands-swapped", "src/sepcat/functors.py",
+     "[f.object_map[s] for s in b.summands], a, b, self._image)",
+     "[f.object_map[s] for s in b.summands], a, b, lambda x, y, c: self._image(y, x, c))",
+     ("tests/test_functors.py::TestSeparabilitySolve::"
+      "test_identity_functor_witness_is_the_identity_on_sums",)),
+    ("preimage-in-module-basis", "src/sepcat/modules.py",
+     "    images = [adj.G.on_morphism(f).coords() for f in dbasis]\n",
+     "    images = [mm.mor.coords() for mm in mbasis]\n",
+     ("tests/test_modules.py::TestEssentialPreimage::"
+      "test_preimages_do_not_depend_on_the_module_basis",)),
+    ("random-complex-without-d2", "src/sepcat/complexes.py",
+     "        if prev is not None:\n            sysm.require_equal(f @ prev,",
+     "        if False:\n            sysm.require_equal(f @ prev,",
+     (CRITERION_7,)),
+)
+
+
+def copy_tree(dst: Path) -> Path:
+    for name in COPIED:
+        if (ROOT / name).is_dir():
+            shutil.copytree(ROOT / name, dst / name,
+                            ignore=shutil.ignore_patterns("__pycache__", "*.pyc"))
+        else:
+            shutil.copy2(ROOT / name, dst / name)
+    return dst
+
+
+def pytest_code(tree: Path, tests) -> int:
+    """pytest's exit code for the tests on the tree: 0 passed, 1 some failed."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    return subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                           *tests], cwd=tree, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
+
+
+def mutated(path: Path, snippet: str, replacement: str) -> str:
+    text = path.read_text(encoding="utf-8")
+    if text.count(snippet) != 1:
+        raise LookupError(f"snippet matches {text.count(snippet)} times in {path.name}")
+    return text.replace(snippet, replacement)
+
+
+def main() -> int:
+    for mid, file, snippet, replacement, _ in MUTANTS:
+        try:
+            mutated(ROOT / file, snippet, replacement)
+        except LookupError as exc:
+            print(f"{mid}: {exc}")
+            return 2
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        tests = sorted({t for m in MUTANTS for t in m[4]})
+        code = pytest_code(copy_tree(Path(tmp) / "clean"), tests)
+        print(f"unmutated: {'pass' if code == 0 else f'pytest exit {code}'} "
+              f"({len(tests)} tests, {time.perf_counter() - start:.1f} s)")
+        if code != 0:
+            return 1
+        survivors = 0
+        for mid, file, snippet, replacement, tests in MUTANTS:
+            t0 = time.perf_counter()
+            tree = copy_tree(Path(tmp) / mid)
+            (tree / file).write_text(mutated(tree / file, snippet, replacement), encoding="utf-8")
+            code = pytest_code(tree, tests)
+            survivors += code != 1
+            verdict = "killed" if code == 1 else "SURVIVED" if code == 0 else f"pytest exit {code}"
+            print(f"{mid}: {verdict} ({time.perf_counter() - t0:.1f} s)")
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed "
+          f"in {time.perf_counter() - start:.1f} s")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

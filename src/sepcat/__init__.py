@@ -6,7 +6,7 @@ exact linear algebra over Q and F_p."""
 from .scalars import Field, Fp, QQ
 from .linalg import AffineSolution, Infeasible, LinForm, solve_sparse
 from .category import (CatObject, LinearCategory, Morphism, MorSystem,
-                       RetractWitness, direct_sum, biproduct, express_in_basis,
+                       RetractWitness, direct_sum, biproduct,
                        hom_space_basis, int_invertible, invert_morphism,
                        morphism, split_idempotent, validate_presentation,
                        zero_morphism)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import NotIdempotentError
-from .linalg import LinForm, _insert, _int_row, coordinate_map, solve_sparse
+from .linalg import LinForm, extends_pivots, solve_sparse
 from .reports import ValidationReport
 from .scalars import Field
 
@@ -77,6 +77,7 @@ class LinearCategory:
         self._layouts: dict = {}
         self._identities: dict = {}
         self._generators = None
+        self._zero_object = CatObject(self, ())
 
     def hom_dim(self, x, y) -> int:
         return self._dims.get((x, y), 0)
@@ -117,15 +118,14 @@ class LinearCategory:
         far becomes a generator, and W is closed again under left composition with
         every generator.  So at the end every basis morphism lies in W by construction."""
         if self._generators is None:
-            p, zero = self.field.char, self.field.zero()
             pivots = {pair: {} for pair in self.hom_pairs()}
             ending, leaving = {x: [] for x in self.objects}, {x: [] for x in self.objects}
             todo = []  # (x, y, w, z, g): w in W by codomain, g a generator by domain; g∘w joins W
             gens = self._generators = {pair: [] for pair in self.hom_pairs()}
 
             def join(x, y, vec) -> bool:
-                row = {i: v for i, v in enumerate(vec) if v}
-                if not row or _insert(pivots[(x, y)], _int_row(row, zero, p)[0], 0, p) is not None:
+                # a zero-dimensional Hom(x, y) has no pivots, and nothing joins it
+                if not vec or not extends_pivots(pivots[(x, y)], vec, self.field):
                     return False
                 ending[y].append((x, vec))
                 todo.extend((x, y, vec, z, g) for z, g in leaving[y])
@@ -154,7 +154,8 @@ class LinearCategory:
         return CatObject(self, names)
 
     def zero_object(self) -> "CatObject":
-        return CatObject(self, ())
+        """The zero object, the empty sum: one shared object per category."""
+        return self._zero_object
 
     def accum_compose(self, x, y, z, g_vec, f_vec, acc):
         """Accumulate the composite (g: y→z)∘(f: x→y) into acc (length d_xz)."""
@@ -173,10 +174,8 @@ class LinearCategory:
                     for t, c in entries:
                         acc[t] = acc[t] + (coef if c is None else coef * c)
 
-    def compose_vec(self, x, y, z, g_vec, f_vec, zero=None):
-        if zero is None:
-            zero = self.field.zero()
-        acc = [zero] * self.hom_dim(x, z)
+    def compose_vec(self, x, y, z, g_vec, f_vec):
+        acc = [self.field.zero()] * self.hom_dim(x, z)
         self.accum_compose(x, y, z, g_vec, f_vec, acc)
         return acc
 
@@ -460,16 +459,20 @@ def biproduct(objs):
     return total, injections, projections
 
 
-def extract_block(f: Morphism, dom_parts, cod_parts, i: int, j: int) -> Morphism:
-    """Extract the (i, j) part-block of f for the given summand partitions."""
-    cat = f.cat
-    row_off = sum(len(p.summands) for p in cod_parts[:i])
-    col_off = sum(len(p.summands) for p in dom_parts[:j])
-    nr = len(cod_parts[i].summands)
-    nc = len(dom_parts[j].summands)
-    sub = tuple(tuple(f.blocks[row_off + r][col_off + c] for c in range(nc))
-                for r in range(nr))
-    return Morphism(cat, dom_parts[j], cod_parts[i], sub)
+def partwise(f: Morphism, dom_parts, cod_parts, dom: CatObject, cod: CatObject, fn) -> Morphism:
+    """The morphism dom → cod, absorbed through the idempotents, whose block (i, j) is
+    fn(dom.summands[j], cod.summands[i], the coordinates of f's (i, j) part), where
+    f's domain and codomain summands are those of dom_parts and cod_parts, in order."""
+    if (tuple(s for p in dom_parts for s in p.summands) != f.dom.summands
+            or tuple(s for p in cod_parts for s in p.summands) != f.cod.summands):
+        raise ValueError("the parts do not partition the summands of f")
+    cuts = [0, *itertools.accumulate(len(p.summands) for p in dom_parts)]
+    raw, rows = [], iter(f.blocks)
+    for ti, part in zip(cod.summands, cod_parts):
+        block_rows = list(itertools.islice(rows, len(part.summands)))
+        raw.append([fn(sj, ti, [a for r in block_rows for v in r[c0:c1] for a in v])
+                    for sj, c0, c1 in zip(dom.summands, cuts, cuts[1:])])
+    return morphism(dom.cat, dom, cod, raw)
 
 
 class MorSystem:
@@ -478,7 +481,9 @@ class MorSystem:
     An unknown is a Morphism (or a witness's image columns) whose coordinates
     are `LinForm` variables; composing it with concrete morphisms gives
     morphisms with `LinForm` coordinates, and each `require_equal` adds one row
-    per coordinate.
+    per coordinate.  `solve` returns the affine solution; `kernel_basis(f)` is
+    the one way to read a basis of solutions off a homogeneous system, the
+    unknown f evaluated at each kernel vector.
     """
 
     def __init__(self, field: Field):
@@ -519,6 +524,11 @@ class MorSystem:
     def solve(self):
         return solve_sparse(self.rows, self.consts, self.n, self.field, self.labels)
 
+    def kernel_basis(self, f: Morphism) -> list[Morphism]:
+        """One solve of the homogeneous system; the unknown f at each kernel vector.
+        When f holds every unknown, a basis of the morphisms that satisfy the rows."""
+        return [MorSystem.eval_at(f, k, with_const=False) for k in self.solve().kernel]
+
     @staticmethod
     def eval_at(m: Morphism, values, with_const: bool = True) -> Morphism:
         """m at a solution; without the constants, at a kernel vector."""
@@ -545,22 +555,9 @@ def hom_space_basis(cat: LinearCategory, a: CatObject, b: CatObject) -> list[Mor
         basis = unit_morphisms(cat, a, b)
     else:
         sysm = MorSystem(cat.field)
-        f = sysm.unknown(a, b)
-        sol = sysm.solve()
-        basis = [MorSystem.eval_at(f, k, with_const=False) for k in sol.kernel]
+        basis = sysm.kernel_basis(sysm.unknown(a, b))
     cat._hom_basis_cache[key] = basis
     return basis
-
-
-def basis_coordinates(basis, field):
-    """f ↦ coordinates of f in an independent family of parallel morphisms, eliminated once."""
-    to_coords = coordinate_map([b.coords() for b in basis], field)
-    return lambda f: to_coords(f.coords())
-
-
-def express_in_basis(f: Morphism, basis) -> list:
-    """Coordinates of f in the given independent spanning set; exact."""
-    return basis_coordinates(basis, f.cat.field)(f)
 
 
 class RetractWitness:

@@ -20,8 +20,7 @@ import sys
 from .complexes import ModuleComplex, derived_comparison_check, random_module_complex
 from .equivariant import (character_modules, eq_hom_space, to_equivariant, to_module,
                           validate_action, xi_section)
-from .errors import (LawViolationError, MonadNotSeparableError,
-                     NotInvertibleError, WorkspaceError)
+from .errors import LawViolationError, NotInvertibleError, WorkspaceError
 from .functors import separability_solve, validate_adjunction, validate_functor, validate_nat
 from .linalg import Infeasible
 from .modules import (MModule, check_equiv_up_to_retracts, essential_preimage,
@@ -147,8 +146,7 @@ def cmd_em_report(ws: Workspace, name: str, opts) -> Checks:
     dcat = adj.G.source
     objects = [dcat.obj(l) for l in dcat.objects]
     if meta.get("kind") == "induced":
-        modules = [_bind_module(monad, m)
-                   for m in _sample_modules(ws, meta["action"], monad)]
+        modules = _sample_modules(ws, meta["action"], monad)
     else:
         modules = [free_module(monad, monad.cat.obj(x)) for x in monad.cat.objects]
     rep = check_equiv_up_to_retracts(adj, sigma, objects, modules)
@@ -227,14 +225,11 @@ def cmd_complex_report(ws: Workspace, name: str, opts) -> Checks:
     checks = Checks()
     act = ws.action(name)
     monad = act.group_monad()
-    try:
-        sigma = monad_separability_solve(monad)
-        if isinstance(sigma, Infeasible):
-            raise MonadNotSeparableError(
-                f"no section of μ exists over {act.base.field.spec_str()} "
-                f"(rank {sigma.rank} vs {sigma.rank_augmented})")
-    except MonadNotSeparableError as exc:
-        checks.add(f"complex-report {name}", "error", f"MonadNotSeparable: {exc}")
+    sigma = monad_separability_solve(monad)
+    if isinstance(sigma, Infeasible):
+        checks.add(f"complex-report {name}", "error",
+                   f"MonadNotSeparable: no section of μ exists over {act.base.field.spec_str()} "
+                   f"(rank {sigma.rank} vs {sigma.rank_augmented})")
         return checks
     pool = _sample_modules(ws, name, monad)
     rng = random.Random(opts.seed)

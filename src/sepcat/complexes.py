@@ -197,10 +197,6 @@ class LiftedMonad:
     def on_complex(self, c: BoundedComplex) -> BoundedComplex:
         return apply_functor_to_complex(self.monad.functor, c)
 
-    def unit(self, c: BoundedComplex) -> ChainMap:
-        parts = {n: self.monad.unit.at(c.term(n)) for n in c.degrees()}
-        return ChainMap(c, self.on_complex(c), parts)
-
     def mult(self, c: BoundedComplex) -> ChainMap:
         mc = self.on_complex(c)
         parts = {n: self.monad.mult.at(c.term(n)) for n in c.degrees()}
@@ -421,29 +417,24 @@ def derived_comparison_check(action, samples, pairs=None, monad: Monad | None = 
 
 
 def random_module_complex(monad: Monad, pool, length: int, rng, name: str = "") -> ModuleComplex:
-    """A random bounded complex of modules from the pool, with d² = 0 by construction."""
-    from .modules import module_hom_basis
+    """A random bounded complex of modules from the pool, with d² = 0 by construction:
+    each differential is a random combination of a basis of the module maps that
+    vanish after the previous differential."""
     if not pool:
         raise ValueError("empty module pool")
-    field = monad.cat.field
+    field, mf = monad.cat.field, monad.functor
     mods = {n: pool[rng.randrange(len(pool))] for n in range(length)}
     diffs = {}
     prev = None
     for n in range(length - 1):
-        if prev is None:
-            basis = [b.mor for b in module_hom_basis(mods[n], mods[n + 1])]
-        else:
-            sysm = MorSystem(field)
-            f = sysm.unknown(mods[n].carrier, mods[n + 1].carrier)
-            mf = monad.functor
-            sysm.require_equal(f @ mods[n].action, mods[n + 1].action @ mf.on_morphism(f),
-                               "module law")
-            sysm.require_equal(f @ prev, zero_morphism(prev.dom, mods[n + 1].carrier),
-                               "d²=0")
-            sol = sysm.solve()
-            basis = [MorSystem.eval_at(f, k, with_const=False) for k in sol.kernel]
+        sysm = MorSystem(field)
+        f = sysm.unknown(mods[n].carrier, mods[n + 1].carrier)
+        sysm.require_equal(f @ mods[n].action, mods[n + 1].action @ mf.on_morphism(f),
+                           "module law")
+        if prev is not None:
+            sysm.require_equal(f @ prev, zero_morphism(prev.dom, mods[n + 1].carrier), "d²=0")
         d = zero_morphism(mods[n].carrier, mods[n + 1].carrier)
-        for b in basis:
+        for b in sysm.kernel_basis(f):
             c = rng.randint(-2, 2)
             if c:
                 d = d + b.scale(field.from_int(c))

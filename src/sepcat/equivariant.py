@@ -12,14 +12,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .category import (CatObject, LinearCategory, Morphism, MorSystem,
-                       basis_coordinates, direct_sum, extract_block,
-                       hom_space_basis, int_invertible, invert_morphism,
-                       morphism)
+from .category import (CatObject, LinearCategory, Morphism, MorSystem, direct_sum,
+                       hom_space_basis, int_invertible, invert_morphism, morphism, partwise)
 from .errors import (LawViolationError, NonInvertibleComponentError,
                      NotInvertibleError, PreconditionError)
 from .functors import (Adjunction, Functor, NatTrans, compose_functors,
                        validate_adjunction, validate_functor, validate_nat, validate_section)
+from .linalg import coordinate_map
 from .monads import Monad, validate_monad
 from .reports import ValidationReport
 from .scalars import rational
@@ -254,8 +253,7 @@ def eq_hom_space(a: EquivariantObject, b: EquivariantObject) -> list[Morphism]:
         sysm.require_equal(b.alpha[g] @ th,
                            act.functors[g].on_morphism(th) @ a.alpha[g],
                            f"equivariance at {g}")
-    sol = sysm.solve()
-    return [MorSystem.eval_at(th, k, with_const=False) for k in sol.kernel]
+    return sysm.kernel_basis(th)
 
 
 def _inverse_action(z: EquivariantObject, dom: CatObject) -> Morphism:
@@ -374,16 +372,9 @@ class EquivariantCategory:
 
     def to_pres_mor(self, p_dom: CatObject, p_cod: CatObject, f: Morphism) -> Morphism:
         """Express a base-closure morphism between realizations as a presentation morphism."""
-        dom_parts = [self.objects[l].carrier for l in p_dom.summands]
-        cod_parts = [self.objects[l].carrier for l in p_cod.summands]
-        raw = []
-        for i, li in enumerate(p_cod.summands):
-            row = []
-            for j, lj in enumerate(p_dom.summands):
-                sub = extract_block(f, dom_parts, cod_parts, i, j)
-                row.append(tuple(self.coords[(lj, li)](sub)))
-            raw.append(tuple(row))
-        return morphism(self.cat, p_dom, p_cod, raw)
+        return partwise(f, [self.objects[l].carrier for l in p_dom.summands],
+                        [self.objects[l].carrier for l in p_cod.summands], p_dom, p_cod,
+                        lambda lj, li, coords: self.coords[(lj, li)](coords))
 
     def __repr__(self):
         return f"<EquivariantCategory {self.cat.name}: {len(self.labels)} objects>"
@@ -410,7 +401,8 @@ def equivariant_category(action: GroupAction, extra: dict | None = None,
     for l1 in labels:
         for l2 in labels:
             bases[(l1, l2)] = eq_hom_space(objects[l1], objects[l2])
-    coords = {key: basis_coordinates(basis, base.field) for key, basis in bases.items()}
+    coords = {key: coordinate_map([b.coords() for b in basis], base.field)
+              for key, basis in bases.items()}
     dims = {(l1, l2): len(bases[(l1, l2)]) for l1 in labels for l2 in labels}
     comp = {}
     for l1 in labels:
@@ -424,10 +416,10 @@ def equivariant_category(action: GroupAction, extra: dict | None = None,
                 for v in bases[(l2, l3)]:
                     row = []
                     for u in bases[(l1, l2)]:
-                        row.append(tuple(coords[(l1, l3)](v @ u)))
+                        row.append(tuple(coords[(l1, l3)]((v @ u).coords())))
                     table.append(tuple(row))
                 comp[(l1, l2, l3)] = tuple(table)
-    idents = {l: tuple(coords[(l, l)](objects[l].carrier.identity())) for l in labels}
+    idents = {l: tuple(coords[(l, l)](objects[l].carrier.identity().coords())) for l in labels}
     cat = LinearCategory(base.field, labels, dims, comp, idents,
                          name=name or f"({base.name})^{action.group.name}")
     from .category import validate_presentation
@@ -455,7 +447,7 @@ def induce_adjunction(eqcat: EquivariantCategory) -> Adjunction:
         lx, ly = eqcat.free_label(x), eqcat.free_label(y)
         coords = eqcat.coords[(lx, ly)]
         f_hom_map[(x, y)] = tuple(
-            Morphism(pcat, f_object_map[x], f_object_map[y], ((tuple(coords(m)),),))
+            Morphism(pcat, f_object_map[x], f_object_map[y], ((tuple(coords(m.coords())),),))
             for m in mf.hom_map[(x, y)])
     induction = Functor(base, pcat, f_object_map, f_hom_map, name="F")
 
@@ -636,27 +628,15 @@ def character_modules(action: GroupAction, monad: Monad | None = None) -> list:
         if any(action.on_object_name(h, x) != x for h in group.elements):
             continue
         d = base.hom_dim(x, x)
-
-        def twist(g, vec, zero):
-            """^g(vec): the action of g on the coefficient vector of an endomorphism of x."""
-            imgs = [action.functors[g].hom_map[(x, x)][i].blocks[0][0] for i in range(d)]
-            out_vec = []
-            for c in range(d):
-                acc = zero
-                for i in range(d):
-                    if vec[i] and imgs[i][c]:
-                        acc = acc + vec[i] * imgs[i][c]
-                out_vec.append(acc)
-            return out_vec
-
         if d == 1:
-            t, zero = [base.field.one()], base.field.zero()
+            t = [base.field.one()]
         else:
             import sympy
-            t, zero = list(sympy.symbols(f"c0:{d}")), sympy.Integer(0)
+            t = list(sympy.symbols(f"c0:{d}"))
         prod = list(t)
-        for k in range(1, n):
-            prod = base.compose_vec(x, x, x, prod, twist(powers[k], t, zero), zero=zero)
+        for k in range(1, n):  # ^g(t) is g's action on t's coefficient vector
+            prod = base.compose_vec(x, x, x, prod,
+                                    action.functors[powers[k]].on_hom_vec(x, x, t).blocks[0][0])
         id_vec = base.id_vec(x)
         if d == 1:
             scale = prod[0]
@@ -675,8 +655,8 @@ def character_modules(action: GroupAction, monad: Monad | None = None) -> list:
             lam_by_elem = {group.unit: list(base.id_vec(x)), gen: list(t_val)}
             for k in range(2, n):
                 prev = lam_by_elem[powers[k - 1]]
-                lam_by_elem[powers[k]] = base.compose_vec(
-                    x, x, x, prev, twist(powers[k - 1], t_val, base.field.zero()))
+                twisted = action.functors[powers[k - 1]].on_hom_vec(x, x, t_val).blocks[0][0]
+                lam_by_elem[powers[k]] = base.compose_vec(x, x, x, prev, twisted)
             row = [tuple(lam_by_elem[h]) for h in group.elements]
             lam = Morphism(base, monad.functor.object_map[x], base.obj(x), (tuple(row),))
             mod = MModule(monad, base.obj(x), lam,

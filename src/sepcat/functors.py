@@ -26,10 +26,10 @@ from __future__ import annotations
 import itertools
 
 from .category import (CatObject, LinearCategory, Morphism, MorSystem, _nonzero_rows, _sliced,
-                       basis_coordinates, direct_sum, extract_block, hom_coord_dim,
-                       hom_space_basis, morphism, unit_morphisms, unit_vectors, zero_morphism)
+                       direct_sum, hom_coord_dim, hom_space_basis, partwise, unit_morphisms,
+                       unit_vectors, zero_morphism)
 from .errors import LawViolationError, NotFullyFaithfulError, PreconditionError
-from .linalg import rank_extension
+from .linalg import coordinate_map, rank_extension
 from .reports import ValidationReport
 
 
@@ -304,10 +304,11 @@ class SepWitness:
         self.maps = dict(maps)
 
     def _image(self, x, y, coords) -> list:
-        """Coordinates of H(g) = Σ_k g_k·H(e_k), summed over the nonzero g_k."""
+        """Coordinates of H(g) = Σ_k g_k·H(e_k), summed over the nonzero g_k; none
+        when Hom(x, y) = 0."""
         src = self.functor.source
         out = [src.field.zero()] * src.hom_dim(x, y)
-        for g, col in zip(coords, self.maps[(x, y)]):
+        for g, col in zip(coords, self.maps[(x, y)] if out else ()):
             if g:
                 for i, h in enumerate(col):
                     if h:
@@ -318,25 +319,10 @@ class SepWitness:
         f = self.functor
         src = f.source
         if len(a.summands) == 1 and a.idem is None and len(b.summands) == 1 and b.idem is None:
-            x, y = a.summands[0], b.summands[0]
-            d = src.hom_dim(x, y)
-            if not d:
-                return zero_morphism(a, b)
-            return Morphism.from_coords(src, a, b, self._image(x, y, g.coords()))
-        dom_parts = [f.object_map[s] for s in a.summands]
-        cod_parts = [f.object_map[s] for s in b.summands]
-        raw = []
-        for i, ti in enumerate(b.summands):
-            row = []
-            for j, sj in enumerate(a.summands):
-                d = src.hom_dim(sj, ti)
-                if not d:
-                    row.append(())
-                    continue
-                sub = extract_block(g, dom_parts, cod_parts, i, j)
-                row.append(tuple(self._image(sj, ti, sub.coords())))
-            raw.append(tuple(row))
-        return morphism(src, a, b, raw)
+            image = self._image(a.summands[0], b.summands[0], g.coords())
+            return Morphism.from_coords(src, a, b, image)
+        return partwise(g, [f.object_map[s] for s in a.summands],
+                        [f.object_map[s] for s in b.summands], a, b, self._image)
 
     def _laws(self):
         """Every law on basis data, in a fixed order, as (law, place, lhs, rhs).
@@ -432,8 +418,8 @@ def hom_matrix(fn, inputs, field, basis=None) -> list:
     """
     if basis is None:
         return [fn(m).coords() for m in inputs]
-    coords = basis_coordinates(basis, field)
-    return [coords(fn(m)) for m in inputs]
+    coords = coordinate_map([b.coords() for b in basis], field)
+    return [coords(fn(m).coords()) for m in inputs]
 
 
 def _verified_witness(f: Functor, maps: dict, what: str) -> SepWitness:

@@ -181,6 +181,13 @@ def solve_sparse(rows, consts, n_vars, field: Field, labels=None):
     return AffineSolution(particular, list(kernel.values()), free, rank, n_vars)
 
 
+def extends_pivots(pivots: dict, vec, field) -> bool:
+    """Whether vec is independent of the vectors inserted into `pivots` so far;
+    an independent vec joins them as a pivot row.  A zero vec is dependent."""
+    row, _ = _int_row({i: v for i, v in enumerate(vec) if v}, field.zero(), field.char)
+    return _insert(pivots, row, 0, field.char) is None
+
+
 def reduced_form(particular, kernel, field: Field) -> AffineSolution:
     """What `solve_sparse` returns for any system solved by particular + span(kernel):
     the reduced echelon basis, pivoting on last nonzero entries, of the span of
@@ -189,8 +196,7 @@ def reduced_form(particular, kernel, field: Field) -> AffineSolution:
     p, n, zero, one = field.char, len(particular), field.zero(), field.one()
     pivots: dict[int, tuple[int, dict, int]] = {}
     for vec in [[one, *particular[::-1]]] + [[zero, *k[::-1]] for k in kernel]:
-        row, _ = _int_row({j: v for j, v in enumerate(vec) if v}, zero, p)
-        if _insert(pivots, row, 0, p) is not None:
+        if not extends_pivots(pivots, vec, field):
             raise ValueError("the kernel vectors are linearly dependent")
     _back_substitute(pivots, p)
     vectors = []  # by pivot column, so the kernel vectors come first, the particular last
@@ -206,16 +212,10 @@ def reduced_form(particular, kernel, field: Field) -> AffineSolution:
 
 def rank_extension(base_vectors, candidates, field):
     """Rank of the base family, plus indices of candidates extending it independently."""
-    p, zero = field.char, field.zero()
     pivots: dict = {}
-
-    def independent(vec) -> bool:
-        row, _ = _int_row({i: v for i, v in enumerate(vec) if v}, zero, p)
-        return _insert(pivots, row, 0, p) is None
-
     for v in base_vectors:
-        independent(v)
-    return len(pivots), [i for i, v in enumerate(candidates) if independent(v)]
+        extends_pivots(pivots, v, field)
+    return len(pivots), [i for i, v in enumerate(candidates) if extends_pivots(pivots, v, field)]
 
 
 def coordinate_map(columns, field):

@@ -8,8 +8,7 @@ plus the constructive retract argument.
 
 from __future__ import annotations
 
-from .category import (CatObject, Morphism, MorSystem, express_in_basis,
-                       hom_space_basis, split_idempotent)
+from .category import CatObject, Morphism, MorSystem, hom_space_basis, split_idempotent
 from .errors import LawViolationError, NotFullyFaithfulError, PreconditionError
 from .functors import Adjunction, NatTrans, bijectivity_record, hom_matrix
 from .linalg import coordinate_map
@@ -99,8 +98,7 @@ def module_hom_basis(a: MModule, b: MModule) -> list[ModuleMor]:
     sysm = MorSystem(a.carrier.cat.field)
     f = sysm.unknown(a.carrier, b.carrier)
     sysm.require_equal(f @ a.action, b.action @ mf.on_morphism(f), "module morphism law")
-    sol = sysm.solve()
-    return [ModuleMor(a, b, MorSystem.eval_at(f, k, with_const=False)) for k in sol.kernel]
+    return [ModuleMor(a, b, m) for m in sysm.kernel_basis(f)]
 
 
 class EmAdjunction:
@@ -250,10 +248,11 @@ def essential_preimage(adj: Adjunction, sw: MonadSepWitness, m: MModule):
     if not rec["bijective"]:
         raise NotFullyFaithfulError(f"K is not bijective on Hom(F(X), F(X)): dims "
                                     f"{len(dbasis)}/{len(mbasis)}, rank {rec['rank']}")
-    # bijective: the columns are a basis, so ê's coordinates exist and are unique
-    coords = express_in_basis(e_mod.mor, [mm.mor for mm in mbasis])
+    # bijective: the images G(f) of the D-basis are a basis of the module
+    # endomorphisms, so ê's coordinates in them exist and are unique
+    images = [adj.G.on_morphism(f).coords() for f in dbasis]
     e_hat = None
-    for c, f in zip(coordinate_map(cols, fx.cat.field)(coords), dbasis):
+    for c, f in zip(coordinate_map(images, fx.cat.field)(e_mod.mor.coords()), dbasis):
         term = f.scale(c)
         e_hat = term if e_hat is None else e_hat + term
     if e_hat @ e_hat != e_hat:

@@ -6,10 +6,11 @@ from fractions import Fraction
 import pytest
 
 from sepcat import (LinearCategory, Morphism,
-                    NotIdempotentError, direct_sum, biproduct, express_in_basis,
+                    NotIdempotentError, direct_sum, biproduct,
                     hom_space_basis, int_invertible, invert_morphism, morphism,
                     split_idempotent, validate_presentation, zero_morphism)
 from sepcat.category import random_hom
+from sepcat.linalg import coordinate_map
 
 
 def frac_mor(cat, dom, cod, rows):
@@ -168,11 +169,15 @@ class TestHomSpaces:
         s = direct_sum([c2_q.obj("1"), c2_q.obj("2")])
         basis = hom_space_basis(c2_q, s, s)
         f = random_hom(c2_q, s, s, rng)
-        coords = express_in_basis(f, basis)
+        coords = coordinate_map([b.coords() for b in basis], c2_q.field)(f.coords())
         rebuilt = zero_morphism(s, s)
         for c, b in zip(coords, basis):
             rebuilt = rebuilt + b.scale(c)
         assert rebuilt == f
+
+    def test_one_shared_zero_object(self, c2_q):
+        z = c2_q.zero_object()
+        assert z is c2_q.zero_object() and z.summands == () and z.idem is None
 
     def test_zero_dim_hom_spaces(self, c2_q):
         assert hom_space_basis(c2_q, c2_q.obj("2"), c2_q.obj("1")) == []

@@ -2,6 +2,7 @@
 group monad with its Kronecker multiplication, the dictionary, and the
 Maschke section."""
 
+import hashlib
 import os
 import random
 import subprocess
@@ -15,17 +16,19 @@ from sepcat import (EquivariantObject, Field, FiniteGroup, Functor, GroupAction,
                     Infeasible, Monad, MonadSepWitness,
                     Morphism, NonInvertibleComponentError,
                     NotInvertibleError, eq_hom_space,
-                    equivariant_category, equivariant_monad, express_in_basis,
+                    equivariant_category, equivariant_monad,
                     free_equivariant, induce_adjunction,
                     monad_from_adjunction, monad_separability_solve,
                     separability_solve, sigma_from_xi, to_equivariant,
                     to_module, transfer_witness, validate_action,
                     validate_adjunction, validate_monad, xi_forgetful,
                     xi_section, zero_morphism)
+from sepcat import standard
 from sepcat.category import LinearCategory, random_hom, validate_presentation
 from sepcat.equivariant import (_find_generator, _rational_points, character_modules,
                                 group_monad_functor)
 from sepcat.functors import SepWitness
+from sepcat.linalg import coordinate_map
 from sepcat.scalars import rational
 from sepcat.standard import dual_numbers_category, point_category
 
@@ -95,7 +98,7 @@ class TestEqHomSpaces:
         for act, cat in ((act_z2_q, c1_q), (act_swap_q, c3_q)):
             z = free_equivariant(act, cat.obj(cat.objects[0]))
             basis = eq_hom_space(z, z)
-            express_in_basis(z.carrier.identity(), basis)
+            coordinate_map([b.coords() for b in basis], cat.field)(z.carrier.identity().coords())
 
 
 class TestInduceAdjunction:
@@ -264,7 +267,7 @@ class TestAdjunctionBijection:
                 blocks[h] == Fraction(-1 if g == "g" else 1) * blocks[group.mult(g, h)]
                 for g in group.elements for h in group.elements)
             try:
-                express_in_basis(theta, basis)
+                coordinate_map([b.coords() for b in basis], c1_q.field)(theta.coords())
                 in_span = True
             except ValueError:
                 in_span = not any(theta.coords()) if not basis else False
@@ -323,6 +326,23 @@ class TestCharacterEnumeration:
         names = {m.name for m in character_modules(GroupAction.trivial(z2, m2))}
         assert {"char(pt; 1,0,0,1)", "char(pt; -1,0,0,-1)"} <= names
 
+    def test_trivial_cyclic_actions_on_every_standard_category(self, QQ):
+        # names and action blocks (with their scalar types) of the 37 modules of the
+        # trivial Z/2, Z/3 and Z/4 actions on the five standard categories: End(x) = k
+        # on one or two objects, the A2 quiver, k[ε]/ε² and Q(ω), the last two by sympy
+        lines = []
+        for build in (standard.point_category, standard.a2_quiver_category,
+                      standard.two_point_category, standard.dual_numbers_category,
+                      standard.cyclotomic_point_category):
+            for n in (2, 3, 4):
+                act = GroupAction.trivial(FiniteGroup.cyclic(n), build(QQ))
+                lines += [f"{act.base.name} Z/{n} {m.name} {m.action.blocks!r}"
+                          for m in character_modules(act)]
+        assert len(lines) == 37
+        assert "Cd Z/2 char(pt; -1,0) (((1, 0), (-1, 0)),)" in lines
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
+            "6dfe14b8265fb71cfac0b3e758ed5891fd6ab22883853a804dafffb9c99a16e7"
+
 
 def scaled_point_category(field):
     """End(pt) = k with basis b, b∘b = 2b and Id = b/2: the closure condition of a
@@ -352,7 +372,7 @@ def groebner_roots(act, x="pt"):
     prod, g = [t], gen
     for _ in range(1, group.order):
         image = act.functors[g].hom_map[(x, x)][0].blocks[0][0][0]
-        prod = base.compose_vec(x, x, x, prod, [t * image], zero=sympy.Integer(0))
+        prod = base.compose_vec(x, x, x, prod, [t * image])
         g = group.mult(g, gen)
     c = base.id_vec(x)[0]
     eqs = [sympy.expand(prod[0] - sympy.Rational(c.numerator, c.denominator))]

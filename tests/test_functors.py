@@ -10,7 +10,7 @@ import pytest
 from sepcat import (Functor, Infeasible,
                     LinearCategory, Morphism, MorSystem, NatTrans, NotFullyFaithfulError,
                     PreconditionError,
-                    SepWitness, compose_functors, extract_section,
+                    SepWitness, compose_functors, direct_sum, extract_section,
                     fully_faithful_on, hom_space_basis, section_feasibility,
                     separability_solve, transfer_witness, validate_adjunction,
                     validate_functor, zero_morphism)
@@ -108,6 +108,18 @@ class TestSeparabilitySolve:
         w = separability_solve(Functor.identity(c1_q))
         assert isinstance(w, SepWitness)
         assert w.maps[("pt", "pt")] == [[c1_q.field.one()]]
+
+    def test_identity_functor_witness_is_the_identity_on_sums(self, c2_q):
+        # on sums H acts part by part; on the A2 quiver Hom(1, 2) ≠ 0 = Hom(2, 1), so a
+        # part read with its two summands swapped does not go unnoticed
+        w = separability_solve(Functor.identity(c2_q))
+        one, two = c2_q.obj("1"), c2_q.obj("2")
+        for a, b in ((direct_sum([one, two]), direct_sum([two, one, two])),
+                     (direct_sum([two, one]), direct_sum([one, two]))):
+            g = zero_morphism(a, b)
+            for i, m in enumerate(hom_space_basis(c2_q, a, b)):
+                g = g + m.scale(c2_q.field.from_int(i + 2))
+            assert not g.is_zero() and w.apply(a, b, g) == g
 
     def test_forgetful_over_f2_infeasible(self, adj_z2_f2):
         res = separability_solve(adj_z2_f2.G)

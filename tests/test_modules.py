@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from sepcat import (Comparison, EmAdjunction, Functor, Infeasible, MModule, Monad,
+from sepcat import (Comparison, EmAdjunction, Functor, Infeasible, MModule, ModuleMor, Monad,
                     MonadSepWitness, Morphism, NatTrans, check_equiv_up_to_retracts,
                     compose_functors, essential_preimage,
                     equivariant_monad, free_module, module_hom_basis,
@@ -65,8 +65,9 @@ class TestModuleHomBasis:
             basis = module_hom_basis(m, m)
             assert len(basis) >= 1
             ident = m.carrier.identity()
-            from sepcat import express_in_basis
-            express_in_basis(ident, [b.mor for b in basis])  # raises if not in span
+            from sepcat.linalg import coordinate_map
+            # raises if not in span
+            coordinate_map([b.mor.coords() for b in basis], ident.cat.field)(ident.coords())
 
 
 class TestEmAdjunction:
@@ -215,6 +216,34 @@ class TestEssentialPreimage:
             # the split lives on F(pt) and carries a rank-one idempotent
             assert small.summands == ("F(pt)",)
             assert small.idem is not None
+
+    def test_preimages_do_not_depend_on_the_module_basis(self, adj_z2_q, chars_z2_q,
+                                                         monkeypatch):
+        # every fixture's K is the identity matrix on Hom(F X, F X) in the chosen bases;
+        # reversing and doubling the module basis makes it not, and ê must not move
+        import sepcat.modules
+        monad = monad_from_adjunction(adj_z2_q)
+        sw = monad_separability_solve(monad)
+        mods = [free_module(monad, monad.cat.obj("pt"))] + [
+            MModule(monad, m.carrier, m.action, name=m.name) for m in chars_z2_q.values()]
+
+        def preimages():
+            return [(small, i_to.mor, i_from.mor)
+                    for small, i_to, i_from in (essential_preimage(adj_z2_q, sw, m) for m in mods)]
+
+        def k_matrix(m):
+            fx = adj_z2_q.F.on_object(m.carrier)
+            return Comparison(adj_z2_q, monad).hom_matrix(fx, fx)[0]
+
+        want, identities = preimages(), [k_matrix(m) for m in mods]
+        assert all(cols == [[int(i == j) for i in range(len(cols))] for j in range(len(cols))]
+                   for cols in identities)
+        basis = sepcat.modules.module_hom_basis
+        two = monad.cat.field.from_int(2)
+        monkeypatch.setattr(sepcat.modules, "module_hom_basis", lambda a, b: [
+            ModuleMor(a, b, m.mor.scale(two)) for m in reversed(basis(a, b))])
+        assert all(k_matrix(m) != cols for m, cols in zip(mods, identities))
+        assert preimages() == want
 
     def test_z3_cyclotomic_characters(self, act_z3_qw):
         from sepcat import equivariant_category, induce_adjunction, to_equivariant
