@@ -54,6 +54,18 @@ MUTANTS = (
      "        if prev is not None:\n            sysm.require_equal(f @ prev,",
      "        if False:\n            sysm.require_equal(f @ prev,",
      (CRITERION_7,)),
+    ("unit-by-value-only", "src/sepcat/category.py",
+     "    return type(a) is type(one) and a == one\n",
+     "    return a == one\n",
+     ("tests/test_composition_oracle.py::test_accumulation_keeps_scalar_types",)),
+    ("untouched-slot-by-truthiness", "src/sepcat/category.py",
+     "acc[t] = term if acc[t] is zero else acc[t] + term",
+     "acc[t] = term if not acc[t] else acc[t] + term",
+     ("tests/test_composition_oracle.py::test_accumulation_keeps_scalar_types",)),
+    ("witness-image-every-g-a-unit", "src/sepcat/functors.py",
+     "                g_one = is_one(g, one)\n",
+     "                g_one = True\n",
+     ("tests/test_composition_oracle.py::test_witness_images_on_fixed_data",)),
 )
 
 

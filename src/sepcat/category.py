@@ -15,6 +15,14 @@ without a multiply); an output row is the shared zero row, patched where anythin
 accumulated.  The public `Morphism(...)` checks category, block grid and block
 lengths; producers whose shapes are right by construction (composition, sums,
 scaling, absorption, `from_coords`, functor images) use `Morphism._new`.
+
+Every loop that accumulates acc + c·a on hom coordinates (composition, functor and
+witness images) keeps one exact rule: a product with a factor that is exactly the
+field's one (`is_one`: same type and equal; a `Fraction(1)` is not) is the other factor,
+and a slot still holding the category's shared zero (`LinearCategory.zero`, tested by
+identity, not truthiness) takes the term.  1·x and 0 + x are x in value, type and
+variable order for an int, `Fraction`, `Fp`, `LinForm` or sympy expression, and none
+of them changes once built, so sharing the factor is safe.
 """
 
 from __future__ import annotations
@@ -47,9 +55,9 @@ class LinearCategory:
                 raise ValueError(f"hom_dims mentions unknown object in ({x}, {y})")
             if d:
                 self._dims[(x, y)] = int(d)
+        self.zero, self.one = field.zero(), field.one()
         # per (x, y, z) and basis pair (q, p): the nonzero (t, c), c None for a unit
         self._comp = {}
-        one = field.one()
         for (x, y, z), table in composition.items():
             dxy, dyz, dxz = self.hom_dim(x, y), self.hom_dim(y, z), self.hom_dim(x, z)
             if len(table) != dyz or any(len(row) != dxy for row in table):
@@ -57,7 +65,7 @@ class LinearCategory:
             if any(len(vec) != dxz for row in table for vec in row):
                 raise ValueError(f"composition vector length mismatch at ({x}, {y}, {z})")
             self._comp[(x, y, z)] = tuple(
-                tuple(tuple((t, None if c == one else c) for t, c in enumerate(vec) if c)
+                tuple(tuple((t, None if is_one(c, self.one) else c) for t, c in enumerate(vec) if c)
                       for vec in row) for row in table)
         self._ids = {}
         for x in self.objects:
@@ -90,7 +98,7 @@ class LinearCategory:
         """The zero coordinate vector of Hom(x, y), one shared tuple per pair."""
         z = self._zero_blocks.get((x, y))
         if z is None:
-            z = self._zero_blocks[(x, y)] = (self.field.zero(),) * self.hom_dim(x, y)
+            z = self._zero_blocks[(x, y)] = (self.zero,) * self.hom_dim(x, y)
         return z
 
     def zero_row(self, y, xs) -> tuple:
@@ -158,29 +166,36 @@ class LinearCategory:
         return self._zero_object
 
     def accum_compose(self, x, y, z, g_vec, f_vec, acc):
-        """Accumulate the composite (g: y→z)∘(f: x→y) into acc (length d_xz)."""
+        """Accumulate the composite (g: y→z)∘(f: x→y) into acc (length d_xz), by the rule."""
         table = self._comp.get((x, y, z))
         if table is None:
             return
-        f_nz = [(p, fp) for p, fp in enumerate(f_vec) if fp]
+        zero, one = self.zero, self.one
+        f_nz = [(p, fp, is_one(fp, one)) for p, fp in enumerate(f_vec) if fp]
         for q, gq in enumerate(g_vec):
             if not gq:
                 continue
-            rowq = table[q]
-            for p, fp in f_nz:
+            rowq, g_one = table[q], is_one(gq, one)
+            for p, fp, f_one in f_nz:
                 entries = rowq[p]
                 if entries:
-                    coef = gq * fp
+                    coef = fp if g_one else gq if f_one else gq * fp
                     for t, c in entries:
-                        acc[t] = acc[t] + (coef if c is None else coef * c)
+                        term = coef if c is None else coef * c
+                        acc[t] = term if acc[t] is zero else acc[t] + term
 
     def compose_vec(self, x, y, z, g_vec, f_vec):
-        acc = [self.field.zero()] * self.hom_dim(x, z)
+        acc = list(self.zero_block(x, z))
         self.accum_compose(x, y, z, g_vec, f_vec, acc)
         return acc
 
     def __repr__(self):
         return f"<LinearCategory {self.name or id(self)} over {self.field.spec_str()}: {len(self.objects)} objects>"
+
+
+def is_one(a, one) -> bool:
+    """Whether a is exactly the field's one: of its type and equal (a Fraction(1) is not)."""
+    return type(a) is type(one) and a == one
 
 
 def identity_blocks(cat: LinearCategory, summands):

@@ -26,8 +26,8 @@ from __future__ import annotations
 import itertools
 
 from .category import (CatObject, LinearCategory, Morphism, MorSystem, _nonzero_rows, _sliced,
-                       direct_sum, hom_coord_dim, hom_space_basis, partwise, unit_morphisms,
-                       unit_vectors, zero_morphism)
+                       direct_sum, hom_coord_dim, hom_space_basis, is_one, partwise,
+                       unit_morphisms, unit_vectors, zero_morphism)
 from .errors import LawViolationError, NotFullyFaithfulError, PreconditionError
 from .linalg import coordinate_map, rank_extension
 from .reports import ValidationReport
@@ -86,22 +86,24 @@ class Functor:
     def _image(self, x, y, vec) -> tuple:
         """Blocks of the image Σ c_t·F(b_t): F(x) → F(y) of a hom-basis coefficient
         vector; for a zero or empty one, the shared blocks of the zero image."""
+        zero, one = self.target.zero, self.target.one
         cached = self._images.get((x, y))
         if cached is None:
             # the zero image, F(x) → F(y)'s layout, and the nonzero coordinates of each F(b_t)
             fx, fy = self.object_map[x], self.object_map[y]
-            sparse = [[(p, a) for p, a in enumerate(m.coords()) if a]
+            sparse = [[(p, None if is_one(a, one) else a) for p, a in enumerate(m.coords()) if a]
                       for m in self.hom_map.get((x, y), ())]
             cached = self._images[(x, y)] = (zero_morphism(fx, fy).blocks,
                                              self.target.layout(fx.summands, fy.summands), sparse)
         zero_image, (n, rows), images = cached
         if not any(vec):
             return zero_image
-        acc = [self.target.field.zero()] * n
-        for t, c in enumerate(vec):
+        acc = [zero] * n
+        for t, c in enumerate(vec):  # by the rule of the `category` module docstring
             if c:
                 for p, a in images[t]:
-                    acc[p] = acc[p] + c * a
+                    term = c if a is None else a if is_one(c, one) else c * a
+                    acc[p] = term if acc[p] is zero else acc[p] + term
         return _sliced(rows, tuple(acc))
 
     def _image_blocks(self, xs, ys, nonzero_rows, fxs) -> tuple:
@@ -305,14 +307,17 @@ class SepWitness:
 
     def _image(self, x, y, coords) -> list:
         """Coordinates of H(g) = Σ_k g_k·H(e_k), summed over the nonzero g_k; none
-        when Hom(x, y) = 0."""
+        when Hom(x, y) = 0.  By the rule of the `category` module docstring."""
         src = self.functor.source
-        out = [src.field.zero()] * src.hom_dim(x, y)
+        zero, one = src.zero, src.one
+        out = [zero] * src.hom_dim(x, y)
         for g, col in zip(coords, self.maps[(x, y)] if out else ()):
             if g:
+                g_one = is_one(g, one)
                 for i, h in enumerate(col):
                     if h:
-                        out[i] = out[i] + h * g
+                        term = h if g_one else g if is_one(h, one) else h * g
+                        out[i] = term if out[i] is zero else out[i] + term
         return out
 
     def apply(self, a: CatObject, b: CatObject, g: Morphism) -> Morphism:

@@ -254,7 +254,7 @@ def coordinate_map(columns, field):
 
 
 class LinForm:
-    """Affine form const + Σ coeff_i·x_i with exact scalar coefficients.
+    """Affine form const + Σ coeff_i·x_i with exact scalar coefficients, immutable.
 
     Field scalars defer to it in arithmetic and comparison, so a form can sit in
     any coordinate of a Morphism or of a witness column as one more scalar.

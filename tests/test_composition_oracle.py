@@ -13,9 +13,16 @@ replaced are kept the same way: `reference_from_coords`,
 `reference_zero_blocks`, `reference_on_morphism` (nested per-block images
 joined by an index loop) and `reference_require_equal` (rows by `LinForm`
 subtraction as `a + (-b)`).
+
+The three accumulating loops (composition, functor images, witness images) skip
+products by an exact one and sums into the untouched shared zero; their oracles
+keep the plain `acc + c·a`, so a skip that changes a value or a type shows here.
+`reference_witness_image` and `reference_apply` are that oracle for
+`SepWitness.apply`.
 """
 
 import contextlib
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -27,7 +34,7 @@ from sepcat import (Field, FiniteGroup, GroupAction, equivariant_category, equiv
 from sepcat.category import (CatObject, LinearCategory, Morphism, MorSystem, hom_coord_dim,
                              identity_blocks, unit_morphisms, zero_morphism)
 from sepcat.equivariant import group_monad_functor
-from sepcat.functors import Functor
+from sepcat.functors import Functor, SepWitness
 from sepcat.linalg import LinForm
 from sepcat.standard import (a2_quiver_category, dual_numbers_category, point_category,
                              two_point_category)
@@ -146,9 +153,11 @@ def category(kind, field):
 
 
 def scalars(field):
+    """Field scalars, units often: over Q the int 1 and `Fraction(1)`, which is no unit."""
     if field.is_rational:
-        return st.fractions(min_value=-4, max_value=4, max_denominator=3)
-    return st.integers(0, field.char - 1).map(field.from_int)
+        return st.one_of(st.just(1), st.just(Fraction(1)),
+                         st.fractions(min_value=-4, max_value=4, max_denominator=3))
+    return st.one_of(st.just(field.one()), st.integers(0, field.char - 1).map(field.from_int))
 
 
 def sparse_vec(draw, field, n):
@@ -514,3 +523,159 @@ def test_shared_rows_stay_zero_and_identities_stay_identity(field):
                 assert [strict(g) for g in grids] == [
                     strict(reference_zero_blocks(fn.object_map[x], fn.object_map[y])) for x in xs]
             assert all(all(not any(b) for b in row) for row in tgt._zero_rows.values())
+
+
+# ------------------------------------------- accumulation keeps the scalar types
+
+DRIFT_FIELDS = [Field.rationals(), Field.prime(2), Field.prime(7)]
+
+
+def _one_not_shared(field):
+    """A one that is not the category's: `Fraction(1)` over Q, which is no unit, and a
+    fresh `Fp(1)` over F_p, which is."""
+    return Fraction(1) if field.is_rational else field.from_int(1)
+
+
+def _drift_case(case, field):
+    """(g, f) on the point: endomorphisms, or g: pt³ → pt and f: pt → pt³ whose
+    composite sums three terms into one slot, the first two cancelling."""
+    cat = category("C1", field)
+    one, three = field.one(), field.from_int(3)
+    pt = cat.obj("pt")
+    if case == "fraction one times int form":
+        form = LinForm(field.zero(), {0: one, 3: field.from_int(2)})
+        return (Morphism(cat, pt, pt, [[(_one_not_shared(field),)]]),
+                Morphism(cat, pt, pt, [[(form,)]]))
+    half = field.inv_int(2) if field.invertible(2) else one
+    first = {"cancelled scalar plus int": half,
+             "cancelled form plus scalar": LinForm.variable(0, field)}[case]
+    x = cat.obj("pt", "pt", "pt")
+    return (Morphism(cat, x, pt, [[(first,), (first,), (three,)]]),
+            Morphism(cat, pt, x, [[(one,)], [(-one,)], [(one,)]]))
+
+
+@pytest.mark.parametrize("field", DRIFT_FIELDS, ids=lambda k: k.spec_str())
+@pytest.mark.parametrize("case", ["fraction one times int form", "cancelled scalar plus int",
+                                  "cancelled form plus scalar"])
+def test_accumulation_keeps_scalar_types(case, field):
+    """A `Fraction(1)` factor is multiplied out, and a slot that cancelled to a zero
+    (a `Fraction(0)`, a residue 0 or the zero form) is added to, as the arithmetic does."""
+    g, f = _drift_case(case, field)
+    assert_same(g @ f, reference_compose(g, f))
+    if case == "fraction one times int form":
+        assert_same(f @ g, reference_compose(f, g))
+        want = type(_one_not_shared(field) * field.one())
+        assert {type(v) for v in (g @ f).coords()[0].coeffs.values()} == {want}
+    else:
+        first, three = g.coords()[0], g.coords()[2]
+        want = (first + first * -field.one()) + three
+        assert strict_scalar((g @ f).coords()[0]) == strict_scalar(want)
+
+
+# ------------------------------------------------------------------ witness images
+
+def reference_witness_image(w, x, y, coords):
+    """Σ_k g_k·H(e_k) over the nonzero g_k, each term added as out[i] + h*g."""
+    src = w.functor.source
+    out = [src.field.zero()] * src.hom_dim(x, y)
+    for g, col in zip(coords, w.maps[(x, y)] if out else ()):
+        if g:
+            for i, h in enumerate(col):
+                if h:
+                    out[i] = out[i] + h * g
+    return out
+
+
+def reference_apply(w, a, b, g):
+    """H(g): a → b, block (i, j) the image of g's part F(b_i) ← F(a_j), then absorbed."""
+    fn = w.functor
+    rows = [len(fn.object_map[t].summands) for t in b.summands]
+    cols = [len(fn.object_map[s].summands) for s in a.summands]
+    raw, r0 = [], 0
+    for ti, nr in zip(b.summands, rows):
+        row, c0 = [], 0
+        for sj, nc in zip(a.summands, cols):
+            part = [c for r in g.blocks[r0:r0 + nr] for v in r[c0:c0 + nc] for c in v]
+            row.append(tuple(reference_witness_image(w, sj, ti, part)))
+            c0 += nc
+        raw.append(tuple(row))
+        r0 += nr
+    return reference_absorbed(Morphism(fn.source, a, b, raw))
+
+
+def symbolic_maps(fn):
+    """The unknown witness that `separability_solve` builds: columns of variables."""
+    sysm, maps = MorSystem(fn.source.field), {}
+    for x, y in fn.source.hom_pairs():
+        n = hom_coord_dim(fn.target, fn.object_map[x], fn.object_map[y])
+        xs = sysm.variables(fn.source.hom_dim(x, y) * n)
+        maps[(x, y)] = [xs[k::n] for k in range(n)]
+    return maps
+
+
+@st.composite
+def witness_applications(draw, maps_kind, shape):
+    """(witness, a, b, g): concrete image columns (units often) or scaled unknowns, and
+    g: F(a) → F(b) between single base objects or sums and Karoubi objects."""
+    field = draw(st.sampled_from(FIELDS))
+    fn = draw(st.sampled_from(functors(draw(st.sampled_from(IMAGE_KINDS)), field)))
+    cat, zero = fn.source, field.zero()
+    if maps_kind == "forms":
+        scale = st.one_of(st.just(field.one()), scalars(field))
+        maps = {key: [[v * draw(scale) for v in col] for col in cols]
+                for key, cols in symbolic_maps(fn).items()}
+    else:
+        entry = st.one_of(st.just(zero), scalars(field))
+        maps = {(x, y): [draw(st.lists(entry, min_size=cat.hom_dim(x, y),
+                                       max_size=cat.hom_dim(x, y)))
+                         for _ in range(hom_coord_dim(fn.target, fn.object_map[x],
+                                                      fn.object_map[y]))]
+                for x, y in cat.hom_pairs()}
+    if shape == "plain":
+        pick = st.sampled_from(cat.objects)
+        a, b = cat.obj(draw(pick)), cat.obj(draw(pick))
+    else:
+        a, b = objects(draw, cat), objects(draw, cat)
+    forms = maps_kind == "concrete" and draw(st.booleans())
+    return SepWitness(fn, maps), a, b, morphisms(draw, fn.on_object(a), fn.on_object(b), forms)
+
+
+@pytest.mark.parametrize("shape", ["plain", "sums and Karoubi"])
+@pytest.mark.parametrize("maps_kind", ["forms", "concrete"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_witness_images_match_plain_sums(maps_kind, shape, data):
+    w, a, b, g = data.draw(witness_applications(maps_kind, shape))
+    assert_same(w.apply(a, b, g), reference_apply(w, a, b, g))
+
+
+def _karoubi_21(cat):
+    """(2 ⊕ 1, e) on A2 with e = [[id, a], [0, 0]]: a retract of the sum, not plain."""
+    one, zero = cat.field.one(), cat.field.zero()
+    return CatObject(cat, ("2", "1"), [[(one,), (one,)], [(), (zero,)]])
+
+
+@pytest.mark.parametrize("field", DRIFT_FIELDS, ids=lambda k: k.spec_str())
+@pytest.mark.parametrize("maps_kind", ["forms", "concrete"])
+@pytest.mark.parametrize("shape", ["plain", "sum", "Karoubi"])
+def test_witness_images_on_fixed_data(shape, maps_kind, field):
+    """The group monad functor of trivial Z/2 on A2; the image columns and g's
+    coordinates cycle through 0, 1, 2 (and 3), so most terms multiply two non-units."""
+    cat = category("C2", field)
+    fn = functors("C2", field)[1]
+    if maps_kind == "forms":
+        maps = symbolic_maps(fn)
+    else:
+        maps = {key: [[field.from_int((k + i) % 3) for i in range(cat.hom_dim(*key))]
+                      for k in range(hom_coord_dim(fn.target, fn.object_map[key[0]],
+                                                   fn.object_map[key[1]]))]
+                for key in cat.hom_pairs()}
+    a, b = {"plain": (cat.obj("1"), cat.obj("2")), "sum": (cat.obj("1", "2"), cat.obj("2", "1")),
+            "Karoubi": (_karoubi_21(cat), _karoubi_21(cat))}[shape]
+    fa, fb = fn.on_object(a), fn.on_object(b)
+    coords = [field.from_int(k % 4) for k in range(hom_coord_dim(fn.target, fa, fb))]
+    g = Morphism.from_coords(fn.target, fa, fb, coords)
+    w = SepWitness(fn, maps)
+    got = w.apply(a, b, g)
+    assert_same(got, reference_apply(w, a, b, g))
+    assert not got.is_zero()
