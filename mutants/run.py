@@ -66,6 +66,13 @@ MUTANTS = (
      "                g_one = is_one(g, one)\n",
      "                g_one = True\n",
      ("tests/test_composition_oracle.py::test_witness_images_on_fixed_data",)),
+    ("free-alpha-by-g", "src/sepcat/equivariant.py",
+     "group.mult(gi, h)", "group.mult(g, h)",
+     ("tests/test_equivariant.py::TestInduceAdjunction::"
+      "test_triangle_identities_on_the_fixture_matrix",)),
+    ("group-mu-opposite", "src/sepcat/equivariant.py",
+     "group.mult(hi, hj)", "group.mult(hj, hi)",
+     ("tests/test_equivariant.py::TestDictionary::test_roundtrip_is_identity_on_data",)),
 )
 
 

@@ -432,6 +432,16 @@ def morphism(cat, dom: CatObject, cod: CatObject, blocks) -> Morphism:
     return m.absorbed()
 
 
+def placed(dom: CatObject, cod: CatObject, cells) -> Morphism:
+    """The morphism dom → cod whose block (i, j) is cells[(i, j)] and whose other
+    blocks are zero, absorbed through the idempotents: the sparse twin of `morphism`."""
+    cat = dom.cat
+    grid = [list(cat.zero_row(t, dom.summands)) for t in cod.summands]
+    for (i, j), block in cells.items():
+        grid[i][j] = block
+    return morphism(cat, dom, cod, grid)
+
+
 def direct_sum(objs) -> CatObject:
     objs = list(objs)
     if not objs:
@@ -458,19 +468,12 @@ def biproduct(objs):
     """Direct sum together with its injections and projections."""
     objs = list(objs)
     total = direct_sum(objs)
-    cat = total.cat
-    injections, projections = [], []
-    offset = 0
+    injections, projections, offset = [], [], 0
     for o in objs:
-        n = len(o.summands)
-        inc = [list(cat.zero_row(ti, o.summands)) for ti in total.summands]
-        prj = [list(cat.zero_row(ti, total.summands)) for ti in o.summands]
-        for i, s in enumerate(o.summands):
-            inc[offset + i][i] = cat.id_vec(s)
-            prj[i][offset + i] = cat.id_vec(s)
-        injections.append(morphism(cat, o, total, inc))
-        projections.append(morphism(cat, total, o, prj))
-        offset += n
+        ids = [total.cat.id_vec(s) for s in o.summands]
+        injections.append(placed(o, total, {(offset + i, i): v for i, v in enumerate(ids)}))
+        projections.append(placed(total, o, {(i, offset + i): v for i, v in enumerate(ids)}))
+        offset += len(ids)
     return total, injections, projections
 
 

@@ -21,14 +21,13 @@ from .linalg import rank_extension
 from .monads import Monad, MonadSepWitness, monad_separability_solve
 from .reports import ValidationReport
 
-DEFAULT_SUPPORT_CAP = 8
+SUPPORT_CAP = 8
 
 
 class BoundedComplex:
-    """A bounded complex of closure objects with d∘d = 0."""
+    """A bounded complex of closure objects with d∘d = 0, its support at most SUPPORT_CAP long."""
 
-    def __init__(self, cat, terms: dict, diffs: dict, support_cap: int = DEFAULT_SUPPORT_CAP,
-                 name: str = ""):
+    def __init__(self, cat, terms: dict, diffs: dict, name: str = ""):
         self.cat = cat
         self.terms = {int(n): t for n, t in terms.items() if t.summands}
         self.diffs = {int(n): d for n, d in diffs.items()}
@@ -37,8 +36,8 @@ class BoundedComplex:
         if self.terms:
             self.lo = min(self.terms)
             self.hi = max(self.terms)
-            if self.hi - self.lo + 1 > support_cap:
-                raise ValueError(f"support length {self.hi - self.lo + 1} exceeds the cap {support_cap}")
+            if self.hi - self.lo + 1 > SUPPORT_CAP:
+                raise ValueError(f"support length {self.hi - self.lo + 1} exceeds the cap {SUPPORT_CAP}")
         else:
             self.lo, self.hi = 0, -1
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .category import (CatObject, LinearCategory, Morphism, MorSystem, direct_sum,
-                       hom_space_basis, int_invertible, invert_morphism, morphism, partwise)
+                       hom_space_basis, int_invertible, invert_morphism, morphism, partwise,
+                       placed)
 from .errors import (LawViolationError, NonInvertibleComponentError,
                      NotInvertibleError, PreconditionError)
 from .functors import (Adjunction, Functor, NatTrans, compose_functors,
@@ -274,15 +275,10 @@ def group_monad_functor(action: GroupAction) -> Functor:
                   for x in cat.objects}
     hom_map = {}
     for x, y in cat.hom_pairs():
-        mors = []
-        for i in range(cat.hom_dim(x, y)):
-            blocks = []
-            for hi, (h, ty) in enumerate(zip(els, object_map[y].summands)):
-                row = list(cat.zero_row(ty, object_map[x].summands))
-                row[hi] = action.functors[h].hom_map[(x, y)][i].blocks[0][0]
-                blocks.append(row)
-            mors.append(Morphism(cat, object_map[x], object_map[y], blocks))
-        hom_map[(x, y)] = tuple(mors)
+        images = [action.functors[h].hom_map[(x, y)] for h in els]
+        hom_map[(x, y)] = tuple(placed(object_map[x], object_map[y],
+                                       {(i, i): im[t].blocks[0][0] for i, im in enumerate(images)})
+                                for t in range(cat.hom_dim(x, y)))
     return Functor(cat, cat, object_map, hom_map, name="M")
 
 
@@ -290,25 +286,18 @@ def free_equivariant(action: GroupAction, x: CatObject, name: str = "") -> Equiv
     """F(X) = (⊕_h ^hX, α) with α_g the left-multiplication permutation blocks."""
     if x.idem is not None:
         raise ValueError("free equivariant objects are built on plain carriers")
-    cat = action.base
     group = action.group
     els = group.elements
     n = len(els)
-    mf = group_monad_functor(action)
-    carrier = mf.on_object(x)
-    nsum = len(x.summands)
+    carrier = group_monad_functor(action).on_object(x)
+    ids = [action.base.id_vec(s) for s in carrier.summands]
     alpha = {}
     for g in els:
-        target = action.functors[g].on_object(carrier)
-        blocks = [list(cat.zero_row(t, carrier.summands)) for t in target.summands]
-        for j in range(nsum):
-            for i, h in enumerate(els):
-                for i2 in range(n):
-                    # the summand ^hX at slot i maps identically to slot i2 of
-                    # ^g(⊕_h ^hX) exactly when g·h_{i2} = h
-                    if group.mult(g, els[i2]) == h:
-                        blocks[j * n + i2][j * n + i] = cat.id_vec(carrier.summands[j * n + i])
-        alpha[g] = Morphism(cat, carrier, target, blocks)
+        # the summand ^hX_j at slot (j, h) maps identically to slot (j, g⁻¹h) of ^g(⊕_h ^hX)
+        gi = group.inv(g)
+        alpha[g] = placed(carrier, action.functors[g].on_object(carrier), {
+            (j * n + group.index(group.mult(gi, h)), j * n + i): ids[j * n + i]
+            for j in range(len(x.summands)) for i, h in enumerate(els)})
     z = EquivariantObject(action, carrier, alpha, name=name or f"F({'⊕'.join(x.summands)})")
     z.validate().require(LawViolationError, "free equivariant object")
     return z
@@ -318,12 +307,7 @@ def _group_unit(action: GroupAction, m: Functor) -> NatTrans:
     """η: Id → M with η_x = (id, 0, …, 0)^t onto the unit element's summand of M x = ⊕_h ^hx."""
     cat, group = action.base, action.group
     e_idx = group.index(group.unit)
-    comps = {}
-    for x in cat.objects:
-        mx = m.object_map[x]
-        col = [(cat.id_vec(x),) if i == e_idx else (cat.zero_block(x, mx.summands[i]),)
-               for i in range(len(group.elements))]
-        comps[x] = Morphism(cat, cat.obj(x), mx, col)
+    comps = {x: placed(cat.obj(x), m.object_map[x], {(e_idx, 0): cat.id_vec(x)}) for x in cat.objects}
     return NatTrans(Functor.identity(cat), m, comps, name="η")
 
 
@@ -338,15 +322,10 @@ def equivariant_monad(action: GroupAction, name: str = "") -> Monad:
     for x in cat.objects:
         mx = mf.object_map[x]
         m2x = mf.on_object(mx)
-        blocks = []
-        for t in range(n):
-            row = list(cat.zero_row(mx.summands[t], m2x.summands))
-            for j in range(n):
-                for i in range(n):
-                    if group.mult(els[i], els[j]) == els[t]:
-                        row[j * n + i] = cat.id_vec(m2x.summands[j * n + i])
-            blocks.append(row)
-        mult_comps[x] = Morphism(cat, m2x, mx, blocks)
+        # slot (j, i) of M²x = ⊕_j ⊕_i ^{h_i}(^{h_j}x) goes identically to slot h_i·h_j of Mx
+        mult_comps[x] = placed(m2x, mx, {
+            (group.index(group.mult(hi, hj)), j * n + i): cat.id_vec(m2x.summands[j * n + i])
+            for j, hj in enumerate(els) for i, hi in enumerate(els)})
     m2 = compose_functors(mf, mf, name="M²")
     monad = Monad(mf, _group_unit(action, mf), NatTrans(m2, mf, mult_comps, name="μ"),
                   name=name or f"group monad {action.name}")
@@ -601,13 +580,15 @@ def _rational_roots(a, n: int) -> list:
 
 
 def character_modules(action: GroupAction, monad: Monad | None = None) -> list:
-    """All modules carried by a single action-fixed base object, for cyclic G over Q.
-
-    Solves the polynomial closure condition t·^g(t)·…·^{g^{n-1}}(t) = Id for
-    λ_g = t exactly, keeping rational solutions; each returned module is
-    validated, and over the action's group monad unless another is given.  For
-    dim End(x) = 1 it is K·t^n = c (K: the product at t = 1, c: Id's coordinate),
-    solved by exact n-th roots; else by sympy, imported only then (about 0.4 s).
+    """The modules on single action-fixed base objects, for cyclic G over Q: one per
+    rational point that the enumeration finds of the closure condition
+    t·^g(t)·…·^{g^{n-1}}(t) = Id for λ_g = t.  A positive-dimensional family of
+    solutions is not enumerated: for Z/2 acting on Q(ω) by w ↦ −1 − w the condition
+    is a conic, and none of its points (λ_g = ±1 among them) is returned.  Each
+    returned module is validated, over the action's group monad unless another is
+    given.  For dim End(x) = 1 the condition is K·t^n = c (K: the product at t = 1,
+    c: Id's coordinate), solved by exact n-th roots; else by sympy, imported only
+    then (about 0.4 s).
     """
     from .modules import MModule, validate_module
     base = action.base

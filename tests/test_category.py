@@ -185,10 +185,19 @@ class TestHomSpaces:
         assert z.is_zero()
 
     def test_biproduct_identities(self, c2_q):
-        objs = [c2_q.obj("1"), c2_q.obj("2")]
+        # parts: base objects, a two-summand sum, and a Karoubi object (1⊕2, e) whose
+        # idempotent e = [[id, 0], [a, 0]] is not block-diagonal, so ι and p are absorbed
+        one_two = direct_sum([c2_q.obj("1"), c2_q.obj("2")])
+        e = frac_mor(c2_q, one_two, one_two, [[(1,), ()], [(1,), (0,)]])
+        objs = [c2_q.obj("1"), c2_q.obj("2"), one_two, split_idempotent(one_two, e).small]
         total, injections, projections = biproduct(objs)
+        # the Karoubi part sits at summands 4, 5 of total, and there ι and p carry e
+        assert injections[3].blocks[4:] == e.blocks
+        assert tuple(row[4:] for row in projections[3].blocks) == e.blocks
         for i, o in enumerate(objs):
-            assert projections[i] @ injections[i] == o.identity()
+            for j, p in enumerate(objs):
+                want = o.identity() if i == j else zero_morphism(p, o)
+                assert projections[i] @ injections[j] == want
         acc = zero_morphism(total, total)
         for inc, prj in zip(injections, projections):
             acc = acc + inc @ prj

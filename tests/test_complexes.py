@@ -52,8 +52,9 @@ class TestValidateComplex:
 
     def test_support_cap(self, c1_q):
         pt = c1_q.obj("pt")
-        with pytest.raises(ValueError):
-            BoundedComplex(c1_q, {n: pt for n in range(9)}, {}, support_cap=8)
+        with pytest.raises(ValueError, match="support length 9 exceeds the cap 8"):
+            BoundedComplex(c1_q, {n: pt for n in range(9)}, {})
+        assert BoundedComplex(c1_q, {n: pt for n in range(1, 9)}, {}).degrees() == range(1, 9)
 
 
     def test_recurring_module_is_validated_once(self, monad_z2_q, chars_z2_q, c1_q,

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from sepcat import (EquivariantObject, Field, FiniteGroup, Functor, GroupAction,
-                    Infeasible, Monad, MonadSepWitness,
+                    Infeasible, MModule, Monad, MonadSepWitness,
                     Morphism, NonInvertibleComponentError,
                     NotInvertibleError, eq_hom_space,
                     equivariant_category, equivariant_monad,
@@ -21,7 +21,7 @@ from sepcat import (EquivariantObject, Field, FiniteGroup, Functor, GroupAction,
                     monad_from_adjunction, monad_separability_solve,
                     separability_solve, sigma_from_xi, to_equivariant,
                     to_module, transfer_witness, validate_action,
-                    validate_adjunction, validate_monad, xi_forgetful,
+                    validate_adjunction, validate_module, validate_monad, xi_forgetful,
                     xi_section, zero_morphism)
 from sepcat import standard
 from sepcat.category import LinearCategory, random_hom, validate_presentation
@@ -325,6 +325,22 @@ class TestCharacterEnumeration:
         assert validate_presentation(m2).passed
         names = {m.name for m in character_modules(GroupAction.trivial(z2, m2))}
         assert {"char(pt; 1,0,0,1)", "char(pt; -1,0,0,-1)"} <= names
+
+    def test_a_positive_dimensional_family_is_not_enumerated(self, QQ, z2):
+        # Z/2 acts on Q(ω) by w ↦ −1 − w, so the closure condition t·^g(t) = Id is the
+        # norm equation a² − ab + b² = 1 in t = a + b·w: a conic of rational points,
+        # which the enumeration does not list, though λ_g = 1 and λ_g = −1 lie on it
+        cw = standard.cyclotomic_point_category(QQ)
+        pt, one, zero = cw.obj("pt"), QQ.one(), QQ.zero()
+        conj = Functor(cw, cw, {"pt": pt}, {("pt", "pt"): (
+            pt.identity(), Morphism(cw, pt, pt, (((-one, -one),),)))}, name="conj")
+        act = GroupAction(z2, cw, {"e": Functor.identity(cw), "g": conj}, name="Z/2 on Cw by conj")
+        assert validate_action(act).passed
+        assert character_modules(act) == []
+        monad = act.group_monad()
+        for s in (one, -one):
+            lam = Morphism(cw, monad.functor.object_map["pt"], pt, (((one, zero), (s, zero)),))
+            assert validate_module(MModule(monad, pt, lam)).passed
 
     def test_trivial_cyclic_actions_on_every_standard_category(self, QQ):
         # names and action blocks (with their scalar types) of the 37 modules of the
