@@ -28,6 +28,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "fixtures", "demos", "README.md", "pyproject.toml")
 CRITERION_7 = "tests/test_acceptance.py::test_criterion_7_derived_comparison"
+H_ORACLE = "tests/test_binaturality_oracle.py::test_separability_solve_matches_the_h_elimination"
 
 MUTANTS = (
     ("independence-counts-zero", "src/sepcat/linalg.py",
@@ -73,6 +74,17 @@ MUTANTS = (
     ("group-mu-opposite", "src/sepcat/equivariant.py",
      "group.mult(hi, hj)", "group.mult(hj, hi)",
      ("tests/test_equivariant.py::TestDictionary::test_roundtrip_is_identity_on_data",)),
+    ("section-rank-without-kernel", "src/sepcat/functors.py",
+     "rank = n_h - (sol.n_vars - sol.rank) - len(slack)", "rank = n_h - len(slack)",
+     (f"{H_ORACLE}[S_3 on C1 over F2]", f"{H_ORACLE}[Z/3 on Cw over F3]")),
+    ("section-label-always-retraction", "src/sepcat/functors.py",
+     'label = "binaturality ({0},{0})→({0},{0})" if faithful == src.hom_dim(l, l) else ',
+     'label = "retraction ({0},{0})" if True else ',
+     (f"{H_ORACLE}[S_3 on C1 over F2]",)),
+    ("section-particular-unreduced", "src/sepcat/functors.py",
+     "    return reduced_form(vecs[0], vecs[1:] + slack, field)\n",
+     "    return type(sol)([a + b for a, b in zip(vecs[0], vecs[-1])], [], [], 0, n_h)\n",
+     (f"{H_ORACLE}[S_3 on C1 over Q]",)),
 )
 
 

@@ -230,7 +230,7 @@ class CatObject:
     Plain objects (idem is None) carry the identity idempotent implicitly.
     """
 
-    __slots__ = ("cat", "summands", "idem", "_id")
+    __slots__ = ("cat", "summands", "idem", "key", "_id")
 
     def __init__(self, cat: LinearCategory, summands, idem=None):
         summands = tuple(summands)
@@ -245,6 +245,8 @@ class CatObject:
         self.cat = cat
         self.summands = summands
         self.idem = idem
+        # caches key by this, not by ==, which takes an idem holding Fraction(1) for one holding 1
+        self.key = summands, idem, idem and tuple(type(a) for r in idem for v in r for a in v)
         self._id = None
 
     def plain(self) -> "CatObject":
@@ -565,7 +567,7 @@ def unit_morphisms(cat: LinearCategory, a: CatObject, b: CatObject) -> list[Morp
 
 def hom_space_basis(cat: LinearCategory, a: CatObject, b: CatObject) -> list[Morphism]:
     """A basis of Hom(a, b) in the closure, deterministic in coordinate order."""
-    key = (a, b)
+    key = (a.key, b.key)
     cached = cat._hom_basis_cache.get(key)
     if cached is not None:
         return cached

@@ -449,6 +449,7 @@ def induce_adjunction(eqcat: EquivariantCategory) -> Adjunction:
     rep.merge(validate_nat(counit))
     rep.merge(validate_adjunction(adj))
     rep.require(LawViolationError, "induced adjunction")
+    forgetful.adjunction = adj
     return adj
 
 

@@ -14,6 +14,15 @@ v∘H(g)∘u gives each with u or v an identity, and H(F v∘(g∘F u)) = v∘H(
 it back from them.  As F is a functor, the laws for v₁ and v₂ give
 H(F(v₁v₂)∘g) = v₁∘v₂∘H(g); for identities they hold trivially.
 
+A right adjoint G carrying its validated adjunction (`Functor.adjunction`) is decided
+through a section ξ of the counit (Rafael), |G|² unknowns on the point for H's |G|³:
+ξ ↦ H_ξ(g) = ε_Y∘F(g)∘ξ_X and H ↦ H(η_G) are inverse bijections of the solution sets
+and of the homogeneous ones.  εF∘Fη = Id gives H_ξ(η_{GX}) = ξ_X; Gε∘ηG = Id,
+binaturality and naturality of η give H(g) = ε_Y∘H(GF(g)∘η_{GX}) = ε_Y∘F(g)∘H(η_{GX}),
+and H's laws make H(η_G) a natural section.  H's ambient coordinates add the directions
+that vanish on the hom spaces (only at a Karoubi G X), so the H system has rank
+n_H − (n_ξ − rank_ξ) − their number, and `reduced_form` gives its witness.
+
 Each law family is written once, as a generator of (label, place, lhs, rhs)
 that a solver imposes on unknowns and a checker reads with
 `ValidationReport.record_laws`: `naturality_laws`, `section_laws` for a section
@@ -29,7 +38,7 @@ from .category import (CatObject, LinearCategory, Morphism, MorSystem, _nonzero_
                        direct_sum, hom_coord_dim, hom_space_basis, is_one, partwise,
                        unit_morphisms, unit_vectors, zero_morphism)
 from .errors import LawViolationError, NotFullyFaithfulError, PreconditionError
-from .linalg import coordinate_map, rank_extension
+from .linalg import Infeasible, coordinate_map, rank_extension, reduced_form, solve_sparse
 from .reports import ValidationReport
 
 
@@ -48,6 +57,7 @@ class Functor:
         self.object_map = dict(object_map)
         self.hom_map = {k: tuple(v) for k, v in hom_map.items()}
         self.name = name
+        self.adjunction = None  # the validated adjunction this is the right adjoint of
         self._ocache: dict = {}
         self._images: dict = {}
         self._zero_grids: dict = {}
@@ -68,7 +78,7 @@ class Functor:
     def on_object(self, a: CatObject) -> CatObject:
         if a.cat is not self.source:
             raise ValueError("object not in the source category")
-        res = self._ocache.get(a)
+        res = self._ocache.get(a.key)
         if res is not None:
             return res
         parts = [self.object_map[s] for s in a.summands]
@@ -80,7 +90,7 @@ class Functor:
             summands = tuple(s for p in parts for s in p.summands)
             raw = self._image_blocks(a.summands, a.summands, _nonzero_rows(a.idem), summands)
             res = CatObject(self.target, summands, raw)
-        self._ocache[a] = res
+        self._ocache[a.key] = res
         return res
 
     def _image(self, x, y, vec) -> tuple:
@@ -198,7 +208,7 @@ class NatTrans:
         """Component at a closure object: diagonal on summands, conjugated by idempotents."""
         if len(a.summands) == 1 and a.idem is None:
             return self.components[a.summands[0]]
-        res = self._at_cache.get(a)
+        res = self._at_cache.get(a.key)
         if res is not None:
             return res
         src_parts = [self.src.object_map[s] for s in a.summands]
@@ -217,7 +227,7 @@ class NatTrans:
             e = Morphism._new(a.cat, plain, plain, a.idem)
             m = self.dst.on_morphism(e) @ m @ self.src.on_morphism(e)
         res = Morphism._new(self.src.target, self.src.on_object(a), self.dst.on_object(a), m.blocks)
-        self._at_cache[a] = res
+        self._at_cache[a.key] = res
         return res
 
     def __repr__(self):
@@ -395,23 +405,56 @@ def separability_solve(f: Functor):
     in (coordinate of Hom(x, y), unit morphism k): the image column H(e_k) is
     every a-th of them from the k-th.  The witness laws are imposed on that
     symbolic witness, and the returned witness is the solver's first solution,
-    re-verified.
+    re-verified; for a marked right adjoint, through ξ (module docstring).
     """
     validate_functor(f).require(PreconditionError, "separability_solve needs a functor")
-    src, tgt = f.source, f.target
-    sysm = MorSystem(src.field)
-    unknowns = {}
-    for x, y in src.hom_pairs():
-        a = hom_coord_dim(tgt, f.object_map[x], f.object_map[y])
-        xs = sysm.variables(src.hom_dim(x, y) * a)
-        unknowns[(x, y)] = [xs[k::a] for k in range(a)]
-    for _, (label, *_), lhs, rhs in SepWitness(f, unknowns)._laws():
-        sysm.require_equal(lhs, rhs, label)
-    sol = sysm.solve()
+    layout, n_h = [], 0  # per source pair: (pair, dim Hom(x, y), a, first unknown)
+    for x, y in f.source.hom_pairs():
+        d, a = f.source.hom_dim(x, y), hom_coord_dim(f.target, f.object_map[x], f.object_map[y])
+        layout.append(((x, y), d, a, n_h))
+        n_h += d * a
+
+    def columns(vec):
+        return {pair: [vec[s + k:s + d * a:a] for k in range(a)] for pair, d, a, s in layout}
+
+    sol = None if f.adjunction is None else _section_route(f, layout, n_h)
+    if sol is None:
+        sysm = MorSystem(f.source.field)
+        for _, (label, *_), lhs, rhs in SepWitness(f, columns(sysm.variables(n_h)))._laws():
+            sysm.require_equal(lhs, rhs, label)
+        sol = sysm.solve()
     if not sol.feasible:
         return sol
-    return _verified_witness(f, {key: [[e.eval(sol.particular) for e in col] for col in cols]
-                                 for key, cols in unknowns.items()}, "solver-produced witness")
+    return _verified_witness(f, columns(sol.particular), "solver-produced witness")
+
+
+def _section_route(f: Functor, layout, n_h):
+    """The H system's outcome from one solve for ξ; None for a "no" on several objects."""
+    adj, src, tgt, field = f.adjunction, f.source, f.target, f.source.field
+    sol, xi = _section_solve(adj)
+    if not sol.feasible and len(src.objects) > 1:
+        return None
+    slack = []  # per row of H_{x,y}, the directions vanishing on Hom(G x, G y)
+    for (x, y), d, a, start in layout:
+        basis = hom_space_basis(tgt, f.object_map[x], f.object_map[y])
+        rows = [{j: v for j, v in enumerate(b.coords()) if v} for b in basis]
+        for w in solve_sparse(rows, [field.zero()] * len(rows), a, field).kernel if len(rows) < a else ():
+            slack.extend([field.zero()] * i + w + [field.zero()] * (n_h - i - a)
+                         for i in range(start, start + d * a, a))
+    if not sol.feasible:
+        (l,) = src.objects  # retraction rows come first; consistent iff G injective on End(l)
+        rank = n_h - (sol.n_vars - sol.rank) - len(slack)
+        faithful = rank_extension([g.coords() for g in f.hom_map[(l, l)]], (), field)[0]
+        label = "binaturality ({0},{0})→({0},{0})" if faithful == src.hom_dim(l, l) else "retraction ({0},{0})"
+        return Infeasible(rank, rank + 1, n_h, sol.n_rows, label.format(l))
+    images = [(x, [adj.counit.components[y] @ adj.F.on_morphism(e) for e in
+                   unit_morphisms(tgt, f.object_map[x], f.object_map[y])]) for (x, y), *_ in layout]
+    xis = [{x: MorSystem.eval_at(u, v, const) for x, u in xi.components.items()}
+           for v, const in [(sol.particular, True), *((k, False) for k in sol.kernel)]]
+    # H_ξ(e_k) = (ε_y∘F(e_k))∘ξ_x, row-major as H's unknowns
+    vecs = [[c for x, ms in images for row in zip(*((m @ at[x]).coords() for m in ms)) for c in row]
+            for at in xis]
+    return reduced_form(vecs[0], vecs[1:] + slack, field)
 
 
 def hom_matrix(fn, inputs, field, basis=None) -> list:
@@ -557,19 +600,23 @@ def extract_section(adj: Adjunction, w: SepWitness) -> NatTrans:
     return xi
 
 
+def _section_solve(adj: Adjunction):
+    """One solve of `section_laws` imposed on an unknown ξ: Id → FG; (result, ξ?)."""
+    dcat, fg = adj.G.source, compose_functors(adj.F, adj.G, name="FG")
+    sysm = MorSystem(dcat.field)
+    xi = NatTrans(Functor.identity(dcat), fg, {x: sysm.unknown(dcat.obj(x), fg.object_map[x])
+                                               for x in dcat.objects}, name="ξ?")
+    sysm.impose(section_laws(adj, xi))
+    return sysm.solve(), xi
+
+
 def section_feasibility(adj: Adjunction):
     """Independent affine solve for a ξ obeying `section_laws`; returns (result, ξ or None)."""
-    dcat = adj.G.source
-    fg = compose_functors(adj.F, adj.G, name="FG")
-    sysm = MorSystem(dcat.field)
-    idf = Functor.identity(dcat)
-    unknowns = {x: sysm.unknown(dcat.obj(x), fg.object_map[x]) for x in dcat.objects}
-    sysm.impose(section_laws(adj, NatTrans(idf, fg, unknowns, name="ξ?")))
-    sol = sysm.solve()
+    sol, xi = _section_solve(adj)
     if not sol.feasible:
         return sol, None
-    comps = {x: MorSystem.eval_at(unknowns[x], sol.particular) for x in dcat.objects}
-    xi = NatTrans(idf, fg, comps, name="ξ")
+    xi = NatTrans(xi.src, xi.dst, {x: MorSystem.eval_at(u, sol.particular)
+                                   for x, u in xi.components.items()}, name="ξ")
     validate_section(adj, xi).require(LawViolationError, "solved section")
     return sol, xi
 

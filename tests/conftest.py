@@ -1,10 +1,15 @@
 import pytest
+from hypothesis import settings
 
 from sepcat import (Field, FiniteGroup, GroupAction, equivariant_category,
                     equivariant_monad, induce_adjunction, to_equivariant)
 from sepcat.equivariant import character_modules
 from sepcat.standard import (a2_quiver_category, cyclotomic_point_category,
                              point_category, two_point_category)
+
+# A failing example prints the blob that `@reproduce_failure` replays.
+settings.register_profile("default", print_blob=True)
+settings.load_profile("default")
 
 
 @pytest.fixture(scope="session")

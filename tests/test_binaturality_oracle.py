@@ -8,6 +8,11 @@ and each one-sided row is the joint law with u or v an identity, so both
 systems have the same row space of [A | b] and hence the same reduced form:
 rank, particular solution and kernel must be identical, not merely equivalent.
 
+`separability_solve` decides a right adjoint marked with its adjunction through
+the counit section ξ instead (`functors` module docstring), so its outcome is
+checked against eliminating the one-sided H system: the same witness maps with
+their scalar types, or the same rank, unknowns and first contradicting label.
+
 `reference_all_basis_laws` is the one-sided assembly before its restriction to
 the source's generating set: it imposes both one-sided laws for every basis v
 and u.  With F a functor, the laws for v₁ and v₂ give the law for v₁∘v₂, so
@@ -19,11 +24,16 @@ import os
 
 import pytest
 
+import sepcat.category
+import sepcat.functors
+import sepcat.linalg
+
 from sepcat import (Field, FiniteGroup, GroupAction, Infeasible, SepWitness, equivariant_category,
                     induce_adjunction, separability_solve)
-from sepcat.category import (LinearCategory, MorSystem, hom_coord_dim, hom_space_basis,
+from sepcat.category import (CatObject, LinearCategory, MorSystem, hom_coord_dim, hom_space_basis,
                              unit_vectors)
-from sepcat.linalg import rank_extension
+from sepcat.equivariant import EquivariantObject
+from sepcat.linalg import rank_extension, solve_sparse
 from sepcat.standard import a2_quiver_category, point_category, two_point_category
 from sepcat.workspace import parse_workspace
 
@@ -162,10 +172,22 @@ RESTRICTION_CASES = ([(name, field) for name in ACTIONS for field in FIELDS]
                      + [(name, None) for name in ("forget_z2_q", "swap_g")])
 
 
+KAROUBI = "Z/2 on C1 with a Karoubi extra"
+
+
 def case_functor(name, field):
-    """The forgetful functor G of the induced adjunction, or a fixture functor when field is None."""
+    """The forgetful functor G of the induced adjunction, or a fixture functor when field is None.
+
+    The Karoubi case adds to the free object an equivariant object on (pt⊕pt, e) with
+    e the projection to the first summand and α = Id, so G of it is a Karoubi object."""
     if field is None:
         return parse_workspace(FIXTURE).functor(name)
+    if name == KAROUBI:
+        act = _action("Z/2 on C1", field)
+        one, zero = field.one(), field.zero()
+        carrier = CatObject(act.base, ("pt", "pt"), [[(one,), (zero,)], [(zero,), (zero,)]])
+        extra = EquivariantObject(act, carrier, {h: carrier.identity() for h in act.group.elements})
+        return induce_adjunction(equivariant_category(act, extra={"K": extra})).G
     return induce_adjunction(equivariant_category(_action(name, field))).G
 
 
@@ -262,3 +284,52 @@ def test_dropping_a_generator_changes_the_row_space(monkeypatch):
     monkeypatch.setattr(LinearCategory, "generators", weakened)
     generated, _ = assemble(g, one_sided_laws)
     assert not same_row_space(generated, every)
+
+
+# Feasible with kernel 3 (S_3 over Q) and 1 (Z/2 swap over Q), infeasible on one object
+# (S_3 over F2, Z/3 on Cw over F3) and on several (Z/2 on A2 over F2, the Karoubi case
+# over F2), and ambient directions that vanish on a Karoubi hom space.
+SOLVE_CASES = (RESTRICTION_CASES + [("forget_z2_f2", None)]
+               + [(KAROUBI, field) for field in (QQ, F2, Field.prime(3))])
+
+
+def typed(maps):
+    return {key: [[(type(v), v) for v in col] for col in cols] for key, cols in maps.items()}
+
+
+@pytest.mark.parametrize("case", SOLVE_CASES, ids=case_id)
+def test_separability_solve_matches_the_h_elimination(case):
+    g = case_functor(*case)
+    assert (g.adjunction is not None) == (case[0] != "swap_g")
+    sysm, unknowns = assemble(g, one_sided_laws)
+    want = sysm.solve()
+    got = separability_solve(g)
+    if not want.feasible:
+        assert isinstance(got, Infeasible)
+        assert ((got.rank, got.rank_augmented, got.n_vars, got.subsystem)
+                == (want.rank, want.rank_augmented, want.n_vars, want.subsystem))
+        return
+    assert isinstance(got, SepWitness)
+    assert typed(got.maps) == typed({key: [[e.eval(want.particular) for e in col] for col in cols]
+                                     for key, cols in unknowns.items()})
+
+
+@pytest.mark.parametrize("case", [c for c in SOLVE_CASES if c[0] != "swap_g"], ids=case_id)
+def test_a_marked_right_adjoint_solves_only_the_section_system(monkeypatch, case):
+    """No H system is eliminated, except to certify a "no" on several source objects."""
+    g = case_functor(*case)
+    solved = []
+
+    def spy(rows, consts, n_vars, field, labels=None):
+        solved.append((len(rows), n_vars, any(str(label).startswith("retraction")
+                                              for label in labels or ())))
+        return solve_sparse(rows, consts, n_vars, field, labels)
+
+    for module in (sepcat.category, sepcat.functors, sepcat.linalg):  # each caller's name for it
+        monkeypatch.setattr(module, "solve_sparse", spy)
+    result = separability_solve(g)
+    several = len(g.source.objects) > 1 and isinstance(result, Infeasible)
+    assert sum(h for *_, h in solved) == several
+    shape = {("S_3 on C1", QQ): (222, 36), ("Z/5 on C1", QQ): (130, 25)}.get(case)
+    if shape is not None:
+        assert [s[:2] for s in solved] == [shape]

@@ -32,9 +32,9 @@ from hypothesis import strategies as st
 from sepcat import (Field, FiniteGroup, GroupAction, equivariant_category, equivariant_monad,
                     induce_adjunction, monad_separability_solve, separability_solve)
 from sepcat.category import (CatObject, LinearCategory, Morphism, MorSystem, hom_coord_dim,
-                             identity_blocks, unit_morphisms, zero_morphism)
+                             hom_space_basis, identity_blocks, unit_morphisms, zero_morphism)
 from sepcat.equivariant import group_monad_functor
-from sepcat.functors import Functor, SepWitness
+from sepcat.functors import Functor, NatTrans, SepWitness
 from sepcat.linalg import LinForm
 from sepcat.standard import (a2_quiver_category, dual_numbers_category, point_category,
                              two_point_category)
@@ -463,6 +463,23 @@ def test_functor_images_match_nested_images(case, which):
         for j, sj in enumerate(f.dom.summands):
             assert_same(fn.on_hom_vec(sj, ti, f.blocks[i][j]),
                         reference_on_hom_vec(fn, sj, ti, f.blocks[i][j]))
+
+
+def test_caches_keep_scalar_types_of_equal_objects():
+    """Equal Karoubi objects whose idempotents hold 1 and Fraction(1) meet in no cache:
+    each result carries the scalar types of its own object, also when the other came first."""
+    cat = category("C1", Field.rationals())
+    idem = [[(1,), (0,)], [(0,), (0,)]]
+    ints = CatObject(cat, ("pt", "pt"), idem)
+    fracs = CatObject(cat, ("pt", "pt"),
+                      [[tuple(Fraction(a) if a else a for a in v) for v in r] for r in idem])
+    assert ints == fracs and strict(ints.idem) != strict(fracs.idem)
+    fn = Functor.identity(cat)
+    eta = NatTrans(fn, fn, {x: cat.obj(x).identity() for x in cat.objects})
+    for a in (ints, fracs):
+        assert strict(fn.on_object(a).idem) == strict(a.idem)
+        assert strict(eta.at(a).blocks) == strict(reference_on_blocks(fn, a, a, a.idem))
+        assert all(strict(b.dom.idem) == strict(a.idem) for b in hom_space_basis(cat, a, a))
 
 
 @settings(max_examples=150, deadline=None)

@@ -132,8 +132,9 @@ class TestSeparabilitySolve:
         assert w.verify().passed
 
     def test_witness_and_section_feasibility_agree(self, adj_z2_q, adj_z3_q, adj_z2_f2):
-        # separability_solve(G) feasible ⇔ a ξ with ε∘ξ = Id exists,
-        # decided by a second, independent affine solve on ξ's components
+        # separability_solve(G) feasible ⇔ a ξ with ε∘ξ = Id exists; G carries its
+        # adjunction, so both read the ξ system, and tests/test_binaturality_oracle.py
+        # checks separability_solve against eliminating the H system
         for adj in (adj_z2_q, adj_z3_q, adj_z2_f2):
             solved = separability_solve(adj.G)
             sec, xi = section_feasibility(adj)
