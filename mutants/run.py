@@ -29,6 +29,9 @@ ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "fixtures", "demos", "README.md", "pyproject.toml")
 CRITERION_7 = "tests/test_acceptance.py::test_criterion_7_derived_comparison"
 H_ORACLE = "tests/test_binaturality_oracle.py::test_separability_solve_matches_the_h_elimination"
+SEAM = ("tests/test_binaturality_oracle.py::"
+        "test_the_seam_reports_the_whole_h_solution_and_both_bijections_hold")
+SIGMA_ORACLE = "tests/test_law_list_oracle.py::test_monad_solve_assembles_the_reference_system"
 
 MUTANTS = (
     ("independence-counts-zero", "src/sepcat/linalg.py",
@@ -74,17 +77,22 @@ MUTANTS = (
     ("group-mu-opposite", "src/sepcat/equivariant.py",
      "group.mult(hi, hj)", "group.mult(hj, hi)",
      ("tests/test_equivariant.py::TestDictionary::test_roundtrip_is_identity_on_data",)),
-    ("section-rank-without-kernel", "src/sepcat/functors.py",
-     "rank = n_h - (sol.n_vars - sol.rank) - len(slack)", "rank = n_h - len(slack)",
-     (f"{H_ORACLE}[S_3 on C1 over F2]", f"{H_ORACLE}[Z/3 on Cw over F3]")),
+    ("section-rank-without-kernel", "src/sepcat/linalg.py",
+     "rank = len(forms) - (sol.n_vars - sol.rank) - len(slack)", "rank = len(forms) - len(slack)",
+     (f"{H_ORACLE}[S_3 on C1 over F2]", f"{H_ORACLE}[Z/3 on Cw over F3]",
+      f"{SIGMA_ORACLE}[Z/2 on C1-F2]")),
     ("section-label-always-retraction", "src/sepcat/functors.py",
-     'label = "binaturality ({0},{0})→({0},{0})" if faithful == src.hom_dim(l, l) else ',
-     'label = "retraction ({0},{0})" if True else ',
+     'label = f"binaturality ({l},{l})→({l},{l})" if faithful else ',
+     'label = f"retraction ({l},{l})" if True else ',
      (f"{H_ORACLE}[S_3 on C1 over F2]",)),
-    ("section-particular-unreduced", "src/sepcat/functors.py",
+    ("section-particular-unreduced", "src/sepcat/linalg.py",
      "    return reduced_form(vecs[0], vecs[1:] + slack, field)\n",
-     "    return type(sol)([a + b for a, b in zip(vecs[0], vecs[-1])], [], [], 0, n_h)\n",
+     "    return type(sol)([a + b for a, b in zip(vecs[0], vecs[-1])], [], [], 0, len(forms))\n",
      (f"{H_ORACLE}[S_3 on C1 over Q]",)),
+    ("transfer-drops-slack", "src/sepcat/linalg.py",
+     "    if not sol.feasible:\n        rank = len(forms)",
+     "    slack = []\n    if not sol.feasible:\n        rank = len(forms)",
+     (f"{SEAM}[Z/2 on C1 with a Karoubi extra over Q]",)),
 )
 
 

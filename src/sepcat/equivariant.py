@@ -449,7 +449,7 @@ def induce_adjunction(eqcat: EquivariantCategory) -> Adjunction:
     rep.merge(validate_nat(counit))
     rep.merge(validate_adjunction(adj))
     rep.require(LawViolationError, "induced adjunction")
-    forgetful.adjunction = adj
+    forgetful.adjunction = adj  # set only once every check above has passed
     return adj
 
 

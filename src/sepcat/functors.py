@@ -17,11 +17,10 @@ H(F(v₁v₂)∘g) = v₁∘v₂∘H(g); for identities they hold trivially.
 A right adjoint G carrying its validated adjunction (`Functor.adjunction`) is decided
 through a section ξ of the counit (Rafael), |G|² unknowns on the point for H's |G|³:
 ξ ↦ H_ξ(g) = ε_Y∘F(g)∘ξ_X and H ↦ H(η_G) are inverse bijections of the solution sets
-and of the homogeneous ones.  εF∘Fη = Id gives H_ξ(η_{GX}) = ξ_X; Gε∘ηG = Id,
-binaturality and naturality of η give H(g) = ε_Y∘H(GF(g)∘η_{GX}) = ε_Y∘F(g)∘H(η_{GX}),
-and H's laws make H(η_G) a natural section.  H's ambient coordinates add the directions
-that vanish on the hom spaces (only at a Karoubi G X), so the H system has rank
-n_H − (n_ξ − rank_ξ) − their number, and `reduced_form` gives its witness.
+and of the homogeneous ones up to the slack, H's ambient directions vanishing on the hom
+spaces (only at a Karoubi G X), and `linalg.transfer` maps across.  εF∘Fη = Id gives
+H_ξ(η_{GX}) = ξ_X; Gε∘ηG = Id, binaturality and naturality of η give H(g) =
+ε_Y∘H(GF(g)∘η_{GX}) = ε_Y∘F(g)∘H(η_{GX}), and H's laws make H(η_G) a natural section.
 
 Each law family is written once, as a generator of (label, place, lhs, rhs)
 that a solver imposes on unknowns and a checker reads with
@@ -38,7 +37,7 @@ from .category import (CatObject, LinearCategory, Morphism, MorSystem, _nonzero_
                        direct_sum, hom_coord_dim, hom_space_basis, is_one, partwise,
                        unit_morphisms, unit_vectors, zero_morphism)
 from .errors import LawViolationError, NotFullyFaithfulError, PreconditionError
-from .linalg import Infeasible, coordinate_map, rank_extension, reduced_form, solve_sparse
+from .linalg import coordinate_map, rank_extension, solve_sparse, transfer
 from .reports import ValidationReport
 
 
@@ -407,7 +406,8 @@ def separability_solve(f: Functor):
     symbolic witness, and the returned witness is the solver's first solution,
     re-verified; for a marked right adjoint, through ξ (module docstring).
     """
-    validate_functor(f).require(PreconditionError, "separability_solve needs a functor")
+    if f.adjunction is None:  # the mark is set only after the right adjoint is validated
+        validate_functor(f).require(PreconditionError, "separability_solve needs a functor")
     layout, n_h = [], 0  # per source pair: (pair, dim Hom(x, y), a, first unknown)
     for x, y in f.source.hom_pairs():
         d, a = f.source.hom_dim(x, y), hom_coord_dim(f.target, f.object_map[x], f.object_map[y])
@@ -441,20 +441,16 @@ def _section_route(f: Functor, layout, n_h):
         for w in solve_sparse(rows, [field.zero()] * len(rows), a, field).kernel if len(rows) < a else ():
             slack.extend([field.zero()] * i + w + [field.zero()] * (n_h - i - a)
                          for i in range(start, start + d * a, a))
-    if not sol.feasible:
+    if sol.feasible:  # H_ξ(e_k) = (ε_y∘F(e_k))∘ξ_x on the symbolic ξ, row-major as H's unknowns
+        label, forms = None, [c for (x, y), *_ in layout for row in zip(*(
+            (adj.counit.components[y] @ adj.F.on_morphism(e) @ xi.components[x]).coords()
+            for e in unit_morphisms(tgt, f.object_map[x], f.object_map[y]))) for c in row]
+    else:  # a "no" reads only the number of H's unknowns
         (l,) = src.objects  # retraction rows come first; consistent iff G injective on End(l)
-        rank = n_h - (sol.n_vars - sol.rank) - len(slack)
-        faithful = rank_extension([g.coords() for g in f.hom_map[(l, l)]], (), field)[0]
-        label = "binaturality ({0},{0})→({0},{0})" if faithful == src.hom_dim(l, l) else "retraction ({0},{0})"
-        return Infeasible(rank, rank + 1, n_h, sol.n_rows, label.format(l))
-    images = [(x, [adj.counit.components[y] @ adj.F.on_morphism(e) for e in
-                   unit_morphisms(tgt, f.object_map[x], f.object_map[y])]) for (x, y), *_ in layout]
-    xis = [{x: MorSystem.eval_at(u, v, const) for x, u in xi.components.items()}
-           for v, const in [(sol.particular, True), *((k, False) for k in sol.kernel)]]
-    # H_ξ(e_k) = (ε_y∘F(e_k))∘ξ_x, row-major as H's unknowns
-    vecs = [[c for x, ms in images for row in zip(*((m @ at[x]).coords() for m in ms)) for c in row]
-            for at in xis]
-    return reduced_form(vecs[0], vecs[1:] + slack, field)
+        faithful = rank_extension([g.coords() for g in f.hom_map[(l, l)]], (), field)[0] == src.hom_dim(l, l)
+        label = f"binaturality ({l},{l})→({l},{l})" if faithful else f"retraction ({l},{l})"
+        forms = [None] * n_h
+    return transfer(sol, forms, slack, label, field)
 
 
 def hom_matrix(fn, inputs, field, basis=None) -> list:

@@ -210,6 +210,24 @@ def reduced_form(particular, kernel, field: Field) -> AffineSolution:
     return AffineSolution(vectors[-1], vectors[:-1], free, n - len(free), n)
 
 
+def transfer(sol, forms, slack, label, field: Field):
+    """The outcome of eliminating a big system, from `sol`, that of a small one.
+
+    The big unknowns, in order, are the affine `forms` in the small ones.  The caller
+    proves that the forms, and their linear parts, map the small solutions, and the
+    homogeneous ones, injectively onto the big ones modulo the `slack`, independent of
+    that image.  So the big rank is len(forms) − (n_small − rank_small) − len(slack),
+    feasible or not; the slack moves only the kernel and the rank.  `reduced_form` writes
+    a feasible outcome as elimination would; a "no" uses only len(forms), and `label`.
+    """
+    if not sol.feasible:
+        rank = len(forms) - (sol.n_vars - sol.rank) - len(slack)
+        return Infeasible(rank, rank + 1, len(forms), sol.n_rows, label)
+    vecs = [[a.eval(v, c) if isinstance(a, LinForm) else a if c else field.zero() for a in forms]
+            for v, c in [(sol.particular, True), *((k, False) for k in sol.kernel)]]
+    return reduced_form(vecs[0], vecs[1:] + slack, field)
+
+
 def rank_extension(base_vectors, candidates, field):
     """Rank of the base family, plus indices of candidates extending it independently."""
     pivots: dict = {}

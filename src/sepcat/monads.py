@@ -11,12 +11,10 @@ associativity and naturality of e at μ_x, resp. of μ at e_x, give it back:
 `monad_separability_solve` solves for the separability idempotent e: Id → M²
 (DeMeyer–Ingraham) instead: e natural, μ∘e = η, Mμ∘eM = μM∘Me; |G|² unknowns
 per object of a group monad on the point, where σ has |G|³.  By the lines above
-and μM∘Me∘η = μM∘ηM²∘e = e, σ ↦ σ∘η and e ↦ μM∘Me are inverse linear bijections
-of the solution sets and of the homogeneous ones, so the σ system has rank
-n_σ − n_e + rank_e.  The e solutions are mapped to σ and reduced as eliminating
-the σ system would (`reduced_form`).  When no e exists, the σ system's first
-contradiction is a right row: σ = ηM satisfies every other row, and `_laws`
-lists every object's section and left rows before any right row.
+and μM∘Me∘η = μM∘ηM²∘e = e, σ ↦ σ∘η and e ↦ μM∘Me are inverse linear bijections of
+the solution sets and of the homogeneous ones, and `linalg.transfer` maps across.  When
+no e exists, the σ system's first contradiction is a right row: σ = ηM satisfies every
+other row, and `_laws` lists every object's section and left rows before any right row.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from .category import Morphism, MorSystem
 from .errors import LawViolationError, PreconditionError
 from .functors import (Adjunction, Functor, NatTrans, compose_functors, naturality_laws,
                        validate_nat, validate_section)
-from .linalg import Infeasible, reduced_form
+from .linalg import transfer
 from .reports import ValidationReport
 
 
@@ -41,17 +39,14 @@ class Monad:
         self.unit = unit
         self.mult = mult
         self.name = name
-        self._squared = None
 
     @property
     def cat(self):
         return self.functor.source
 
+    @cached_property
     def squared(self) -> Functor:
-        if self._squared is None:
-            self._squared = compose_functors(self.functor, self.functor,
-                                             name=f"{self.functor.name}²")
-        return self._squared
+        return compose_functors(self.functor, self.functor, name=f"{self.functor.name}²")
 
     @cached_property
     def mult_images(self) -> dict:
@@ -130,7 +125,7 @@ class MonadSepWitness:
         m, sigma = self.monad, self.sigma
         mf = m.functor
         yield from naturality_laws(sigma)
-        e = NatTrans(m.unit.src, m.squared(),
+        e = NatTrans(m.unit.src, m.squared,
                      {x: sigma.components[x] @ m.unit.components[x] for x in m.cat.objects})
         for x in m.cat.objects:
             mx = mf.object_map[x]
@@ -162,7 +157,7 @@ def monad_separability_solve(m: Monad):
     `monad_from_adjunction` or a workspace declaration): its laws are not
     re-checked here, and on a non-monad an "infeasible" verdict means nothing.
     """
-    cat, mf, m2 = m.cat, m.functor, m.squared()
+    cat, mf, m2 = m.cat, m.functor, m.squared
     sysm = MorSystem(cat.field)
     e = NatTrans(m.unit.src, m2, {x: sysm.unknown(cat.obj(x), m2.object_map[x])
                                   for x in cat.objects}, name="e?")
@@ -172,14 +167,10 @@ def monad_separability_solve(m: Monad):
     sigma = {x: m.mult.at(mf.object_map[x]) @ mf.on_morphism(ex) for x, ex in e.components.items()}
     sysm.impose(("bimodule", (x,), m.mult_images[x] @ e.at(mf.object_map[x]), sigma[x])
                 for x in cat.objects)
-    sol = sysm.solve()
-    n_sigma = sum(len(s.coords()) for s in sigma.values())
-    if not sol.feasible:
-        rank = n_sigma - sysm.n + sol.rank
-        return Infeasible(rank, rank + 1, n_sigma, sol.n_rows, "bimodule right")
-    flat = [[c for s in sigma.values() for c in MorSystem.eval_at(s, v, const).coords()]
-            for v, const in [(sol.particular, True), *((k, False) for k in sol.kernel)]]
-    red = reduced_form(flat[0], flat[1:], cat.field)
+    red = transfer(sysm.solve(), [c for s in sigma.values() for c in s.coords()], [],
+                   "bimodule right", cat.field)
+    if not red.feasible:
+        return red
     values = iter(red.particular)
     comps = {x: Morphism.from_coords(cat, s.dom, s.cod, [next(values) for _ in s.coords()])
              for x, s in sigma.items()}
@@ -195,7 +186,7 @@ def sigma_from_xi(adj: Adjunction, xi: NatTrans, monad: Monad | None = None) -> 
     if monad is None:
         monad = monad_from_adjunction(adj)
     comps = {x: adj.G.on_morphism(xi.at(adj.F.object_map[x])) for x in monad.cat.objects}
-    sigma = NatTrans(monad.functor, monad.squared(), comps, name="σ")
+    sigma = NatTrans(monad.functor, monad.squared, comps, name="σ")
     w = MonadSepWitness(monad, sigma)
     w.verify().require(LawViolationError, "σ = GξF")
     return w

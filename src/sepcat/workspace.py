@@ -630,9 +630,9 @@ def load_witness(path: str, ws: Workspace):
                 raise WorkspaceError(f"witness component key {x!r} is not a base object")
             try:
                 comps[x] = parse_mor(monad.cat, mdata, dom=monad.functor.object_map[x],
-                                     cod=monad.squared().object_map[x])
+                                     cod=monad.squared.object_map[x])
             except (ArithmeticError, AttributeError, TypeError, ValueError) as exc:
                 raise WorkspaceError(f"witness component {x!r}: {exc}") from exc
-        w = MonadSepWitness(monad, NatTrans(monad.functor, monad.squared(), comps, name="σ"))
+        w = MonadSepWitness(monad, NatTrans(monad.functor, monad.squared, comps, name="σ"))
         return w, w.verify()
     raise WorkspaceError(f"unknown witness target {target!r}")

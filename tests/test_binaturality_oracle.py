@@ -13,6 +13,12 @@ the counit section ξ instead (`functors` module docstring), so its outcome is
 checked against eliminating the one-sided H system: the same witness maps with
 their scalar types, or the same rank, unknowns and first contradicting label.
 
+The ξ route and the monad's e route reach the big system's outcome through one
+seam, `linalg.transfer`.  A functor witness keeps only the particular solution, so
+the seam's whole result (kernel, free columns, rank) is compared here too, with
+each bijection checked per instance: random affine combinations of the small
+solutions are pushed (ξ ↦ H_ξ, e ↦ μM∘Me) and pulled back (H ↦ H(η_G), σ ↦ σ∘η).
+
 `reference_all_basis_laws` is the one-sided assembly before its restriction to
 the source's generating set: it imposes both one-sided laws for every basis v
 and u.  With F a functor, the laws for v₁ and v₂ give the law for v₁∘v₂, so
@@ -21,18 +27,22 @@ space of [A | b] and the same solve, from fewer rows.
 """
 
 import os
+import random
 
 import pytest
 
 import sepcat.category
 import sepcat.functors
 import sepcat.linalg
+import sepcat.monads
 
 from sepcat import (Field, FiniteGroup, GroupAction, Infeasible, SepWitness, equivariant_category,
-                    induce_adjunction, separability_solve)
-from sepcat.category import (CatObject, LinearCategory, MorSystem, hom_coord_dim, hom_space_basis,
-                             unit_vectors)
+                    extract_section, induce_adjunction, monad_from_adjunction,
+                    monad_separability_solve, separability_solve)
+from sepcat.category import (CatObject, LinearCategory, Morphism, MorSystem, hom_coord_dim,
+                             hom_space_basis, unit_morphisms, unit_vectors)
 from sepcat.equivariant import EquivariantObject
+from sepcat.functors import NatTrans, witness_from_section
 from sepcat.linalg import rank_extension, solve_sparse
 from sepcat.standard import a2_quiver_category, point_category, two_point_category
 from sepcat.workspace import parse_workspace
@@ -333,3 +343,120 @@ def test_a_marked_right_adjoint_solves_only_the_section_system(monkeypatch, case
     shape = {("S_3 on C1", QQ): (222, 36), ("Z/5 on C1", QQ): (130, 25)}.get(case)
     if shape is not None:
         assert [s[:2] for s in solved] == [shape]
+
+
+def group_order(name):
+    return 6 if name.startswith("S_3") else int(name[2])
+
+
+# Maschke: the marked cases whose characteristic does not divide |G|
+FEASIBLE_MARKED = [c for c in SOLVE_CASES if c[0] != "swap_g" and (
+    c[0] == "forget_z2_q" if c[1] is None else c[1].char == 0 or group_order(c[0]) % c[1].char)]
+
+
+def typed_outcome(sol):
+    def typed_vec(vec):
+        return [(type(v), v) for v in vec]
+    return typed_vec(sol.particular), [typed_vec(k) for k in sol.kernel], sol.free, sol.rank, sol.n_vars
+
+
+def spy_transfer(monkeypatch, module):
+    """Record (small result, big result) of each call `module` makes to the seam."""
+    calls = []
+
+    def spy(sol, forms, slack, label, field):
+        calls.append((sol, sepcat.linalg.transfer(sol, forms, slack, label, field)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(module, "transfer", spy)
+    return calls
+
+
+def combinations(sol, field, rng, count=2):
+    """Random affine combinations particular + Σ c_i·kernel_i of the solutions."""
+    for _ in range(count):
+        vec = list(sol.particular)
+        for k in sol.kernel:
+            c = field.from_int(rng.randint(-3, 3))
+            vec = [a + c * b for a, b in zip(vec, k)]
+        yield vec
+
+
+def independent(vectors, field):
+    return rank_extension(vectors, (), field)[0] == len(vectors)
+
+
+def h_coords(adj, xi):
+    """H_ξ(e_k) = ε_y∘F(e_k)∘ξ_x on every unit morphism, flattened: ξ pushed to H."""
+    g = adj.G
+    return [c for x, y in g.source.hom_pairs()
+            for e in unit_morphisms(g.target, g.object_map[x], g.object_map[y])
+            for c in (adj.counit.components[y] @ adj.F.on_morphism(e) @ xi[x]).coords()]
+
+
+def e_components(m, vec):
+    """The e components that the coordinates vec give, in the e system's unknown order."""
+    comps, start = {}, 0
+    for x in m.cat.objects:
+        dom, cod = m.cat.obj(x), m.squared.object_map[x]
+        n = hom_coord_dim(m.cat, dom, cod)
+        comps[x] = Morphism.from_coords(m.cat, dom, cod, vec[start:start + n])
+        start += n
+    return comps
+
+
+def sigma_of(m, e):
+    """e pushed to σ = μM∘Me."""
+    return {x: m.mult.at(m.functor.object_map[x]) @ m.functor.on_morphism(ex) for x, ex in e.items()}
+
+
+@pytest.mark.parametrize("case", FEASIBLE_MARKED, ids=case_id)
+def test_the_seam_reports_the_whole_h_solution_and_both_bijections_hold(monkeypatch, case):
+    g = case_functor(*case)
+    adj, field = g.adjunction, g.source.field
+    rng = random.Random(case_id(case))
+    want = assemble(g, one_sided_laws)[0].solve()
+    assert want.feasible
+    calls = spy_transfer(monkeypatch, sepcat.functors)
+    assert isinstance(separability_solve(g), SepWitness)
+    ((sol, got),) = calls
+    assert typed_outcome(got) == typed_outcome(want)
+
+    # ξ ↦ H_ξ ↦ H_ξ(η_G) is the identity, and the pushed ξ kernel is independent
+    xi_forms = sepcat.functors._section_solve(adj)[1]
+    for vec in combinations(sol, field, rng):
+        xi = NatTrans(xi_forms.src, xi_forms.dst, {x: MorSystem.eval_at(u, vec)
+                                                   for x, u in xi_forms.components.items()})
+        assert extract_section(adj, witness_from_section(adj, xi)).components == xi.components
+    assert independent([h_coords(adj, {x: MorSystem.eval_at(u, k, with_const=False)
+                                        for x, u in xi_forms.components.items()})
+                        for k in sol.kernel], field)
+
+    # e ↦ σ = μM∘Me ↦ σ∘η is the identity, and the pushed e kernel is independent
+    m = monad_from_adjunction(adj)
+    calls = spy_transfer(monkeypatch, sepcat.monads)
+    monad_separability_solve(m)
+    ((sol, got),) = calls
+    assert got.feasible
+    for vec in combinations(sol, field, rng):
+        e = e_components(m, vec)
+        assert {x: s @ m.unit.components[x] for x, s in sigma_of(m, e).items()} == e
+    assert independent([[c for s in sigma_of(m, e_components(m, k)).values() for c in s.coords()]
+                        for k in sol.kernel], field)
+
+
+@pytest.mark.parametrize("case,calls", [(("Z/2 on C1", QQ), 0), (("S_3 on C1", F5), 0),
+                                        (("forget_z2_q", None), 0), (("swap_g", None), 1)],
+                         ids=lambda v: case_id(v) if isinstance(v, tuple) else str(v))
+def test_separability_solve_validates_only_an_unmarked_functor(monkeypatch, case, calls):
+    g = case_functor(*case)
+    validated = []
+
+    def counting(f):
+        validated.append(f)
+        return validate(f)
+
+    validate = sepcat.functors.validate_functor
+    monkeypatch.setattr(sepcat.functors, "validate_functor", counting)
+    separability_solve(g)
+    assert len(validated) == calls

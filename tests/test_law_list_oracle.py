@@ -36,7 +36,7 @@ FIXTURE = os.path.join(os.path.dirname(__file__), "..", "fixtures", "workspace.j
 def reference_monad_system(m):
     cat = m.cat
     mf = m.functor
-    m2 = m.squared()
+    m2 = m.squared
     sysm = MorSystem(cat.field)
     unknowns = {x: sysm.unknown(mf.object_map[x], m2.object_map[x]) for x in cat.objects}
     for (x, y), mors in sorted(mf.hom_map.items()):

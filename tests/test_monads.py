@@ -171,7 +171,7 @@ class TestSeparabilitySolve:
         cat = monad.cat
         from sepcat.category import Morphism, hom_coord_dim
         mf = monad.functor
-        m2 = monad.squared()
+        m2 = monad.squared
         for _ in range(3):
             shift = [cat.field.zero()] * sol.n_vars
             for k in sol.kernel:
@@ -199,7 +199,7 @@ def test_one_sided_section_fails_only_the_bimodule_law(request, action, squares,
     mf = monad.functor
     comps = {x: monad.unit.at(mf.object_map[x]) if side == "eta_M"
              else mf.on_morphism(monad.unit.components[x]) for x in monad.cat.objects}
-    rep = MonadSepWitness(monad, NatTrans(mf, monad.squared(), comps, name="σ")).verify()
+    rep = MonadSepWitness(monad, NatTrans(mf, monad.squared, comps, name="σ")).verify()
     failure = {"eta_M": "σ∘μ ≠ μM∘Mσ at {}", "M_eta": "Mμ∘σM ≠ σ∘μ at {}"}[side]
     assert rep.checks == [
         ("natural transformation σ: components have the right endpoints", True, ""),
