@@ -32,6 +32,7 @@ H_ORACLE = "tests/test_binaturality_oracle.py::test_separability_solve_matches_t
 SEAM = ("tests/test_binaturality_oracle.py::"
         "test_the_seam_reports_the_whole_h_solution_and_both_bijections_hold")
 SIGMA_ORACLE = "tests/test_law_list_oracle.py::test_monad_solve_assembles_the_reference_system"
+FORMULA_ORACLE = "tests/test_adjunction_formula_oracle.py"
 
 MUTANTS = (
     ("independence-counts-zero", "src/sepcat/linalg.py",
@@ -93,6 +94,19 @@ MUTANTS = (
      "    if not sol.feasible:\n        rank = len(forms)",
      "    slack = []\n    if not sol.feasible:\n        rank = len(forms)",
      (f"{SEAM}[Z/2 on C1 with a Karoubi extra over Q]",)),
+    ("alpha-inverse-wrong-element", "src/sepcat/equivariant.py",
+     "act.functors[g].on_morphism(self.alpha[act.group.inv(g)])",
+     "act.functors[g].on_morphism(self.alpha[g])",
+     (f"{FORMULA_ORACLE}::test_inverses_are_the_solved_inverses[Z/3 on C1 over Q]",)),
+    ("free-hom-unreduced", "src/sepcat/equivariant.py",
+     "for k in reduced_form(zero, thetas, act.base.field).kernel]", "for k in thetas]",
+     (f"{FORMULA_ORACLE}::test_free_hom_spaces_are_the_solved_bases[S_3 on C1 over F5]",)),
+    ("free-mark-before-validation", "src/sepcat/equivariant.py",
+     '    z.validate().require(LawViolationError, "free equivariant object")\n'
+     "    z.free_on = x  # set only once validation has passed\n",
+     "    z.free_on = x  # set only once validation has passed\n"
+     '    z.validate().require(LawViolationError, "free equivariant object")\n',
+     (f"{FORMULA_ORACLE}::test_the_mark_is_set_only_after_validation",)),
 )
 
 

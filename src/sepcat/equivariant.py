@@ -6,6 +6,13 @@ reindexing "identity" is an explicit permutation block matrix.  The finite
 equivariant category is materialized as a presentation on a chosen set of
 equivariant objects (the free objects on all base objects, plus extras), so
 the whole functor/adjunction/monad calculus applies to it verbatim.
+
+The adjunction F ⊣ U replaces two solves.  The cocycle law at (g, g⁻¹) gives
+^g(α_{g⁻¹})∘α_g = α_e = Id and the inverse law α_g∘^g(α_{g⁻¹}) = Id, so α_g⁻¹ =
+^g(α_{g⁻¹}); both compositions are still checked.  Hom(x, UZ) ≅ Hom^G(F x, Z) sends φ to
+ε_Z∘F(φ) = λ_Z∘M(φ), with the counit λ_Z = (β_h⁻¹)_h: ⊕_h ^hY → Y at Z = (Y, β).  So a
+basis of Hom(x, Y) maps to one of Hom^G(F x, Z), which `reduced_form` writes in the
+reduced echelon form that the equivariance solve returns.
 """
 
 from __future__ import annotations
@@ -13,13 +20,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .category import (CatObject, LinearCategory, Morphism, MorSystem, direct_sum,
-                       hom_space_basis, int_invertible, invert_morphism, morphism, partwise,
-                       placed)
+                       hom_coord_dim, hom_space_basis, int_invertible, invert_morphism, morphism,
+                       partwise, placed)
 from .errors import (LawViolationError, NonInvertibleComponentError,
                      NotInvertibleError, PreconditionError)
 from .functors import (Adjunction, Functor, NatTrans, compose_functors,
                        validate_adjunction, validate_functor, validate_nat, validate_section)
-from .linalg import coordinate_map
+from .linalg import coordinate_map, reduced_form
 from .monads import Monad, validate_monad
 from .reports import ValidationReport
 from .scalars import rational
@@ -198,20 +205,22 @@ class EquivariantObject:
         self.name = name
         self._alpha_inv = None
         self._modules = {}
+        self.valid = False  # set by each validate() to whether it passed
+        self.free_on = None  # x, once this is a validated F(x)
 
     def alpha_inverse(self) -> dict:
-        """The inverses (α_g)^{-1}: ^gX → X, each found once by an exact solve.
+        """The inverses (α_g)^{-1} = ^g(α_{g⁻¹}): ^gX → X, built once.
 
-        Raises NonInvertibleComponentError, on every call, when some α_g has
-        no two-sided inverse.
+        Raises NonInvertibleComponentError, on every call, when some candidate is
+        not a two-sided inverse of α_g.
         """
         if self._alpha_inv is None:
-            inv = {}
-            for g in self.action.group.elements:
-                try:
-                    inv[g] = invert_morphism(self.alpha[g])
-                except ValueError as exc:
-                    raise NonInvertibleComponentError(str(exc)) from exc
+            act, inv = self.action, {}
+            for g in act.group.elements:
+                a, inv[g] = self.alpha[g], act.functors[g].on_morphism(self.alpha[act.group.inv(g)])
+                if inv[g] @ a != a.dom.identity() or a @ inv[g] != a.cod.identity():
+                    raise NonInvertibleComponentError(f"α_{g} is not inverted by ^g(α_{{g⁻¹}}): "
+                                                      "α_g is singular or the cocycle law fails")
             self._alpha_inv = inv
         return dict(self._alpha_inv)
 
@@ -225,6 +234,7 @@ class EquivariantObject:
             rep.record("α_e = Id", self.alpha[g0] == self.carrier.identity())
             rep.record_laws(self._laws(), {"cocycle": ("cocycle ^g(α_g')∘α_g = α_gg'", "({},{})".format),
                                            "inverse": ("α_g invertible", str)})
+        self.valid = rep.passed
         return rep
 
     def _laws(self):
@@ -244,10 +254,20 @@ class EquivariantObject:
 
 
 def eq_hom_space(a: EquivariantObject, b: EquivariantObject) -> list[Morphism]:
-    """Basis of {θ: X → Y with β_g∘θ = ^gθ∘α_g for all g}, by one exact solve."""
+    """Basis of {θ: X → Y with β_g∘θ = ^gθ∘α_g for all g}, in reduced echelon form: from
+    a = F(x) into a validated b by the adjunction (module docstring), else by one solve, as
+    no formula covers other sources, such as workspace extras and character objects."""
     if a.action is not b.action:
         raise ValueError("equivariant objects under different actions")
     act = a.action
+    if a.free_on is not None and b.valid:
+        mf = group_monad_functor(act)
+        lam = _inverse_action(b, mf.on_object(b.carrier))
+        thetas = [(lam @ mf.on_morphism(phi)).coords()
+                  for phi in hom_space_basis(act.base, a.free_on, b.carrier)]
+        zero = [act.base.field.zero()] * hom_coord_dim(act.base, a.carrier, b.carrier)
+        return [Morphism.from_coords(act.base, a.carrier, b.carrier, k)
+                for k in reduced_form(zero, thetas, act.base.field).kernel]
     sysm = MorSystem(act.base.field)
     th = sysm.unknown(a.carrier, b.carrier)
     for g in act.group.elements:
@@ -300,6 +320,7 @@ def free_equivariant(action: GroupAction, x: CatObject, name: str = "") -> Equiv
             for j in range(len(x.summands)) for i, h in enumerate(els)})
     z = EquivariantObject(action, carrier, alpha, name=name or f"F({'⊕'.join(x.summands)})")
     z.validate().require(LawViolationError, "free equivariant object")
+    z.free_on = x  # set only once validation has passed
     return z
 
 
@@ -454,8 +475,8 @@ def induce_adjunction(eqcat: EquivariantCategory) -> Adjunction:
 
 
 def to_module(z: EquivariantObject, monad: Monad | None = None):
-    """The dictionary (X, α) ↦ (X, λ) with λ_h = (α_h)^{-1}, over the action's
-    group monad by default.  The validated module is built once per monad and
+    """The dictionary (X, α) ↦ (X, λ) with λ_h = (α_h)^{-1} = ^h(α_{h⁻¹}), over the
+    action's group monad by default.  The validated module is built once per monad and
     kept on z, like `alpha_inverse`; a failure is raised again on every call."""
     from .modules import MModule, validate_module
     if monad is None:
@@ -510,13 +531,7 @@ def xi_forgetful(action: GroupAction, z: EquivariantObject) -> Morphism:
     carrier = z.carrier
     mf = group_monad_functor(action)
     target = mf.on_object(carrier)
-    raw = []
-    for j in range(len(carrier.summands)):
-        for i, h in enumerate(els):
-            row = []
-            for t in range(len(carrier.summands)):
-                row.append(z.alpha[h].blocks[j][t])
-            raw.append(tuple(row))
+    raw = [z.alpha[h].blocks[j] for j in range(len(carrier.summands)) for h in els]  # row (j, h)
     xi = morphism(base, carrier, target, raw).div_int(n)
     eps = _inverse_action(z, target)
     if eps @ xi != carrier.identity():
