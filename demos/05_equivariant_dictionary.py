@@ -36,5 +36,5 @@ adj = induce_adjunction(eqc)
 print("triangle identities hold:", validate_adjunction(adj).passed)
 
 # The Maschke section (1/|G|)·(α_h)_h satisfies ε∘ξ = Id.
-xi = xi_forgetful(act, sign)
+xi = xi_forgetful(sign)
 print("ξ for the sign object:", [str(v[0]) for row in xi.blocks for v in row])

@@ -107,6 +107,15 @@ MUTANTS = (
      "    z.free_on = x  # set only once validation has passed\n"
      '    z.validate().require(LawViolationError, "free equivariant object")\n',
      (f"{FORMULA_ORACLE}::test_the_mark_is_set_only_after_validation",)),
+    ("counit-slots-transposed", "src/sepcat/equivariant.py",
+     "for j in range(nsum) for h in act.group.elements)",
+     "for h in act.group.elements for j in range(nsum))",
+     (f"{FORMULA_ORACLE}::test_counit_columns_are_the_inverted_alphas[Z/3 on C1 over Q]",)),
+    ("workspace-group-monad-rebuilt", "src/sepcat/workspace.py",
+     '        return ws.actions[spec["action"]].group_monad\n',
+     "        from .equivariant import equivariant_monad\n"
+     '        return equivariant_monad(ws.actions[spec["action"]])\n',
+     ("tests/test_lazy_workspace.py::test_declared_group_monads_are_shared_with_their_actions",)),
 )
 
 

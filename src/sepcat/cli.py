@@ -17,7 +17,7 @@ import os
 import random
 import sys
 
-from .complexes import ModuleComplex, derived_comparison_check, random_module_complex
+from .complexes import derived_comparison_check, random_module_complex
 from .equivariant import (character_modules, eq_hom_space, to_equivariant, to_module,
                           validate_action, xi_section)
 from .errors import LawViolationError, NotInvertibleError, WorkspaceError
@@ -86,7 +86,13 @@ def cmd_validate(ws: Workspace, opts) -> Checks:
         checks.add(name, "pass" if ok else "fail", detail)
     for suite_name, entries in ws.check_suites.items():
         for i, entry in enumerate(entries):
-            sub = run_entry(ws, entry, opts)
+            try:
+                sub = run_entry(ws, entry, opts)
+            except WorkspaceError as exc:
+                if rep.passed:  # no declaration failed, so this is an input error
+                    raise
+                checks.add(f"suite {suite_name}[{i}]: {entry.get('run')}", "fail", str(exc))
+                continue
             for r in sub.records:
                 checks.add(f"suite {suite_name}[{i}]: {r['check']}", r["status"],
                            r["details"], r["witness"])
@@ -179,14 +185,13 @@ def cmd_equivariant_report(ws: Workspace, name: str, opts) -> Checks:
     checks.merge_report(f"equivariant-report {name}: induced adjunction",
                         validate_adjunction(adj))
     monad = monad_from_adjunction(adj)
-    explicit = act.group_monad()
     checks.add(f"equivariant-report {name}: monad matches the Kronecker formula",
-               "pass" if monad.components_equal(explicit) else "fail")
+               "pass" if monad.components_equal(act.group_monad) else "fail")
     rng = random.Random(opts.seed)
     labels = list(eqc.labels)
     for label in labels:
         z = eqc.objects[label]
-        mod = to_module(z, monad=explicit)
+        mod = to_module(z)
         back = to_equivariant(mod, act)
         ok = back.carrier == z.carrier and back.alpha == z.alpha
         checks.add(f"equivariant-report {name}: dictionary roundtrip at {label}",
@@ -195,8 +200,7 @@ def cmd_equivariant_report(ws: Workspace, name: str, opts) -> Checks:
         a = labels[rng.randrange(len(labels))]
         b = labels[rng.randrange(len(labels))]
         d_eq = len(eq_hom_space(eqc.objects[a], eqc.objects[b]))
-        d_mod = len(module_hom_basis(to_module(eqc.objects[a], monad=explicit),
-                                     to_module(eqc.objects[b], monad=explicit)))
+        d_mod = len(module_hom_basis(to_module(eqc.objects[a]), to_module(eqc.objects[b])))
         checks.add(f"equivariant-report {name}: hom dimensions agree on ({a}, {b})",
                    "pass" if d_eq == d_mod else "fail", f"{d_eq} vs {d_mod}")
     direct = monad_separability_solve(monad)
@@ -224,7 +228,7 @@ def cmd_equivariant_report(ws: Workspace, name: str, opts) -> Checks:
 def cmd_complex_report(ws: Workspace, name: str, opts) -> Checks:
     checks = Checks()
     act = ws.action(name)
-    monad = act.group_monad()
+    monad = act.group_monad
     sigma = monad_separability_solve(monad)
     if isinstance(sigma, Infeasible):
         checks.add(f"complex-report {name}", "error",
@@ -236,10 +240,7 @@ def cmd_complex_report(ws: Workspace, name: str, opts) -> Checks:
     samples = []
     for cname in ws.order["complexes"]:
         if ws.monad_meta.get(ws.complex_meta[cname].get("monad"), {}).get("action") == name:
-            c = ws.complexes[cname]
-            samples.append(ModuleComplex(monad, c.modules,
-                                         {n: c.underlying.diffs[n] for n in c.underlying.diffs},
-                                         name=cname))
+            samples.append(ws.complexes[cname])
     while len(samples) < opts.samples:
         length = rng.randint(1, 4)
         samples.append(random_module_complex(monad, pool, length, rng,

@@ -386,7 +386,7 @@ def derived_comparison_check(action, samples, pairs=None, monad: Monad | None = 
     group monad.  Raises MonadNotSeparableError when no section σ exists.
     """
     if monad is None:
-        monad = action.group_monad()
+        monad = action.group_monad
     if sigma is None:
         res = monad_separability_solve(monad)
         if not isinstance(res, MonadSepWitness):

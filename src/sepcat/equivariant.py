@@ -5,7 +5,10 @@ Direct sums over the group use the element order of the group; every
 reindexing "identity" is an explicit permutation block matrix.  The finite
 equivariant category is materialized as a presentation on a chosen set of
 equivariant objects (the free objects on all base objects, plus extras), so
-the whole functor/adjunction/monad calculus applies to it verbatim.
+the whole functor/adjunction/monad calculus applies to it verbatim.  Each action
+builds its M = UF (`GroupAction.monad_functor`) and its group monad once, and each
+equivariant object its counit λ_Z (`EquivariantObject.counit`) once; every builder
+shares them.
 
 The adjunction F ⊣ U replaces two solves.  The cocycle law at (g, g⁻¹) gives
 ^g(α_{g⁻¹})∘α_g = α_e = Id and the inverse law α_g∘^g(α_{g⁻¹}) = Id, so α_g⁻¹ =
@@ -18,6 +21,7 @@ reduced echelon form that the equivariance solve returns.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .category import (CatObject, LinearCategory, Morphism, MorSystem, direct_sum,
                        hom_coord_dim, hom_space_basis, int_invertible, invert_morphism, morphism,
@@ -125,13 +129,25 @@ class GroupAction:
         self.base = base
         self.functors = dict(functors)
         self.name = name
-        self._monad = None
 
+    @cached_property
+    def monad_functor(self) -> Functor:
+        """M: X ↦ ⊕_{h∈G} ^hX, θ ↦ ⊕_h ^hθ, in group-element order, built once."""
+        cat, els = self.base, self.group.elements
+        object_map = {x: direct_sum([cat.obj(self.on_object_name(h, x)) for h in els])
+                      for x in cat.objects}
+        hom_map = {}
+        for x, y in cat.hom_pairs():
+            images = [self.functors[h].hom_map[(x, y)] for h in els]
+            hom_map[(x, y)] = tuple(placed(object_map[x], object_map[y],
+                                           {(i, i): im[t].blocks[0][0] for i, im in enumerate(images)})
+                                    for t in range(cat.hom_dim(x, y)))
+        return Functor(cat, cat, object_map, hom_map, name="M")
+
+    @cached_property
     def group_monad(self) -> Monad:
         """The group monad of this action, built and validated once."""
-        if self._monad is None:
-            self._monad = equivariant_monad(self)
-        return self._monad
+        return equivariant_monad(self)
 
     def functor(self, g) -> Functor:
         return self.functors[g]
@@ -224,6 +240,16 @@ class EquivariantObject:
             self._alpha_inv = inv
         return dict(self._alpha_inv)
 
+    @cached_property
+    def counit(self) -> Morphism:
+        """λ: M(X) = ⊕_h ^hX → X with λ_h = (α_h)^{-1}, in group-element order, built once;
+        like `alpha_inverse`, a non-invertible α raises on every call."""
+        alpha_inv, act = self.alpha_inverse(), self.action
+        nsum = len(self.carrier.summands)
+        raw = [tuple(alpha_inv[h].blocks[t][j] for j in range(nsum) for h in act.group.elements)
+               for t in range(nsum)]
+        return morphism(act.base, act.monad_functor.on_object(self.carrier), self.carrier, raw)
+
     def validate(self) -> ValidationReport:
         rep = ValidationReport(f"equivariant object {self.name}" if self.name else "equivariant object")
         a = self.action
@@ -261,9 +287,7 @@ def eq_hom_space(a: EquivariantObject, b: EquivariantObject) -> list[Morphism]:
         raise ValueError("equivariant objects under different actions")
     act = a.action
     if a.free_on is not None and b.valid:
-        mf = group_monad_functor(act)
-        lam = _inverse_action(b, mf.on_object(b.carrier))
-        thetas = [(lam @ mf.on_morphism(phi)).coords()
+        thetas = [(b.counit @ act.monad_functor.on_morphism(phi)).coords()
                   for phi in hom_space_basis(act.base, a.free_on, b.carrier)]
         zero = [act.base.field.zero()] * hom_coord_dim(act.base, a.carrier, b.carrier)
         return [Morphism.from_coords(act.base, a.carrier, b.carrier, k)
@@ -277,31 +301,6 @@ def eq_hom_space(a: EquivariantObject, b: EquivariantObject) -> list[Morphism]:
     return sysm.kernel_basis(th)
 
 
-def _inverse_action(z: EquivariantObject, dom: CatObject) -> Morphism:
-    """λ: ⊕_h ^hX → X with λ_h = (α_h)^{-1}, in group-element order."""
-    alpha_inv = z.alpha_inverse()
-    els = z.action.group.elements
-    nsum = len(z.carrier.summands)
-    raw = [tuple(alpha_inv[h].blocks[t][j] for j in range(nsum) for h in els)
-           for t in range(nsum)]
-    return morphism(z.action.base, dom, z.carrier, raw)
-
-
-def group_monad_functor(action: GroupAction) -> Functor:
-    """The endofunctor X ↦ ⊕_{h∈G} ^hX, θ ↦ ⊕_h ^hθ, in group-element order."""
-    cat = action.base
-    els = action.group.elements
-    object_map = {x: direct_sum([cat.obj(action.on_object_name(h, x)) for h in els])
-                  for x in cat.objects}
-    hom_map = {}
-    for x, y in cat.hom_pairs():
-        images = [action.functors[h].hom_map[(x, y)] for h in els]
-        hom_map[(x, y)] = tuple(placed(object_map[x], object_map[y],
-                                       {(i, i): im[t].blocks[0][0] for i, im in enumerate(images)})
-                                for t in range(cat.hom_dim(x, y)))
-    return Functor(cat, cat, object_map, hom_map, name="M")
-
-
 def free_equivariant(action: GroupAction, x: CatObject, name: str = "") -> EquivariantObject:
     """F(X) = (⊕_h ^hX, α) with α_g the left-multiplication permutation blocks."""
     if x.idem is not None:
@@ -309,7 +308,7 @@ def free_equivariant(action: GroupAction, x: CatObject, name: str = "") -> Equiv
     group = action.group
     els = group.elements
     n = len(els)
-    carrier = group_monad_functor(action).on_object(x)
+    carrier = action.monad_functor.on_object(x)
     ids = [action.base.id_vec(s) for s in carrier.summands]
     alpha = {}
     for g in els:
@@ -332,13 +331,14 @@ def _group_unit(action: GroupAction, m: Functor) -> NatTrans:
     return NatTrans(Functor.identity(cat), m, comps, name="η")
 
 
-def equivariant_monad(action: GroupAction, name: str = "") -> Monad:
-    """The group monad with unit (Id, 0, …, 0)^t and Kronecker-delta multiplication."""
+def equivariant_monad(action: GroupAction) -> Monad:
+    """The group monad on the action's M, with unit (Id, 0, …, 0)^t and Kronecker-delta
+    multiplication; `GroupAction.group_monad` keeps one."""
     cat = action.base
     group = action.group
     els = group.elements
     n = len(els)
-    mf = group_monad_functor(action)
+    mf = action.monad_functor
     mult_comps = {}
     for x in cat.objects:
         mx = mf.object_map[x]
@@ -349,7 +349,7 @@ def equivariant_monad(action: GroupAction, name: str = "") -> Monad:
             for j, hj in enumerate(els) for i, hi in enumerate(els)})
     m2 = compose_functors(mf, mf, name="M²")
     monad = Monad(mf, _group_unit(action, mf), NatTrans(m2, mf, mult_comps, name="μ"),
-                  name=name or f"group monad {action.name}")
+                  name=f"group monad {action.name}")
     validate_monad(monad).require(LawViolationError, "group monad")
     return monad
 
@@ -358,17 +358,16 @@ class EquivariantCategory:
     """A presentation of the full subcategory on finitely many equivariant objects."""
 
     def __init__(self, action: GroupAction, labels, objects: dict, bases: dict,
-                 coords: dict, cat: LinearCategory, free_label_map: dict):
+                 coords: dict, cat: LinearCategory):
         self.action = action
         self.labels = tuple(labels)
         self.objects = objects
         self.bases = bases
         self.coords = coords
         self.cat = cat
-        self.free_label_map = free_label_map
 
     def free_label(self, x) -> str:
-        return self.free_label_map[x]
+        return f"F({x})"
 
     def to_pres_mor(self, p_dom: CatObject, p_cod: CatObject, f: Morphism) -> Morphism:
         """Express a base-closure morphism between realizations as a presentation morphism."""
@@ -385,18 +384,13 @@ def equivariant_category(action: GroupAction, extra: dict | None = None,
     """Present the full subcategory on the free objects plus the given extras."""
     base = action.base
     extra = dict(extra or {})
-    objects = {}
-    free_label_map = {}
-    for x in base.objects:
-        label = f"F({x})"
-        free_label_map[x] = label
-        objects[label] = free_equivariant(action, base.obj(x))
+    objects = {f"F({x})": free_equivariant(action, base.obj(x)) for x in base.objects}
     for label, z in extra.items():
         if label in objects:
             raise ValueError(f"duplicate equivariant object label {label!r}")
         z.validate().require(PreconditionError, f"equivariant object {label}")
         objects[label] = z
-    labels = list(free_label_map.values()) + list(extra.keys())
+    labels = list(objects)
     bases = {}
     for l1 in labels:
         for l2 in labels:
@@ -424,7 +418,7 @@ def equivariant_category(action: GroupAction, extra: dict | None = None,
                          name=name or f"({base.name})^{action.group.name}")
     from .category import validate_presentation
     validate_presentation(cat).require(LawViolationError, "equivariant category presentation")
-    return EquivariantCategory(action, labels, objects, bases, coords, cat, free_label_map)
+    return EquivariantCategory(action, labels, objects, bases, coords, cat)
 
 
 def induce_adjunction(eqcat: EquivariantCategory) -> Adjunction:
@@ -432,7 +426,6 @@ def induce_adjunction(eqcat: EquivariantCategory) -> Adjunction:
     action = eqcat.action
     base = action.base
     pcat = eqcat.cat
-    mf = group_monad_functor(action)
 
     u_object_map = {l: eqcat.objects[l].carrier for l in eqcat.labels}
     u_hom_map = {}
@@ -448,7 +441,7 @@ def induce_adjunction(eqcat: EquivariantCategory) -> Adjunction:
         coords = eqcat.coords[(lx, ly)]
         f_hom_map[(x, y)] = tuple(
             Morphism(pcat, f_object_map[x], f_object_map[y], ((tuple(coords(m.coords())),),))
-            for m in mf.hom_map[(x, y)])
+            for m in action.monad_functor.hom_map[(x, y)])
     induction = Functor(base, pcat, f_object_map, f_hom_map, name="F")
 
     unit = _group_unit(action, compose_functors(forgetful, induction, name="UF"))
@@ -456,9 +449,7 @@ def induce_adjunction(eqcat: EquivariantCategory) -> Adjunction:
     fu = compose_functors(induction, forgetful, name="FU")
     eps_comps = {}
     for l in eqcat.labels:
-        z = eqcat.objects[l]
-        rho = _inverse_action(z, mf.on_object(z.carrier))
-        eps_comps[l] = eqcat.to_pres_mor(fu.object_map[l], pcat.obj(l), rho)
+        eps_comps[l] = eqcat.to_pres_mor(fu.object_map[l], pcat.obj(l), eqcat.objects[l].counit)
     counit = NatTrans(fu, Functor.identity(pcat), eps_comps, name="ε")
 
     adj = Adjunction(induction, forgetful, unit, counit,
@@ -476,15 +467,15 @@ def induce_adjunction(eqcat: EquivariantCategory) -> Adjunction:
 
 def to_module(z: EquivariantObject, monad: Monad | None = None):
     """The dictionary (X, α) ↦ (X, λ) with λ_h = (α_h)^{-1} = ^h(α_{h⁻¹}), over the
-    action's group monad by default.  The validated module is built once per monad and
-    kept on z, like `alpha_inverse`; a failure is raised again on every call."""
+    action's group monad by default, with λ = `z.counit`.  The validated module is built
+    once per monad and kept on z, like `alpha_inverse`; a failure is raised again on every
+    call."""
     from .modules import MModule, validate_module
     if monad is None:
-        monad = z.action.group_monad()
+        monad = z.action.group_monad
     mod = z._modules.get(monad)
     if mod is None:
-        lam = _inverse_action(z, monad.functor.on_object(z.carrier))
-        mod = MModule(monad, z.carrier, lam, name=z.name or "dictionary image")
+        mod = MModule(monad, z.carrier, z.counit, name=z.name or "dictionary image")
         validate_module(mod).require(LawViolationError, "dictionary to-module")
         z._modules[monad] = mod
     return mod
@@ -515,12 +506,13 @@ def to_equivariant(m, action: GroupAction) -> EquivariantObject:
     return z
 
 
-def xi_forgetful(action: GroupAction, z: EquivariantObject) -> Morphism:
+def xi_forgetful(z: EquivariantObject) -> Morphism:
     """The Maschke section ξ_(X,α) = (1/|G|)·(α_h)_{h∈G}: X → ⊕_h ^hX.
 
     Raises NotInvertibleError when the characteristic divides |G|; the
     postcondition ε∘ξ = Id is re-verified exactly.
     """
+    action = z.action
     group = action.group
     base = action.base
     if not int_invertible(base, group.order):
@@ -529,12 +521,10 @@ def xi_forgetful(action: GroupAction, z: EquivariantObject) -> Morphism:
     els = group.elements
     n = len(els)
     carrier = z.carrier
-    mf = group_monad_functor(action)
-    target = mf.on_object(carrier)
+    target = action.monad_functor.on_object(carrier)
     raw = [z.alpha[h].blocks[j] for j in range(len(carrier.summands)) for h in els]  # row (j, h)
     xi = morphism(base, carrier, target, raw).div_int(n)
-    eps = _inverse_action(z, target)
-    if eps @ xi != carrier.identity():
+    if z.counit @ xi != carrier.identity():
         raise LawViolationError("ε∘ξ differs from the identity")
     return xi
 
@@ -544,7 +534,7 @@ def xi_section(eqcat: EquivariantCategory, adj: Adjunction) -> NatTrans:
     pcat = eqcat.cat
     fu = compose_functors(adj.F, adj.G, name="FU")
     comps = {l: eqcat.to_pres_mor(pcat.obj(l), fu.object_map[l],
-                                  xi_forgetful(eqcat.action, eqcat.objects[l]))
+                                  xi_forgetful(eqcat.objects[l]))
              for l in eqcat.labels}
     xi = NatTrans(Functor.identity(pcat), fu, comps, name="ξ")
     validate_section(adj, xi).require(LawViolationError, "Maschke section")
@@ -616,7 +606,7 @@ def character_modules(action: GroupAction, monad: Monad | None = None) -> list:
         raise ValueError(f"{group.name} is not cyclic")
     n = group.order
     if monad is None:
-        monad = action.group_monad()
+        monad = action.group_monad
     powers = [group.unit]
     for _ in range(1, n):
         powers.append(group.mult(powers[-1], gen))

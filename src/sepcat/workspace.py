@@ -17,8 +17,7 @@ from .category import (CatObject, LinearCategory, Morphism, hom_coord_dim,
                        validate_presentation)
 from .complexes import BoundedComplex, ModuleComplex, validate_complex
 from .equivariant import (EquivariantObject, FiniteGroup, GroupAction,
-                          equivariant_category, equivariant_monad,
-                          induce_adjunction, validate_action)
+                          equivariant_category, induce_adjunction, validate_action)
 from .errors import LawViolationError, WorkspaceError
 from .functors import (Adjunction, Functor, NatTrans, SepWitness, compose_functors,
                        validate_adjunction, validate_functor, validate_nat)
@@ -168,8 +167,7 @@ class Workspace:
     something references it, together with everything it references, and its
     law suite runs then, once.  Looking up a declaration that fails its laws
     raises WorkspaceError naming it, also from inside the build of a
-    declaration that references it, unless validate_workspace has already
-    reported the failures.
+    declaration that references it.
     """
 
     def __init__(self, path: str, raw: dict):
@@ -203,7 +201,6 @@ class Workspace:
          self.modules, self.complexes) = (_Section(self, s) for s in SECTIONS[:-1])
         self._built: dict[tuple, object] = {}
         self._reports: dict[tuple, ValidationReport] = {}
-        self._reported = False  # set once validate_workspace has reported every failure
         self._eqcats: dict = {}
         self._adjunctions: dict = {}
 
@@ -241,12 +238,11 @@ class Workspace:
             raise WorkspaceError(f"unresolved reference to {_DECLARED[section][0]} {name!r}")
 
     def _get(self, section: str, name: str):
-        """The built declaration; WorkspaceError names it when it fails its
-        laws, until validate_workspace has reported the failures."""
+        """The built declaration; WorkspaceError names it when it fails its laws."""
         self._resolve(section, name)
         key = (section, name)
         obj = self._build(key)
-        if not self._reported and not self._reports[key].passed:
+        if not self._reports[key].passed:
             raise WorkspaceError(f"workspace validation failed: {_DECLARED[section][0]} {name}")
         return obj
 
@@ -455,7 +451,7 @@ def _build_monad(name, spec, kind, ws) -> Monad:
     if kind == "identity":
         return Monad.identity_monad(ws.categories[spec["category"]])
     if kind == "group":
-        return equivariant_monad(ws.actions[spec["action"]], name=name)
+        return ws.actions[spec["action"]].group_monad
     return monad_from_adjunction(ws.adjunctions[spec["adjunction"]], name=name)
 
 
@@ -548,8 +544,7 @@ def parse_workspace(path: str, validate: bool = True) -> Workspace:
 def validate_workspace(ws: Workspace) -> ValidationReport:
     """Build every declaration and report its law suite.  A declaration whose
     build fails once some law failure is on the report is recorded as failed,
-    since a dependency comes before it and its lookup may be what failed.
-    Afterwards the failures are report content, and lookups no longer raise."""
+    since a dependency comes before it and its lookup may be what failed."""
     rep = ValidationReport(f"workspace {ws.path}")
     for section in SECTIONS[1:-1]:
         for name in ws.order[section]:
@@ -563,7 +558,6 @@ def validate_workspace(ws: Workspace) -> ValidationReport:
                 continue
             sub = ws._reports[key]
             rep.record(check, sub.passed, "; ".join(n for n, _ in sub.failures()))
-    ws._reported = True
     return rep
 
 

@@ -135,7 +135,7 @@ def test_criterion_4_maschke_and_sigma_pipeline(act_z2_q, act_z3_q, act_z3_qw,
             objs = [free_equivariant(act, cat.obj(cat.objects[0]))]
             objs += [to_equivariant(m, act) for m in character_modules(act)]
             for z in objs:
-                xi_forgetful(act, z)   # re-verifies ε∘ξ = Id internally
+                xi_forgetful(z)   # re-verifies ε∘ξ = Id internally
         # adjunction-level σ pipeline with matching feasibility verdicts
         for eqc, adj in ((eqcat_z2_q, adj_z2_q), (eqcat_z3_q, adj_z3_q)):
             monad = monad_from_adjunction(adj)
@@ -212,7 +212,7 @@ def test_criterion_8_negative_control_error_path(tmp_path, act_z2_f2, c1_f2):
     with Budget(8, "NotInvertible over F₂ and MonadNotSeparable in complex-report", 1.0):
         z = free_equivariant(act_z2_f2, c1_f2.obj("pt"))
         with pytest.raises(NotInvertibleError):
-            xi_forgetful(act_z2_f2, z)
+            xi_forgetful(z)
         code = run(["-w", FIXTURE, "--out", str(tmp_path),
                     "complex-report", "triv_z2_f2"])
         assert code == 1

@@ -167,6 +167,24 @@ def test_inverses_are_the_solved_inverses(case):
             assert types(inv[g]) == types(want), (z, g)
 
 
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_counit_columns_are_the_inverted_alphas(case):
+    """λ_Z: ⊕_j ⊕_h ^h(X_j) → X, summand-major, has invert_morphism(α_h) as its h-th
+    block column: the columns at the slots (j, h) for j = 0, 1, …"""
+    act, _, targets = build_case(*case)
+    els = act.group.elements
+    for z in targets:
+        lam, nsum = z.counit, len(z.carrier.summands)
+        assert lam.dom is act.monad_functor.on_object(z.carrier) and lam.cod == z.carrier
+        assert z.counit is lam
+        for i, h in enumerate(els):
+            want = invert_morphism(z.alpha[h])
+            got = [tuple(lam.blocks[t][j * len(els) + i] for j in range(nsum))
+                   for t in range(nsum)]
+            assert got == [tuple(row) for row in want.blocks], (z, h)
+            assert [type(c) for row in got for b in row for c in b] == types(want), (z, h)
+
+
 @pytest.fixture
 def solves(monkeypatch):
     """Counts of `solve_sparse` and `invert_morphism` calls, wherever they are looked up."""

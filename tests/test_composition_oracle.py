@@ -33,7 +33,6 @@ from sepcat import (Field, FiniteGroup, GroupAction, equivariant_category, equiv
                     induce_adjunction, monad_separability_solve, separability_solve)
 from sepcat.category import (CatObject, LinearCategory, Morphism, MorSystem, hom_coord_dim,
                              hom_space_basis, identity_blocks, unit_morphisms, zero_morphism)
-from sepcat.equivariant import group_monad_functor
 from sepcat.functors import Functor, NatTrans, SepWitness
 from sepcat.linalg import LinForm
 from sepcat.standard import (a2_quiver_category, dual_numbers_category, point_category,
@@ -417,7 +416,7 @@ def functors(kind, field):
     if key not in _FUNCTORS:
         cat = category(kind, field)
         _FUNCTORS[key] = [Functor.identity(cat)] + [
-            group_monad_functor(GroupAction.trivial(FiniteGroup.cyclic(n), cat)) for n in (2, 3)]
+            GroupAction.trivial(FiniteGroup.cyclic(n), cat).monad_functor for n in (2, 3)]
     return _FUNCTORS[key]
 
 

@@ -25,8 +25,7 @@ from sepcat import (EquivariantObject, Field, FiniteGroup, Functor, GroupAction,
                     xi_section, zero_morphism)
 from sepcat import standard
 from sepcat.category import LinearCategory, random_hom, validate_presentation
-from sepcat.equivariant import (_find_generator, _rational_points, character_modules,
-                                group_monad_functor)
+from sepcat.equivariant import _find_generator, _rational_points, character_modules
 from sepcat.functors import SepWitness
 from sepcat.linalg import coordinate_map
 from sepcat.scalars import rational
@@ -195,10 +194,10 @@ class TestDictionary:
         act = GroupAction.trivial(z2, c1_q, name="Z2 on C1")
         z = free_equivariant(act, c1_q.obj("pt"))
         sign = character_object(act, {"e": 1, "g": -1}, "sign")
-        assert to_module(z).monad is to_module(sign).monad is act.group_monad()
+        assert to_module(z).monad is to_module(sign).monad is act.group_monad
         # two default calls once built two monads, and module_hom_basis refused the pair
         assert len(module_hom_basis(to_module(z), to_module(sign))) == len(eq_hom_space(z, sign))
-        assert all(m.monad is act.group_monad() for m in character_modules(act))
+        assert all(m.monad is act.group_monad for m in character_modules(act))
 
     def test_hom_dimensions_agree_on_random_pairs(self, act_z2_q, monad_z2_q, c1_q):
         from sepcat import module_hom_basis
@@ -217,26 +216,63 @@ class TestDictionary:
             assert d_eq == d_mod
 
 
+class TestOneMPerAction:
+    """Each action builds its M and its group monad once, each object its counit once."""
+
+    @pytest.mark.parametrize("case", ["S_3 on C1", "Z/2 swap on C3"])
+    def test_every_builder_reads_the_actions_one_m(self, monkeypatch, QQ, case):
+        built = []
+        init = Functor.__init__
+
+        def counting(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            if self.name == "M":
+                built.append(self)
+
+        monkeypatch.setattr(Functor, "__init__", counting)
+        if case == "S_3 on C1":
+            act = GroupAction.trivial(FiniteGroup.symmetric(3), standard.point_category(QQ))
+            extra = {"triv": character_object(act, {h: 1 for h in act.group.elements})}
+        else:
+            act = GroupAction.from_permutation(
+                FiniteGroup.cyclic(2), standard.two_point_category(QQ),
+                {"e": {"x": "x", "y": "y"}, "g": {"x": "y", "y": "x"}})
+            extra = {}
+        eqc = equivariant_category(act, extra=extra)
+        xi_section(eqc, induce_adjunction(eqc))
+        monad = act.group_monad
+        mods = [to_module(z) for z in eqc.objects.values()]
+        assert len(built) == 1 and built[0] is act.monad_functor
+        assert monad.functor is act.monad_functor and act.group_monad is monad
+        assert all(m.monad is monad for m in mods)
+
+    def test_the_dictionary_module_acts_by_the_counit(self, act_z2_q, c1_q):
+        for z in (free_equivariant(act_z2_q, c1_q.obj("pt")),
+                  character_object(act_z2_q, {"e": 1, "g": -1}, "sign")):
+            assert to_module(z).action is z.counit
+            assert z.counit.dom is act_z2_q.monad_functor.on_object(z.carrier)
+
+
 class TestXiForgetful:
     def test_sign_object_formula(self, act_z2_q):
         minus = character_object(act_z2_q, {"e": 1, "g": -1}, "sign")
-        xi = xi_forgetful(act_z2_q, minus)
+        xi = xi_forgetful(minus)
         half = Fraction(1, 2)
         assert xi.blocks == (((half,),), ((-half,),))
 
     def test_trivial_group_gives_identity(self, c1_q):
         act = GroupAction.trivial(FiniteGroup.cyclic(1), c1_q)
         z = free_equivariant(act, c1_q.obj("pt"))
-        xi = xi_forgetful(act, z)
+        xi = xi_forgetful(z)
         assert xi.blocks == ((( Fraction(1),),),)
 
     def test_f2_raises_not_invertible(self, act_z2_f2, c1_f2):
         z = free_equivariant(act_z2_f2, c1_f2.obj("pt"))
         with pytest.raises(NotInvertibleError):
-            xi_forgetful(act_z2_f2, z)
+            xi_forgetful(z)
 
     def test_naturality_against_sampled_equivariant_morphisms(self, act_z2_q, c1_q):
-        mf = group_monad_functor(act_z2_q)
+        mf = act_z2_q.monad_functor
         triv = character_object(act_z2_q, {"e": 1, "g": 1}, "triv")
         free = free_equivariant(act_z2_q, c1_q.obj("pt"))
         rng = random.Random(9)
@@ -245,8 +281,8 @@ class TestXiForgetful:
             if not basis:
                 continue
             theta = basis[rng.randrange(len(basis))]
-            lhs = mf.on_morphism(theta) @ xi_forgetful(act_z2_q, a)
-            rhs = xi_forgetful(act_z2_q, b) @ theta
+            lhs = mf.on_morphism(theta) @ xi_forgetful(a)
+            rhs = xi_forgetful(b) @ theta
             assert lhs == rhs
 
 
@@ -337,7 +373,7 @@ class TestCharacterEnumeration:
         act = GroupAction(z2, cw, {"e": Functor.identity(cw), "g": conj}, name="Z/2 on Cw by conj")
         assert validate_action(act).passed
         assert character_modules(act) == []
-        monad = act.group_monad()
+        monad = act.group_monad
         for s in (one, -one):
             lam = Morphism(cw, monad.functor.object_map["pt"], pt, (((one, zero), (s, zero)),))
             assert validate_module(MModule(monad, pt, lam)).passed
@@ -445,4 +481,4 @@ def test_to_module_rejects_non_invertible_alpha_on_every_call(act_z2_q, monad_z2
         with pytest.raises(NonInvertibleComponentError):
             to_module(z, monad=monad_z2_q)
     with pytest.raises(NonInvertibleComponentError):
-        xi_forgetful(act_z2_q, z)
+        xi_forgetful(z)

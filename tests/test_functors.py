@@ -15,7 +15,6 @@ from sepcat import (Functor, Infeasible,
                     separability_solve, transfer_witness, validate_adjunction,
                     validate_functor, zero_morphism)
 from sepcat.category import CatObject, unit_morphisms
-from sepcat.equivariant import group_monad_functor
 from sepcat.functors import Adjunction, hom_matrix
 from sepcat.linalg import LinForm
 from sepcat.workspace import parse_workspace
@@ -343,7 +342,7 @@ def test_on_hom_vec_is_the_defining_sum(QQ, monad_z2_q, act_swap_q, adj_z2_q, cw
                                    Morphism.from_coords(cw_q, pt, pt, [-QQ.one(), -QQ.one()]))},
                    name="conj")
     assert validate_functor(conj).passed
-    functors = [monad_z2_q.functor, group_monad_functor(act_swap_q),
+    functors = [monad_z2_q.functor, act_swap_q.monad_functor,
                 adj_z2_q.F, adj_z2_q.G, Functor.identity(cw_q), conj]
     for f in functors:
         src = f.source

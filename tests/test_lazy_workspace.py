@@ -117,6 +117,35 @@ def test_separability_builds_no_equivariant_category(tmp_path, monkeypatch):
     assert calls == {"equivariant_category": 0, "equivariant_monad": 1}
 
 
+def test_declared_group_monads_are_shared_with_their_actions():
+    ws = sepcat.workspace.parse_workspace(str(FIXTURE), validate=False)
+    assert ws.monads["grpmonad_z2_q"] is ws.action("triv_z2_q").group_monad
+    assert ws.monads["grpmonad_swap_q"] is ws.action("swap_z2_q").group_monad
+
+
+def _suite_references_a_failing_action(doc):
+    # Φ_g∘Φ_g is the identity, not Φ_{g²}: bad_z3 fails its laws
+    swap = {"x": "y", "y": "x"}
+    doc["actions"]["bad_z3"] = {"kind": "permutation", "group": "Z3", "category": "C3Q",
+                                "objects": {"g": swap, "g2": swap}}
+    doc["check_suites"]["smoke"].append({"run": "complex-report", "name": "bad_z3"})
+
+
+def test_validate_records_a_suite_entry_on_a_failing_declaration(tmp_path, capsys):
+    code, checks = run_cli(fixture_copy(tmp_path, _suite_references_a_failing_action),
+                           tmp_path / "bad", "validate")
+    assert code == 1
+    assert capsys.readouterr().err == ""
+    failed = {c["check"]: c["details"] for c in checks if c["status"] != "pass"}
+    assert failed == {"action bad_z3": "Φ_g∘Φ_h = Φ_gh",
+                      "suite smoke[2]: complex-report":
+                          "workspace validation failed: action bad_z3"}
+    # every other check, the earlier suite entries' among them, is the clean fixture's
+    clean = run_cli(str(FIXTURE), tmp_path / "clean", "validate")
+    assert clean[0] == 0
+    assert [c for c in checks if c["check"] not in failed] == clean[1]
+
+
 def _json_paths(node, prefix=()):
     if isinstance(node, dict):
         items = node.items()

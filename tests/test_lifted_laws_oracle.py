@@ -115,7 +115,7 @@ CASES = [("Z/2", 2, 0), ("Z/3", 3, 0), ("Z/2", 2, 3), ("Z/3", 3, 2), ("Z/3", 3, 
 def test_per_place_check_matches_degreewise(monkeypatch, group, order, char):
     field = Field.rationals() if char == 0 else Field.prime(char)
     act = GroupAction.trivial(FiniteGroup.cyclic(order), point_category(field), name=group)
-    monad = act.group_monad()
+    monad = act.group_monad
     sigma = monad_separability_solve(monad)
     lifted = LiftedMonad(monad)
     mods = pool(act, monad)
@@ -145,7 +145,7 @@ def test_failures_name_every_degree_of_a_failing_place(monkeypatch):
 def test_a_place_that_fails_fails_only_its_degrees(monkeypatch):
     # μ and σ moved at the object 1 of the A2 quiver only; 2 keeps every law
     act = GroupAction.trivial(FiniteGroup.cyclic(2), a2_quiver_category(QQ), name="Z2 on C2")
-    m = act.group_monad()
+    m = act.group_monad
     mult = dict(m.mult.components, **{"1": bumped(m.mult.components["1"])})
     broken = LiftedMonad(Monad(m.functor, m.unit, NatTrans(m.mult.src, m.mult.dst, mult)))
     w = monad_separability_solve(m)
