@@ -33,6 +33,9 @@ SEAM = ("tests/test_binaturality_oracle.py::"
         "test_the_seam_reports_the_whole_h_solution_and_both_bijections_hold")
 SIGMA_ORACLE = "tests/test_law_list_oracle.py::test_monad_solve_assembles_the_reference_system"
 FORMULA_ORACLE = "tests/test_adjunction_formula_oracle.py"
+ROWS = "tests/test_composition_oracle.py::test_handed_rows_are_the_scanned_rows"
+DENSE_KERNEL = ("tests/test_composition_oracle.py::"
+                "test_separability_compositions_match_dense_kernel[Z/2 on C1 over Q]")
 
 MUTANTS = (
     ("independence-counts-zero", "src/sepcat/linalg.py",
@@ -116,6 +119,15 @@ MUTANTS = (
      "        from .equivariant import equivariant_monad\n"
      '        return equivariant_monad(ws.actions[spec["action"]])\n',
      ("tests/test_lazy_workspace.py::test_declared_group_monads_are_shared_with_their_actions",)),
+    ("nat-at-rows-unshifted", "src/sepcat/functors.py",
+     "rows.append(tuple((j + off, b) for j, b in nz))",
+     "rows.append(tuple((j, b) for j, b in nz))",
+     (f"{ROWS}[NatTrans.at]", DENSE_KERNEL,
+      "tests/test_acceptance.py::test_criterion_2_triangle_identities")),
+    ("image-rows-unshifted", "src/sepcat/functors.py",
+     "(cuts[j] + k, b)", "(k, b)",
+     (f"{ROWS}[Functor.on_morphism]", DENSE_KERNEL,
+      "tests/test_monads.py::TestSeparabilitySolve::test_oracle_agreement_fp")),
 )
 
 

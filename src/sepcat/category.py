@@ -12,9 +12,15 @@ count and block slices) and shared zero rows, each built once per summand profil
 Composition visits nonzero A-blocks × nonzero B-blocks only, through structure
 constants compiled once to their nonzero entries (units marked, so they add
 without a multiply); an output row is the shared zero row, patched where anything
-accumulated.  The public `Morphism(...)` checks category, block grid and block
-lengths; producers whose shapes are right by construction (composition, sums,
-scaling, absorption, `from_coords`, functor images) use `Morphism._new`.
+accumulated.  Its operands' nonzero blocks (`Morphism.nonzero_rows`) come from the
+producers that know them: `placed` tests only its cells, `zero_morphism` has none,
+`NatTrans.at` on a sum shifts each component's rows to its columns, and a functor
+image tests only the images of its source's nonzero blocks.  A composite, sum or
+`from_coords` grid is scanned on its first use as an operand instead, as few are ever
+used so (about 6% of the composites in a pass over the separability sweep).  The
+public `Morphism(...)` checks category, block grid and block lengths; producers whose
+shapes are right by construction (composition, sums, scaling, absorption,
+`from_coords`, functor images) use `Morphism._new`.
 
 Every loop that accumulates acc + c·a on hom coordinates (composition, functor and
 witness images) keeps one exact rule: a product with a factor that is exactly the
@@ -316,14 +322,16 @@ class Morphism:
         self.cat, self.dom, self.cod, self.blocks, self._rows = cat, dom, cod, blocks, None
 
     @classmethod
-    def _new(cls, cat, dom: CatObject, cod: CatObject, blocks) -> "Morphism":
-        """Unchecked construction from a tuple grid whose shape is right by construction."""
+    def _new(cls, cat, dom: CatObject, cod: CatObject, blocks, rows=None) -> "Morphism":
+        """Unchecked construction from a tuple grid whose shape is right by construction;
+        a producer that knows the grid's `nonzero_rows()` hands them over as rows."""
         m = object.__new__(cls)
-        m.cat, m.dom, m.cod, m.blocks, m._rows = cat, dom, cod, blocks, None
+        m.cat, m.dom, m.cod, m.blocks, m._rows = cat, dom, cod, blocks, rows
         return m
 
     def nonzero_rows(self):
-        """Per block row, the (column, block) pairs of its nonzero blocks; computed once."""
+        """Per block row, the (column, block) pairs of its nonzero blocks, in column
+        order; handed over by the producer, or else scanned once."""
         if self._rows is None:
             self._rows = _nonzero_rows(self.blocks)
         return self._rows
@@ -423,7 +431,8 @@ def zero_morphism(dom: CatObject, cod: CatObject) -> Morphism:
     cat = dom.cat
     if cod.cat is not cat:
         raise ValueError("objects from a different category")
-    return Morphism._new(cat, dom, cod, tuple(cat.zero_row(t, dom.summands) for t in cod.summands))
+    return Morphism._new(cat, dom, cod, tuple(cat.zero_row(t, dom.summands) for t in cod.summands),
+                         ((),) * len(cod.summands))
 
 
 def morphism(cat, dom: CatObject, cod: CatObject, blocks) -> Morphism:
@@ -441,7 +450,13 @@ def placed(dom: CatObject, cod: CatObject, cells) -> Morphism:
     grid = [list(cat.zero_row(t, dom.summands)) for t in cod.summands]
     for (i, j), block in cells.items():
         grid[i][j] = block
-    return morphism(cat, dom, cod, grid)
+    m = Morphism(cat, dom, cod, grid)
+    rows = [[] for _ in grid]
+    for i, j in sorted(cells):
+        if any(m.blocks[i][j]):
+            rows[i].append((j, m.blocks[i][j]))
+    m._rows = tuple(map(tuple, rows))
+    return m.absorbed()
 
 
 def direct_sum(objs) -> CatObject:

@@ -350,7 +350,7 @@ def equivariant_monad(action: GroupAction) -> Monad:
     m2 = compose_functors(mf, mf, name="M²")
     monad = Monad(mf, _group_unit(action, mf), NatTrans(m2, mf, mult_comps, name="μ"),
                   name=f"group monad {action.name}")
-    validate_monad(monad).require(LawViolationError, "group monad")
+    monad.report = validate_monad(monad).require(LawViolationError, "group monad")
     return monad
 
 

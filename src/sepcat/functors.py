@@ -41,11 +41,6 @@ from .linalg import coordinate_map, rank_extension, solve_sparse, transfer
 from .reports import ValidationReport
 
 
-def _assemble_grid(nested):
-    """Raw blocks of a grid of part-grids: each part row's block rows, joined side by side."""
-    return tuple(tuple(itertools.chain.from_iterable(rows)) for grids in nested for rows in zip(*grids))
-
-
 class Functor:
     """A k-linear functor given on base objects and hom bases."""
 
@@ -87,7 +82,7 @@ class Functor:
             res = direct_sum(parts)
         else:
             summands = tuple(s for p in parts for s in p.summands)
-            raw = self._image_blocks(a.summands, a.summands, _nonzero_rows(a.idem), summands)
+            raw, _ = self._image_blocks(a.summands, a.summands, _nonzero_rows(a.idem), summands)
             res = CatObject(self.target, summands, raw)
         self._ocache[a.key] = res
         return res
@@ -116,9 +111,12 @@ class Functor:
         return _sliced(rows, tuple(acc))
 
     def _image_blocks(self, xs, ys, nonzero_rows, fxs) -> tuple:
-        """Raw blocks of F on the grid ys ← xs with these nonzero block rows; F(xs) = fxs."""
-        out = []
+        """Raw blocks of F on the grid ys ← xs with these nonzero block rows, F(xs) = fxs,
+        and the image's nonzero block rows, read off the images of those blocks alone."""
+        cuts = tuple(itertools.accumulate((len(self.object_map[x].summands) for x in xs), initial=0))
+        out, rows = [], []
         for y, row in zip(ys, nonzero_rows):
+            fy = self.object_map[y].summands
             if row:
                 zeros = self._zero_grids.get((y, xs))
                 if zeros is None:
@@ -126,10 +124,13 @@ class Functor:
                 grids = list(zeros)
                 for j, vec in row:
                     grids[j] = self._image(xs[j], y, vec)
-                out.extend(_assemble_grid((grids,)))
+                out.extend(tuple(itertools.chain.from_iterable(r)) for r in zip(*grids))
+                rows.extend(tuple((cuts[j] + k, b) for j, _ in row for k, b in enumerate(grids[j][r])
+                                  if any(b)) for r in range(len(fy)))
             else:
-                out.extend(self.target.zero_row(t, fxs) for t in self.object_map[y].summands)
-        return tuple(out)
+                out.extend(self.target.zero_row(t, fxs) for t in fy)
+                rows.extend(((),) * len(fy))
+        return tuple(out), tuple(rows)
 
     def on_hom_vec(self, x, y, vec) -> Morphism:
         """Image Σ c_t·F(b_t) of a hom-basis coefficient vector, a morphism F(x) → F(y)."""
@@ -140,8 +141,8 @@ class Functor:
         if f.cat is not self.source:
             raise ValueError("morphism not in the source category")
         dom, cod = self.on_object(f.dom), self.on_object(f.cod)
-        raw = self._image_blocks(f.dom.summands, f.cod.summands, f.nonzero_rows(), dom.summands)
-        return Morphism._new(self.target, dom, cod, raw)
+        raw, rows = self._image_blocks(f.dom.summands, f.cod.summands, f.nonzero_rows(), dom.summands)
+        return Morphism._new(self.target, dom, cod, raw, rows)
 
     def equals(self, other: "Functor") -> bool:
         return (self.source is other.source and self.target is other.target
@@ -210,22 +211,24 @@ class NatTrans:
         res = self._at_cache.get(a.key)
         if res is not None:
             return res
-        src_parts = [self.src.object_map[s] for s in a.summands]
-        dst_parts = [self.dst.object_map[s] for s in a.summands]
-        for s, sp, dp in zip(a.summands, src_parts, dst_parts):
-            if self.components[s].dom != sp or self.components[s].cod != dp:
+        tgt, plain = self.src.target, a.plain()
+        dom = self.src.on_object(plain)
+        raw, rows, off = [], [], 0  # each component's block rows, shifted to its columns
+        for s in a.summands:
+            c, sp, dp = self.components[s], self.src.object_map[s], self.dst.object_map[s]
+            if c.dom != sp or c.cod != dp:
                 raise ValueError(f"component at {s} does not run {sp!r} -> {dp!r}")
-        nested = [[self.components[si].blocks if i == j
-                   else zero_morphism(src_parts[j], dst_parts[i]).blocks
-                   for j in range(len(a.summands))]
-                  for i, si in enumerate(a.summands)]
-        raw = _assemble_grid(nested)
-        plain = a.plain()
-        m = Morphism._new(self.src.target, self.src.on_object(plain), self.dst.on_object(plain), raw)
+            n = len(sp.summands)
+            for t, crow, nz in zip(dp.summands, c.blocks, c.nonzero_rows()):
+                zrow = tgt.zero_row(t, dom.summands)
+                raw.append(zrow[:off] + crow + zrow[off + n:])
+                rows.append(tuple((j + off, b) for j, b in nz))
+            off += n
+        res = Morphism._new(tgt, dom, self.dst.on_object(plain), tuple(raw), tuple(rows))
         if a.idem is not None:
             e = Morphism._new(a.cat, plain, plain, a.idem)
-            m = self.dst.on_morphism(e) @ m @ self.src.on_morphism(e)
-        res = Morphism._new(self.src.target, self.src.on_object(a), self.dst.on_object(a), m.blocks)
+            m = self.dst.on_morphism(e) @ res @ self.src.on_morphism(e)
+            res = Morphism._new(tgt, self.src.on_object(a), self.dst.on_object(a), m.blocks, m._rows)
         self._at_cache[a.key] = res
         return res
 

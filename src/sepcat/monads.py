@@ -39,6 +39,7 @@ class Monad:
         self.unit = unit
         self.mult = mult
         self.name = name
+        self.report = None  # `validate_monad`'s report, kept by a builder that required it
 
     @property
     def cat(self):

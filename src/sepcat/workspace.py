@@ -489,7 +489,8 @@ def _build_complex(name, spec, kind, ws):
 
 
 # Per section: the word naming one declaration, its builder and its law suite.
-# The suites are looked up when called, so wrapping them module-wide applies.
+# The suites are looked up when called, so wrapping them module-wide applies.  A group
+# monad's suite is the report that `equivariant_monad` required when it built the monad.
 _DECLARED = {
     "fields": ("field", lambda name, spec, kind, ws: Field.from_spec(spec),
                lambda f: ValidationReport()),
@@ -502,7 +503,7 @@ _DECLARED = {
     "nat_transformations": ("natural transformation", _build_nat_transformation,
                             lambda t: validate_nat(t)),
     "adjunctions": ("adjunction", _build_adjunction, lambda a: validate_adjunction(a)),
-    "monads": ("monad", _build_monad, lambda m: validate_monad(m)),
+    "monads": ("monad", _build_monad, lambda m: m.report or validate_monad(m)),
     "modules": ("module", _build_module, lambda m: validate_module(m)),
     "complexes": ("complex", _build_complex, lambda c: c.validate()
                   if isinstance(c, ModuleComplex) else validate_complex(c)),

@@ -29,10 +29,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sepcat.category
+import sepcat.functors
 from sepcat import (Field, FiniteGroup, GroupAction, equivariant_category, equivariant_monad,
                     induce_adjunction, monad_separability_solve, separability_solve)
-from sepcat.category import (CatObject, LinearCategory, Morphism, MorSystem, hom_coord_dim,
-                             hom_space_basis, identity_blocks, unit_morphisms, zero_morphism)
+from sepcat.category import (CatObject, LinearCategory, Morphism, MorSystem, _nonzero_rows,
+                             hom_coord_dim, hom_space_basis, identity_blocks, placed,
+                             unit_morphisms, zero_morphism)
 from sepcat.functors import Functor, NatTrans, SepWitness
 from sepcat.linalg import LinForm
 from sepcat.standard import (a2_quiver_category, dual_numbers_category, point_category,
@@ -539,6 +542,79 @@ def test_shared_rows_stay_zero_and_identities_stay_identity(field):
                 assert [strict(g) for g in grids] == [
                     strict(reference_zero_blocks(fn.object_map[x], fn.object_map[y])) for x in xs]
             assert all(all(not any(b) for b in row) for row in tgt._zero_rows.values())
+
+
+# ------------------------------------------- producers hand over their nonzero rows
+
+def _augmentation(field):
+    """k[ε] → k, ε ↦ 0: a nonzero block (0, c) has the zero image."""
+    cd, c1 = category("Cd", field), category("C1", field)
+    pt = c1.obj("pt")
+    return Functor(cd, c1, {"pt": pt}, {("pt", "pt"): (pt.identity(), zero_morphism(pt, pt))})
+
+
+def _projection(field):
+    """C3 → C1, x ↦ pt and y ↦ 0: the image of y has no summands."""
+    c3, c1 = category("C3", field), category("C1", field)
+    pt, zero = c1.obj("pt"), c1.zero_object()
+    return Functor(c3, c1, {"x": pt, "y": zero},
+                   {("x", "x"): (pt.identity(),), ("y", "y"): (zero_morphism(zero, zero),)})
+
+
+PRODUCERS = ["placed", "zero_morphism", "NatTrans.at", "Functor.on_morphism"]
+
+
+@st.composite
+def produced(draw, producer):
+    """(m, handed): a morphism from the producer, over Q, F2 or F3 and with `LinForm`
+    coordinates often, and whether the producer must have handed over its rows."""
+    field = draw(st.sampled_from(FIELDS[:3]))
+    forms = draw(st.booleans())
+    kind = draw(st.sampled_from(IMAGE_KINDS))
+    cat = category(kind, field)
+    if producer == "Functor.on_morphism":
+        extra = {"Cd": [_augmentation(field)], "C3": [_projection(field)]}.get(kind, [])
+        fn = draw(st.sampled_from(functors(kind, field) + extra))
+        dom, cod = objects(draw, cat), objects(draw, cat)
+        return fn.on_morphism(morphisms(draw, dom, cod, forms)), True
+    if producer == "NatTrans.at":
+        src, dst = (draw(st.sampled_from(functors(kind, field))) for _ in range(2))
+        t = NatTrans(src, dst, {x: morphisms(draw, src.object_map[x], dst.object_map[x], forms)
+                                for x in cat.objects})
+        a = objects(draw, cat)
+        return t.at(a), a.idem is None and len(a.summands) != 1
+    dom, cod = objects(draw, cat), objects(draw, cat)
+    if producer == "zero_morphism":
+        return zero_morphism(dom, cod), True
+    grid = morphisms(draw, dom, cod, forms).blocks  # about half its blocks are zero
+    cells = {(i, j): block for i, row in enumerate(grid) for j, block in enumerate(row)
+             if draw(st.booleans())}
+    return placed(dom, cod, cells), dom.idem is None and cod.idem is None
+
+
+@pytest.mark.parametrize("producer", PRODUCERS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_handed_rows_are_the_scanned_rows(producer, data):
+    m, handed = data.draw(produced(producer))
+    assert m._rows is not None or not handed
+    assert m.nonzero_rows() == _nonzero_rows(m.blocks)
+
+
+def test_the_z7_group_monad_is_built_and_validated_without_a_scan(monkeypatch):
+    """μ, η and M's hom images come from `placed`, and every other operand from
+    `NatTrans.at` or a functor image: no block grid is scanned for its nonzero rows."""
+    scanned = []
+
+    def counting(blocks):
+        scanned.append(len(blocks))
+        return _nonzero_rows(blocks)
+
+    for module in (sepcat.category, sepcat.functors):
+        monkeypatch.setattr(module, "_nonzero_rows", counting)
+    act = GroupAction.trivial(FiniteGroup.cyclic(7), point_category(Field.prime(2)))
+    assert equivariant_monad(act).report.passed
+    assert scanned == []
 
 
 # ------------------------------------------- accumulation keeps the scalar types

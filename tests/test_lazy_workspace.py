@@ -123,6 +123,17 @@ def test_declared_group_monads_are_shared_with_their_actions():
     assert ws.monads["grpmonad_swap_q"] is ws.action("swap_z2_q").group_monad
 
 
+def test_a_declared_group_monad_is_validated_once(tmp_path, monkeypatch):
+    calls = []
+    for module in (sepcat.equivariant, sepcat.workspace):
+        def counted(m, original=module.validate_monad):
+            calls.append(m)
+            return original(m)
+        monkeypatch.setattr(module, "validate_monad", counted)
+    assert run(["-w", str(FIXTURE), "--out", str(tmp_path), *SEPARABILITY]) == 0
+    assert len(calls) == 1
+
+
 def _suite_references_a_failing_action(doc):
     # Φ_g∘Φ_g is the identity, not Φ_{g²}: bad_z3 fails its laws
     swap = {"x": "y", "y": "x"}
@@ -230,6 +241,9 @@ def test_validate_runs_each_law_suite_once(tmp_path, monkeypatch):
                  "validate_module", "validate_complex"):
         monkeypatch.setattr(sepcat.workspace, name,
                             counting(getattr(sepcat.workspace, name)))
+    # a group monad's laws are checked where it is built, and the workspace reads that report
+    monkeypatch.setattr(sepcat.equivariant, "validate_monad",
+                        counting(sepcat.equivariant.validate_monad))
     for cls in (FiniteGroup, EquivariantObject, ModuleComplex):
         monkeypatch.setattr(cls, "validate", counting(cls.validate))
     # equivariant_category re-checks the declared objects it presents; that
