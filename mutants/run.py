@@ -34,6 +34,8 @@ SEAM = ("tests/test_binaturality_oracle.py::"
 SIGMA_ORACLE = "tests/test_law_list_oracle.py::test_monad_solve_assembles_the_reference_system"
 FORMULA_ORACLE = "tests/test_adjunction_formula_oracle.py"
 ROWS = "tests/test_composition_oracle.py::test_handed_rows_are_the_scanned_rows"
+CANCELLED = "tests/test_composition_oracle.py::test_a_cancelled_image_cell_is_not_handed_over"
+SPANS = "tests/test_homotopy_oracle.py::test_reversed_span_kernels_span_the_solved_kernels"
 DENSE_KERNEL = ("tests/test_composition_oracle.py::"
                 "test_separability_compositions_match_dense_kernel[Z/2 on C1 over Q]")
 
@@ -125,9 +127,15 @@ MUTANTS = (
      (f"{ROWS}[NatTrans.at]", DENSE_KERNEL,
       "tests/test_acceptance.py::test_criterion_2_triangle_identities")),
     ("image-rows-unshifted", "src/sepcat/functors.py",
-     "(cuts[j] + k, b)", "(k, b)",
+     "spliced[r][cuts[j] + c] = cell", "spliced[r][c] = cell",
      (f"{ROWS}[Functor.on_morphism]", DENSE_KERNEL,
       "tests/test_monads.py::TestSeparabilitySolve::test_oracle_agreement_fp")),
+    ("image-cell-skips-zero-test", "src/sepcat/functors.py",
+     "if terms == 1 or any(block):", "if terms:",
+     (f"{CANCELLED}[Q-scalars]", f"{CANCELLED}[F3-forms]")),
+    ("span-drops-kernel-vector", "src/sepcat/category.py",
+     "for k in flipped.solve().kernel]", "for k in flipped.solve().kernel[1:]]",
+     (f"{SPANS}[Z2 on C1/Q]", f"{SPANS}[Z3 on Cw/Q]")),
 )
 
 

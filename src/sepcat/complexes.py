@@ -314,7 +314,7 @@ def module_chain_hom_dim(a: ModuleComplex, b: ModuleComplex) -> int:
     for n, u in unknowns.items():
         sysm.require_equal(u @ a.action_at(n), b.action_at(n) @ mf.on_morphism(u),
                            f"module law {n}")
-    span = sysm.solve().kernel
+    span = sysm.kernel_span()
 
     sys_h = MorSystem(field)
     h = {n: sys_h.unknown(x.term(n), y.term(n - 1)) for n in _homotopy_degrees(x, y)}
@@ -323,7 +323,7 @@ def module_chain_hom_dim(a: ModuleComplex, b: ModuleComplex) -> int:
                             f"module homotopy {n}")
     null = [_homotopy_output_coords(x, y, {n: MorSystem.eval_at(hn, k, with_const=False)
                                            for n, hn in h.items()})
-            for k in sys_h.solve().kernel]
+            for k in sys_h.kernel_span()]
     return len(rank_extension(null, span, field)[1])
 
 
@@ -350,7 +350,7 @@ def lifted_module_hom_dim(a: ModuleComplex, b: ModuleComplex) -> int:
         lhs = (fn @ a.action_at(n)) - (b.action_at(n) @ mf.on_morphism(fn))
         rhs = (y.diff(n - 1) @ h[n]) + (h[n + 1] @ mx.diff(n))
         sysm.require_equal(lhs, rhs, f"module-up-to-homotopy {n}")
-    span = [k[:n_f] for k in sysm.solve().kernel]
+    span = [k[:n_f] for k in sysm.kernel_span()]
     return len(rank_extension(null_homotopic_space(x, y), span, field)[1])
 
 

@@ -33,9 +33,9 @@ from __future__ import annotations
 
 import itertools
 
-from .category import (CatObject, LinearCategory, Morphism, MorSystem, _nonzero_rows, _sliced,
+from .category import (CatObject, LinearCategory, Morphism, MorSystem, _nonzero_rows,
                        direct_sum, hom_coord_dim, hom_space_basis, is_one, partwise,
-                       unit_morphisms, unit_vectors, zero_morphism)
+                       unit_morphisms, unit_vectors)
 from .errors import LawViolationError, NotFullyFaithfulError, PreconditionError
 from .linalg import coordinate_map, rank_extension, solve_sparse, transfer
 from .reports import ValidationReport
@@ -54,7 +54,6 @@ class Functor:
         self.adjunction = None  # the validated adjunction this is the right adjoint of
         self._ocache: dict = {}
         self._images: dict = {}
-        self._zero_grids: dict = {}
         for x in source.objects:
             if x not in self.object_map:
                 raise ValueError(f"object_map misses {x!r}")
@@ -87,55 +86,72 @@ class Functor:
         self._ocache[a.key] = res
         return res
 
-    def _image(self, x, y, vec) -> tuple:
-        """Blocks of the image Σ c_t·F(b_t): F(x) → F(y) of a hom-basis coefficient
-        vector; for a zero or empty one, the shared blocks of the zero image."""
-        zero, one = self.target.zero, self.target.one
-        cached = self._images.get((x, y))
-        if cached is None:
-            # the zero image, F(x) → F(y)'s layout, and the nonzero coordinates of each F(b_t)
-            fx, fy = self.object_map[x], self.object_map[y]
-            sparse = [[(p, None if is_one(a, one) else a) for p, a in enumerate(m.coords()) if a]
-                      for m in self.hom_map.get((x, y), ())]
-            cached = self._images[(x, y)] = (zero_morphism(fx, fy).blocks,
-                                             self.target.layout(fx.summands, fy.summands), sparse)
-        zero_image, (n, rows), images = cached
-        if not any(vec):
-            return zero_image
-        acc = [zero] * n
+    def _support(self, x, y) -> tuple:
+        """Per basis morphism b_t of Hom(x, y), the nonzero blocks of F(b_t) as
+        (r, c, ((p, a), …)), each with its nonzero coordinates, a None for one."""
+        support = self._images.get((x, y))
+        if support is None:
+            one = self.target.one
+            support = self._images[(x, y)] = tuple(
+                tuple((r, c, tuple((p, None if is_one(a, one) else a) for p, a in enumerate(b) if a))
+                      for r, row in enumerate(m.nonzero_rows()) for c, b in row)
+                for m in self.hom_map.get((x, y), ()))
+        return support
+
+    def _cells(self, x, y, vec) -> dict:
+        """The image Σ c_t·F(b_t): F(x) → F(y) of a hom-basis coefficient vector on the
+        union of the F(b_t)'s nonzero blocks: (r, c) ↦ [coordinates, terms summed in]."""
+        cat, fx, fy = self.target, self.object_map[x].summands, self.object_map[y].summands
+        zero, one, support, cells = cat.zero, cat.one, self._support(x, y), {}
         for t, c in enumerate(vec):  # by the rule of the `category` module docstring
             if c:
-                for p, a in images[t]:
-                    term = c if a is None else a if is_one(c, one) else c * a
-                    acc[p] = term if acc[p] is zero else acc[p] + term
-        return _sliced(rows, tuple(acc))
+                c_one = is_one(c, one)
+                for r, k, block in support[t]:
+                    cell = cells.get((r, k))
+                    if cell is None:
+                        cell = cells[(r, k)] = [list(cat.zero_block(fx[k], fy[r])), 0]
+                    acc = cell[0]
+                    cell[1] += 1
+                    for p, a in block:
+                        term = c if a is None else a if c_one else c * a
+                        acc[p] = term if acc[p] is zero else acc[p] + term
+        return cells
 
     def _image_blocks(self, xs, ys, nonzero_rows, fxs) -> tuple:
         """Raw blocks of F on the grid ys ← xs with these nonzero block rows, F(xs) = fxs,
-        and the image's nonzero block rows, read off the images of those blocks alone."""
+        and the image's nonzero block rows.  Each nonzero block's image is summed on its
+        cells (`_cells`) and spliced into the shared zero rows at its column offset.  A
+        cell that one term reached is a nonzero c times a nonzero block of F(b_t), so
+        nonzero over a field; only a cell that more terms reached can have cancelled,
+        and only such a cell is tested."""
+        cat = self.target
         cuts = tuple(itertools.accumulate((len(self.object_map[x].summands) for x in xs), initial=0))
         out, rows = [], []
         for y, row in zip(ys, nonzero_rows):
             fy = self.object_map[y].summands
-            if row:
-                zeros = self._zero_grids.get((y, xs))
-                if zeros is None:
-                    zeros = self._zero_grids[(y, xs)] = tuple(self._image(x, y, ()) for x in xs)
-                grids = list(zeros)
-                for j, vec in row:
-                    grids[j] = self._image(xs[j], y, vec)
-                out.extend(tuple(itertools.chain.from_iterable(r)) for r in zip(*grids))
-                rows.extend(tuple((cuts[j] + k, b) for j, _ in row for k, b in enumerate(grids[j][r])
-                                  if any(b)) for r in range(len(fy)))
-            else:
-                out.extend(self.target.zero_row(t, fxs) for t in fy)
-                rows.extend(((),) * len(fy))
+            spliced = [{} for _ in fy]  # per image row: column ↦ cell
+            for j, vec in row:
+                for (r, c), cell in self._cells(xs[j], y, vec).items():
+                    spliced[r][cuts[j] + c] = cell
+            for t, cells in zip(fy, spliced):
+                grid, nonzero = cat.zero_row(t, fxs), []
+                if cells:
+                    grid = list(grid)
+                    for col in sorted(cells):
+                        acc, terms = cells[col]
+                        block = grid[col] = tuple(acc)
+                        if terms == 1 or any(block):
+                            nonzero.append((col, block))
+                    grid = tuple(grid)
+                out.append(grid)
+                rows.append(tuple(nonzero))
         return tuple(out), tuple(rows)
 
     def on_hom_vec(self, x, y, vec) -> Morphism:
         """Image Σ c_t·F(b_t) of a hom-basis coefficient vector, a morphism F(x) → F(y)."""
-        return Morphism._new(self.target, self.object_map[x], self.object_map[y],
-                             self._image(x, y, vec))
+        fx = self.object_map[x]
+        raw, rows = self._image_blocks((x,), (y,), (((0, vec),),), fx.summands)
+        return Morphism._new(self.target, fx, self.object_map[y], raw, rows)
 
     def on_morphism(self, f: Morphism) -> Morphism:
         if f.cat is not self.source:

@@ -34,9 +34,9 @@ import sepcat.functors
 from sepcat import (Field, FiniteGroup, GroupAction, equivariant_category, equivariant_monad,
                     induce_adjunction, monad_separability_solve, separability_solve)
 from sepcat.category import (CatObject, LinearCategory, Morphism, MorSystem, _nonzero_rows,
-                             hom_coord_dim, hom_space_basis, identity_blocks, placed,
+                             hom_coord_dim, hom_space_basis, identity_blocks, is_one, placed,
                              unit_morphisms, zero_morphism)
-from sepcat.functors import Functor, NatTrans, SepWitness
+from sepcat.functors import Functor, NatTrans, SepWitness, validate_functor
 from sepcat.linalg import LinForm
 from sepcat.standard import (a2_quiver_category, dual_numbers_category, point_category,
                              two_point_category)
@@ -506,8 +506,10 @@ def test_require_equal_matches_form_subtraction(case):
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda k: k.spec_str())
 def test_shared_rows_stay_zero_and_identities_stay_identity(field):
-    """After compositions, sums and functor images, every cached zero block, zero
-    row, zero image and identity grid still holds what it held when built."""
+    """After compositions, sums and functor images, every cached zero block, zero row
+    and identity grid still holds what it held when built, and each functor's cached
+    support of a basis image F(b_t) is exactly its nonzero blocks and coordinates, a
+    unit stored as None."""
     for kind in IMAGE_KINDS:
         cat = category(kind, field)
         x = cat.obj(*cat.objects, cat.objects[0])
@@ -535,12 +537,17 @@ def test_shared_rows_stay_zero_and_identities_stay_identity(field):
                 [cat.hom_dim(x, y) for x in xs] for y in ys]
         for fn in functors(kind, field):
             tgt = fn.target
-            for (x, y), (zero_image, _, _) in fn._images.items():
-                fx, fy = fn.object_map[x], fn.object_map[y]
-                assert strict(zero_image) == strict(reference_zero_blocks(fx, fy))
-            for (y, xs), grids in fn._zero_grids.items():
-                assert [strict(g) for g in grids] == [
-                    strict(reference_zero_blocks(fn.object_map[x], fn.object_map[y])) for x in xs]
+            one = tgt.one
+            for (x, y), support in fn._images.items():
+                basis = fn.hom_map.get((x, y), ())
+                assert len(support) == len(basis)
+                for blocks, fb in zip(support, basis):
+                    want = [(r, c, [(p, strict_scalar(a)) for p, a in enumerate(b) if a])
+                            for r, row in enumerate(_nonzero_rows(fb.blocks)) for c, b in row]
+                    assert [(r, c, [(p, strict_scalar(one if a is None else a)) for p, a in cell])
+                            for r, c, cell in blocks] == want
+                    assert all(a is None or not is_one(a, one)
+                               for _, _, cell in blocks for _, a in cell)
             assert all(all(not any(b) for b in row) for row in tgt._zero_rows.values())
 
 
@@ -615,6 +622,65 @@ def test_the_z7_group_monad_is_built_and_validated_without_a_scan(monkeypatch):
     act = GroupAction.trivial(FiniteGroup.cyclic(7), point_category(Field.prime(2)))
     assert equivariant_monad(act).report.passed
     assert scanned == []
+
+
+def _cancelling(field):
+    """k[ε] → k, pt ↦ pt ⊕ pt, 1 ↦ I and ε ↦ N = [[1, 1], [−1, −1]] (N² = 0): the
+    images of 1 and ε share the diagonal blocks, so c·1 + (−c)·ε cancels where N has a
+    one there, at (0, 0) and over F2 also at (1, 1)."""
+    cd, c1 = category("Cd", field), category("C1", field)
+    pt2, one = c1.obj("pt", "pt"), field.one()
+    nil = Morphism(c1, pt2, pt2, [[(one,), (one,)], [(-one,), (-one,)]])
+    return Functor(cd, c1, {"pt": pt2}, {("pt", "pt"): (pt2.identity(), nil)})
+
+
+def _assert_image_rows(fn, f):
+    m = fn.on_morphism(f)
+    assert m.nonzero_rows() == _nonzero_rows(m.blocks)
+    assert_same(m, reference_on_morphism(fn, f))
+    for i, row in enumerate(f.blocks):
+        for j, vec in enumerate(row):
+            m = fn.on_hom_vec(f.dom.summands[j], f.cod.summands[i], vec)
+            assert m.nonzero_rows() == _nonzero_rows(m.blocks)
+            assert_same(m, reference_on_hom_vec(fn, f.dom.summands[j], f.cod.summands[i], vec))
+
+
+@pytest.mark.parametrize("forms", [False, True], ids=["scalars", "forms"])
+@pytest.mark.parametrize("field", FIELDS[:3], ids=lambda k: k.spec_str())
+def test_a_cancelled_image_cell_is_not_handed_over(field, forms):
+    """(1, −1) and (x₀, −x₀) sum to zero on the cells of I − N that both basis images
+    reached, (0, 0) and over F2 also (1, 1): they are tested and left out of the rows."""
+    fn = _cancelling(field)
+    assert validate_functor(fn).passed
+    c = LinForm.variable(0, field) if forms else field.one()
+    pt = fn.source.obj("pt")
+    m = fn.on_hom_vec("pt", "pt", (c, -c))
+    want = [[1], [0]] if field.char == 2 else [[1], [0, 1]]  # I − N = I + N over F2
+    assert [[j for j, _ in row] for row in m.nonzero_rows()] == want
+    _assert_image_rows(fn, Morphism(fn.source, pt, pt, [[(c, -c)]]))
+
+
+@st.composite
+def cancelling_images(draw):
+    """A morphism of plain sums in k[ε], over Q, F2 or F3 and with `LinForm` entries
+    often, whose blocks are often (c, −c), so that its image has cancelled cells."""
+    field = draw(st.sampled_from(FIELDS[:3]))
+    cat, forms = category("Cd", field), draw(st.booleans())
+    coeff = scalars(field) if not forms else st.integers(0, 3).map(
+        lambda i: LinForm.variable(i, field))
+    dom, cod = (cat.obj(*["pt"] * draw(st.integers(1, 3))) for _ in range(2))
+
+    def block():
+        c = draw(coeff)
+        return draw(st.sampled_from([(c, -c), (c, c), (c, field.zero()), (field.zero(),) * 2]))
+    return field, Morphism(cat, dom, cod, [[block() for _ in dom.summands] for _ in cod.summands])
+
+
+@settings(max_examples=100, deadline=None)
+@given(cancelling_images())
+def test_cancelled_cells_are_tested_in_every_image(case):
+    field, f = case
+    _assert_image_rows(_cancelling(field), f)
 
 
 # ------------------------------------------- accumulation keeps the scalar types

@@ -7,7 +7,9 @@ as the oracle:
   - d₁ = k1 − (n_modh − k0), three kernel dimensions;
   - d₂ = k_joint − k_h − null_rank, two kernel dimensions and a rank.
 Random module complexes of length 1–4 are compared over several monads, with
-the second complex shifted against the first.
+the second complex shifted against the first.  On the same complexes, each span
+system's kernel in reversed column order (`MorSystem.kernel_span`) must span
+what `solve().kernel` spans.
 """
 
 import random
@@ -173,6 +175,32 @@ def test_d1_and_d2_match_kernel_difference_formulas(setups, case):
         want1, want2 = reference_d1(a, b), reference_d2(a, b)
         assert module_chain_hom_dim(a, b) == want1, (a, b)
         assert lifted_module_hom_dim(a, b) == want2, (a, b)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_reversed_span_kernels_span_the_solved_kernels(setups, case, monkeypatch):
+    """Each span system of d₁ and d₂, eliminated in reversed column order, gives back
+    a kernel that spans what `solve().kernel` spans, in both directions."""
+    systems = []
+    real = MorSystem.kernel_span
+
+    def recording(sysm):
+        systems.append(sysm)
+        return real(sysm)
+
+    monkeypatch.setattr(MorSystem, "kernel_span", recording)
+    monad, pool = setups[case]
+    for a, b in sample_pairs(monad, pool, seed=CASES.index(case)):
+        module_chain_hom_dim(a, b), lifted_module_hom_dim(a, b)
+    monkeypatch.undo()
+    assert len(systems) == 3 * 8
+    field = monad.cat.field
+    for sysm in systems:
+        reordered, solved = sysm.kernel_span(), sysm.solve().kernel
+        assert len(reordered) == len(solved)
+        assert rank_extension(solved, reordered, field)[1] == []
+        assert rank_extension(reordered, solved, field)[1] == []
+    assert any(sysm.solve().kernel for sysm in systems)
 
 
 def test_cases_cover_nonzero_homs_and_null_spaces(setups):
