@@ -36,6 +36,8 @@ FORMULA_ORACLE = "tests/test_adjunction_formula_oracle.py"
 ROWS = "tests/test_composition_oracle.py::test_handed_rows_are_the_scanned_rows"
 CANCELLED = "tests/test_composition_oracle.py::test_a_cancelled_image_cell_is_not_handed_over"
 SPANS = "tests/test_homotopy_oracle.py::test_reversed_span_kernels_span_the_solved_kernels"
+NULLS = "tests/test_homotopy_oracle.py::test_null_vectors_are_the_concrete_compositions"
+D1_D2 = "tests/test_homotopy_oracle.py::test_d1_and_d2_match_kernel_difference_formulas"
 DENSE_KERNEL = ("tests/test_composition_oracle.py::"
                 "test_separability_compositions_match_dense_kernel[Z/2 on C1 over Q]")
 
@@ -136,6 +138,14 @@ MUTANTS = (
     ("span-drops-kernel-vector", "src/sepcat/category.py",
      "for k in flipped.solve().kernel]", "for k in flipped.solve().kernel[1:]]",
      (f"{SPANS}[Z2 on C1/Q]", f"{SPANS}[Z3 on Cw/Q]")),
+    ("null-vector-drops-lower-degree", "src/sepcat/complexes.py",
+     "((n, y.diff(n - 1) @ h), (n - 1, h @ x.diff(n - 1)))",
+     "((n, y.diff(n - 1) @ h),)",
+     (f"{NULLS}[Z2 on C1/Q]", f"{NULLS}[sign Z2 on A2/F3]", f"{D1_D2}[Z3 on Cw/Q]")),
+    ("d1-homotopy-basis-same-degree", "src/sepcat/complexes.py",
+     "{n: basis(n, n - 1) for n in _homotopy_degrees(x, y)}",
+     "{n: basis(n, n) for n in _homotopy_degrees(x, y)}",
+     (f"{D1_D2}[Z2 on C1/Q]", f"{D1_D2}[sign Z2 on A2/Q]")),
 )
 
 

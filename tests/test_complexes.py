@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import sepcat.modules
-from sepcat import (BoundedComplex, LiftedMonad, MModule,
+from sepcat import (BoundedComplex, GroupAction, LiftedMonad, MModule,
                     MonadNotSeparableError, Monad, MonadSepWitness, Morphism,
                     derived_comparison_check, direct_sum,
                     equivariant_monad, free_module, kb_hom_basis,
@@ -223,7 +223,9 @@ class TestDerivedComparison:
 
     def test_one_solve_for_the_span_and_one_for_module_homotopies(
             self, monad_z2_q, chars_z2_q, c1_q, monkeypatch):
-        # d₁ solves for its span and its module homotopies, d₂ only for its joint span
+        # d₁ solves once for its chain squares and once per distinct module pair for
+        # that pair's module-hom basis; d₂ solves only for its joint span
+        import sepcat.complexes
         from sepcat.category import MorSystem
         pool = [chars_z2_q["triv"], chars_z2_q["sign"],
                 free_module(monad_z2_q, c1_q.obj("pt"))]
@@ -231,18 +233,54 @@ class TestDerivedComparison:
         a = random_module_complex(monad_z2_q, pool, 3, rng, name="A")
         b = random_module_complex(monad_z2_q, pool, 3, rng, name="B")
         module_chain_hom_dim(a, b), lifted_module_hom_dim(a, b)  # fill the hom-basis caches
-        solves = []
-        real_solve = MorSystem.solve
+        solves, bases = [], []
+        real_solve, real_basis = MorSystem.solve, sepcat.complexes.module_hom_basis
 
         def counting_solve(sysm):
             solves.append(sysm)
             return real_solve(sysm)
 
+        def recording_basis(ma, mb):
+            bases.append((ma, mb))
+            return real_basis(ma, mb)
+
         monkeypatch.setattr(MorSystem, "solve", counting_solve)
+        monkeypatch.setattr(sepcat.complexes, "module_hom_basis", recording_basis)
         module_chain_hom_dim(a, b)
-        assert len(solves) == 2
+        pairs = {(a.module(n), b.module(m)) for n in a.degrees() for m in (n, n - 1)
+                 if b.module(m) is not None}
+        assert len(pairs) == 4
+        assert len(bases) == len(pairs) and set(bases) == pairs
+        assert len(solves) == 1 + len(pairs)
         lifted_module_hom_dim(a, b)
-        assert len(solves) == 3
+        assert len(solves) == 2 + len(pairs)
+
+    def test_a_sample_that_fails_validation_fails_the_report_without_raising(
+            self, act_z2_q, act_z3_q, monad_z2_q, c1_q):
+        # a Z/3 module in a Z/2 complex: its action does not compose with the Z/2 functor
+        pt = c1_q.obj("pt")
+        bad = ModuleComplex(monad_z2_q, {0: free_module(equivariant_monad(act_z3_q), pt)}, {},
+                            name="bad")
+        good = ModuleComplex(monad_z2_q, {0: free_module(monad_z2_q, pt)}, {}, name="good")
+        rep = derived_comparison_check(act_z2_q, [good, bad], monad=monad_z2_q)
+        assert not rep.passed
+        assert [name for name, _ in rep.failures()] == ["sample 'bad' validates"]
+        names = [name for name, _, _ in rep.checks]
+        assert "d₁ = d₂ for (good, good)" in names
+        assert "retract of free cover: 'good'" in names
+        assert not any("bad" in name for name in names if name.startswith(("d₁", "retract")))
+
+    def test_a_module_over_an_equal_monad_object_is_compared(self, c1_q, z2):
+        # two trivial Z/2 actions on C1 build two group monads with the same data;
+        # d₁ takes module maps for the complex's monad, as the module-law rows did
+        act, other = GroupAction.trivial(z2, c1_q), GroupAction.trivial(z2, c1_q)
+        monad, pt = act.group_monad, c1_q.obj("pt")
+        assert other.group_monad is not monad
+        samples = [ModuleComplex(monad, {0: free_module(m, pt)}, {}, name=name)
+                   for m, name in ((monad, "own"), (other.group_monad, "other"))]
+        rep = derived_comparison_check(act, samples, monad=monad)
+        assert rep.passed, rep.failures()
+        assert "d₁ = d₂ for (own, other)" in [name for name, _, _ in rep.checks]
 
     def test_mixed_monads_are_rejected(self, monad_z2_q, chars_z2_q, act_z2_q, act_z3_q, c1_q):
         st = ModuleComplex(monad_z2_q, {0: chars_z2_q["triv"]}, {}, name="stalk(triv)")

@@ -6,40 +6,53 @@ each count the span vectors that extend the null-homotopic vectors.
 as the oracle:
   - d₁ = k1 − (n_modh − k0), three kernel dimensions;
   - d₂ = k_joint − k_h − null_rank, two kernel dimensions and a rank.
+`reference_null_vectors` composes dh + hd concretely, one basis homotopy at a
+time; `null_homotopic_space`, which composes each degree once on `LinForm`
+homotopies, must return exactly its vectors, scalar types included.
 Random module complexes of length 1–4 are compared over several monads, with
-the second complex shifted against the first.  On the same complexes, each span
-system's kernel in reversed column order (`MorSystem.kernel_span`) must span
-what `solve().kernel` spans.
+the second complex shifted against the first, on semisimple bases and on the
+A2 quiver, where the homotopy category is D^b(mod kA₂).  On the same complexes,
+each span system's kernel in reversed column order (`MorSystem.kernel_span`)
+must span what `solve().kernel` spans.
 """
 
 import random
 
 import pytest
 
-from sepcat import (FiniteGroup, GroupAction, MModule, Morphism, equivariant_monad,
-                    free_module, kb_hom_basis, lifted_module_hom_dim, module_chain_hom_dim,
-                    random_module_complex)
+from sepcat import (Field, FiniteGroup, GroupAction, MModule, MonadNotSeparableError, Morphism,
+                    derived_comparison_check, equivariant_monad, free_module, kb_hom_basis,
+                    lifted_module_hom_dim, module_chain_hom_dim, random_module_complex)
 from sepcat.category import MorSystem, hom_space_basis, zero_morphism
-from sepcat.complexes import (ModuleComplex, _homotopy_output_coords, _span_degrees,
+from sepcat.complexes import (ModuleComplex, _homotopy_degrees, _span_degrees,
                               apply_functor_to_complex, null_homotopic_space)
 from sepcat.equivariant import character_modules
 from sepcat.linalg import rank_extension
 from sepcat.modules import validate_module
+from sepcat.standard import a2_quiver_category
+from test_adjunction_formula_oracle import sign_action_on_a2
+
+
+def homotopy_output_coords(x, y, h_parts):
+    """Coordinates of dh + hd in the flattened chain-map coordinate space."""
+    out = []
+    for n in _span_degrees(x, y):
+        m = (y.diff(n - 1) @ h_parts[n]) + (h_parts[n + 1] @ x.diff(n))
+        out.extend(m.coords())
+    return out
+
+
+def reference_null_vectors(x, y):
+    """One vector dh + hd per homotopy h that is a `hom_space_basis` element in one
+    degree and zero in the others, composed concretely, one homotopy at a time."""
+    degs = _homotopy_degrees(x, y)
+    zeros = {m: zero_morphism(x.term(m), y.term(m - 1)) for m in degs}
+    return [homotopy_output_coords(x, y, {**zeros, n: b})
+            for n in degs for b in hom_space_basis(x.cat, x.term(n), y.term(n - 1))]
 
 
 def reference_null_rank(x, y):
-    cat = x.cat
-    field = cat.field
-    degs = list(_span_degrees(x, y))
-    h_bases = {n: hom_space_basis(cat, x.term(n), y.term(n - 1))
-               for n in range(degs[0], degs[-1] + 2)}
-    vectors = []
-    for n in sorted(h_bases):
-        for b in h_bases[n]:
-            h_parts = {m: (b if m == n else zero_morphism(x.term(m), y.term(m - 1)))
-                       for m in range(degs[0], degs[-1] + 2)}
-            vectors.append(_homotopy_output_coords(x, y, h_parts))
-    rank, _ = rank_extension(vectors, [], field)
+    rank, _ = rank_extension(reference_null_vectors(x, y), [], x.cat.field)
     return rank
 
 
@@ -139,19 +152,34 @@ def _setup(act, extra=None):
     return monad, pool
 
 
+def trivial_z2_on_a2(field):
+    return GroupAction.trivial(FiniteGroup.cyclic(2), a2_quiver_category(field),
+                               name="Z2 on A2")
+
+
+def free_only(monad):
+    return []
+
+
 @pytest.fixture(scope="module")
-def setups(act_z2_q, act_z3_q, act_z3_qw, act_swap_q, c1_f3):
+def setups(act_z2_q, act_z3_q, act_z3_qw, act_swap_q, c1_f3, QQ, F3):
     act_z2_f3 = GroupAction.trivial(FiniteGroup.cyclic(2), c1_f3, name="Z2 on C1/F3")
     return {
         "Z2 on C1/Q": _setup(act_z2_q),
         "Z3 on C1/Q": _setup(act_z3_q),
         "Z2 on C1/F3": _setup(act_z2_f3, _characters_f3),
         "Z3 on Cw/Q": _setup(act_z3_qw),
-        "swap Z2 on C3/Q": _setup(act_swap_q, lambda monad: []),
+        "swap Z2 on C3/Q": _setup(act_swap_q, free_only),
+        # over F_3 the pool is the free modules: `character_modules` enumerates over Q only
+        "Z2 on A2/Q": _setup(trivial_z2_on_a2(QQ)),
+        "sign Z2 on A2/Q": _setup(sign_action_on_a2(QQ)),
+        "Z2 on A2/F3": _setup(trivial_z2_on_a2(F3), free_only),
+        "sign Z2 on A2/F3": _setup(sign_action_on_a2(F3), free_only),
     }
 
 
-CASES = ["Z2 on C1/Q", "Z3 on C1/Q", "Z2 on C1/F3", "Z3 on Cw/Q", "swap Z2 on C3/Q"]
+CASES = ["Z2 on C1/Q", "Z3 on C1/Q", "Z2 on C1/F3", "Z3 on Cw/Q", "swap Z2 on C3/Q",
+         "Z2 on A2/Q", "sign Z2 on A2/Q", "Z2 on A2/F3", "sign Z2 on A2/F3"]
 
 
 def shifted(c, s):
@@ -178,6 +206,17 @@ def test_d1_and_d2_match_kernel_difference_formulas(setups, case):
 
 
 @pytest.mark.parametrize("case", CASES)
+def test_null_vectors_are_the_concrete_compositions(setups, case):
+    """Each null vector is the per-basis-homotopy dh + hd, in value, scalar type and order."""
+    monad, pool = setups[case]
+    for a, b in sample_pairs(monad, pool, seed=CASES.index(case)):
+        for x, y in ((a.underlying, b.underlying), (b.underlying, a.underlying)):
+            got, want = null_homotopic_space(x, y), reference_null_vectors(x, y)
+            assert got == want
+            assert [list(map(type, v)) for v in got] == [list(map(type, v)) for v in want]
+
+
+@pytest.mark.parametrize("case", CASES)
 def test_reversed_span_kernels_span_the_solved_kernels(setups, case, monkeypatch):
     """Each span system of d₁ and d₂, eliminated in reversed column order, gives back
     a kernel that spans what `solve().kernel` spans, in both directions."""
@@ -193,7 +232,8 @@ def test_reversed_span_kernels_span_the_solved_kernels(setups, case, monkeypatch
     for a, b in sample_pairs(monad, pool, seed=CASES.index(case)):
         module_chain_hom_dim(a, b), lifted_module_hom_dim(a, b)
     monkeypatch.undo()
-    assert len(systems) == 3 * 8
+    # one chain-square system for d₁ and one joint system for d₂ per pair
+    assert len(systems) == 2 * 8
     field = monad.cat.field
     for sysm in systems:
         reordered, solved = sysm.kernel_span(), sysm.solve().kernel
@@ -228,3 +268,13 @@ def test_kb_representatives_are_independent_chain_maps(setups, case):
                        for rep in hom.representatives]
         _, chosen = rank_extension(null_homotopic_space(x, y), rep_vectors, x.cat.field)
         assert chosen == list(range(hom.dim))
+
+
+@pytest.mark.parametrize("action", [trivial_z2_on_a2, sign_action_on_a2])
+def test_a2_over_f2_has_no_section_of_mu(action):
+    """The negative control: char 2 divides |Z/2|, so no σ exists and nothing is compared."""
+    act = action(Field.prime(2))
+    monad, pool = _setup(act, free_only)
+    samples = [random_module_complex(monad, pool, 2, random.Random(seed)) for seed in range(2)]
+    with pytest.raises(MonadNotSeparableError):
+        derived_comparison_check(act, samples, monad=monad)
