@@ -516,9 +516,10 @@ class MorSystem:
     An unknown is a Morphism (or a witness's image columns) whose coordinates
     are `LinForm` variables; composing it with concrete morphisms gives
     morphisms with `LinForm` coordinates, and each `require_equal` adds one row
-    per coordinate.  `solve` returns the affine solution; `kernel_basis(f)` is
-    the one way to read a basis of solutions off a homogeneous system, the
-    unknown f evaluated at each kernel vector.
+    per coordinate.  `solve` is the one entry point to elimination: its kernel
+    vectors list the variables in the order they were allocated, so a caller that
+    only counts reads them as they are.  `kernel_basis(f)` reads a basis of
+    morphisms off a homogeneous system, the unknown f at each kernel vector.
     """
 
     def __init__(self, field: Field):
@@ -558,18 +559,6 @@ class MorSystem:
 
     def solve(self):
         return solve_sparse(self.rows, self.consts, self.n, self.field, self.labels)
-
-    def kernel_span(self) -> list:
-        """A basis of the homogeneous solutions in this numbering, from one solve with
-        column j renumbered n−1−j; only its span is fixed, so it serves callers that
-        count.  Elimination pivots a row on its smallest column, and on the chain-map
-        systems of `complexes`, numbered degree by degree, this order halves the fill-in:
-        the 75 span systems of triv_s3_q's `complex-report` end with 94,767 pivot-row
-        entries, the longest 48, against 189,838 and 224 in the original order."""
-        last, flipped = self.n - 1, MorSystem(self.field)
-        flipped.n, flipped.consts, flipped.labels = self.n, self.consts, self.labels
-        flipped.rows = [{last - j: a for j, a in row.items()} for row in self.rows]
-        return [k[::-1] for k in flipped.solve().kernel]
 
     def kernel_basis(self, f: Morphism) -> list[Morphism]:
         """One solve of the homogeneous system; the unknown f at each kernel vector.

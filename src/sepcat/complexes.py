@@ -3,17 +3,19 @@ componentwise lifting of monads, and the comparison check between module
 complexes and complexes-of-modules at the hom level.
 
 Every hom space in a homotopy category here is one quotient, maps modulo
-null-homotopic maps, and every hom dimension is computed the same way:
+null-homotopic maps, and is counted the same way:
   - one exact solve gives span vectors of the maps;
   - a basis of homotopies h gives null vectors dh + hd, composed once per degree
     on one homotopy with `LinForm` coordinates (`_null_vectors`);
-  - the dimension is the number of span vectors that `rank_extension` picks
-    as extending the null vectors independently.
+  - `rank_extension` picks the span vectors that extend the null vectors
+    independently, dim(span + null) − dim null of them.
 Both families are flattened chain-map coordinates, degree by degree over
-`_span_degrees` in `coords()` order.  The count is dim(span + null) − dim null,
-which is dim span − dim null because each caller's null vectors lie in its span.
+`_span_degrees` in `coords()` order.  For `kb_hom_basis` and d₁ the null
+vectors lie in the span, so the count is dim span − dim null, the hom dimension.
 d₁ takes its unknowns and its homotopies over module-hom bases, solved per
 module pair within the call, so its solve holds only the chain squares.
+d₂ is the kernel of a map K(x, y) → K(Mx, y): the span is the images of the
+`kb_hom_basis` representatives, and the count is the rank of the map.
 """
 
 from __future__ import annotations
@@ -130,15 +132,26 @@ def _chain_unknowns(sysm: MorSystem, x: BoundedComplex, y: BoundedComplex, unkno
     return unknowns
 
 
-def chain_map_space(x: BoundedComplex, y: BoundedComplex) -> list[ChainMap]:
-    """A basis of the space of chain maps x → y."""
+def _chain_map_solve(x: BoundedComplex, y: BoundedComplex):
+    """One solve for the chain maps x → y: its kernel vectors, which are the maps'
+    coordinates flattened over `_span_degrees` in `coords()` order, as the unknowns
+    f_n are allocated in that order, and k ↦ the chain map of a kernel vector."""
     if x.cat is not y.cat:
         raise ValueError("complexes over different presentations")
     sysm = MorSystem(x.cat.field)
     unknowns = _chain_unknowns(sysm, x, y)
-    return [ChainMap(x, y, {n: MorSystem.eval_at(u, k, with_const=False)
-                            for n, u in unknowns.items()})
-            for k in sysm.solve().kernel]
+
+    def chain_map(k) -> ChainMap:
+        return ChainMap(x, y, {n: MorSystem.eval_at(u, k, with_const=False)
+                               for n, u in unknowns.items()})
+
+    return sysm.solve().kernel, chain_map
+
+
+def chain_map_space(x: BoundedComplex, y: BoundedComplex) -> list[ChainMap]:
+    """A basis of the space of chain maps x → y."""
+    kernel, chain_map = _chain_map_solve(x, y)
+    return list(map(chain_map, kernel))
 
 
 def _combination(basis: list, dom: CatObject, cod: CatObject, first: int = 0) -> Morphism:
@@ -206,15 +219,12 @@ def kb_hom_basis(x: BoundedComplex, y: BoundedComplex) -> HomotopyHom:
     """Hom in the homotopy category: chain maps modulo null-homotopic, exactly.
 
     The representatives are the chain-map basis elements that extend the null
-    vectors; null-homotopic maps are chain maps, so their number is
-    chain_dim − null_dim.
+    vectors, built as chain maps only once chosen; null-homotopic maps are chain
+    maps, so their number is chain_dim − null_dim.
     """
-    chain_basis = chain_map_space(x, y)
-    chain_vectors = [[c for n in _span_degrees(x, y) for c in cm.part(n).coords()]
-                     for cm in chain_basis]
-    null_rank, chosen = rank_extension(null_homotopic_space(x, y), chain_vectors, x.cat.field)
-    reps = [chain_basis[i] for i in chosen]
-    return HomotopyHom(len(reps), len(chain_basis), null_rank, reps)
+    kernel, chain_map = _chain_map_solve(x, y)
+    null_rank, chosen = rank_extension(null_homotopic_space(x, y), kernel, x.cat.field)
+    return HomotopyHom(len(chosen), len(kernel), null_rank, [chain_map(kernel[i]) for i in chosen])
 
 
 def apply_functor_to_complex(f, c: BoundedComplex, name: str = "") -> BoundedComplex:
@@ -371,7 +381,7 @@ def module_chain_hom_dim(a: ModuleComplex, b: ModuleComplex) -> int:
 
     f = _chain_unknowns(sysm, x, y, unknown)
     span = [[c for u in f.values() for c in MorSystem.eval_at(u, k, with_const=False).coords()]
-            for k in sysm.kernel_span()]
+            for k in sysm.solve().kernel]
     null = _null_vectors(x, y, {n: basis(n, n - 1) for n in _homotopy_degrees(x, y)})
     return len(rank_extension(null, span, field)[1])
 
@@ -379,28 +389,22 @@ def module_chain_hom_dim(a: ModuleComplex, b: ModuleComplex) -> int:
 def lifted_module_hom_dim(a: ModuleComplex, b: ModuleComplex) -> int:
     """d₂: hom dimension of module objects over the lifted monad in the homotopy category.
 
-    Span: the chain maps f with f∘λ − λ'∘M(f) = dh + hd for some homotopy h,
-    one solve of the joint (f, h) system.  The f unknowns come first, in
-    chain-map coordinate order, so each kernel vector's first entries are its
-    f.  Null: `null_homotopic_space`.  A null-homotopic f = dk + kd satisfies
-    the condition with the transported homotopy h = kλ − λ'M(k), so null ⊆ span.
+    The kernel of [f] ↦ [f∘λ − λ'∘M(f)], K(x, y) → K(Mx, y), which is well defined
+    as a null-homotopic f = dk + kd maps to d(kλ − λ'M(k)) + (kλ − λ'M(k))d.  Its
+    dimension is dim K(x, y) less the rank of the map: the number of defects of the
+    `kb_hom_basis` representatives, flattened over (Mx, y), that `rank_extension`
+    picks as extending `null_homotopic_space(Mx, y)`.
     """
     if a.monad is not b.monad:
         raise ValueError("modules over different monads")
     mf = a.monad.functor
     x, y = a.underlying, b.underlying
-    field = x.cat.field
     mx = apply_functor_to_complex(mf, x)
-    sysm = MorSystem(field)
-    f = _chain_unknowns(sysm, x, y)
-    n_f = sysm.n
-    h = {n: sysm.unknown(mx.term(n), y.term(n - 1)) for n in _homotopy_degrees(x, y)}
-    for n, fn in f.items():
-        lhs = (fn @ a.action_at(n)) - (b.action_at(n) @ mf.on_morphism(fn))
-        rhs = (y.diff(n - 1) @ h[n]) + (h[n + 1] @ mx.diff(n))
-        sysm.require_equal(lhs, rhs, f"module-up-to-homotopy {n}")
-    span = [k[:n_f] for k in sysm.kernel_span()]
-    return len(rank_extension(null_homotopic_space(x, y), span, field)[1])
+    hom = kb_hom_basis(x, y)
+    defects = [[c for n in _span_degrees(mx, y) for c in
+                (f.part(n) @ a.action_at(n) - b.action_at(n) @ mf.on_morphism(f.part(n))).coords()]
+               for f in hom.representatives]
+    return hom.dim - len(rank_extension(null_homotopic_space(mx, y), defects, x.cat.field)[1])
 
 
 def module_complex_retract(sw: MonadSepWitness, a: ModuleComplex):
@@ -425,9 +429,10 @@ def module_complex_retract(sw: MonadSepWitness, a: ModuleComplex):
     return s, r, rep
 
 
-def derived_comparison_check(action, samples, pairs=None, monad: Monad | None = None,
+def derived_comparison_check(action, samples, monad: Monad | None = None,
                              sigma: MonadSepWitness | None = None) -> ValidationReport:
-    """Compare the two hom dimensions d₁ and d₂ on sampled module complexes.
+    """Compare the two hom dimensions d₁ and d₂ on every ordered pair of sampled
+    module complexes.
 
     d₁ is computed in the homotopy category of module complexes, d₂ for module
     objects over the lifted monad; the report also carries a verified
@@ -454,9 +459,7 @@ def derived_comparison_check(action, samples, pairs=None, monad: Monad | None = 
     lifted = LiftedMonad(monad)
     for mc in samples:
         rep.merge(lifted.validate_on(mc.underlying, sigma))
-    if pairs is None:
-        pairs = [(i, j) for i in range(len(samples)) for j in range(len(samples))]
-    for i, j in pairs:
+    for i, j in itertools.product(range(len(samples)), repeat=2):
         if not (valid[i] and valid[j]):
             continue  # a hom and a retract need module complexes; the failed sample is recorded
         d1 = module_chain_hom_dim(samples[i], samples[j])

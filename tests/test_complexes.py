@@ -221,12 +221,12 @@ class TestDerivedComparison:
         rep = derived_comparison_check(act_z2_q, samples, monad=monad_z2_q, sigma=sigma_z2)
         assert rep.passed
 
-    def test_one_solve_for_the_span_and_one_for_module_homotopies(
+    def test_d1_solves_once_plus_once_per_module_pair_and_d2_once(
             self, monad_z2_q, chars_z2_q, c1_q, monkeypatch):
         # d₁ solves once for its chain squares and once per distinct module pair for
-        # that pair's module-hom basis; d₂ solves only for its joint span
+        # that pair's module-hom basis; d₂ solves once, for the chain maps of K(x, y)
         import sepcat.complexes
-        from sepcat.category import MorSystem
+        from sepcat.category import MorSystem, hom_coord_dim
         pool = [chars_z2_q["triv"], chars_z2_q["sign"],
                 free_module(monad_z2_q, c1_q.obj("pt"))]
         rng = random.Random(5)
@@ -244,6 +244,9 @@ class TestDerivedComparison:
             bases.append((ma, mb))
             return real_basis(ma, mb)
 
+        def forbidden(*args):
+            raise AssertionError("d₂ computes no module maps and no section")
+
         monkeypatch.setattr(MorSystem, "solve", counting_solve)
         monkeypatch.setattr(sepcat.complexes, "module_hom_basis", recording_basis)
         module_chain_hom_dim(a, b)
@@ -252,8 +255,14 @@ class TestDerivedComparison:
         assert len(pairs) == 4
         assert len(bases) == len(pairs) and set(bases) == pairs
         assert len(solves) == 1 + len(pairs)
+        solves.clear()
+        for name in ("module_hom_basis", "module_chain_hom_dim", "monad_separability_solve"):
+            monkeypatch.setattr(sepcat.complexes, name, forbidden)
         lifted_module_hom_dim(a, b)
-        assert len(solves) == 2 + len(pairs)
+        x, y = a.underlying, b.underlying
+        assert len(solves) == 1
+        assert solves[0].n == sum(hom_coord_dim(c1_q, x.term(n), y.term(n))
+                                  for n in set(x.degrees()) | set(y.degrees()))
 
     def test_a_sample_that_fails_validation_fails_the_report_without_raising(
             self, act_z2_q, act_z3_q, monad_z2_q, c1_q):

@@ -11,9 +11,8 @@ time; `null_homotopic_space`, which composes each degree once on `LinForm`
 homotopies, must return exactly its vectors, scalar types included.
 Random module complexes of length 1–4 are compared over several monads, with
 the second complex shifted against the first, on semisimple bases and on the
-A2 quiver, where the homotopy category is D^b(mod kA₂).  On the same complexes,
-each span system's kernel in reversed column order (`MorSystem.kernel_span`)
-must span what `solve().kernel` spans.
+A2 quiver, where the homotopy category is D^b(mod kA₂), and with terms that
+are Karoubi objects, the summands of a free module split off by an idempotent.
 """
 
 import random
@@ -23,7 +22,7 @@ import pytest
 from sepcat import (Field, FiniteGroup, GroupAction, MModule, MonadNotSeparableError, Morphism,
                     derived_comparison_check, equivariant_monad, free_module, kb_hom_basis,
                     lifted_module_hom_dim, module_chain_hom_dim, random_module_complex)
-from sepcat.category import MorSystem, hom_space_basis, zero_morphism
+from sepcat.category import MorSystem, hom_space_basis, morphism, split_idempotent, zero_morphism
 from sepcat.complexes import (ModuleComplex, _homotopy_degrees, _span_degrees,
                               apply_functor_to_complex, null_homotopic_space)
 from sepcat.equivariant import character_modules
@@ -145,6 +144,23 @@ def _characters_f3(monad):
     return mods
 
 
+def _karoubi_summands(monad):
+    """The summands of F(pt) that e = (1 + g)/2 and 1 − e split off, g the swap of
+    M(pt) = pt ⊕ pt; each acts by the blocks of F(pt)'s action μ."""
+    cat, field = monad.cat, monad.cat.field
+    free = free_module(monad, cat.obj("pt"))
+    x, zero, one = free.carrier, field.zero(), field.one()
+    g = Morphism(cat, x, x, (((zero,), (one,)), ((one,), (zero,))))
+    e = (x.identity() + g).scale(field.inv_int(2))
+    mods = []
+    for name, idem in (("e", e), ("1 - e", x.identity() - e)):
+        small = split_idempotent(x, idem).small
+        mods.append(MModule(monad, small, morphism(cat, monad.functor.on_object(small), small,
+                                                   free.action.blocks), name=name))
+    assert all(validate_module(m).passed and m.carrier.idem is not None for m in mods)
+    return mods
+
+
 def _setup(act, extra=None):
     monad = equivariant_monad(act)
     pool = [free_module(monad, act.base.obj(x)) for x in act.base.objects]
@@ -175,11 +191,13 @@ def setups(act_z2_q, act_z3_q, act_z3_qw, act_swap_q, c1_f3, QQ, F3):
         "sign Z2 on A2/Q": _setup(sign_action_on_a2(QQ)),
         "Z2 on A2/F3": _setup(trivial_z2_on_a2(F3), free_only),
         "sign Z2 on A2/F3": _setup(sign_action_on_a2(F3), free_only),
+        "Z2 on C1/Q, Karoubi": _setup(act_z2_q, _karoubi_summands),
     }
 
 
 CASES = ["Z2 on C1/Q", "Z3 on C1/Q", "Z2 on C1/F3", "Z3 on Cw/Q", "swap Z2 on C3/Q",
-         "Z2 on A2/Q", "sign Z2 on A2/Q", "Z2 on A2/F3", "sign Z2 on A2/F3"]
+         "Z2 on A2/Q", "sign Z2 on A2/Q", "Z2 on A2/F3", "sign Z2 on A2/F3",
+         "Z2 on C1/Q, Karoubi"]
 
 
 def shifted(c, s):
@@ -216,33 +234,6 @@ def test_null_vectors_are_the_concrete_compositions(setups, case):
             assert [list(map(type, v)) for v in got] == [list(map(type, v)) for v in want]
 
 
-@pytest.mark.parametrize("case", CASES)
-def test_reversed_span_kernels_span_the_solved_kernels(setups, case, monkeypatch):
-    """Each span system of d₁ and d₂, eliminated in reversed column order, gives back
-    a kernel that spans what `solve().kernel` spans, in both directions."""
-    systems = []
-    real = MorSystem.kernel_span
-
-    def recording(sysm):
-        systems.append(sysm)
-        return real(sysm)
-
-    monkeypatch.setattr(MorSystem, "kernel_span", recording)
-    monad, pool = setups[case]
-    for a, b in sample_pairs(monad, pool, seed=CASES.index(case)):
-        module_chain_hom_dim(a, b), lifted_module_hom_dim(a, b)
-    monkeypatch.undo()
-    # one chain-square system for d₁ and one joint system for d₂ per pair
-    assert len(systems) == 2 * 8
-    field = monad.cat.field
-    for sysm in systems:
-        reordered, solved = sysm.kernel_span(), sysm.solve().kernel
-        assert len(reordered) == len(solved)
-        assert rank_extension(solved, reordered, field)[1] == []
-        assert rank_extension(reordered, solved, field)[1] == []
-    assert any(sysm.solve().kernel for sysm in systems)
-
-
 def test_cases_cover_nonzero_homs_and_null_spaces(setups):
     """The oracle comparisons above are not vacuous: some pairs have homs, null maps and offsets."""
     seen = []
@@ -254,6 +245,18 @@ def test_cases_cover_nonzero_homs_and_null_spaces(setups):
     assert any(d for d, _, _ in seen)
     assert any(null for _, null, _ in seen)
     assert any(d and shift for d, _, shift in seen)
+
+
+def test_karoubi_stalks_count_module_maps(setups):
+    """On stalks, d₁ and d₂ are module-hom dimensions: F(pt) ≅ e ⊕ (1 − e), with
+    non-isomorphic summands, though each summand's carrier is isomorphic to pt."""
+    monad, pool = setups["Z2 on C1/Q, Karoubi"]
+    stalks = [ModuleComplex(monad, {0: m}, {}, name=m.name) for m in pool]
+    want = [[2, 1, 1], [1, 1, 0], [1, 0, 1]]
+    assert [[reference_d1(a, b) for b in stalks] for a in stalks] == want
+    assert [[reference_d2(a, b) for b in stalks] for a in stalks] == want
+    assert [[module_chain_hom_dim(a, b) for b in stalks] for a in stalks] == want
+    assert [[lifted_module_hom_dim(a, b) for b in stalks] for a in stalks] == want
 
 
 @pytest.mark.parametrize("case", CASES)
