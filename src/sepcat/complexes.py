@@ -453,7 +453,7 @@ def derived_comparison_check(action, samples, monad: Monad | None = None,
     valid = []
     for mc in samples:
         v = mc.validate()
-        rep.record(f"sample {mc.name or mc!r} validates", v.passed,
+        rep.record(f"sample {mc.name or repr(mc)} validates", v.passed,
                    "; ".join(n for n, _ in v.failures()))
         valid.append(v.passed)
     lifted = LiftedMonad(monad)
@@ -468,7 +468,7 @@ def derived_comparison_check(action, samples, monad: Monad | None = None,
                    d1 == d2, f"d₁={d1}, d₂={d2}")
     for mc in itertools.compress(samples, valid):
         _, _, rw = module_complex_retract(sigma, mc)
-        rep.record(f"retract of free cover: {mc.name or mc!r}", rw.passed,
+        rep.record(f"retract of free cover: {mc.name or repr(mc)}", rw.passed,
                    "; ".join(n for n, _ in rw.failures()))
     return rep
 

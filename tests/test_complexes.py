@@ -273,10 +273,10 @@ class TestDerivedComparison:
         good = ModuleComplex(monad_z2_q, {0: free_module(monad_z2_q, pt)}, {}, name="good")
         rep = derived_comparison_check(act_z2_q, [good, bad], monad=monad_z2_q)
         assert not rep.passed
-        assert [name for name, _ in rep.failures()] == ["sample 'bad' validates"]
+        assert [name for name, _ in rep.failures()] == ["sample bad validates"]
         names = [name for name, _, _ in rep.checks]
         assert "d₁ = d₂ for (good, good)" in names
-        assert "retract of free cover: 'good'" in names
+        assert "retract of free cover: good" in names
         assert not any("bad" in name for name in names if name.startswith(("d₁", "retract")))
 
     def test_a_module_over_an_equal_monad_object_is_compared(self, c1_q, z2):

@@ -57,7 +57,7 @@ GOLDEN = [
     }),
     ("complex-report triv_z2_q", 0, {
         "report.json":
-            "546b09a96fdb6f624b7de4b41a8d1764314b2b1f90ea98b9b863f01836eedf34",
+            "13c04bd46b5af5833306be668d4e034fbae6d44811f60ff56c6aee4ba260804c",
     }),
     ("separability grpmonad_z3_q --target monad", 0, {
         "grpmonad_z3_q.witness.json":
@@ -193,15 +193,15 @@ GOLDEN = [
     }),
     ("complex-report triv_z3_q", 0, {
         "report.json":
-            "caf3fa86c3fd69e82f40dd686b69fe29737d1ecf3955f4259f9bea5e06ebfec3",
+            "0d4f75267c548b76b8c853e49e18d8d5870fe32450a2c89c2894daca6f223adc",
     }),
     ("complex-report triv_z3_c3q", 0, {
         "report.json":
-            "f7f872db0da8eda5014d3f048934107a89b6d3a429ffc8ba99ed73eabcebf8c2",
+            "d78667a7ea82fede23f6818c84e51665a874f2a8ba97950c41a751f5904beb12",
     }),
     ("complex-report swap_z2_q", 0, {
         "report.json":
-            "f8eeb518770f4e22e7d708c5bf4e950dda99579f01ccaf6671757d353520d0ac",
+            "76c8462b74e67c8cc56fb168c4de615a9dc2e062333848d0290fa1170770faf1",
     }),
     ("complex-report triv_z2_f2", 1, {
         "report.json":
@@ -213,7 +213,7 @@ GOLDEN = [
     }),
     ("complex-report triv_z3_qw", 0, {
         "report.json":
-            "4beeacc4a4effd36f58bb982e74724029406cf4bd5e8635b4d68369299d1654a",
+            "e8c488512ee674d185fd5903786f6493eb5e9e75eda3a072a911210ab719023d",
     }),
 ]
 
