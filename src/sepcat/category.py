@@ -516,7 +516,7 @@ class MorSystem:
     An unknown is a Morphism (or a witness's image columns) whose coordinates
     are `LinForm` variables; composing it with concrete morphisms gives
     morphisms with `LinForm` coordinates, and each `require_equal` adds one row
-    per coordinate.  `solve` is the one entry point to elimination: its kernel
+    per coordinate.  `solve` is its one entry point to elimination: its kernel
     vectors list the variables in the order they were allocated, so a caller that
     only counts reads them as they are.  `kernel_basis(f)` reads a basis of
     morphisms off a homogeneous system, the unknown f at each kernel vector.
