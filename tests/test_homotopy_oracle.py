@@ -8,7 +8,9 @@ as the oracle:
   - d₂ = k_joint − k_h − null_rank, two kernel dimensions and a rank.
 `reference_null_vectors` composes dh + hd concretely, one basis homotopy at a
 time; `null_homotopic_space`, which composes each degree once on `LinForm`
-homotopies, must return exactly its vectors, scalar types included.
+homotopies, must return exactly its vectors, scalar types included.  d₂ rests
+on two facts checked here as well: each chain-map kernel vector is its map's
+coordinates, and f ↦ f∘λ − λ'∘M(f) sends null-homotopic maps to null-homotopic ones.
 Random module complexes of length 1–4 are compared over several monads, with
 the second complex shifted against the first, on semisimple bases and on the
 A2 quiver, where the homotopy category is D^b(mod kA₂), and with terms that
@@ -23,8 +25,9 @@ from sepcat import (Field, FiniteGroup, GroupAction, MModule, MonadNotSeparableE
                     derived_comparison_check, equivariant_monad, free_module, kb_hom_basis,
                     lifted_module_hom_dim, module_chain_hom_dim, random_module_complex)
 from sepcat.category import MorSystem, hom_space_basis, morphism, split_idempotent, zero_morphism
-from sepcat.complexes import (ModuleComplex, _homotopy_degrees, _span_degrees,
-                              apply_functor_to_complex, null_homotopic_space)
+from sepcat.complexes import (ChainMap, ModuleComplex, _chain_map_solve, _homotopy_degrees,
+                              _span_degrees, apply_functor_to_complex, chain_map_space,
+                              null_homotopic_space)
 from sepcat.equivariant import character_modules
 from sepcat.linalg import rank_extension
 from sepcat.modules import validate_module
@@ -271,6 +274,57 @@ def test_kb_representatives_are_independent_chain_maps(setups, case):
                        for rep in hom.representatives]
         _, chosen = rank_extension(null_homotopic_space(x, y), rep_vectors, x.cat.field)
         assert chosen == list(range(hom.dim))
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_chain_map_kernel_vectors_are_their_maps_coordinates(setups, case):
+    """`kb_hom_basis` ranks the kernel vectors of the chain-map solve as they come: each
+    is its chain map's coordinates flattened over `_span_degrees`, in `coords()` order,
+    and `chain_map_space` builds exactly those maps from the same solve."""
+    monad, pool = setups[case]
+    seen = 0
+    for a, b in sample_pairs(monad, pool, seed=20 + CASES.index(case)):
+        for x, y in ((a.underlying, b.underlying), (b.underlying, a.underlying)):
+            kernel, chain_map = _chain_map_solve(x, y)
+            maps = chain_map_space(x, y)
+            assert len(maps) == len(kernel)
+            for k, f in zip(kernel, maps):
+                assert f == chain_map(k) and f.verify().passed
+                assert [c for n in _span_degrees(x, y) for c in f.part(n).coords()] == k
+            seen += len(kernel)
+    assert seen
+
+
+def _defect(a, b, f, n):
+    """The defect f∘λ − λ'∘M(f) of f: x_n → y_n."""
+    return f @ a.action_at(n) - b.action_at(n) @ a.monad.functor.on_morphism(f)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_defect_map_is_well_defined_on_homotopy_classes(setups, case):
+    """d₂ ranks defects of representatives only: the defect of every chain map x → y is a
+    chain map Mx → y, and the defect of a null-homotopic dk + kd is exactly dk' + k'd
+    for k' = kλ − λ'M(k), so [f] ↦ [f∘λ − λ'∘M(f)] is a map K(x, y) → K(Mx, y)."""
+    monad, pool = setups[case]
+    mf, nonzero = monad.functor, 0
+    for a, b in sample_pairs(monad, pool, seed=30 + CASES.index(case)):
+        x, y = a.underlying, b.underlying
+        mx, span = apply_functor_to_complex(mf, x), _span_degrees(x, y)
+        for f in chain_map_space(x, y):
+            assert ChainMap(mx, y, {n: _defect(a, b, f.part(n), n) for n in span}).verify().passed
+        degs = _homotopy_degrees(x, y)
+        zeros = {m: zero_morphism(x.term(m), y.term(m - 1)) for m in degs}
+        for n in degs:
+            for k in hom_space_basis(x.cat, x.term(n), y.term(n - 1)):
+                h = {**zeros, n: k}
+                kd = {m: h[m] @ a.action_at(m) - b.action_at(m - 1) @ mf.on_morphism(h[m])
+                      for m in degs}
+                for m in span:
+                    f_m = (y.diff(m - 1) @ h[m]) + (h[m + 1] @ x.diff(m))
+                    got = _defect(a, b, f_m, m)
+                    assert got == (y.diff(m - 1) @ kd[m]) + (kd[m + 1] @ mx.diff(m))
+                    nonzero += any(got.coords())
+    assert nonzero
 
 
 @pytest.mark.parametrize("action", [trivial_z2_on_a2, sign_action_on_a2])
