@@ -37,6 +37,7 @@ ROWS = "tests/test_composition_oracle.py::test_handed_rows_are_the_scanned_rows"
 CANCELLED = "tests/test_composition_oracle.py::test_a_cancelled_image_cell_is_not_handed_over"
 NULLS = "tests/test_homotopy_oracle.py::test_null_vectors_are_the_concrete_compositions"
 D1_D2 = "tests/test_homotopy_oracle.py::test_d1_and_d2_match_kernel_difference_formulas"
+HANDED = "tests/test_homotopy_oracle.py::test_handed_rows_are_the_concrete_compositions"
 DENSE_KERNEL = ("tests/test_composition_oracle.py::"
                 "test_separability_compositions_match_dense_kernel[Z/2 on C1 over Q]")
 
@@ -135,21 +136,27 @@ MUTANTS = (
      "if terms == 1 or any(block):", "if terms:",
      (f"{CANCELLED}[Q-scalars]", f"{CANCELLED}[F3-forms]")),
     ("null-vector-drops-lower-degree", "src/sepcat/complexes.py",
-     "((n, y.diff(n - 1) @ h), (n - 1, h @ x.diff(n - 1)))",
-     "((n, y.diff(n - 1) @ h),)",
+     "        _read_rows(h @ x.diff(n - 1), offsets[n - 1], vecs)\n", "",
      (f"{NULLS}[Z2 on C1/Q]", f"{NULLS}[sign Z2 on A2/F3]", f"{D1_D2}[Z3 on Cw/Q]")),
     ("d1-homotopy-basis-same-degree", "src/sepcat/complexes.py",
      "{n: basis(n, n - 1) for n in _homotopy_degrees(x, y)}",
      "{n: basis(n, n) for n in _homotopy_degrees(x, y)}",
      (f"{D1_D2}[Z2 on C1/Q]", f"{D1_D2}[sign Z2 on A2/Q]")),
     ("d2-defect-drops-module-term", "src/sepcat/complexes.py",
-     "(f.part(n) @ a.action_at(n) - b.action_at(n) @ mf.on_morphism(f.part(n))).coords()",
-     "(f.part(n) @ a.action_at(n)).coords()",
+     "f @ a.action_at(n) - b.action_at(n) @ mf.on_morphism(f)", "f @ a.action_at(n)",
      (f"{D1_D2}[Z2 on C1/F3]", f"{D1_D2}[swap Z2 on C3/Q]",
       "tests/test_homotopy_oracle.py::test_karoubi_stalks_count_module_maps")),
     ("d2-rank-without-mx-null", "src/sepcat/complexes.py",
      "null_homotopic_space(mx, y)", "[]",
      (f"{D1_D2}[Z3 on Cw/Q]", f"{D1_D2}[sign Z2 on A2/F3]")),
+    ("combination-first-block-only", "src/sepcat/complexes.py",
+     "        for slices, row in zip(layout, b.nonzero_rows()):\n",
+     "        for slices, row in itertools.islice(((s, r[:1]) for s, r in\n"
+     "                                             zip(layout, b.nonzero_rows()) if r), 1):\n",
+     (f"{HANDED}[Z2 on C1/Q]", f"{D1_D2}[Z2 on C1/Q]")),
+    ("d1-span-drops-kernel-coefficient", "src/sepcat/complexes.py",
+     "row[pos] + c * kj if pos in row else c * kj", "row[pos] + c if pos in row else c",
+     (f"{HANDED}[Z2 on C1/Q]", f"{HANDED}[Z2 on A2/F5]")),
 )
 
 

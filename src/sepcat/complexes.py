@@ -5,17 +5,19 @@ complexes and complexes-of-modules at the hom level.
 Every hom space in a homotopy category here is one quotient, maps modulo
 null-homotopic maps, and is counted the same way:
   - one exact solve gives span vectors of the maps;
-  - a basis of homotopies h gives null vectors dh + hd, composed once per degree
-    on one homotopy with `LinForm` coordinates (`_null_vectors`);
+  - a basis of homotopies h gives null vectors dh + hd;
   - `rank_extension` picks the span vectors that extend the null vectors
     independently, dim(span + null) − dim null of them.
 Both families are flattened chain-map coordinates, degree by degree over
-`_span_degrees` in `coords()` order.  For `kb_hom_basis` and d₁ the null
-vectors lie in the span, so the count is dim span − dim null, the hom dimension.
-d₁ takes its unknowns and its homotopies over module-hom bases, solved per
-module pair within the call, so its solve holds only the chain squares.
-d₂ is the kernel of a map K(x, y) → K(Mx, y): the span is the images of the
-`kb_hom_basis` representatives, and the count is the rank of the map.
+`_span_degrees` in `coords()` order, as sparse rows {position: nonzero scalar}
+but for `kb_hom_basis`'s span, the solve's dense kernel vectors.  A sparse
+family is read off the `LinForm` coefficients of one composition per degree on
+Σ vᵢ·bᵢ over its maps bᵢ, however many there are.  For `kb_hom_basis` and d₁
+the null vectors lie in the span, so the count is dim span − dim null, the hom
+dimension.  d₁ takes its unknowns and its homotopies over module-hom bases,
+solved per module pair within the call, so its solve holds only the chain
+squares.  d₂ is the kernel of a map K(x, y) → K(Mx, y): the span is the images
+of the `kb_hom_basis` representatives, and the count is the rank of the map.
 """
 
 from __future__ import annotations
@@ -155,39 +157,55 @@ def chain_map_space(x: BoundedComplex, y: BoundedComplex) -> list[ChainMap]:
 
 
 def _combination(basis: list, dom: CatObject, cod: CatObject, first: int = 0) -> Morphism:
-    """Σ v_{first+i}·basis[i] as one morphism dom → cod with `LinForm` coordinates;
-    a coordinate that is zero in every basis element is the field's zero."""
+    """Σ v_{first+i}·basis[i] as one morphism dom → cod with `LinForm` coordinates, read off
+    the elements' nonzero blocks; a coordinate zero in every element is the field's zero."""
     cat = dom.cat
-    zero = cat.zero
-    coords = [LinForm(zero, {first + i: c for i, c in enumerate(col) if c}) if any(col) else zero
-              for col in zip(*(b.coords() for b in basis))]
+    n, layout = cat.layout(dom.summands, cod.summands)
+    coeffs = {}  # position ↦ {variable: nonzero coefficient}
+    for i, b in enumerate(basis, first):
+        for slices, row in zip(layout, b.nonzero_rows()):
+            for j, block in row:
+                for pos, c in enumerate(block, slices[j].start):
+                    if c:
+                        coeffs.setdefault(pos, {})[i] = c
+    coords = [LinForm(cat.zero, coeffs[pos]) if pos in coeffs else cat.zero for pos in range(n)]
     return Morphism.from_coords(cat, dom, cod, coords)
+
+
+def _offsets(x: BoundedComplex, y: BoundedComplex) -> dict:
+    """Each span degree's first position in the flattened chain-map coordinates."""
+    degs = _span_degrees(x, y)
+    widths = (hom_coord_dim(x.cat, x.term(m), y.term(m)) for m in degs)
+    return dict(zip(degs, itertools.accumulate(widths, initial=0)))
+
+
+def _read_rows(part: Morphism, offset: int, rows: list):
+    """Enter the coefficient of vᵢ at the p-th of part's `coords()` as rows[i][offset + p]."""
+    for pos, a in enumerate(part.coords(), offset):
+        if a:
+            for i, c in a.coeffs.items():
+                rows[i][pos] = c
 
 
 def _null_vectors(x: BoundedComplex, y: BoundedComplex, bases: dict) -> list:
     """The vectors dh + hd of the homotopies in `bases`, {n: a family of maps x_n → y_{n−1}},
-    in order, flattened over `_span_degrees` in `coords()` order.
+    in order, as sparse rows over the chain-map coordinates flattened over `_span_degrees`.
 
     h ↦ dh + hd is linear, so each degree's family b_0, b_1, … is composed once, as
-    h = Σ vᵢ·bᵢ with `LinForm` coordinates: the coefficients of vᵢ in d_y(n−1)∘h and in
-    h∘d_x(n−1) are bᵢ's vector in degrees n and n−1 (both span degrees, as x_n and
+    h = Σ vᵢ·bᵢ with `LinForm` coordinates: the coefficients of vᵢ in h∘d_x(n−1) and in
+    d_y(n−1)∘h are bᵢ's vector in degrees n−1 and n (both span degrees, as x_n and
     y_{n−1} are nonzero), and it is zero in every other degree.  A coefficient is the
     scalar that composing bᵢ itself gives there, in value and type.
     """
-    cat, zero = x.cat, x.cat.zero
-    widths = [hom_coord_dim(cat, x.term(m), y.term(m)) for m in _span_degrees(x, y)]
-    offsets = dict(zip(_span_degrees(x, y), itertools.accumulate(widths, initial=0)))
+    offsets = _offsets(x, y)
     out = []
     for n, basis in bases.items():
         if not basis:
             continue
         h = _combination(basis, x.term(n), y.term(n - 1))
-        vecs = [[zero] * sum(widths) for _ in basis]
-        for m, part in ((n, y.diff(n - 1) @ h), (n - 1, h @ x.diff(n - 1))):
-            for pos, a in enumerate(part.coords(), offsets[m]):
-                if a:
-                    for i, c in a.coeffs.items():
-                        vecs[i][pos] = c
+        vecs = [{} for _ in basis]
+        _read_rows(h @ x.diff(n - 1), offsets[n - 1], vecs)
+        _read_rows(y.diff(n - 1) @ h, offsets[n], vecs)
         out.extend(vecs)
     return out
 
@@ -379,11 +397,22 @@ def module_chain_hom_dim(a: ModuleComplex, b: ModuleComplex) -> int:
         sysm.variables(len(bs))
         return _combination(bs, x.term(n), y.term(n), first)
 
-    f = _chain_unknowns(sysm, x, y, unknown)
-    span = [[c for u in f.values() for c in MorSystem.eval_at(u, k, with_const=False).coords()]
-            for k in sysm.solve().kernel]
+    f, offsets = _chain_unknowns(sysm, x, y, unknown), _offsets(x, y)
+    cols = [{} for _ in range(sysm.n)]  # per variable, its coefficients in the unknowns
+    for n, u in f.items():
+        _read_rows(u, offsets[n], cols)
+    span = [_column_combination(cols, k) for k in sysm.solve().kernel]
     null = _null_vectors(x, y, {n: basis(n, n - 1) for n in _homotopy_degrees(x, y)})
     return len(rank_extension(null, span, field)[1])
+
+
+def _column_combination(cols: list, k) -> dict:
+    """Σ_j k_j·cols[j] as a sparse row, entries summed over j in order as `LinForm.eval` sums."""
+    row = {}
+    for kj, col in zip(k, cols):
+        for pos, c in col.items() if kj else ():
+            row[pos] = row[pos] + c * kj if pos in row else c * kj
+    return {pos: v for pos, v in sorted(row.items()) if v}
 
 
 def lifted_module_hom_dim(a: ModuleComplex, b: ModuleComplex) -> int:
@@ -393,18 +422,22 @@ def lifted_module_hom_dim(a: ModuleComplex, b: ModuleComplex) -> int:
     as a null-homotopic f = dk + kd maps to d(kλ − λ'M(k)) + (kλ − λ'M(k))d.  Its
     dimension is dim K(x, y) less the rank of the map: the number of defects of the
     `kb_hom_basis` representatives, flattened over (Mx, y), that `rank_extension`
-    picks as extending `null_homotopic_space(Mx, y)`.
+    picks as extending `null_homotopic_space(Mx, y)`.  Each degree is composed once, on
+    F = Σ vᵢ·repᵢ: the defect is linear, so repᵢ's is the coefficient row of vᵢ.
     """
     if a.monad is not b.monad:
         raise ValueError("modules over different monads")
     mf = a.monad.functor
     x, y = a.underlying, b.underlying
+    reps = kb_hom_basis(x, y).representatives
+    if not reps:
+        return 0
     mx = apply_functor_to_complex(mf, x)
-    hom = kb_hom_basis(x, y)
-    defects = [[c for n in _span_degrees(mx, y) for c in
-                (f.part(n) @ a.action_at(n) - b.action_at(n) @ mf.on_morphism(f.part(n))).coords()]
-               for f in hom.representatives]
-    return hom.dim - len(rank_extension(null_homotopic_space(mx, y), defects, x.cat.field)[1])
+    defects = [{} for _ in reps]
+    for n, offset in _offsets(mx, y).items():
+        f = _combination([rep.part(n) for rep in reps], x.term(n), y.term(n))
+        _read_rows(f @ a.action_at(n) - b.action_at(n) @ mf.on_morphism(f), offset, defects)
+    return len(reps) - len(rank_extension(null_homotopic_space(mx, y), defects, x.cat.field)[1])
 
 
 def module_complex_retract(sw: MonadSepWitness, a: ModuleComplex):

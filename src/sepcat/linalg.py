@@ -182,9 +182,10 @@ def solve_sparse(rows, consts, n_vars, field: Field, labels=None):
 
 
 def extends_pivots(pivots: dict, vec, field) -> bool:
-    """Whether vec is independent of the vectors inserted into `pivots` so far;
-    an independent vec joins them as a pivot row.  A zero vec is dependent."""
-    row, _ = _int_row({i: v for i, v in enumerate(vec) if v}, field.zero(), field.char)
+    """Whether vec, a sequence or a sparse row {position: scalar}, is independent of the
+    vectors inserted into `pivots` so far; an independent vec joins them.  A zero vec is not."""
+    entries = vec if isinstance(vec, dict) else {i: v for i, v in enumerate(vec) if v}
+    row, _ = _int_row(entries, field.zero(), field.char)
     return _insert(pivots, row, 0, field.char) is None
 
 

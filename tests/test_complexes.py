@@ -264,6 +264,44 @@ class TestDerivedComparison:
         assert solves[0].n == sum(hom_coord_dim(c1_q, x.term(n), y.term(n))
                                   for n in set(x.degrees()) | set(y.degrees()))
 
+    def test_d2_composes_each_degree_once_however_many_representatives(
+            self, monad_z2_q, chars_z2_q, c1_q, monkeypatch):
+        # d₂ composes F∘λ − λ'∘M(F) once per span degree on F = Σ vᵢ·repᵢ: what its call
+        # composes beyond kb_hom_basis, M(x) and the null vectors of (Mx, y) is two
+        # compositions and one functor image per degree, whatever the number of repᵢ
+        from sepcat.complexes import _span_degrees, apply_functor_to_complex, null_homotopic_space
+        from sepcat.functors import Functor
+        pool = [chars_z2_q["triv"], chars_z2_q["sign"],
+                free_module(monad_z2_q, c1_q.obj("pt"))]
+        rng = random.Random(5)
+        a = random_module_complex(monad_z2_q, pool, 3, rng, name="A")
+        b = random_module_complex(monad_z2_q, pool, 3, rng, name="B")
+        x, y, mf = a.underlying, b.underlying, monad_z2_q.functor
+        assert kb_hom_basis(x, y).dim >= 2
+        mx = apply_functor_to_complex(mf, x)
+        counts = {}
+        real_compose, real_image = Morphism.__matmul__, Functor.on_morphism
+
+        def counted(key, real):
+            def wrapper(*args):
+                counts[key] += 1
+                return real(*args)
+            return wrapper
+
+        def calls(fn, *args):
+            counts.update({"compose": 0, "image": 0})
+            fn(*args)
+            return dict(counts)
+
+        monkeypatch.setattr(Morphism, "__matmul__", counted("compose", real_compose))
+        monkeypatch.setattr(Functor, "on_morphism", counted("image", real_image))
+        whole = calls(lifted_module_hom_dim, a, b)
+        steps = [calls(kb_hom_basis, x, y), calls(apply_functor_to_complex, mf, x),
+                 calls(null_homotopic_space, mx, y)]
+        degrees = len(_span_degrees(mx, y))
+        assert {k: n - sum(s[k] for s in steps) for k, n in whole.items()} == \
+            {"compose": 2 * degrees, "image": degrees}
+
     def test_a_sample_that_fails_validation_fails_the_report_without_raising(
             self, act_z2_q, act_z3_q, monad_z2_q, c1_q):
         # a Z/3 module in a Z/2 complex: its action does not compose with the Z/2 functor

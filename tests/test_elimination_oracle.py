@@ -214,14 +214,20 @@ def test_solve_sparse_matches_field_elimination(system):
 @settings(max_examples=150, deadline=None)
 @given(st.data(), st.sampled_from(FIELDS), st.integers(1, 6))
 def test_rank_extension_matches_field_elimination(data, field, dim):
+    """The same vectors, dense and as sparse rows {position: nonzero scalar}, both match."""
     vectors = st.lists(scalars(field), min_size=dim, max_size=dim)
     base = data.draw(st.lists(vectors, max_size=4))
     candidates = data.draw(st.lists(vectors, max_size=5))
     pool = base + candidates
     if pool:  # duplicates of vectors already seen
         candidates += data.draw(st.lists(st.sampled_from(pool), max_size=2))
-    assert rank_extension(base, candidates, field) == \
-        reference_rank_extension(base, candidates, field)
+    want = reference_rank_extension(base, candidates, field)
+    assert rank_extension(base, candidates, field) == want
+
+    def sparse(vectors):
+        return [{i: v for i, v in enumerate(vec) if v} for vec in vectors]
+
+    assert rank_extension(sparse(base), sparse(candidates), field) == want
 
 
 @st.composite

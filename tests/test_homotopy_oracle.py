@@ -6,31 +6,38 @@ each count the span vectors that extend the null-homotopic vectors.
 as the oracle:
   - d₁ = k1 − (n_modh − k0), three kernel dimensions;
   - d₂ = k_joint − k_h − null_rank, two kernel dimensions and a rank.
-`reference_null_vectors` composes dh + hd concretely, one basis homotopy at a
-time; `null_homotopic_space`, which composes each degree once on `LinForm`
-homotopies, must return exactly its vectors, scalar types included.  d₂ rests
-on two facts checked here as well: each chain-map kernel vector is its map's
-coordinates, and f ↦ f∘λ − λ'∘M(f) sends null-homotopic maps to null-homotopic ones.
-Random module complexes of length 1–4 are compared over several monads, with
-the second complex shifted against the first, on semisimple bases and on the
-A2 quiver, where the homotopy category is D^b(mod kA₂), and with terms that
-are Karoubi objects, the summands of a free module split off by an idempotent.
+The vectors d₁ and d₂ hand to `rank_extension` are sparse rows, each family read
+off one composition per degree on `LinForm` coordinates.  Each must be exactly
+the nonzero entries, scalar types and order included, of the vectors the earlier
+code built concretely, one map at a time:
+  - `reference_null_vectors` composes dh + hd per basis homotopy;
+  - `reference_d1_span` puts each kernel vector into d₁'s unknowns with
+    `MorSystem.eval_at`, the unknowns built by `reference_combination`;
+  - `reference_defects` composes f∘λ − λ'∘M(f) per chain map.
+d₂ rests on two facts checked here as well: each chain-map kernel vector is its
+map's coordinates, and f ↦ f∘λ − λ'∘M(f) sends null-homotopic maps to
+null-homotopic ones.  Random module complexes of length 1–4 are compared over
+several monads, with the second complex shifted against the first, on semisimple
+bases and on the A2 quiver over Q, F_3 and F_5, where the homotopy category is
+D^b(mod kA₂), and with terms that are Karoubi objects, the summands of a free
+module split off by an idempotent.
 """
 
 import random
 
 import pytest
 
+import sepcat.complexes
 from sepcat import (Field, FiniteGroup, GroupAction, MModule, MonadNotSeparableError, Morphism,
                     derived_comparison_check, equivariant_monad, free_module, kb_hom_basis,
                     lifted_module_hom_dim, module_chain_hom_dim, random_module_complex)
 from sepcat.category import MorSystem, hom_space_basis, morphism, split_idempotent, zero_morphism
-from sepcat.complexes import (ChainMap, ModuleComplex, _chain_map_solve, _homotopy_degrees,
-                              _span_degrees, apply_functor_to_complex, chain_map_space,
-                              null_homotopic_space)
+from sepcat.complexes import (ChainMap, ModuleComplex, _chain_map_solve, _chain_unknowns,
+                              _homotopy_degrees, _span_degrees, apply_functor_to_complex,
+                              chain_map_space, null_homotopic_space)
 from sepcat.equivariant import character_modules
-from sepcat.linalg import rank_extension
-from sepcat.modules import validate_module
+from sepcat.linalg import LinForm, rank_extension
+from sepcat.modules import module_hom_basis, validate_module
 from sepcat.standard import a2_quiver_category
 from test_adjunction_formula_oracle import sign_action_on_a2
 
@@ -44,13 +51,64 @@ def homotopy_output_coords(x, y, h_parts):
     return out
 
 
-def reference_null_vectors(x, y):
-    """One vector dh + hd per homotopy h that is a `hom_space_basis` element in one
-    degree and zero in the others, composed concretely, one homotopy at a time."""
+def reference_null_vectors(x, y, basis=None):
+    """One vector dh + hd per homotopy h that is a basis element in one degree and
+    zero in the others, composed concretely, one homotopy at a time; basis(n) is the
+    family of maps x_n → y_{n−1}, by default `hom_space_basis`."""
     degs = _homotopy_degrees(x, y)
     zeros = {m: zero_morphism(x.term(m), y.term(m - 1)) for m in degs}
-    return [homotopy_output_coords(x, y, {**zeros, n: b})
-            for n in degs for b in hom_space_basis(x.cat, x.term(n), y.term(n - 1))]
+    basis = basis or (lambda n: hom_space_basis(x.cat, x.term(n), y.term(n - 1)))
+    return [homotopy_output_coords(x, y, {**zeros, n: b}) for n in degs for b in basis(n)]
+
+
+def assert_rows_are(rows, vectors):
+    """The sparse rows are the dense vectors' nonzero entries in value, scalar type and order."""
+    want = [[(i, v) for i, v in enumerate(vec) if v] for vec in vectors]
+    assert [list(row.items()) for row in rows] == want
+    assert [[type(v) for v in row.values()] for row in rows] == \
+        [[type(v) for _, v in entries] for entries in want]
+
+
+def reference_combination(basis, dom, cod, first=0):
+    """Σ v_{first+i}·basis[i] with `LinForm` coordinates, scanned coordinate by coordinate."""
+    cat = dom.cat
+    zero = cat.zero
+    coords = [LinForm(zero, {first + i: c for i, c in enumerate(col) if c}) if any(col) else zero
+              for col in zip(*(b.coords() for b in basis))]
+    return Morphism.from_coords(cat, dom, cod, coords)
+
+
+def module_maps(a, b, n, m):
+    """A basis of the module maps a_n → b_m, as maps of carriers; none if either is absent."""
+    ma, mb = a.module(n), b.module(m)
+    if ma is None or mb is None:
+        return []
+    src, dst = (MModule(a.monad, mod.carrier, mod.action) for mod in (ma, mb))
+    return [f.mor for f in module_hom_basis(src, dst)]
+
+
+def reference_d1_span(a, b):
+    """d₁'s span vectors as built concretely: the chain-square kernel vectors put into
+    the module-hom unknowns by `MorSystem.eval_at`, flattened over `_span_degrees`."""
+    x, y = a.underlying, b.underlying
+    sysm = MorSystem(x.cat.field)
+
+    def unknown(n):
+        bs, first = module_maps(a, b, n, n), sysm.n
+        sysm.variables(len(bs))
+        return (reference_combination(bs, x.term(n), y.term(n), first) if bs
+                else zero_morphism(x.term(n), y.term(n)))
+
+    unknowns = _chain_unknowns(sysm, x, y, unknown).values()
+    return [[c for u in unknowns for c in MorSystem.eval_at(u, k, with_const=False).coords()]
+            for k in sysm.solve().kernel]
+
+
+def reference_defects(a, b, maps):
+    """The defect f∘λ − λ'∘M(f) of each chain map x → y, composed concretely, one map
+    at a time, flattened over (Mx, y)."""
+    span = _span_degrees(apply_functor_to_complex(a.monad.functor, a.underlying), b.underlying)
+    return [[c for n in span for c in _defect(a, b, f.part(n), n).coords()] for f in maps]
 
 
 def reference_null_rank(x, y):
@@ -194,12 +252,13 @@ def setups(act_z2_q, act_z3_q, act_z3_qw, act_swap_q, c1_f3, QQ, F3):
         "sign Z2 on A2/Q": _setup(sign_action_on_a2(QQ)),
         "Z2 on A2/F3": _setup(trivial_z2_on_a2(F3), free_only),
         "sign Z2 on A2/F3": _setup(sign_action_on_a2(F3), free_only),
+        "Z2 on A2/F5": _setup(trivial_z2_on_a2(Field.prime(5)), free_only),
         "Z2 on C1/Q, Karoubi": _setup(act_z2_q, _karoubi_summands),
     }
 
 
 CASES = ["Z2 on C1/Q", "Z3 on C1/Q", "Z2 on C1/F3", "Z3 on Cw/Q", "swap Z2 on C3/Q",
-         "Z2 on A2/Q", "sign Z2 on A2/Q", "Z2 on A2/F3", "sign Z2 on A2/F3",
+         "Z2 on A2/Q", "sign Z2 on A2/Q", "Z2 on A2/F3", "sign Z2 on A2/F3", "Z2 on A2/F5",
          "Z2 on C1/Q, Karoubi"]
 
 
@@ -208,7 +267,7 @@ def shifted(c, s):
                          {n + s: d for n, d in c.underlying.diffs.items()}, name=f"{c.name}[{s}]")
 
 
-def sample_pairs(monad, pool, seed, count=8):
+def sample_pairs(monad, pool, seed, count=12):
     """Random pairs (A, B[s]) of lengths 1–4, B shifted by s ∈ [−2, 2]."""
     rng = random.Random(seed)
     for _ in range(count):
@@ -232,20 +291,55 @@ def test_null_vectors_are_the_concrete_compositions(setups, case):
     monad, pool = setups[case]
     for a, b in sample_pairs(monad, pool, seed=CASES.index(case)):
         for x, y in ((a.underlying, b.underlying), (b.underlying, a.underlying)):
-            got, want = null_homotopic_space(x, y), reference_null_vectors(x, y)
-            assert got == want
-            assert [list(map(type, v)) for v in got] == [list(map(type, v)) for v in want]
+            assert_rows_are(null_homotopic_space(x, y), reference_null_vectors(x, y))
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_handed_rows_are_the_concrete_compositions(setups, case, monkeypatch):
+    """What d₁ and d₂ hand to `rank_extension`, read off one composition per degree, is
+    what composing map by map gives: d₁'s null vectors over the module homotopies and its
+    span vectors, and d₂'s null vectors over (Mx, y) and the defects of the `kb_hom_basis`
+    representatives, each in value, scalar type and order."""
+    monad, pool = setups[case]
+    calls, real = [], sepcat.complexes.rank_extension
+
+    def recording(base, candidates, field):
+        calls.append((base, candidates))
+        return real(base, candidates, field)
+
+    monkeypatch.setattr(sepcat.complexes, "rank_extension", recording)
+    spans = defects = 0
+    for a, b in sample_pairs(monad, pool, seed=CASES.index(case)):
+        x, y = a.underlying, b.underlying
+        calls.clear()
+        module_chain_hom_dim(a, b)
+        ((null, span),) = calls
+        assert_rows_are(null, reference_null_vectors(x, y, lambda n: module_maps(a, b, n, n - 1)))
+        assert_rows_are(span, reference_d1_span(a, b))
+        reps = kb_hom_basis(x, y).representatives
+        calls.clear()
+        lifted_module_hom_dim(a, b)
+        assert len(calls) == 1 + bool(reps)  # kb_hom_basis's, then the defects' if any
+        if reps:
+            mx = apply_functor_to_complex(monad.functor, x)
+            assert_rows_are(calls[1][0], reference_null_vectors(mx, y))
+            assert_rows_are(calls[1][1], reference_defects(a, b, reps))
+        spans += len(span)
+        defects += sum(map(bool, calls[-1][1])) if reps else 0
+    assert spans and defects
 
 
 def test_cases_cover_nonzero_homs_and_null_spaces(setups):
-    """The oracle comparisons above are not vacuous: some pairs have homs, null maps and offsets."""
+    """The oracle comparisons above are not vacuous: every case has a pair with d₁ = d₂ > 0,
+    and some pairs have null maps and homs between shifted complexes."""
     seen = []
     for case in CASES:
         monad, pool = setups[case]
-        for a, b in sample_pairs(monad, pool, seed=CASES.index(case)):
-            seen.append((reference_d1(a, b), reference_null_rank(a.underlying, b.underlying),
-                         b.underlying.lo - a.underlying.lo))
-    assert any(d for d, _, _ in seen)
+        pairs = [(reference_d1(a, b), reference_d2(a, b), a, b)
+                 for a, b in sample_pairs(monad, pool, seed=CASES.index(case))]
+        assert any(d1 == d2 > 0 for d1, d2, _, _ in pairs), case
+        seen += [(d1, reference_null_rank(a.underlying, b.underlying),
+                  b.underlying.lo - a.underlying.lo) for d1, _, a, b in pairs]
     assert any(null for _, null, _ in seen)
     assert any(d and shift for d, _, shift in seen)
 
