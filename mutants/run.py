@@ -38,6 +38,7 @@ CANCELLED = "tests/test_composition_oracle.py::test_a_cancelled_image_cell_is_no
 NULLS = "tests/test_homotopy_oracle.py::test_null_vectors_are_the_concrete_compositions"
 D1_D2 = "tests/test_homotopy_oracle.py::test_d1_and_d2_match_kernel_difference_formulas"
 HANDED = "tests/test_homotopy_oracle.py::test_handed_rows_are_the_concrete_compositions"
+SLOT_ORACLE = "tests/test_slot_laws_oracle.py"
 DENSE_KERNEL = ("tests/test_composition_oracle.py::"
                 "test_separability_compositions_match_dense_kernel[Z/2 on C1 over Q]")
 
@@ -157,6 +158,16 @@ MUTANTS = (
     ("d1-span-drops-kernel-coefficient", "src/sepcat/complexes.py",
      "row[pos] + c * kj if pos in row else c * kj", "row[pos] + c if pos in row else c",
      (f"{HANDED}[Z2 on C1/Q]", f"{HANDED}[Z2 on A2/F5]")),
+    ("slot-map-accepts-any-block", "src/sepcat/category.py",
+     "dom.summands[c] != s or block != cat.id_vec(s)", "dom.summands[c] != s",
+     (f"{SLOT_ORACLE}::test_a_doubled_block_is_not_a_slot",)),
+    ("slot-monad-skips-identity-preservation", "src/sepcat/monads.py",
+     "    if not mf.keeps_identities(m.cat.objects):\n        return False\n", "",
+     (f"{SLOT_ORACLE}::test_a_monad_whose_m_keeps_no_identity_takes_the_law_list",)),
+    ("slot-cocycle-skips-inverse", "src/sepcat/equivariant.py",
+     "\n                    or compose_slots(slots[g], images[gi]) != tuple(range(len(images[gi])))):",
+     "):",
+     (f"{SLOT_ORACLE}::test_zero_alphas_keep_the_cocycle_law_and_break_the_inverse_law",)),
 )
 
 

@@ -92,6 +92,9 @@ class LinearCategory:
         self._identities: dict = {}
         self._generators = None
         self._zero_object = CatObject(self, ())
+        # the objects whose identity vector squares to itself, as `slot_map` needs
+        self._unital = frozenset(x for x, i in self._ids.items()
+                                 if self.compose_vec(x, x, x, i, i) == list(i))
 
     def hom_dim(self, x, y) -> int:
         return self._dims.get((x, y), 0)
@@ -457,6 +460,44 @@ def placed(dom: CatObject, cod: CatObject, cells) -> Morphism:
             rows[i].append((j, m.blocks[i][j]))
     m._rows = tuple(map(tuple, rows))
     return m.absorbed()
+
+
+def slot_map(m: Morphism):
+    """The slot map of m, column ↦ row (None at a zero column), if m is an identity
+    placement; None otherwise.  m is one when its objects are plain and each block
+    column c holds at most one nonzero block, in a row r with cod.summands[r] =
+    dom.summands[c] = s, and that block is id_vec(s) with id_s∘id_s = id_s in the base.
+
+    The lemma that lets `validate_monad` and `EquivariantObject.validate` decide laws on
+    these integer tuples:
+    - Identity placements compose as their slot maps do (`compose_slots`): block (i, k)
+      of A∘B is Σ_j A_ij∘B_jk, which is id∘id = id at i = a(b(k)) and zero elsewhere.
+      Two of them between the same objects are equal iff their slot maps are, and the
+      identity of a plain object is the one with slot map c ↦ c.
+    - A functor F with F(id_s) = id_{F s}, F s plain, for the summands s of m's objects
+      (`Functor.keeps_identities`) sends m to the identity placement with slot map
+      (c, t) ↦ (a(c), t), t running over the summands of F(dom.summands[c])
+      (`Functor.on_slots`): F(m) is F of m's blocks, placed blockwise.
+    - `NatTrans.at` on a plain sum is block-diagonal in the components
+      (`NatTrans.at_slots`).
+    """
+    cat, dom, cod = m.cat, m.dom, m.cod
+    if dom.idem is not None or cod.idem is not None:
+        return None
+    out = [None] * len(dom.summands)
+    for r, row in enumerate(m.nonzero_rows()):
+        s = cod.summands[r]
+        for c, block in row:
+            if (out[c] is not None or dom.summands[c] != s or block != cat.id_vec(s)
+                    or s not in cat._unital):
+                return None
+            out[c] = r
+    return tuple(out)
+
+
+def compose_slots(a: tuple, b: tuple) -> tuple:
+    """The slot map of A∘B from those of A and B (`slot_map`'s lemma)."""
+    return tuple(None if j is None else a[j] for j in b)
 
 
 def direct_sum(objs) -> CatObject:

@@ -35,7 +35,7 @@ import itertools
 
 from .category import (CatObject, LinearCategory, Morphism, MorSystem, _nonzero_rows,
                        direct_sum, hom_coord_dim, hom_space_basis, is_one, partwise,
-                       unit_morphisms, unit_vectors)
+                       slot_map, unit_morphisms, unit_vectors)
 from .errors import LawViolationError, NotFullyFaithfulError, PreconditionError
 from .linalg import coordinate_map, rank_extension, solve_sparse, transfer
 from .reports import ValidationReport
@@ -160,6 +160,19 @@ class Functor:
         raw, rows = self._image_blocks(f.dom.summands, f.cod.summands, f.nonzero_rows(), dom.summands)
         return Morphism._new(self.target, dom, cod, raw, rows)
 
+    def keeps_identities(self, objects) -> bool:
+        """Whether each base object s of `objects` goes to a plain F s with F(id_s) = id_{F s}."""
+        return all(self.object_map[s].idem is None and self.on_hom_vec(
+            s, s, self.source.id_vec(s)) == self.object_map[s].identity() for s in objects)
+
+    def on_slots(self, f: Morphism, a: tuple) -> tuple:
+        """The slot map (c, t) ↦ (a(c), t) of F(f) for an identity placement f with slot map
+        a, by `category.slot_map`'s lemma; F must keep the identities of f's summands."""
+        sizes = [len(self.object_map[s].summands) for s in f.cod.summands]
+        starts = tuple(itertools.accumulate(sizes, initial=0))
+        return tuple(None if r is None else starts[r] + t for r, s in zip(a, f.dom.summands)
+                     for t in range(len(self.object_map[s].summands)))
+
     def equals(self, other: "Functor") -> bool:
         return (self.source is other.source and self.target is other.target
                 and self.object_map == other.object_map and self.hom_map == other.hom_map)
@@ -247,6 +260,20 @@ class NatTrans:
             res = Morphism._new(tgt, self.src.on_object(a), self.dst.on_object(a), m.blocks, m._rows)
         self._at_cache[a.key] = res
         return res
+
+    def at_slots(self, a: CatObject):
+        """(dom, cod, slot map) of `at(a)` for a plain a, read off the components' slot maps
+        as `at` is block-diagonal there (`category.slot_map`'s lemma); None when a component
+        has no slot map or does not fit, where `at` would raise on a sum."""
+        slots = {s: slot_map(self.components[s]) for s in set(a.summands)}
+        if any(p is None or self.components[s].dom != self.src.object_map[s]
+               or self.components[s].cod != self.dst.object_map[s] for s, p in slots.items()):
+            return None
+        out, off = [], 0
+        for s in a.summands:
+            out.extend(None if r is None else off + r for r in slots[s])
+            off += len(self.dst.object_map[s].summands)
+        return self.src.on_object(a), self.dst.on_object(a), tuple(out)
 
     def __repr__(self):
         return f"<NatTrans {self.name or 'τ'}: {self.src.name or 'F'} → {self.dst.name or 'G'}>"
