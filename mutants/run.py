@@ -41,6 +41,8 @@ HANDED = "tests/test_homotopy_oracle.py::test_handed_rows_are_the_concrete_compo
 SLOT_ORACLE = "tests/test_slot_laws_oracle.py"
 DENSE_KERNEL = ("tests/test_composition_oracle.py::"
                 "test_separability_compositions_match_dense_kernel[Z/2 on C1 over Q]")
+DRIFT = "tests/test_composition_oracle.py::test_accumulation_keeps_scalar_types"
+EXACT_ONE = "tests/test_composition_oracle.py::test_a_product_by_an_exact_one_is_the_other_factor"
 
 MUTANTS = (
     ("independence-counts-zero", "src/sepcat/linalg.py",
@@ -70,11 +72,23 @@ MUTANTS = (
     ("unit-by-value-only", "src/sepcat/category.py",
      "    return type(a) is type(one) and a == one\n",
      "    return a == one\n",
-     ("tests/test_composition_oracle.py::test_accumulation_keeps_scalar_types",)),
+     (DRIFT,)),
     ("untouched-slot-by-truthiness", "src/sepcat/category.py",
      "acc[t] = term if acc[t] is zero else acc[t] + term",
      "acc[t] = term if not acc[t] else acc[t] + term",
-     ("tests/test_composition_oracle.py::test_accumulation_keeps_scalar_types",)),
+     (DRIFT, f"{DRIFT}_off_the_scalar_path")),
+    ("scalar-kernel-slot-by-truthiness", "src/sepcat/category.py",
+     "accs[k] = term if acc is zero else acc + term",
+     "accs[k] = term if not acc else acc + term",
+     (DRIFT,)),
+    ("scalar-kernel-composes-absent-triple", "src/sepcat/category.py",
+     "                if (src[k], mj, ti) in tables:\n",
+     "                if True:\n",
+     ("tests/test_composition_oracle.py::test_basis_products_match_dense_kernel[Cz-Q]",)),
+    ("scalar-kernel-multiplies-by-one", "src/sepcat/category.py",
+     "term = fp if g_one else gq if is_one(fp, one) else gq * fp",
+     "term = gq * fp",
+     (f"{EXACT_ONE}[C1-Q]", f"{EXACT_ONE}[C1-F7]")),
     ("witness-image-every-g-a-unit", "src/sepcat/functors.py",
      "                g_one = is_one(g, one)\n",
      "                g_one = True\n",

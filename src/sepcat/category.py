@@ -29,6 +29,16 @@ and a slot still holding the category's shared zero (`LinearCategory.zero`, test
 identity, not truthiness) takes the term.  1·x and 0 + x are x in value, type and
 variable order for an int, `Fraction`, `Fp`, `LinForm` or sympy expression, and none
 of them changes once built, so sharing the factor is safe.
+
+A category is *scalar* when every nonzero hom space is 1-dimensional and every compiled
+table is the unit table, basis∘basis = basis: the point, the two points and the A2
+quiver, not Cw, the dual numbers or an equivariant presentation with End(F x) = k[G].
+`LinearCategory.__init__` decides it once from the presentation, and composition there
+(`_scalar_mul`) multiplies each pair of nonzero 1-blocks inline: the table's one entry
+is (0, unit), so `accum_compose` would add exactly the term g·f, by the same rule, into
+the same slot in the same j-order, and a triple without a table (an omitted composite)
+adds nothing.  The result is the same in value, type and order; only the call, the
+nonzero-coordinate list and the table walk per pair are gone.
 """
 
 from __future__ import annotations
@@ -73,6 +83,9 @@ class LinearCategory:
             self._comp[(x, y, z)] = tuple(
                 tuple(tuple((t, None if is_one(c, self.one) else c) for t, c in enumerate(vec) if c)
                       for vec in row) for row in table)
+        # scalar: every nonzero hom is k, and each table says basis∘basis = basis
+        self._scalar = (all(d == 1 for d in self._dims.values())
+                        and all(t == ((((0, None),),),) for t in self._comp.values()))
         self._ids = {}
         for x in self.objects:
             if self.hom_dim(x, x) < 1:
@@ -285,6 +298,8 @@ def _nonzero_rows(blocks):
 
 def _raw_mul(cat, dst, mid, src, a_rows, b_rows):
     """Blocks of A∘B (dst ← mid ← src) from the nonzero block rows of A and B."""
+    if cat._scalar:
+        return _scalar_mul(cat, dst, mid, src, a_rows, b_rows)
     accum = cat.accum_compose
     out = []
     for i, ti in enumerate(dst):
@@ -301,6 +316,30 @@ def _raw_mul(cat, dst, mid, src, a_rows, b_rows):
             row = list(zrow)
             for k, acc in accs.items():
                 row[k] = tuple(acc)
+            zrow = tuple(row)
+        out.append(zrow)
+    return tuple(out)
+
+
+def _scalar_mul(cat, dst, mid, src, a_rows, b_rows):
+    """`_raw_mul` in a scalar category: each pair of nonzero blocks composes as the one
+    product g·f, a triple without a table contributing nothing, by the same rule."""
+    tables, zero, one = cat._comp, cat.zero, cat.one
+    out = []
+    for i, ti in enumerate(dst):
+        zrow = cat.zero_row(ti, src)
+        accs = {}
+        for j, (gq,) in a_rows[i]:
+            mj, g_one = mid[j], is_one(gq, one)
+            for k, (fp,) in b_rows[j]:
+                if (src[k], mj, ti) in tables:
+                    term = fp if g_one else gq if is_one(fp, one) else gq * fp
+                    acc = accs.get(k, zero)
+                    accs[k] = term if acc is zero else acc + term
+        if accs:
+            row = list(zrow)
+            for k, acc in accs.items():
+                row[k] = (acc,)
             zrow = tuple(row)
         out.append(zrow)
     return tuple(out)
@@ -498,6 +537,27 @@ def slot_map(m: Morphism):
 def compose_slots(a: tuple, b: tuple) -> tuple:
     """The slot map of A∘B from those of A and B (`slot_map`'s lemma)."""
     return tuple(None if j is None else a[j] for j in b)
+
+
+def slot_placement(dom: CatObject, cod: CatObject, slots: tuple, blocks) -> Morphism:
+    """The morphism dom → cod of plain objects whose column c holds blocks[c] in row
+    slots[c] (none where that is None) and zeros elsewhere, its nonzero rows handed over:
+    for identity blocks, the identity placement with slot map `slots`."""
+    cat = dom.cat
+    cells = [[] for _ in cod.summands]
+    for c, (r, block) in enumerate(zip(slots, blocks)):
+        if r is not None:
+            cells[r].append((c, block))
+    grid = []
+    for t, row in zip(cod.summands, cells):
+        zrow = cat.zero_row(t, dom.summands)
+        if row:
+            zrow = list(zrow)
+            for c, block in row:
+                zrow[c] = block
+            zrow = tuple(zrow)
+        grid.append(zrow)
+    return Morphism._new(cat, dom, cod, tuple(grid), tuple(map(tuple, cells)))
 
 
 def direct_sum(objs) -> CatObject:

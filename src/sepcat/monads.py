@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .category import Morphism, MorSystem, compose_slots, slot_map
+from .category import Morphism, MorSystem, compose_slots, slot_map, slot_placement
 from .errors import LawViolationError, PreconditionError
 from .functors import (Adjunction, Functor, NatTrans, compose_functors, naturality_laws,
                        validate_nat, validate_section)
@@ -51,8 +51,22 @@ class Monad:
 
     @cached_property
     def mult_images(self) -> dict:
-        """M(μ_x): M³x → M²x per base object x, built once."""
-        return {x: self.functor.on_morphism(mu) for x, mu in self.mult.components.items()}
+        """M(μ_x): M³x → M²x per base object x, built once.  Where μ_x is an identity
+        placement and M keeps the identities of its summands, M(μ_x) is the identity
+        placement with slot map `Functor.on_slots` (`category.slot_map`'s lemma), each
+        block the diagonal block of M(id_s) that `Functor.on_morphism` would place there;
+        any other μ_x goes through `on_morphism`."""
+        mf, out = self.functor, {}
+        for x, mu in self.mult.components.items():
+            a, summands = slot_map(mu), {*mu.dom.summands, *mu.cod.summands}
+            if a is None or not mf.keeps_identities(summands):
+                out[x] = mf.on_morphism(mu)
+                continue
+            ids = {s: mf.on_hom_vec(s, s, self.cat.id_vec(s)).blocks for s in summands}
+            diag = [ids[s][t][t] for s in mu.dom.summands for t in range(len(ids[s]))]
+            out[x] = slot_placement(mf.on_object(mu.dom), mf.on_object(mu.cod),
+                                    mf.on_slots(mu, a), diag)
+        return out
 
     @staticmethod
     def identity_monad(cat, name: str = "Id") -> "Monad":

@@ -19,6 +19,11 @@ products by an exact one and sums into the untouched shared zero; their oracles
 keep the plain `acc + c·a`, so a skip that changes a value or a type shows here.
 `reference_witness_image` and `reference_apply` are that oracle for
 `SepWitness.apply`.
+
+A scalar category (every nonzero hom 1-dimensional, every table the unit one) composes
+on its own path, `_scalar_mul`.  The builders hold scalar categories (C1, C2, C3 and
+Cz, whose composites through the other object are omitted) and others (Cd, Cw), so both
+paths meet the same oracle.
 """
 
 import contextlib
@@ -35,7 +40,7 @@ from sepcat import (Field, FiniteGroup, GroupAction, equivariant_category, equiv
                     induce_adjunction, monad_separability_solve, separability_solve)
 from sepcat.category import (CatObject, LinearCategory, Morphism, MorSystem, _nonzero_rows,
                              hom_coord_dim, hom_space_basis, identity_blocks, is_one, placed,
-                             unit_morphisms, zero_morphism)
+                             unit_morphisms, validate_presentation, zero_morphism)
 from sepcat.functors import Functor, NatTrans, SepWitness, validate_functor
 from sepcat.linalg import LinForm
 from sepcat.standard import (a2_quiver_category, dual_numbers_category, point_category,
@@ -140,9 +145,22 @@ def cyclotomic_table_category(field):
                           {"pt": (one, zero)}, name="Cw")
 
 
+def zero_composite_category(field):
+    """x ⇄ y with every hom 1-dimensional and the composites x → y → x and y → x → y
+    omitted, that is zero: every table it has is the unit one, and two triples have none."""
+    one = field.one()
+    unit = [[(one,)]]
+    pairs = [("x", "x"), ("y", "y"), ("x", "y"), ("y", "x")]
+    comp = {**{(a, a, b): unit for a, b in pairs}, **{(a, b, b): unit for a, b in pairs}}
+    return LinearCategory(field, ["x", "y"], {pair: 1 for pair in pairs}, comp,
+                          {"x": (one,), "y": (one,)}, name="Cz")
+
+
 FIELDS = [Field.rationals(), Field.prime(2), Field.prime(3), Field.prime(7)]
 BUILDERS = {"C1": point_category, "C2": a2_quiver_category, "C3": two_point_category,
-            "Cd": dual_numbers_category, "Cw": cyclotomic_table_category}
+            "Cd": dual_numbers_category, "Cw": cyclotomic_table_category,
+            "Cz": zero_composite_category}
+SCALAR_KINDS = ("C1", "C2", "C3", "Cz")
 _CATS = {}
 
 
@@ -253,11 +271,39 @@ def _actions():
     }
 
 
+def _presentation(act):
+    return equivariant_category(act).cat
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda k: k.spec_str())
+def test_the_scalar_path_is_chosen_from_the_presentation(field):
+    """C1, A2, C3 and Cz are scalar; Cd and Cw are not, nor is the presentation of a
+    trivial action of a group of order ≥ 2, whose End(F x) is k[G]; the presentation of
+    the Z/2 swap on C3, whose free objects have End = k, is."""
+    for kind in BUILDERS:
+        assert category(kind, field)._scalar == (kind in SCALAR_KINDS), kind
+    assert validate_presentation(category("Cz", field)).passed
+    z2 = FiniteGroup.cyclic(2)
+    for group in (z2, FiniteGroup.cyclic(3), FiniteGroup.symmetric(3)):
+        assert not _presentation(GroupAction.trivial(group, point_category(field)))._scalar
+    for kind in ("C2", "C3", "Cz"):
+        assert not _presentation(GroupAction.trivial(z2, BUILDERS[kind](field)))._scalar
+    swap = {z2.unit: {"x": "x", "y": "y"},
+            next(g for g in z2.elements if g != z2.unit): {"x": "y", "y": "x"}}
+    assert _presentation(GroupAction.from_permutation(z2, two_point_category(field), swap))._scalar
+
+
 @pytest.mark.parametrize("name", list(_actions()))
 def test_separability_compositions_match_dense_kernel(name):
-    """Every product and absorption that monad and functor separability compute."""
-    seen = []
+    """Every product and absorption that monad and functor separability compute; the
+    scalar path runs in the C1 and C3 cases, and never in the Cw case."""
+    seen, scalar = [], []
     matmul, absorbed = Morphism.__matmul__, Morphism.absorbed
+    scalar_mul = sepcat.category._scalar_mul
+
+    def spied_scalar_mul(cat, *args):
+        scalar.append(cat)
+        return scalar_mul(cat, *args)
 
     def checked_matmul(g, f):
         got = matmul(g, f)
@@ -275,10 +321,13 @@ def test_separability_compositions_match_dense_kernel(name):
         stack.enter_context(recording())
         stack.enter_context(mock.patch.object(Morphism, "__matmul__", checked_matmul))
         stack.enter_context(mock.patch.object(Morphism, "absorbed", checked_absorbed))
+        stack.enter_context(mock.patch.object(sepcat.category, "_scalar_mul", spied_scalar_mul))
         act = _actions()[name]()
         monad_separability_solve(equivariant_monad(act))
         separability_solve(induce_adjunction(equivariant_category(act)).G)
     assert any(any(isinstance(a, LinForm) for a in m.coords()) for m in seen)
+    assert bool(scalar) == ("Cw" not in name)
+    assert all(cat._scalar for cat in scalar)
 
 
 class TestPublicConstructorChecks:
@@ -694,40 +743,68 @@ def _one_not_shared(field):
     return Fraction(1) if field.is_rational else field.from_int(1)
 
 
-def _drift_case(case, field):
-    """(g, f) on the point: endomorphisms, or g: pt³ → pt and f: pt → pt³ whose
-    composite sums three terms into one slot, the first two cancelling."""
-    cat = category("C1", field)
+def _drift_case(case, field, kind="C1"):
+    """(g, f) on the point of C1, or of k[ε] with each scalar a times the identity
+    (a, 0): endomorphisms, or g: pt³ → pt and f: pt → pt³ whose composite sums three
+    terms into one slot, the first two cancelling."""
+    cat = category(kind, field)
     one, three = field.one(), field.from_int(3)
-    pt = cat.obj("pt")
+    pt, pad = cat.obj("pt"), (field.zero(),) * (cat.hom_dim("pt", "pt") - 1)
     if case == "fraction one times int form":
         form = LinForm(field.zero(), {0: one, 3: field.from_int(2)})
-        return (Morphism(cat, pt, pt, [[(_one_not_shared(field),)]]),
-                Morphism(cat, pt, pt, [[(form,)]]))
+        return (Morphism(cat, pt, pt, [[(_one_not_shared(field), *pad)]]),
+                Morphism(cat, pt, pt, [[(form, *pad)]]))
     half = field.inv_int(2) if field.invertible(2) else one
     first = {"cancelled scalar plus int": half,
              "cancelled form plus scalar": LinForm.variable(0, field)}[case]
     x = cat.obj("pt", "pt", "pt")
-    return (Morphism(cat, x, pt, [[(first,), (first,), (three,)]]),
-            Morphism(cat, pt, x, [[(one,)], [(-one,)], [(one,)]]))
+    return (Morphism(cat, x, pt, [[(first, *pad), (first, *pad), (three, *pad)]]),
+            Morphism(cat, pt, x, [[(one, *pad)], [(-one, *pad)], [(one, *pad)]]))
 
 
-@pytest.mark.parametrize("field", DRIFT_FIELDS, ids=lambda k: k.spec_str())
-@pytest.mark.parametrize("case", ["fraction one times int form", "cancelled scalar plus int",
-                                  "cancelled form plus scalar"])
-def test_accumulation_keeps_scalar_types(case, field):
-    """A `Fraction(1)` factor is multiplied out, and a slot that cancelled to a zero
-    (a `Fraction(0)`, a residue 0 or the zero form) is added to, as the arithmetic does."""
-    g, f = _drift_case(case, field)
+def _assert_drift(case, field, kind):
+    g, f = _drift_case(case, field, kind)
     assert_same(g @ f, reference_compose(g, f))
     if case == "fraction one times int form":
         assert_same(f @ g, reference_compose(f, g))
         want = type(_one_not_shared(field) * field.one())
         assert {type(v) for v in (g @ f).coords()[0].coeffs.values()} == {want}
     else:
-        first, three = g.coords()[0], g.coords()[2]
+        first, three = g.blocks[0][0][0], g.blocks[0][2][0]
         want = (first + first * -field.one()) + three
         assert strict_scalar((g @ f).coords()[0]) == strict_scalar(want)
+
+
+DRIFT_CASES = ["fraction one times int form", "cancelled scalar plus int",
+               "cancelled form plus scalar"]
+
+
+@pytest.mark.parametrize("field", DRIFT_FIELDS, ids=lambda k: k.spec_str())
+@pytest.mark.parametrize("case", DRIFT_CASES)
+def test_accumulation_keeps_scalar_types(case, field):
+    """A `Fraction(1)` factor is multiplied out, and a slot that cancelled to a zero
+    (a `Fraction(0)`, a residue 0 or the zero form) is added to, as the arithmetic does."""
+    _assert_drift(case, field, "C1")
+
+
+@pytest.mark.parametrize("field", DRIFT_FIELDS, ids=lambda k: k.spec_str())
+@pytest.mark.parametrize("case", DRIFT_CASES)
+def test_accumulation_keeps_scalar_types_off_the_scalar_path(case, field):
+    """The same products in k[ε], which is not scalar: `accum_compose` keeps the rule."""
+    _assert_drift(case, field, "Cd")
+
+
+@pytest.mark.parametrize("field", DRIFT_FIELDS, ids=lambda k: k.spec_str())
+@pytest.mark.parametrize("kind", ["C1", "Cd"])
+def test_a_product_by_an_exact_one_is_the_other_factor(kind, field):
+    """id∘f and f∘id hold f's own coordinate object, not a product equal to it, on the
+    scalar path (C1) and through `accum_compose` (Cd)."""
+    cat = category(kind, field)
+    pt = cat.obj("pt")
+    form = LinForm(field.zero(), {0: field.from_int(3)})
+    f = Morphism(cat, pt, pt, [[(form, *(field.zero(),) * (cat.hom_dim("pt", "pt") - 1))]])
+    for m in (pt.identity() @ f, f @ pt.identity()):
+        assert m.blocks[0][0][0] is form
 
 
 # ------------------------------------------------------------------ witness images

@@ -20,12 +20,15 @@ null-homotopic ones.  Random module complexes of length 1–4 are compared over
 several monads, with the second complex shifted against the first, on semisimple
 bases and on the A2 quiver over Q, F_3 and F_5, where the homotopy category is
 D^b(mod kA₂), and with terms that are Karoubi objects, the summands of a free
-module split off by an idempotent.
+module split off by an idempotent.  On A2 a hypothesis test also draws complexes
+under the trivial and the sign Z/2 action and requires d₁ = d₂ outright.
 """
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sepcat.complexes
 from sepcat import (Field, FiniteGroup, GroupAction, MModule, MonadNotSeparableError, Morphism,
@@ -253,6 +256,7 @@ def setups(act_z2_q, act_z3_q, act_z3_qw, act_swap_q, c1_f3, QQ, F3):
         "Z2 on A2/F3": _setup(trivial_z2_on_a2(F3), free_only),
         "sign Z2 on A2/F3": _setup(sign_action_on_a2(F3), free_only),
         "Z2 on A2/F5": _setup(trivial_z2_on_a2(Field.prime(5)), free_only),
+        "sign Z2 on A2/F5": _setup(sign_action_on_a2(Field.prime(5)), free_only),
         "Z2 on C1/Q, Karoubi": _setup(act_z2_q, _karoubi_summands),
     }
 
@@ -429,3 +433,23 @@ def test_a2_over_f2_has_no_section_of_mu(action):
     samples = [random_module_complex(monad, pool, 2, random.Random(seed)) for seed in range(2)]
     with pytest.raises(MonadNotSeparableError):
         derived_comparison_check(act, samples, monad=monad)
+
+
+A2_CASES = ["Z2 on A2/Q", "sign Z2 on A2/Q", "Z2 on A2/F3", "sign Z2 on A2/F3", "Z2 on A2/F5",
+            "sign Z2 on A2/F5"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=st.sampled_from(A2_CASES), rng=st.randoms(use_true_random=False),
+       lengths=st.tuples(st.integers(1, 4), st.integers(1, 4)), shift=st.integers(-2, 2))
+def test_random_a2_complexes_validate_and_d1_equals_d2(setups, case, rng, lengths, shift):
+    """Random module complexes on A2, where the homotopy category is D^b(mod kA₂), under
+    the trivial and the sign Z/2 action: over Q from the character pool, over F_3 and F_5
+    from the free modules.  Each validates, and d₁ = d₂ both ways."""
+    monad, pool = setups[case]
+    a = random_module_complex(monad, pool, lengths[0], rng, name="A")
+    b = shifted(random_module_complex(monad, pool, lengths[1], rng, name="B"), shift)
+    for c in (a, b):
+        assert c.validate().passed, c
+    for x, y in ((a, b), (b, a)):
+        assert module_chain_hom_dim(x, y) == lifted_module_hom_dim(x, y), (x, y)

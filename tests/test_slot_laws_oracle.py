@@ -31,6 +31,7 @@ from sepcat.standard import (a2_quiver_category, cyclotomic_point_category,
                              dual_numbers_category, point_category, two_point_category)
 from sepcat.workspace import parse_workspace
 from test_adjunction_formula_oracle import sign_action_on_a2
+from test_composition_oracle import strict
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "workspace.json"
 QQ, F2, F3, F5, F7 = (Field.rationals(), Field.prime(2), Field.prime(3), Field.prime(5),
@@ -212,6 +213,27 @@ def test_built_monads_and_free_objects_agree_and_take_the_slot_decision(case):
     for z in free:
         assert object_lemma_applies(z) and z._slot_laws_hold()
         assert assert_object_agrees(z).passed
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_mult_images_from_slots_are_the_functor_images(case, monkeypatch):
+    """`Monad.mult_images` builds M(μ_x) of the group monad and of the adjunction's monad
+    from slot maps, never through `Functor.on_morphism`, and each equals on_morphism(μ_x)
+    in value, scalar type and the nonzero rows it hands over."""
+    _, group_monad, adj_monad, _ = build(case)
+    for m in (group_monad, adj_monad):
+        calls, on_morphism = [], Functor.on_morphism
+        with monkeypatch.context() as mp:
+            mp.setattr(Functor, "on_morphism", lambda fn, f: calls.append(f) or on_morphism(fn, f))
+            images = Monad(m.functor, m.unit, m.mult).mult_images
+        assert calls == []
+        for x, mu in m.mult.components.items():
+            got, want = images[x], m.functor.on_morphism(mu)
+            assert (got.dom, got.cod) == (want.dom, want.cod)
+            assert strict(got.blocks) == strict(want.blocks)
+            assert got._rows is not None and got._rows == want._rows
+            assert strict([[b for _, b in row] for row in got._rows]) == strict(
+                [[b for _, b in row] for row in want._rows])
 
 
 @pytest.mark.parametrize("case", CASES, ids=case_id)
