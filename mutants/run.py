@@ -43,6 +43,7 @@ DENSE_KERNEL = ("tests/test_composition_oracle.py::"
                 "test_separability_compositions_match_dense_kernel[Z/2 on C1 over Q]")
 DRIFT = "tests/test_composition_oracle.py::test_accumulation_keeps_scalar_types"
 EXACT_ONE = "tests/test_composition_oracle.py::test_a_product_by_an_exact_one_is_the_other_factor"
+INDEX_ORACLE = "tests/test_presentation_index_oracle.py"
 
 MUTANTS = (
     ("independence-counts-zero", "src/sepcat/linalg.py",
@@ -182,6 +183,20 @@ MUTANTS = (
      "\n                    or compose_slots(slots[g], images[gi]) != tuple(range(len(images[gi])))):",
      "):",
      (f"{SLOT_ORACLE}::test_zero_alphas_keep_the_cocycle_law_and_break_the_inverse_law",)),
+    ("slot-functor-zero-product-matches-anything", "src/sepcat/functors.py",
+     "zero if t is None else slots[(x, z)][t]",
+     "compose_slots(slots[(y, z)][ib], slots[(x, y)][ia]) if t is None else slots[(x, z)][t]",
+     (f"{INDEX_ORACLE}::test_a_dropped_product_fails_composition_on_the_slot_path",)),
+    ("slot-images-skip-endpoints", "src/sepcat/functors.py",
+     "_functor_laws(f, _slot_images(f) if ok_shapes else None)", "_functor_laws(f, _slot_images(f))",
+     (f"{INDEX_ORACLE}::test_an_image_with_the_wrong_endpoints_takes_the_vector_path",)),
+    ("table-slots-over-any-base", "src/sepcat/equivariant.py",
+     "slot_map(b) if base._prod is not None\n                   and all(", "slot_map(b) if all(",
+     (f"{INDEX_ORACLE}::test_a_base_whose_one_is_a_fraction_keeps_the_composed_table",)),
+    ("slot-functor-skips-identity-law", "src/sepcat/functors.py",
+     "slots[(x, x)][src._id_index[x]], slot_map(f.object_map[x].identity())",
+     "slots[(x, x)][src._id_index[x]], slots[(x, x)][src._id_index[x]]",
+     (f"{INDEX_ORACLE}::test_a_zero_identity_image_fails_the_identity_law_on_the_slot_path",)),
 )
 
 

@@ -8,7 +8,7 @@ from .linalg import AffineSolution, Infeasible, LinForm, solve_sparse
 from .category import (CatObject, LinearCategory, Morphism, MorSystem,
                        RetractWitness, direct_sum, biproduct,
                        hom_space_basis, int_invertible, invert_morphism,
-                       morphism, placed, split_idempotent, validate_presentation,
+                       morphism, slot_placement, split_idempotent, validate_presentation,
                        zero_morphism)
 from .functors import (Adjunction, Functor, NatTrans, SepWitness,
                        compose_functors, extract_section, fully_faithful_on,

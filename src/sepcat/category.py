@@ -13,7 +13,7 @@ Composition visits nonzero A-blocks × nonzero B-blocks only, through structure
 constants compiled once to their nonzero entries (units marked, so they add
 without a multiply); an output row is the shared zero row, patched where anything
 accumulated.  Its operands' nonzero blocks (`Morphism.nonzero_rows`) come from the
-producers that know them: `placed` tests only its cells, `zero_morphism` has none,
+producers that know them: `slot_placement` tests only its cells, `zero_morphism` has none,
 `NatTrans.at` on a sum shifts each component's rows to its columns, and a functor
 image tests only its cells that two or more terms reached.  A composite, sum or
 `from_coords` grid is scanned on its first use as an operand instead, as few are ever
@@ -39,6 +39,15 @@ is (0, unit), so `accum_compose` would add exactly the term g·f, by the same ru
 the same slot in the same j-order, and a triple without a table (an omitted composite)
 adds nothing.  The result is the same in value, type and order; only the call, the
 nonzero-coordinate list and the table walk per pair are gone.
+
+A category is *monomial* when every compiled table entry is empty or one unit entry and
+every identity vector is a unit vector holding exactly the field's one: each product
+b_q∘b_p of basis morphisms is a basis morphism b_t or zero (a multiplicative basis), as in
+the scalar categories, the dual numbers and k[G] for a trivial action on the point.
+`LinearCategory.__init__` decides it once and keeps t, None for zero (`product`).  Unit
+vectors differ from each other and from zero, so comparing indices decides what comparing
+the vectors e_t = e_q∘e_p does: presentation laws are read on indices, and functor laws and
+equivariant tables on slot maps (`slot_map`'s lemma).
 """
 
 from __future__ import annotations
@@ -96,6 +105,14 @@ class LinearCategory:
             if len(vec) != self.hom_dim(x, x):
                 raise ValueError(f"identity vector length mismatch at {x}")
             self._ids[x] = vec
+        # monomial: each table entry a unit one or none, each identity a basis morphism
+        ids = {x: [(t, c) for t, c in enumerate(v) if c] for x, v in self._ids.items()}
+        monomial = (all(len(e) == 1 and is_one(e[0][1], self.one) for e in ids.values())
+                    and all(len(e) < 2 and all(c is None for _, c in e)
+                            for table in self._comp.values() for row in table for e in row))
+        self._id_index = {x: e[0][0] for x, e in ids.items()} if monomial else None
+        self._prod = {key: tuple(tuple(e[0][0] if e else None for e in row) for row in table)
+                      for key, table in self._comp.items()} if monomial else None
         self._labels = dict(basis_labels or {})
         self.name = name
         self._hom_basis_cache: dict = {}
@@ -205,6 +222,12 @@ class LinearCategory:
                     for t, c in entries:
                         term = coef if c is None else coef * c
                         acc[t] = term if acc[t] is zero else acc[t] + term
+
+    def product(self, x, y, z, q, p):
+        """In a monomial category, the index t with b_q∘b_p = b_t for b_p: x→y and b_q: y→z,
+        or None where the product is zero, as it is when q or p is None."""
+        table = self._prod.get((x, y, z))
+        return None if table is None or q is None or p is None else table[q][p]
 
     def compose_vec(self, x, y, z, g_vec, f_vec):
         acc = list(self.zero_block(x, z))
@@ -485,22 +508,6 @@ def morphism(cat, dom: CatObject, cod: CatObject, blocks) -> Morphism:
     return m.absorbed()
 
 
-def placed(dom: CatObject, cod: CatObject, cells) -> Morphism:
-    """The morphism dom → cod whose block (i, j) is cells[(i, j)] and whose other
-    blocks are zero, absorbed through the idempotents: the sparse twin of `morphism`."""
-    cat = dom.cat
-    grid = [list(cat.zero_row(t, dom.summands)) for t in cod.summands]
-    for (i, j), block in cells.items():
-        grid[i][j] = block
-    m = Morphism(cat, dom, cod, grid)
-    rows = [[] for _ in grid]
-    for i, j in sorted(cells):
-        if any(m.blocks[i][j]):
-            rows[i].append((j, m.blocks[i][j]))
-    m._rows = tuple(map(tuple, rows))
-    return m.absorbed()
-
-
 def slot_map(m: Morphism):
     """The slot map of m, column ↦ row (None at a zero column), if m is an identity
     placement; None otherwise.  m is one when its objects are plain and each block
@@ -519,6 +526,13 @@ def slot_map(m: Morphism):
       (`Functor.on_slots`): F(m) is F of m's blocks, placed blockwise.
     - `NatTrans.at` on a plain sum is block-diagonal in the components
       (`NatTrans.at_slots`).
+    - In a monomial source F(b_q∘b_p) is F(b_t) or zero, so where every F(b) is an identity
+      placement with the right endpoints, `validate_functor` compares F(b_t)'s slot map, or
+      the all-None one for zero, with compose_slots of F(b_q)'s and F(b_p)'s, and F(id_x)'s
+      with slot_map(id_{F x}).  `equivariant_category` reads the table entry of basis
+      morphisms v∘u off the basis morphism w with compose_slots(v, u) as slot map: over a
+      monomial base, with every nonzero coordinate of v, u and w exactly one, v∘u's nonzero
+      coordinates are w's in value and type, and `coordinate_map` reads only those.
     """
     cat, dom, cod = m.cat, m.dom, m.cod
     if dom.idem is not None or cod.idem is not None:
@@ -540,9 +554,10 @@ def compose_slots(a: tuple, b: tuple) -> tuple:
 
 
 def slot_placement(dom: CatObject, cod: CatObject, slots: tuple, blocks) -> Morphism:
-    """The morphism dom → cod of plain objects whose column c holds blocks[c] in row
-    slots[c] (none where that is None) and zeros elsewhere, its nonzero rows handed over:
-    for identity blocks, the identity placement with slot map `slots`."""
+    """The morphism dom → cod whose column c holds the tuple blocks[c] in row slots[c] (none
+    where that is None) and zeros elsewhere, absorbed through the idempotents; between plain
+    objects its nonzero blocks are handed over.  For identity blocks, the identity placement
+    with slot map `slots`."""
     cat = dom.cat
     cells = [[] for _ in cod.summands]
     for c, (r, block) in enumerate(zip(slots, blocks)):
@@ -557,7 +572,8 @@ def slot_placement(dom: CatObject, cod: CatObject, slots: tuple, blocks) -> Morp
                 zrow[c] = block
             zrow = tuple(zrow)
         grid.append(zrow)
-    return Morphism._new(cat, dom, cod, tuple(grid), tuple(map(tuple, cells)))
+    rows = tuple(tuple((c, b) for c, b in row if any(b)) for row in cells)
+    return Morphism._new(cat, dom, cod, tuple(grid), rows).absorbed()
 
 
 def direct_sum(objs) -> CatObject:
@@ -587,11 +603,13 @@ def biproduct(objs):
     objs = list(objs)
     total = direct_sum(objs)
     injections, projections, offset = [], [], 0
+    ids = [total.cat.id_vec(s) for s in total.summands]
     for o in objs:
-        ids = [total.cat.id_vec(s) for s in o.summands]
-        injections.append(placed(o, total, {(offset + i, i): v for i, v in enumerate(ids)}))
-        projections.append(placed(total, o, {(i, offset + i): v for i, v in enumerate(ids)}))
-        offset += len(ids)
+        n = len(o.summands)
+        injections.append(slot_placement(o, total, range(offset, offset + n), ids[offset:]))
+        projections.append(slot_placement(total, o, [c - offset if offset <= c < offset + n else None
+                                                     for c in range(len(ids))], ids))
+        offset += n
     return total, injections, projections
 
 
@@ -768,23 +786,27 @@ def unit_vectors(field, n: int) -> list:
 
 
 def _presentation_laws(cat: LinearCategory):
-    """id∘a = a = a∘id per basis morphism a, then (c∘b)∘a = c∘(b∘a) per basis triple."""
+    """id∘a = a = a∘id per basis morphism a, then (c∘b)∘a = c∘(b∘a) per basis triple; in a
+    monomial category on basis indices (module docstring), else on coordinate vectors."""
+    if cat._prod is None:
+        compose, ident, basis = cat.compose_vec, cat.id_vec, lambda d: unit_vectors(cat.field, d)
+    else:
+        compose, ident, basis = cat.product, cat._id_index.__getitem__, range
     for (x, y), d in sorted(cat._dims.items(), key=lambda kv: (cat._oindex[kv[0][0]], cat._oindex[kv[0][1]])):
-        for i, a in enumerate(unit_vectors(cat.field, d)):
-            yield "left unit", (x, y, i), cat.compose_vec(x, y, y, cat.id_vec(y), a), a
-            yield "right unit", (x, y, i), cat.compose_vec(x, x, y, a, cat.id_vec(x)), a
+        for i, a in enumerate(basis(d)):
+            yield "left unit", (x, y, i), compose(x, y, y, ident(y), a), a
+            yield "right unit", (x, y, i), compose(x, x, y, a, ident(x)), a
     for w, x, y, z in itertools.product(cat.objects, repeat=4):
         dwx, dxy, dyz = cat.hom_dim(w, x), cat.hom_dim(x, y), cat.hom_dim(y, z)
         if not (dwx and dxy and dyz):
             continue
-        cs = unit_vectors(cat.field, dyz)
-        for ia, a in enumerate(unit_vectors(cat.field, dwx)):
-            for ib, b in enumerate(unit_vectors(cat.field, dxy)):
-                ba = cat.compose_vec(w, x, y, b, a)
+        cs = basis(dyz)
+        for ia, a in enumerate(basis(dwx)):
+            for ib, b in enumerate(basis(dxy)):
+                ba = compose(w, x, y, b, a)
                 for ic, c in enumerate(cs):
                     yield ("associativity", (w, x, y, z, ia, ib, ic),
-                           cat.compose_vec(w, x, z, cat.compose_vec(x, y, z, c, b), a),
-                           cat.compose_vec(w, y, z, c, ba))
+                           compose(w, x, z, compose(x, y, z, c, b), a), compose(w, y, z, c, ba))
 
 
 def validate_presentation(cat: LinearCategory) -> ValidationReport:

@@ -21,11 +21,11 @@ reduced echelon form that the equivariance solve returns.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 from .category import (CatObject, LinearCategory, Morphism, MorSystem, compose_slots,
-                       direct_sum, hom_coord_dim, hom_space_basis, int_invertible,
-                       invert_morphism, morphism, partwise, placed, slot_map)
+                       direct_sum, hom_coord_dim, hom_space_basis, int_invertible, is_one,
+                       invert_morphism, morphism, partwise, slot_map, slot_placement)
 from .errors import (LawViolationError, NonInvertibleComponentError,
                      NotInvertibleError, PreconditionError)
 from .functors import (Adjunction, Functor, NatTrans, compose_functors,
@@ -139,8 +139,8 @@ class GroupAction:
         hom_map = {}
         for x, y in cat.hom_pairs():
             images = [self.functors[h].hom_map[(x, y)] for h in els]
-            hom_map[(x, y)] = tuple(placed(object_map[x], object_map[y],
-                                           {(i, i): im[t].blocks[0][0] for i, im in enumerate(images)})
+            hom_map[(x, y)] = tuple(slot_placement(object_map[x], object_map[y], range(len(els)),
+                                                   [im[t].blocks[0][0] for im in images])
                                     for t in range(cat.hom_dim(x, y)))
         return Functor(cat, cat, object_map, hom_map, name="M")
 
@@ -188,8 +188,9 @@ def validate_action(a: GroupAction) -> ValidationReport:
     """Strictness: Φ_e = Id and Φ_g∘Φ_h = Φ_{gh} as exact presentation data."""
     rep = ValidationReport(f"action {a.name}" if a.name else "action")
     rep.merge(a.group.validate())
+    once = cache(validate_functor)  # each distinct Φ_g once: a trivial action has one
     for g in a.group.elements:
-        rep.merge(validate_functor(a.functors[g]))
+        rep.merge(once(a.functors[g]))
     perm_ok = True
     for g in a.group.elements:
         seen = set()
@@ -204,9 +205,10 @@ def validate_action(a: GroupAction) -> ValidationReport:
     rep.record("Φ_g permutes the base objects", perm_ok)
     rep.record("Φ_e is the identity presentation",
                a.functors[a.group.unit].equals(Functor.identity(a.base)))
-    els = a.group.elements
-    bad = [f"({g},{h})" for g in els for h in els if not compose_functors(
-        a.functors[g], a.functors[h]).equals(a.functors[a.group.mult(g, h)])]
+    els, fs = a.group.elements, a.functors
+    strict = cache(lambda f, g, fg: compose_functors(f, g).equals(fg))  # once per distinct triple
+    bad = [f"({g},{h})" for g in els for h in els
+           if not strict(fs[g], fs[h], fs[a.group.mult(g, h)])]
     rep.record("Φ_g∘Φ_h = Φ_gh", not bad, "; ".join(bad))
     return rep
 
@@ -341,17 +343,15 @@ def free_equivariant(action: GroupAction, x: CatObject, name: str = "") -> Equiv
     if x.idem is not None:
         raise ValueError("free equivariant objects are built on plain carriers")
     group = action.group
-    els = group.elements
-    n = len(els)
+    els, n = group.elements, group.order
     carrier = action.monad_functor.on_object(x)
     ids = [action.base.id_vec(s) for s in carrier.summands]
     alpha = {}
     for g in els:
         # the summand ^hX_j at slot (j, h) maps identically to slot (j, g⁻¹h) of ^g(⊕_h ^hX)
         gi = group.inv(g)
-        alpha[g] = placed(carrier, action.functors[g].on_object(carrier), {
-            (j * n + group.index(group.mult(gi, h)), j * n + i): ids[j * n + i]
-            for j in range(len(x.summands)) for i, h in enumerate(els)})
+        slots = [j * n + group.index(group.mult(gi, h)) for j in range(len(x.summands)) for h in els]
+        alpha[g] = slot_placement(carrier, action.functors[g].on_object(carrier), slots, ids)
     z = EquivariantObject(action, carrier, alpha, name=name or f"F({'⊕'.join(x.summands)})")
     z.validate().require(LawViolationError, "free equivariant object")
     z.free_on = x  # set only once validation has passed
@@ -362,26 +362,22 @@ def _group_unit(action: GroupAction, m: Functor) -> NatTrans:
     """η: Id → M with η_x = (id, 0, …, 0)^t onto the unit element's summand of M x = ⊕_h ^hx."""
     cat, group = action.base, action.group
     e_idx = group.index(group.unit)
-    comps = {x: placed(cat.obj(x), m.object_map[x], {(e_idx, 0): cat.id_vec(x)}) for x in cat.objects}
+    comps = {x: slot_placement(cat.obj(x), m.object_map[x], (e_idx,), (cat.id_vec(x),))
+             for x in cat.objects}
     return NatTrans(Functor.identity(cat), m, comps, name="η")
 
 
 def equivariant_monad(action: GroupAction) -> Monad:
     """The group monad on the action's M, with unit (Id, 0, …, 0)^t and Kronecker-delta
     multiplication; `GroupAction.group_monad` keeps one."""
-    cat = action.base
-    group = action.group
-    els = group.elements
-    n = len(els)
-    mf = action.monad_functor
-    mult_comps = {}
+    cat, group, mf = action.base, action.group, action.monad_functor
+    els, mult_comps = group.elements, {}
     for x in cat.objects:
         mx = mf.object_map[x]
         m2x = mf.on_object(mx)
         # slot (j, i) of M²x = ⊕_j ⊕_i ^{h_i}(^{h_j}x) goes identically to slot h_i·h_j of Mx
-        mult_comps[x] = placed(m2x, mx, {
-            (group.index(group.mult(hi, hj)), j * n + i): cat.id_vec(m2x.summands[j * n + i])
-            for j, hj in enumerate(els) for i, hi in enumerate(els)})
+        slots = [group.index(group.mult(hi, hj)) for hj in els for hi in els]
+        mult_comps[x] = slot_placement(m2x, mx, slots, [cat.id_vec(s) for s in m2x.summands])
     m2 = compose_functors(mf, mf, name="M²")
     monad = Monad(mf, _group_unit(action, mf), NatTrans(m2, mf, mult_comps, name="μ"),
                   name=f"group monad {action.name}")
@@ -433,6 +429,12 @@ def equivariant_category(action: GroupAction, extra: dict | None = None,
     coords = {key: coordinate_map([b.coords() for b in basis], base.field)
               for key, basis in bases.items()}
     dims = {(l1, l2): len(bases[(l1, l2)]) for l1 in labels for l2 in labels}
+    # a basis morphism's slot map where the table may read entries off it (`slot_map`'s lemma)
+    slots = {key: [slot_map(b) if base._prod is not None
+                   and all(is_one(c, base.one) for c in b.coords() if c) else None for b in basis]
+             for key, basis in bases.items()}
+    entries = {key: {s: tuple(coords[key](b.coords())) for b, s in zip(basis, slots[key])
+                     if s is not None} for key, basis in bases.items()}
     comp = {}
     for l1 in labels:
         for l2 in labels:
@@ -441,11 +443,14 @@ def equivariant_category(action: GroupAction, extra: dict | None = None,
             for l3 in labels:
                 if not dims[(l2, l3)] or not dims[(l1, l3)]:
                     continue
-                table = []
-                for v in bases[(l2, l3)]:
+                table, found = [], entries[(l1, l3)]
+                for v, sv in zip(bases[(l2, l3)], slots[(l2, l3)]):
                     row = []
-                    for u in bases[(l1, l2)]:
-                        row.append(tuple(coords[(l1, l3)]((v @ u).coords())))
+                    for u, su in zip(bases[(l1, l2)], slots[(l1, l2)]):
+                        entry = None if sv is None or su is None else found.get(compose_slots(sv, su))
+                        if entry is None:  # not a basis placement: compose and solve
+                            entry = tuple(coords[(l1, l3)]((v @ u).coords()))
+                        row.append(entry)
                     table.append(tuple(row))
                 comp[(l1, l2, l3)] = tuple(table)
     idents = {l: tuple(coords[(l, l)](objects[l].carrier.identity().coords())) for l in labels}

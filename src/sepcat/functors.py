@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 
 from .category import (CatObject, LinearCategory, Morphism, MorSystem, _nonzero_rows,
-                       direct_sum, hom_coord_dim, hom_space_basis, is_one, partwise,
+                       compose_slots, direct_sum, hom_coord_dim, hom_space_basis, is_one, partwise,
                        slot_map, unit_morphisms, unit_vectors)
 from .errors import LawViolationError, NotFullyFaithfulError, PreconditionError
 from .linalg import coordinate_map, rank_extension, solve_sparse, transfer
@@ -193,20 +193,41 @@ def compose_functors(outer: Functor, inner: Functor, name: str = "") -> Functor:
                    name=name or f"{outer.name}∘{inner.name}")
 
 
-def _functor_laws(f: Functor):
-    """F(id_x) = id_{F x}, then F(b∘a) = F(b)∘F(a) on basis pairs, as (key, place, lhs, rhs)."""
+def _functor_laws(f: Functor, slots=None):
+    """F(id_x) = id_{F x}, then F(b∘a) = F(b)∘F(a) on basis pairs, as (key, place, lhs, rhs);
+    on basis indices and the images' slot maps when given them (`category.slot_map`'s
+    lemma), the all-None slot map standing for the zero morphism."""
     src = f.source
     for x in src.objects:
-        yield "identity", (x,), f.on_hom_vec(x, x, src.id_vec(x)), f.object_map[x].identity()
+        if slots is None:
+            yield "identity", (x,), f.on_hom_vec(x, x, src.id_vec(x)), f.object_map[x].identity()
+        else:
+            yield "identity", (x,), slots[(x, x)][src._id_index[x]], slot_map(f.object_map[x].identity())
     for x, y, z in itertools.product(src.objects, repeat=3):
         dxy, dyz = src.hom_dim(x, y), src.hom_dim(y, z)
         if not (dxy and dyz):
+            continue
+        if slots is not None:
+            zero = (None,) * len(f.object_map[x].summands)
+            for ib, ia in itertools.product(range(dyz), range(dxy)):
+                t = src.product(x, y, z, ib, ia)
+                yield ("composition", (x, y, z, ia, ib), zero if t is None else slots[(x, z)][t],
+                       compose_slots(slots[(y, z)][ib], slots[(x, y)][ia]))
             continue
         for ib, b in enumerate(unit_vectors(src.field, dyz)):
             fb = f.hom_map[(y, z)][ib]
             for ia, a in enumerate(unit_vectors(src.field, dxy)):
                 yield ("composition", (x, y, z, ia, ib),
                        f.on_hom_vec(x, z, src.compose_vec(x, y, z, b, a)), fb @ f.hom_map[(x, y)][ia])
+
+
+def _slot_images(f: Functor):
+    """Per source hom pair, the slot maps of F's basis images, when the source is monomial
+    and every image is an identity placement; else None."""
+    if f.source._prod is None:
+        return None
+    slots = {key: [slot_map(m) for m in mors] for key, mors in f.hom_map.items()}
+    return None if any(None in s for s in slots.values()) else slots
 
 
 def validate_functor(f: Functor) -> ValidationReport:
@@ -216,7 +237,8 @@ def validate_functor(f: Functor) -> ValidationReport:
     ok_shapes = all(m.dom == f.object_map[x] and m.cod == f.object_map[y]
                     for (x, y), mors in f.hom_map.items() for m in mors)
     rep.record("hom images have the right endpoints", ok_shapes)
-    rep.record_laws(_functor_laws(f), {
+    # on slot maps where the images have them, and the right endpoints as the lemma needs
+    rep.record_laws(_functor_laws(f, _slot_images(f) if ok_shapes else None), {
         "identity": ("identity preservation ({n} objects)", str),
         "composition": ("composition preservation ({n} pairs)",
                         lambda x, y, z, ia, ib: f"({label(y, z, ib)}, {label(x, y, ia)})")})

@@ -39,8 +39,8 @@ import sepcat.functors
 from sepcat import (Field, FiniteGroup, GroupAction, equivariant_category, equivariant_monad,
                     induce_adjunction, monad_separability_solve, separability_solve)
 from sepcat.category import (CatObject, LinearCategory, Morphism, MorSystem, _nonzero_rows,
-                             hom_coord_dim, hom_space_basis, identity_blocks, is_one, placed,
-                             unit_morphisms, validate_presentation, zero_morphism)
+                             hom_coord_dim, hom_space_basis, identity_blocks, is_one,
+                             slot_placement, unit_morphisms, validate_presentation, zero_morphism)
 from sepcat.functors import Functor, NatTrans, SepWitness, validate_functor
 from sepcat.linalg import LinForm
 from sepcat.standard import (a2_quiver_category, dual_numbers_category, point_category,
@@ -617,7 +617,7 @@ def _projection(field):
                    {("x", "x"): (pt.identity(),), ("y", "y"): (zero_morphism(zero, zero),)})
 
 
-PRODUCERS = ["placed", "zero_morphism", "NatTrans.at", "Functor.on_morphism"]
+PRODUCERS = ["slot_placement", "zero_morphism", "NatTrans.at", "Functor.on_morphism"]
 
 
 @st.composite
@@ -643,9 +643,9 @@ def produced(draw, producer):
     if producer == "zero_morphism":
         return zero_morphism(dom, cod), True
     grid = morphisms(draw, dom, cod, forms).blocks  # about half its blocks are zero
-    cells = {(i, j): block for i, row in enumerate(grid) for j, block in enumerate(row)
-             if draw(st.booleans())}
-    return placed(dom, cod, cells), dom.idem is None and cod.idem is None
+    slots = [draw(st.sampled_from((None, *range(len(cod.summands))))) for _ in dom.summands]
+    blocks = [() if r is None else grid[r][c] for c, r in enumerate(slots)]
+    return slot_placement(dom, cod, slots, blocks), dom.idem is None and cod.idem is None
 
 
 @pytest.mark.parametrize("producer", PRODUCERS)
@@ -658,7 +658,7 @@ def test_handed_rows_are_the_scanned_rows(producer, data):
 
 
 def test_the_z7_group_monad_is_built_and_validated_without_a_scan(monkeypatch):
-    """μ, η and M's hom images come from `placed`, and every other operand from
+    """μ, η and M's hom images come from `slot_placement`, and every other operand from
     `NatTrans.at` or a functor image: no block grid is scanned for its nonzero rows."""
     scanned = []
 
