@@ -197,6 +197,24 @@ MUTANTS = (
      "slots[(x, x)][src._id_index[x]], slot_map(f.object_map[x].identity())",
      "slots[(x, x)][src._id_index[x]], slots[(x, x)][src._id_index[x]]",
      (f"{INDEX_ORACLE}::test_a_zero_identity_image_fails_the_identity_law_on_the_slot_path",)),
+    ("identity-law-ignores-endpoints", "src/sepcat/functors.py",
+     "fits and f.on_hom_vec(x, x, src.id_vec(x))", "f.on_hom_vec(x, x, src.id_vec(x))",
+     ("tests/test_functors.py::TestValidateFunctor::"
+      "test_an_identity_image_off_its_endpoints_fails_identity_preservation",)),
+    ("karoubi-key-drops-scalar-types", "src/sepcat/category.py",
+     "self.key = summands, rows, rows and tuple(type(a) for r in rows for _, v in r for a in v)",
+     "self.key = summands, rows, None",
+     ("tests/test_composition_oracle.py::test_caches_keep_scalar_types_of_equal_objects",)),
+    ("karoubi-identity-is-plain", "src/sepcat/category.py",
+     "blocks = identity_blocks(self.cat, self.summands) if e is None else e.blocks",
+     "blocks = identity_blocks(self.cat, self.summands)",
+     (f"{ROWS}[Functor.on_object]",
+      "tests/test_category.py::TestSplitIdempotent::test_averaging_idempotent",
+      "tests/test_workspace_kinds.py::test_a_complex_of_objects_with_an_idempotent_term")),
+    ("karoubi-on-object-drops-rows", "src/sepcat/functors.py",
+     "Morphism._new(self.target, plain, plain, *e))",
+     "Morphism._new(self.target, plain, plain, e[0], ((),) * len(e[0])))",
+     (f"{ROWS}[Functor.on_object]",)),
 )
 
 

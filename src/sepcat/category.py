@@ -2,10 +2,13 @@
 
 A category is presented by hom-space dimensions, composition structure
 constants and identity vectors.  Objects of the additive closure are ordered
-formal sums of base objects; Karoubi (idempotent-completion) objects carry an
-idempotent on the sum.  One block-matrix morphism calculus serves the base
-category, the additive closure and the idempotent completion: a morphism
-between (X, e) and (Y, e') is a block matrix f with f = e'∘f∘e.
+formal sums of base objects; a Karoubi (idempotent-completion) object (X, e) holds
+its idempotent e as a `Morphism` from the plain sum X to itself, so its identity is e
+and its plain sum is e.dom.  Caches key (X, e) by X, e's nonzero block rows and their
+scalar types, which is exact: two idempotents on X are equal iff their nonzero rows are.
+One block-matrix morphism calculus serves the base category, the additive closure and
+the idempotent completion: a morphism between (X, e) and (Y, e') is a block matrix f
+with f = e'∘f∘e.
 
 Block shapes are known in one place: the category's layouts (a grid's coordinate
 count and block slices) and shared zero rows, each built once per summand profile.
@@ -58,10 +61,6 @@ from .errors import NotIdempotentError
 from .linalg import LinForm, extends_pivots, solve_sparse
 from .reports import ValidationReport
 from .scalars import Field
-
-
-def _freeze_blocks(blocks):
-    return tuple(tuple(map(tuple, row)) for row in blocks)
 
 
 class LinearCategory:
@@ -254,61 +253,50 @@ def identity_blocks(cat: LinearCategory, summands):
     return grid
 
 
-def _check_block_lengths(cat, xs, ys, blocks, what):
-    """Raise naming the first block (i, j) whose length is not dim Hom(xs[j], ys[i])."""
-    for i, (y, row) in enumerate(zip(ys, blocks)):
-        want = cat.zero_row(y, xs)
-        if list(map(len, row)) != list(map(len, want)):
-            j = next(j for j, (b, z) in enumerate(zip(row, want)) if len(b) != len(z))
-            raise ValueError(f"{what} ({i},{j}) has wrong length")
-
-
-def _check_endo_shape(cat, summands, blocks):
-    if len(blocks) != len(summands) or any(len(r) != len(summands) for r in blocks):
-        raise ValueError("idempotent block grid does not match the summand profile")
-    _check_block_lengths(cat, summands, summands, blocks, "idempotent block")
-
-
 class CatObject:
-    """An object of the additive/Karoubi closure: ordered summands plus an idempotent.
+    """An object of the additive/Karoubi closure: ordered summands plus an idempotent,
+    None or a `Morphism` from the plain sum to itself.
 
     Plain objects (idem is None) carry the identity idempotent implicitly.
     """
 
     __slots__ = ("cat", "summands", "idem", "key", "_id")
 
-    def __init__(self, cat: LinearCategory, summands, idem=None):
+    def __init__(self, cat: LinearCategory, summands, idem: Morphism | None = None):
         summands = tuple(summands)
         for s in summands:
             if s not in cat._oindex:
                 raise ValueError(f"unknown base object {s!r}")
+        rows = None
         if idem is not None:
-            idem = _freeze_blocks(idem)
-            _check_endo_shape(cat, summands, idem)
-            if idem == identity_blocks(cat, summands):
-                idem = None
+            if idem.cat is not cat or idem.cod != idem.dom or idem.dom.key[:2] != (summands, None):
+                raise ValueError("the idempotent is not an endomorphism of the plain sum")
+            rows, ids = idem.nonzero_rows(), map(cat.id_vec, summands)
+            if rows == tuple(((i, v),) if any(v) else () for i, v in enumerate(ids)):
+                idem = rows = None
         self.cat = cat
         self.summands = summands
         self.idem = idem
         # caches key by this, not by ==, which takes an idem holding Fraction(1) for one holding 1
-        self.key = summands, idem, idem and tuple(type(a) for r in idem for v in r for a in v)
+        self.key = summands, rows, rows and tuple(type(a) for r in rows for _, v in r for a in v)
         self._id = None
 
     def plain(self) -> "CatObject":
-        return self if self.idem is None else CatObject(self.cat, self.summands)
+        return self if self.idem is None else self.idem.dom
 
     def identity(self) -> "Morphism":
         if self._id is None:
-            blocks = self.idem if self.idem is not None else identity_blocks(self.cat, self.summands)
-            self._id = Morphism._new(self.cat, self, self, blocks)
+            e = self.idem
+            blocks = identity_blocks(self.cat, self.summands) if e is None else e.blocks
+            self._id = Morphism._new(self.cat, self, self, blocks, e and e.nonzero_rows())
         return self._id
 
-    def __eq__(self, other):
+    def __eq__(self, other):  # idempotents compare by their nonzero rows, key[1]
         return self is other or (isinstance(other, CatObject) and self.cat is other.cat
-                and self.summands == other.summands and self.idem == other.idem)
+                and self.summands == other.summands and self.key[1] == other.key[1])
 
     def __hash__(self):
-        return hash((id(self.cat), self.summands, self.idem))
+        return hash((id(self.cat), self.summands, self.key[1]))
 
     def __repr__(self):
         tag = "" if self.idem is None else ", e"
@@ -380,10 +368,14 @@ class Morphism:
     def __init__(self, cat, dom: CatObject, cod: CatObject, blocks):
         if dom.cat is not cat or cod.cat is not cat:
             raise ValueError("objects from a different category")
-        blocks = _freeze_blocks(blocks)
+        blocks = tuple(tuple(map(tuple, row)) for row in blocks)
         if len(blocks) != len(cod.summands) or any(len(r) != len(dom.summands) for r in blocks):
             raise ValueError("block grid does not match dom/cod profiles")
-        _check_block_lengths(cat, dom.summands, cod.summands, blocks, "block")
+        for i, (y, row) in enumerate(zip(cod.summands, blocks)):
+            want = cat.zero_row(y, dom.summands)
+            if list(map(len, row)) != list(map(len, want)):
+                j = next(j for j, (b, z) in enumerate(zip(row, want)) if len(b) != len(z))
+                raise ValueError(f"block ({i},{j}) has wrong length")
         self.cat, self.dom, self.cod, self.blocks, self._rows = cat, dom, cod, blocks, None
 
     @classmethod
@@ -584,18 +576,17 @@ def direct_sum(objs) -> CatObject:
     if any(o.cat is not cat for o in objs):
         raise ValueError("summands from different categories")
     summands = tuple(s for o in objs for s in o.summands)
+    plain = CatObject(cat, summands)
     if all(o.idem is None for o in objs):
-        return CatObject(cat, summands)
-    blocks = [list(cat.zero_row(ti, summands)) for ti in summands]
-    roff = 0
+        return plain
+    blocks, off = [], 0  # each part's identity, spliced into the shared zero rows
     for o in objs:
-        e = o.idem if o.idem is not None else identity_blocks(cat, o.summands)
         n = len(o.summands)
-        for i in range(n):
-            for j in range(n):
-                blocks[roff + i][roff + j] = e[i][j]
-        roff += n
-    return CatObject(cat, summands, blocks)
+        for t, row in zip(o.summands, o.identity().blocks):
+            zrow = cat.zero_row(t, summands)
+            blocks.append(zrow[:off] + row + zrow[off + n:])
+        off += n
+    return CatObject(cat, summands, Morphism(cat, plain, plain, blocks))
 
 
 def biproduct(objs):
@@ -743,7 +734,8 @@ def split_idempotent(x: CatObject, e: Morphism) -> RetractWitness:
         raise ValueError("e is not an endomorphism of x")
     if e @ e != e:
         raise NotIdempotentError("e∘e differs from e")
-    small = CatObject(x.cat, x.summands, e.blocks)
+    plain = x.plain()
+    small = CatObject(x.cat, x.summands, Morphism(x.cat, plain, plain, e.blocks))
     u = Morphism(x.cat, small, x, e.blocks)
     v = Morphism(x.cat, x, small, e.blocks)
     return RetractWitness(x, small, u, v)

@@ -33,9 +33,9 @@ from __future__ import annotations
 
 import itertools
 
-from .category import (CatObject, LinearCategory, Morphism, MorSystem, _nonzero_rows,
-                       compose_slots, direct_sum, hom_coord_dim, hom_space_basis, is_one, partwise,
-                       slot_map, unit_morphisms, unit_vectors)
+from .category import (CatObject, LinearCategory, Morphism, MorSystem, compose_slots,
+                       direct_sum, hom_coord_dim, hom_space_basis, is_one, partwise, slot_map,
+                       unit_morphisms, unit_vectors)
 from .errors import LawViolationError, NotFullyFaithfulError, PreconditionError
 from .linalg import coordinate_map, rank_extension, solve_sparse, transfer
 from .reports import ValidationReport
@@ -80,9 +80,10 @@ class Functor:
         elif a.idem is None:
             res = direct_sum(parts)
         else:
-            summands = tuple(s for p in parts for s in p.summands)
-            raw, _ = self._image_blocks(a.summands, a.summands, _nonzero_rows(a.idem), summands)
-            res = CatObject(self.target, summands, raw)
+            plain = CatObject(self.target, tuple(s for p in parts for s in p.summands))
+            e = self._image_blocks(a.summands, a.summands, a.idem.nonzero_rows(), plain.summands)
+            res = CatObject(self.target, plain.summands,
+                            Morphism._new(self.target, plain, plain, *e))
         self._ocache[a.key] = res
         return res
 
@@ -200,7 +201,10 @@ def _functor_laws(f: Functor, slots=None):
     src = f.source
     for x in src.objects:
         if slots is None:
-            yield "identity", (x,), f.on_hom_vec(x, x, src.id_vec(x)), f.object_map[x].identity()
+            fx = f.object_map[x]
+            # `on_hom_vec` places by the object map, so an image off F x → F x is no F(id_x)
+            fits = all(m.dom == fx == m.cod for m in f.hom_map[(x, x)])
+            yield "identity", (x,), fits and f.on_hom_vec(x, x, src.id_vec(x)), fx.identity()
         else:
             yield "identity", (x,), slots[(x, x)][src._id_index[x]], slot_map(f.object_map[x].identity())
     for x, y, z in itertools.product(src.objects, repeat=3):
@@ -277,8 +281,7 @@ class NatTrans:
             off += n
         res = Morphism._new(tgt, dom, self.dst.on_object(plain), tuple(raw), tuple(rows))
         if a.idem is not None:
-            e = Morphism._new(a.cat, plain, plain, a.idem)
-            m = self.dst.on_morphism(e) @ res @ self.src.on_morphism(e)
+            m = self.dst.on_morphism(a.idem) @ res @ self.src.on_morphism(a.idem)
             res = Morphism._new(tgt, self.src.on_object(a), self.dst.on_object(a), m.blocks, m._rows)
         self._at_cache[a.key] = res
         return res

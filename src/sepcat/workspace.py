@@ -43,10 +43,7 @@ def _no_duplicates(pairs):
 # ------------------------------------------------------------- serialization
 
 def obj_to_json(o: CatObject) -> dict:
-    idem = None
-    if o.idem is not None:
-        field = o.cat.field
-        idem = [[[field.fmt(s) for s in vec] for vec in row] for row in o.idem]
+    idem = None if o.idem is None else mor_to_json(o.idem)["blocks"]
     return {"summands": list(o.summands), "idempotent": idem}
 
 
@@ -55,12 +52,14 @@ def parse_obj(cat: LinearCategory, data) -> CatObject:
         return CatObject(cat, data)
     if not isinstance(data, dict) or "summands" not in data:
         raise WorkspaceError(f"bad object reference {data!r}")
-    summands = data["summands"]
+    plain = CatObject(cat, data["summands"])
     idem = data.get("idempotent")
     if idem is None:
-        return CatObject(cat, summands)
-    blocks = [[tuple(cat.field.parse(s) for s in vec) for vec in row] for row in idem]
-    return CatObject(cat, summands, blocks)
+        return plain
+    try:
+        return CatObject(cat, plain.summands, parse_mor(cat, idem, plain, plain))
+    except WorkspaceError as exc:  # as a ValueError, the declaration's build names it
+        raise ValueError(f"idempotent: {exc}") from None
 
 
 def mor_to_json(m: Morphism) -> dict:

@@ -22,7 +22,7 @@ import sepcat.linalg
 from sepcat import (EquivariantObject, Field, FiniteGroup, Functor, GroupAction,
                     NonInvertibleComponentError, character_modules, eq_hom_space,
                     free_equivariant, to_equivariant, validate_action)
-from sepcat.category import CatObject, MorSystem, invert_morphism
+from sepcat.category import CatObject, Morphism, MorSystem, invert_morphism
 from sepcat.standard import (a2_quiver_category, cyclotomic_point_category, point_category,
                              two_point_category)
 
@@ -93,7 +93,9 @@ def karoubi_extra(act):
     """(pt⊕pt, e) with e the projection to the first summand and α = Id, validated."""
     field = act.base.field
     one, zero = field.one(), field.zero()
-    carrier = CatObject(act.base, ("pt", "pt"), [[(one,), (zero,)], [(zero,), (zero,)]])
+    pt2 = act.base.obj("pt", "pt")
+    carrier = CatObject(act.base, pt2.summands,
+                        Morphism(act.base, pt2, pt2, [[(one,), (zero,)], [(zero,), (zero,)]]))
     z = EquivariantObject(act, carrier, {h: carrier.identity() for h in act.group.elements},
                           name="K")
     assert z.validate().passed

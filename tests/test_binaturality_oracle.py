@@ -195,7 +195,9 @@ def case_functor(name, field):
     if name == KAROUBI:
         act = _action("Z/2 on C1", field)
         one, zero = field.one(), field.zero()
-        carrier = CatObject(act.base, ("pt", "pt"), [[(one,), (zero,)], [(zero,), (zero,)]])
+        pt2 = act.base.obj("pt", "pt")
+        carrier = CatObject(act.base, pt2.summands,
+                            Morphism(act.base, pt2, pt2, [[(one,), (zero,)], [(zero,), (zero,)]]))
         extra = EquivariantObject(act, carrier, {h: carrier.identity() for h in act.group.elements})
         return induce_adjunction(equivariant_category(act, extra={"K": extra})).G
     return induce_adjunction(equivariant_category(_action(name, field))).G

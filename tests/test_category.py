@@ -9,7 +9,7 @@ from sepcat import (LinearCategory, Morphism,
                     NotIdempotentError, direct_sum, biproduct,
                     hom_space_basis, int_invertible, invert_morphism, morphism,
                     split_idempotent, validate_presentation, zero_morphism)
-from sepcat.category import random_hom
+from sepcat.category import CatObject, random_hom
 from sepcat.linalg import coordinate_map
 
 
@@ -143,6 +143,21 @@ class TestSplitIdempotent:
         assert e @ e == e
         w = split_idempotent(s, e)
         assert w.verify().passed
+
+    def test_the_idempotent_is_held_as_a_morphism_on_the_plain_sum(self, c1_q):
+        pt, pt2 = c1_q.obj("pt"), c1_q.obj("pt", "pt")
+        e = frac_mor(c1_q, pt2, pt2, [[(1,), (0,)], [(0,), (0,)]])
+        small = CatObject(c1_q, pt2.summands, e)
+        assert small.idem is e and small.plain() is pt2 and small.identity().blocks == e.blocks
+        assert small.identity().nonzero_rows() == (((0, (1,)),), ())
+        # an idempotent equal to the identity, also one holding Fraction(1), leaves it plain
+        for ident in (pt2.identity(), frac_mor(c1_q, pt2, pt2, [[(1,), (0,)], [(0,), (1,)]])):
+            assert CatObject(c1_q, pt2.summands, ident).idem is None
+        for bad in (pt.identity(),                                # another summand profile
+                    small.identity(),                             # not on the plain sum
+                    Morphism(c1_q, pt2, small, e.blocks)):        # not an endomorphism
+            with pytest.raises(ValueError, match="not an endomorphism of the plain sum"):
+                CatObject(c1_q, pt2.summands, bad)
 
 
 class TestHomSpaces:

@@ -35,7 +35,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sepcat.category
-import sepcat.functors
 from sepcat import (Field, FiniteGroup, GroupAction, equivariant_category, equivariant_monad,
                     induce_adjunction, monad_separability_solve, separability_solve)
 from sepcat.category import (CatObject, LinearCategory, Morphism, MorSystem, _nonzero_rows,
@@ -110,8 +109,8 @@ def reference_absorbed(f):
     if f.dom.idem is None and f.cod.idem is None:
         return f.blocks
     cat, zero = f.cat, f.cat.field.zero()
-    left = f.cod.idem if f.cod.idem is not None else reference_identity(cat, f.cod.summands)
-    right = f.dom.idem if f.dom.idem is not None else reference_identity(cat, f.dom.summands)
+    left = f.cod.idem.blocks if f.cod.idem is not None else reference_identity(cat, f.cod.summands)
+    right = f.dom.idem.blocks if f.dom.idem is not None else reference_identity(cat, f.dom.summands)
     return reference_raw_mul(cat, f.cod.summands, f.dom.summands, f.dom.summands,
                              reference_raw_mul(cat, f.cod.summands, f.cod.summands,
                                                f.dom.summands, left, f.blocks, zero),
@@ -206,7 +205,13 @@ def objects(draw, cat):
             else:
                 row.append(tuple([zero] * cat.hom_dim(sj, ti)))
         idem.append(row)
-    return CatObject(cat, summands, idem)
+    return karoubi(cat, summands, idem)
+
+
+def karoubi(cat, summands, idem):
+    """The Karoubi object on the plain sum of `summands` whose idempotent has this grid."""
+    plain = CatObject(cat, summands)
+    return CatObject(cat, summands, Morphism(cat, plain, plain, idem))
 
 
 def morphisms(draw, dom, cod, forms=False):
@@ -508,8 +513,8 @@ def test_functor_images_match_nested_images(case, which):
     assert_same(fn.on_morphism(f), reference_on_morphism(fn, f))
     for a in (f.dom, f.cod):
         if a.idem is not None:
-            assert strict(fn.on_object(a).idem) == strict(
-                reference_on_blocks(fn, a, a, a.idem))
+            assert strict(fn.on_object(a).idem.blocks) == strict(
+                reference_on_blocks(fn, a, a, a.idem.blocks))
     for i, ti in enumerate(f.cod.summands):
         for j, sj in enumerate(f.dom.summands):
             assert_same(fn.on_hom_vec(sj, ti, f.blocks[i][j]),
@@ -521,16 +526,17 @@ def test_caches_keep_scalar_types_of_equal_objects():
     each result carries the scalar types of its own object, also when the other came first."""
     cat = category("C1", Field.rationals())
     idem = [[(1,), (0,)], [(0,), (0,)]]
-    ints = CatObject(cat, ("pt", "pt"), idem)
-    fracs = CatObject(cat, ("pt", "pt"),
-                      [[tuple(Fraction(a) if a else a for a in v) for v in r] for r in idem])
-    assert ints == fracs and strict(ints.idem) != strict(fracs.idem)
+    ints = karoubi(cat, ("pt", "pt"), idem)
+    fracs = karoubi(cat, ("pt", "pt"),
+                    [[tuple(Fraction(a) if a else a for a in v) for v in r] for r in idem])
+    assert ints == fracs and strict(ints.idem.blocks) != strict(fracs.idem.blocks)
     fn = Functor.identity(cat)
     eta = NatTrans(fn, fn, {x: cat.obj(x).identity() for x in cat.objects})
     for a in (ints, fracs):
-        assert strict(fn.on_object(a).idem) == strict(a.idem)
-        assert strict(eta.at(a).blocks) == strict(reference_on_blocks(fn, a, a, a.idem))
-        assert all(strict(b.dom.idem) == strict(a.idem) for b in hom_space_basis(cat, a, a))
+        assert strict(fn.on_object(a).idem.blocks) == strict(a.idem.blocks)
+        assert strict(eta.at(a).blocks) == strict(reference_on_blocks(fn, a, a, a.idem.blocks))
+        assert all(strict(b.dom.idem.blocks) == strict(a.idem.blocks)
+                   for b in hom_space_basis(cat, a, a))
 
 
 @settings(max_examples=150, deadline=None)
@@ -617,7 +623,8 @@ def _projection(field):
                    {("x", "x"): (pt.identity(),), ("y", "y"): (zero_morphism(zero, zero),)})
 
 
-PRODUCERS = ["slot_placement", "zero_morphism", "NatTrans.at", "Functor.on_morphism"]
+PRODUCERS = ["slot_placement", "zero_morphism", "NatTrans.at", "Functor.on_morphism",
+             "Functor.on_object"]
 
 
 @st.composite
@@ -633,6 +640,9 @@ def produced(draw, producer):
         fn = draw(st.sampled_from(functors(kind, field) + extra))
         dom, cod = objects(draw, cat), objects(draw, cat)
         return fn.on_morphism(morphisms(draw, dom, cod, forms)), True
+    if producer == "Functor.on_object":  # a Karoubi image's identity is its idempotent
+        image = draw(st.sampled_from(functors(kind, field))).on_object(objects(draw, cat))
+        return image.identity(), image.idem is not None
     if producer == "NatTrans.at":
         src, dst = (draw(st.sampled_from(functors(kind, field))) for _ in range(2))
         t = NatTrans(src, dst, {x: morphisms(draw, src.object_map[x], dst.object_map[x], forms)
@@ -666,8 +676,7 @@ def test_the_z7_group_monad_is_built_and_validated_without_a_scan(monkeypatch):
         scanned.append(len(blocks))
         return _nonzero_rows(blocks)
 
-    for module in (sepcat.category, sepcat.functors):
-        monkeypatch.setattr(module, "_nonzero_rows", counting)
+    monkeypatch.setattr(sepcat.category, "_nonzero_rows", counting)
     act = GroupAction.trivial(FiniteGroup.cyclic(7), point_category(Field.prime(2)))
     assert equivariant_monad(act).report.passed
     assert scanned == []
@@ -887,7 +896,7 @@ def test_witness_images_match_plain_sums(maps_kind, shape, data):
 def _karoubi_21(cat):
     """(2 ⊕ 1, e) on A2 with e = [[id, a], [0, 0]]: a retract of the sum, not plain."""
     one, zero = cat.field.one(), cat.field.zero()
-    return CatObject(cat, ("2", "1"), [[(one,), (one,)], [(), (zero,)]])
+    return karoubi(cat, ("2", "1"), [[(one,), (one,)], [(), (zero,)]])
 
 
 @pytest.mark.parametrize("field", DRIFT_FIELDS, ids=lambda k: k.spec_str())

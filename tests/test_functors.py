@@ -68,6 +68,16 @@ class TestValidateFunctor:
             name="collapse-a")
         assert validate_functor(f).passed
 
+    def test_an_identity_image_off_its_endpoints_fails_identity_preservation(self, c3_q):
+        """F(id_y) = id_x: placed by the object map, its one block would read as id_{F y}."""
+        x, y = c3_q.obj("x"), c3_q.obj("y")
+        f = Functor(c3_q, c3_q, {"x": x, "y": y},
+                    {("x", "x"): (x.identity(),), ("y", "y"): (x.identity(),)})
+        assert validate_functor(f).checks == [
+            ("hom images have the right endpoints", False, ""),
+            ("identity preservation (2 objects)", False, "y"),
+            ("composition preservation (2 pairs)", False, "(y->y[0], y->y[0])")]
+
     def test_zero_on_homs_fails_identity_preservation(self, c1_q):
         f = Functor(
             c1_q, c1_q,
@@ -368,9 +378,10 @@ def test_component_at_a_sum_is_diagonal_and_checks_endpoints(c3_q):
     idf = Functor.identity(c3_q)
     x, y = c3_q.obj("x"), c3_q.obj("y")
     ident = NatTrans(idf, idf, {"x": x.identity(), "y": y.identity()})
-    half = Fraction(1, 2)
+    half, xx = Fraction(1, 2), c3_q.obj("x", "x")
     for a in (c3_q.obj("x", "y"), c3_q.obj("y", "x", "y"),
-              CatObject(c3_q, ("x", "x"), [[(half,), (half,)], [(half,), (half,)]])):
+              CatObject(c3_q, xx.summands,
+                        Morphism(c3_q, xx, xx, [[(half,), (half,)], [(half,), (half,)]]))):
         assert ident.at(a) == a.identity()
     # End(x) and End(y) have the same dimension, so only the endpoints tell them apart
     swapped = NatTrans(idf, idf, {"x": x.identity(), "y": x.identity()})

@@ -14,7 +14,8 @@ import random
 import pytest
 
 from sepcat import (BoundedComplex, CatObject, EquivariantObject, Field, FiniteGroup,
-                    GroupAction, LiftedMonad, Monad, MonadSepWitness, NatTrans, free_equivariant,
+                    GroupAction, LiftedMonad, Monad, MonadSepWitness, Morphism, NatTrans,
+                    free_equivariant,
                     free_module, monad_separability_solve, random_module_complex, to_module)
 from sepcat.complexes import validate_complex
 from sepcat.equivariant import character_modules
@@ -99,7 +100,9 @@ def pool(action, monad):
 def split_point(cat):
     """pt⊕pt with the idempotent projecting onto the first summand."""
     one, zero = cat.field.one(), cat.field.zero()
-    return CatObject(cat, ("pt", "pt"), (((one,), (zero,)), ((zero,), (zero,))))
+    pt2 = cat.obj("pt", "pt")
+    return CatObject(cat, pt2.summands,
+                     Morphism(cat, pt2, pt2, (((one,), (zero,)), ((zero,), (zero,)))))
 
 
 def idempotent_complex(cat):
