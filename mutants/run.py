@@ -44,6 +44,7 @@ DENSE_KERNEL = ("tests/test_composition_oracle.py::"
 DRIFT = "tests/test_composition_oracle.py::test_accumulation_keeps_scalar_types"
 EXACT_ONE = "tests/test_composition_oracle.py::test_a_product_by_an_exact_one_is_the_other_factor"
 INDEX_ORACLE = "tests/test_presentation_index_oracle.py"
+LEMMA_ORACLE = "tests/test_derived_lemma_oracle.py"
 
 MUTANTS = (
     ("independence-counts-zero", "src/sepcat/linalg.py",
@@ -215,6 +216,13 @@ MUTANTS = (
      "Morphism._new(self.target, plain, plain, *e))",
      "Morphism._new(self.target, plain, plain, e[0], ((),) * len(e[0])))",
      (f"{ROWS}[Functor.on_object]",)),
+    ("derived-lemma-skips-naturality", "src/sepcat/complexes.py",
+     "\n            and validate_nat(sw.sigma).passed)", ")",
+     (f"{LEMMA_ORACLE}::test_a_non_natural_section_composes[sign Z2 on A2]",)),
+    ("derived-lemma-skips-image-endpoints", "src/sepcat/complexes.py",
+     "            and all(m.dom == mf.object_map[x] and m.cod == mf.object_map[y]\n"
+     "                    for (x, y), ms in mf.hom_map.items() for m in ms)\n", "",
+     (f"{LEMMA_ORACLE}::test_an_m_that_is_no_functor_composes[image_off_its_endpoints]",)),
 )
 
 

@@ -150,12 +150,19 @@ class Comparison:
     def __init__(self, adj: Adjunction, monad: Monad | None = None):
         self.adj = adj
         self.monad = monad if monad is not None else monad_from_adjunction(adj)
+        self._ocache: dict = {}
 
     def on_object(self, d: CatObject) -> MModule:
+        """K(d), built and validated once per `d.key` (as `Functor` keys its caches); a K(d)
+        that fails its module laws is not kept and raises on every call."""
         g = self.adj.G
-        mod = MModule(self.monad, g.on_object(d), g.on_morphism(self.adj.counit.at(d)),
-                      name=f"K({d!r})")
-        validate_module(mod).require(LawViolationError, "comparison image")
+        carrier = g.on_object(d)  # raises for an object outside G's source
+        mod = self._ocache.get(d.key)
+        if mod is None:
+            mod = MModule(self.monad, carrier, g.on_morphism(self.adj.counit.at(d)),
+                          name=f"K({d!r})")
+            validate_module(mod).require(LawViolationError, "comparison image")
+            self._ocache[d.key] = mod
         return mod
 
     def on_morphism(self, f: Morphism) -> ModuleMor:

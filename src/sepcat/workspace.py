@@ -18,7 +18,7 @@ from .category import (CatObject, LinearCategory, Morphism, hom_coord_dim,
 from .complexes import BoundedComplex, ModuleComplex, validate_complex
 from .equivariant import (EquivariantObject, FiniteGroup, GroupAction,
                           equivariant_category, induce_adjunction, validate_action)
-from .errors import LawViolationError, WorkspaceError
+from .errors import LawViolationError, NotIdempotentError, WorkspaceError
 from .functors import (Adjunction, Functor, NatTrans, SepWitness, compose_functors,
                        validate_adjunction, validate_functor, validate_nat)
 from .modules import MModule, free_module, validate_module
@@ -48,18 +48,22 @@ def obj_to_json(o: CatObject) -> dict:
 
 
 def parse_obj(cat: LinearCategory, data) -> CatObject:
+    """An object reference; a malformed one raises ValueError, named by its declaration's build."""
     if isinstance(data, list):
         return CatObject(cat, data)
     if not isinstance(data, dict) or "summands" not in data:
-        raise WorkspaceError(f"bad object reference {data!r}")
+        raise ValueError(f"bad object reference {data!r}")
     plain = CatObject(cat, data["summands"])
     idem = data.get("idempotent")
     if idem is None:
         return plain
     try:
-        return CatObject(cat, plain.summands, parse_mor(cat, idem, plain, plain))
-    except WorkspaceError as exc:  # as a ValueError, the declaration's build names it
+        e = parse_mor(cat, idem, plain, plain)
+    except ValueError as exc:
         raise ValueError(f"idempotent: {exc}") from None
+    if e @ e != e:
+        raise NotIdempotentError("idempotent: e∘e ≠ e")
+    return CatObject(cat, plain.summands, e)
 
 
 def mor_to_json(m: Morphism) -> dict:
@@ -73,6 +77,7 @@ def mor_to_json(m: Morphism) -> dict:
 
 def parse_mor(cat: LinearCategory, data, dom: CatObject | None = None,
               cod: CatObject | None = None) -> Morphism:
+    """A morphism; a malformed one raises ValueError, named by its declaration's build."""
     if isinstance(data, list):
         blocks_json = data
     elif isinstance(data, dict) and "blocks" in data:
@@ -82,15 +87,15 @@ def parse_mor(cat: LinearCategory, data, dom: CatObject | None = None,
         if cod is None and "cod" in data:
             cod = parse_obj(cat, data["cod"])
     else:
-        raise WorkspaceError(f"bad morphism {data!r}")
+        raise ValueError(f"bad morphism {data!r}")
     if dom is None or cod is None:
-        raise WorkspaceError("morphism needs explicit dom/cod")
+        raise ValueError("morphism needs explicit dom/cod")
     blocks = [[tuple(cat.field.parse(s) for s in vec) for vec in row]
               for row in blocks_json]
     try:
         return Morphism(cat, dom, cod, blocks)
     except ValueError as exc:
-        raise WorkspaceError(f"morphism shape error: {exc}")
+        raise ValueError(f"morphism shape error: {exc}") from None
 
 
 # ---------------------------------------------------------------- structure

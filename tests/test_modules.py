@@ -10,9 +10,18 @@ from sepcat import (Comparison, EmAdjunction, Functor, Infeasible, MModule, Modu
                     equivariant_monad, free_module, module_hom_basis,
                     monad_from_adjunction,
                     monad_separability_solve, xi_em_from_sigma)
+from sepcat.category import CatObject
 from sepcat.equivariant import character_modules
+from sepcat.errors import LawViolationError
 from sepcat.functors import Adjunction
 from sepcat.modules import validate_module
+
+
+def identity_adjunction(cat):
+    idf = Functor.identity(cat)
+    ident = {x: cat.obj(x).identity() for x in cat.objects}
+    return Adjunction(idf, idf, NatTrans(idf, compose_functors(idf, idf), dict(ident)),
+                      NatTrans(compose_functors(idf, idf), idf, dict(ident)))
 
 
 def row_module(monad, values, name=""):
@@ -96,12 +105,7 @@ class TestEmAdjunction:
 
 class TestComparison:
     def test_identity_adjunction_comparison_is_identity(self, c1_q):
-        idf = Functor.identity(c1_q)
-        ident = {"pt": c1_q.obj("pt").identity()}
-        adj = Adjunction(idf, idf,
-                         NatTrans(idf, compose_functors(idf, idf), dict(ident)),
-                         NatTrans(compose_functors(idf, idf), idf, dict(ident)))
-        k = Comparison(adj)
+        k = Comparison(identity_adjunction(c1_q))
         mod = k.on_object(c1_q.obj("pt"))
         assert mod.carrier == c1_q.obj("pt")
         assert mod.action == c1_q.obj("pt").identity()
@@ -140,6 +144,37 @@ class TestComparison:
         assert km.mor == adj_z2_q.G.on_morphism(f)   # G_M∘K = G on morphisms
         mod = k.on_object(pcat.obj("sign"))
         assert mod.carrier == adj_z2_q.G.object_map["sign"]
+
+    def test_fully_faithful_on_validates_each_distinct_image_once(self, c1_q, monkeypatch):
+        # pt⊕pt split by an idempotent holding 1, and the equal object holding Fraction(1):
+        # K keys its images as the functors' caches do, so the two stay apart
+        import sepcat.modules
+        adj = identity_adjunction(c1_q)
+        pt2 = c1_q.obj("pt", "pt")
+        split = [CatObject(c1_q, pt2.summands, Morphism(c1_q, pt2, pt2, (((one,), (0,)),
+                                                                          ((0,), (0,)))))
+                 for one in (1, Fraction(1))]
+        assert split[0] == split[1] and split[0].key != split[1].key
+        objects = [c1_q.obj("pt"), pt2, *split]
+        validated, real = [], sepcat.modules.validate_module
+        monkeypatch.setattr(sepcat.modules, "validate_module",
+                            lambda m: validated.append(m) or real(m))
+        k = Comparison(adj)
+        recs = k.fully_faithful_on([(a, b) for a in objects for b in objects])
+        assert all(rec["bijective"] for rec in recs)
+        assert [m.carrier.key for m in validated] == [d.key for d in objects]
+        assert [type(k.on_object(d).carrier.idem.blocks[0][0][0]) for d in split] == [int, Fraction]
+        assert len(validated) == len(objects)
+
+    def test_a_failing_image_raises_on_every_call(self, c1_q):
+        adj = identity_adjunction(c1_q)
+        m = monad_from_adjunction(adj)
+        doubled = NatTrans(m.unit.src, m.unit.dst,
+                           {"pt": m.unit.components["pt"].scale(Fraction(2))}, name="2η")
+        k = Comparison(adj, Monad(m.functor, doubled, m.mult))
+        for _ in range(2):
+            with pytest.raises(LawViolationError, match="comparison image"):
+                k.on_object(c1_q.obj("pt"))
 
     def test_comparison_agrees_with_dictionary_on_all_objects(self, adj_z2_q, eqcat_z2_q):
         # K applied to a presented equivariant object equals its dictionary image

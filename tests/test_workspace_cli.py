@@ -149,6 +149,23 @@ class TestExitCodes:
             f"error: cannot write output directory {tmp_path / out}: "), err
         assert target.is_dir() or target.read_text() == "keep"
 
+    @pytest.mark.parametrize("argv", [["validate"], ["complex-report", "triv_z2_q"]],
+                             ids=" ".join)
+    def test_a_shape_error_names_its_declaration_once(self, tmp_path, capsys, argv):
+        # triv_mod_z2's action given three blocks for M(pt) = pt ⊕ pt
+        with open(FIXTURE, encoding="utf-8") as fh:
+            data = json.load(fh)
+        data["modules"]["triv_mod_z2"]["action"] = [[["1"], ["1"], ["1"]]]
+        path = tmp_path / "ws.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        message = ("module triv_mod_z2: morphism shape error: "
+                   "block grid does not match dom/cod profiles")
+        assert run(["-w", str(path), "--out", str(tmp_path), *argv]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        # built through a complex that references it, the module is still named once
+        with pytest.raises(WorkspaceError, match=f"^{re.escape(message)}$"):
+            parse_workspace(str(path), validate=False).complexes["stalks_z2"]
+
     def test_zero_samples_is_valid(self, tmp_path):
         assert run(["-w", FIXTURE, "--out", str(tmp_path), "--samples", "0",
                     "equivariant-report", "triv_z2_q"]) == 0

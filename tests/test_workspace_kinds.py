@@ -114,6 +114,7 @@ def test_commands_on_the_kinds_exit_zero(tmp_path, argv):
     [[["1/2"], ["1/2"]]],                       # one block row for two summands
     [[["1/2"], ["1/2", "0"]], [["1/2"], ["1/2"]]],  # a block longer than its hom space
     "e",                                        # not a block grid
+    [[["1"], ["1"]], [["1"], ["1"]]],           # e∘e = 2e: not idempotent
 ])
 def test_a_malformed_idempotent_exits_two_naming_it(tmp_path, capsys, idem):
     with open(KINDS, encoding="utf-8") as fh:
