@@ -8,7 +8,7 @@ returns either a re-verified witness or an infeasibility certificate.
 
 from sepcat import (Field, FiniteGroup, GroupAction, equivariant_category,
                     extract_section, induce_adjunction, separability_solve,
-                    transfer_witness)
+                    witness_from_section)
 from sepcat.standard import point_category
 
 z2 = FiniteGroup.cyclic(2)
@@ -24,7 +24,7 @@ print("witness laws re-verified:", w.verify().passed)
 xi = extract_section(adj_q, w)
 print("section components:", {k: [str(c) for c in m.coords()]
                               for k, m in sorted(xi.components.items())})
-w2 = transfer_witness("from-xi", adj_q, xi)
+w2 = witness_from_section(adj_q, xi)
 print("rebuilt witness passes the same laws:", w2.verify().passed)
 
 # Over F2 the same functor is not separable: the system is infeasible.

@@ -45,6 +45,7 @@ DRIFT = "tests/test_composition_oracle.py::test_accumulation_keeps_scalar_types"
 EXACT_ONE = "tests/test_composition_oracle.py::test_a_product_by_an_exact_one_is_the_other_factor"
 INDEX_ORACLE = "tests/test_presentation_index_oracle.py"
 LEMMA_ORACLE = "tests/test_derived_lemma_oracle.py"
+MARK_ORACLE = "tests/test_mark_oracle.py"
 
 MUTANTS = (
     ("independence-counts-zero", "src/sepcat/linalg.py",
@@ -126,10 +127,10 @@ MUTANTS = (
      "for k in reduced_form(zero, thetas, act.base.field).kernel]", "for k in thetas]",
      (f"{FORMULA_ORACLE}::test_free_hom_spaces_are_the_solved_bases[S_3 on C1 over F5]",)),
     ("free-mark-before-validation", "src/sepcat/equivariant.py",
-     '    z.validate().require(LawViolationError, "free equivariant object")\n'
+     '    checked(z, EquivariantObject.validate).require(LawViolationError, "free equivariant object")\n'
      "    z.free_on = x  # set only once validation has passed\n",
      "    z.free_on = x  # set only once validation has passed\n"
-     '    z.validate().require(LawViolationError, "free equivariant object")\n',
+     '    checked(z, EquivariantObject.validate).require(LawViolationError, "free equivariant object")\n',
      (f"{FORMULA_ORACLE}::test_the_mark_is_set_only_after_validation",)),
     ("counit-slots-transposed", "src/sepcat/equivariant.py",
      "for j in range(nsum) for h in act.group.elements)",
@@ -217,12 +218,26 @@ MUTANTS = (
      "Morphism._new(self.target, plain, plain, e[0], ((),) * len(e[0])))",
      (f"{ROWS}[Functor.on_object]",)),
     ("derived-lemma-skips-naturality", "src/sepcat/complexes.py",
-     "\n            and validate_nat(sw.sigma).passed)", ")",
+     "\n            and checked(sw.sigma, validate_nat).passed)", ")",
      (f"{LEMMA_ORACLE}::test_a_non_natural_section_composes[sign Z2 on A2]",)),
-    ("derived-lemma-skips-image-endpoints", "src/sepcat/complexes.py",
-     "            and all(m.dom == mf.object_map[x] and m.cod == mf.object_map[y]\n"
-     "                    for (x, y), ms in mf.hom_map.items() for m in ms)\n", "",
-     (f"{LEMMA_ORACLE}::test_an_m_that_is_no_functor_composes[image_off_its_endpoints]",)),
+    ("functor-laws-compose-unchained", "src/sepcat/functors.py",
+     "fb @ fa if fb.dom == fa.cod else None", "fb @ fa",
+     (f"{LEMMA_ORACLE}::test_images_that_do_not_chain_fail_composition_preservation",
+      f"{LEMMA_ORACLE}::test_an_m_that_is_no_functor_composes[image_off_its_endpoints]")),
+    ("mark-set-before-validation", "src/sepcat/reports.py",
+     "    if s.report is None and (rep := validate(s)).passed:\n        s.report = rep\n",
+     "    if s.report is None:\n        s.report = rep = validate(s)\n",
+     (f"{MARK_ORACLE}::test_a_rebuilt_structure_carries_no_mark[group monad]",
+      "tests/test_failure_reports.py::test_monad_solve_refuses_a_monad_whose_laws_fail")),
+    ("alpha-inverse-trusts-unmarked", "src/sepcat/equivariant.py",
+     "if self.report is None and (inv[g] @ a", "if False and (inv[g] @ a",
+     ("tests/test_equivariant.py::test_to_module_rejects_non_invertible_alpha_on_every_call",
+      f"{MARK_ORACLE}::test_a_marked_object_inverts_its_alphas_without_composing[S_3 on C1]")),
+    ("monad-solve-skips-precondition", "src/sepcat/monads.py",
+     '    checked(m, validate_monad).require(PreconditionError, "monad_separability_solve needs a monad")\n',
+     "",
+     ("tests/test_failure_reports.py::test_monad_solve_refuses_a_monad_whose_laws_fail",
+      f"{MARK_ORACLE}::test_builder_monads_solve_without_validating_again")),
 )
 
 

@@ -11,10 +11,11 @@ from .category import (CatObject, LinearCategory, Morphism, MorSystem,
                        morphism, slot_placement, split_idempotent, validate_presentation,
                        zero_morphism)
 from .functors import (Adjunction, Functor, NatTrans, SepWitness,
-                       compose_functors, extract_section, fully_faithful_on,
-                       section_feasibility, separability_solve,
-                       transfer_witness, validate_adjunction, validate_functor,
-                       validate_nat)
+                       compose_functors, compose_witnesses, extract_section,
+                       fully_faithful_on, fully_faithful_witness, left_factor_witness,
+                       retract_witness, section_feasibility, separability_solve,
+                       validate_adjunction, validate_functor, validate_nat,
+                       witness_from_section)
 from .monads import (Monad, MonadSepWitness, monad_from_adjunction,
                      monad_separability_solve, sigma_from_xi, validate_monad)
 from .modules import (Comparison, EmAdjunction, MModule, ModuleMor,

@@ -27,7 +27,7 @@ from .modules import (MModule, check_equiv_up_to_retracts, essential_preimage,
                       free_module, module_hom_basis)
 from .monads import (MonadSepWitness, monad_from_adjunction,
                      monad_separability_solve, sigma_from_xi)
-from .reports import ValidationReport
+from .reports import ValidationReport, checked
 from .workspace import (Workspace, parse_workspace, validate_workspace,
                         witness_to_json)
 
@@ -102,11 +102,11 @@ def cmd_validate(ws: Workspace, opts) -> Checks:
 def cmd_adjunction_check(ws: Workspace, name: str, opts) -> Checks:
     adj = ws.adjunction(name)
     checks = Checks()
-    checks.merge_report(f"adjunction {name}: left adjoint", validate_functor(adj.F))
-    checks.merge_report(f"adjunction {name}: right adjoint", validate_functor(adj.G))
-    checks.merge_report(f"adjunction {name}: unit", validate_nat(adj.unit))
-    checks.merge_report(f"adjunction {name}: counit", validate_nat(adj.counit))
-    checks.merge_report(f"adjunction {name}", validate_adjunction(adj))
+    checks.merge_report(f"adjunction {name}: left adjoint", checked(adj.F, validate_functor))
+    checks.merge_report(f"adjunction {name}: right adjoint", checked(adj.G, validate_functor))
+    checks.merge_report(f"adjunction {name}: unit", checked(adj.unit, validate_nat))
+    checks.merge_report(f"adjunction {name}: counit", checked(adj.counit, validate_nat))
+    checks.merge_report(f"adjunction {name}", checked(adj, validate_adjunction))
     return checks
 
 
@@ -140,7 +140,7 @@ def cmd_em_report(ws: Workspace, name: str, opts) -> Checks:
     checks = Checks()
     adj = ws.adjunction(name)
     meta = ws.adjunction_meta[name]
-    checks.merge_report(f"em-report {name}: adjunction", validate_adjunction(adj))
+    checks.merge_report(f"em-report {name}: adjunction", checked(adj, validate_adjunction))
     monad = monad_from_adjunction(adj)
     sigma = monad_separability_solve(monad)
     if isinstance(sigma, Infeasible):
@@ -183,7 +183,7 @@ def cmd_equivariant_report(ws: Workspace, name: str, opts) -> Checks:
     eqc = ws.eqcat_for_action(name)
     adj = ws.adjunction_for_action(name)
     checks.merge_report(f"equivariant-report {name}: induced adjunction",
-                        validate_adjunction(adj))
+                        checked(adj, validate_adjunction))
     monad = monad_from_adjunction(adj)
     checks.add(f"equivariant-report {name}: monad matches the Kronecker formula",
                "pass" if monad.components_equal(act.group_monad) else "fail")

@@ -31,7 +31,7 @@ from .functors import Functor, validate_functor, validate_nat
 from .linalg import LinForm, rank_extension
 from .modules import MModule, module_hom_basis
 from .monads import Monad, MonadSepWitness, monad_separability_solve
-from .reports import ValidationReport
+from .reports import ValidationReport, checked
 
 SUPPORT_CAP = 8
 
@@ -477,14 +477,13 @@ def module_complex_retract(sw: MonadSepWitness, a: ModuleComplex):
 
 def _lemma_applies(monad: Monad, sw: MonadSepWitness) -> bool:
     """The call-wide preconditions of `derived_comparison_check`'s lemma: σ: M → M² and
-    η: Id → M over this monad, M a functor and η, σ natural on basis morphisms."""
+    η: Id → M over this monad, M a functor and η, σ natural on basis morphisms, each
+    validated once (`reports.checked`)."""
     mf = monad.functor
     return (sw.monad is monad and sw.sigma.src.equals(mf) and sw.sigma.dst.equals(monad.squared)
             and monad.unit.dst.equals(mf) and monad.unit.src.equals(Functor.identity(monad.cat))
-            and all(m.dom == mf.object_map[x] and m.cod == mf.object_map[y]
-                    for (x, y), ms in mf.hom_map.items() for m in ms)
-            and validate_functor(mf).passed and validate_nat(monad.unit).passed
-            and validate_nat(sw.sigma).passed)
+            and checked(mf, validate_functor).passed and checked(monad.unit, validate_nat).passed
+            and checked(sw.sigma, validate_nat).passed)
 
 
 def derived_comparison_check(action, samples, monad: Monad | None = None,

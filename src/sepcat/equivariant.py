@@ -12,10 +12,11 @@ shares them.
 
 The adjunction F ⊣ U replaces two solves.  The cocycle law at (g, g⁻¹) gives
 ^g(α_{g⁻¹})∘α_g = α_e = Id and the inverse law α_g∘^g(α_{g⁻¹}) = Id, so α_g⁻¹ =
-^g(α_{g⁻¹}); both compositions are still checked.  Hom(x, UZ) ≅ Hom^G(F x, Z) sends φ to
-ε_Z∘F(φ) = λ_Z∘M(φ), with the counit λ_Z = (β_h⁻¹)_h: ⊕_h ^hY → Y at Z = (Y, β).  So a
-basis of Hom(x, Y) maps to one of Hom^G(F x, Z), which `reduced_form` writes in the
-reduced echelon form that the equivariance solve returns.
+^g(α_{g⁻¹}), composed only on an object that has not passed its validation.
+Hom(x, UZ) ≅ Hom^G(F x, Z) sends φ to ε_Z∘F(φ) = λ_Z∘M(φ), with the counit λ_Z =
+(β_h⁻¹)_h: ⊕_h ^hY → Y at Z = (Y, β).  So a basis of Hom(x, Y) maps to one of
+Hom^G(F x, Z), which `reduced_form` writes in the reduced echelon form that the
+equivariance solve returns.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .functors import (Adjunction, Functor, NatTrans, compose_functors,
                        validate_adjunction, validate_functor, validate_nat, validate_section)
 from .linalg import coordinate_map, reduced_form
 from .monads import Monad, validate_monad
-from .reports import ValidationReport
+from .reports import ValidationReport, checked
 from .scalars import rational
 
 
@@ -188,9 +189,8 @@ def validate_action(a: GroupAction) -> ValidationReport:
     """Strictness: Φ_e = Id and Φ_g∘Φ_h = Φ_{gh} as exact presentation data."""
     rep = ValidationReport(f"action {a.name}" if a.name else "action")
     rep.merge(a.group.validate())
-    once = cache(validate_functor)  # each distinct Φ_g once: a trivial action has one
     for g in a.group.elements:
-        rep.merge(once(a.functors[g]))
+        rep.merge(checked(a.functors[g], validate_functor))
     perm_ok = True
     for g in a.group.elements:
         seen = set()
@@ -223,20 +223,21 @@ class EquivariantObject:
         self.name = name
         self._alpha_inv = None
         self._modules = {}
-        self.valid = False  # set by each validate() to whether it passed
+        self.report = None  # the passing `validate` report (`reports.checked`)
         self.free_on = None  # x, once this is a validated F(x)
 
     def alpha_inverse(self) -> dict:
         """The inverses (α_g)^{-1} = ^g(α_{g⁻¹}): ^gX → X, built once.
 
-        Raises NonInvertibleComponentError, on every call, when some candidate is
-        not a two-sided inverse of α_g.
+        An object without a passing report composes both sides (module docstring) and
+        raises NonInvertibleComponentError, on every call, when one is not the identity.
         """
         if self._alpha_inv is None:
             act, inv = self.action, {}
             for g in act.group.elements:
                 a, inv[g] = self.alpha[g], act.functors[g].on_morphism(self.alpha[act.group.inv(g)])
-                if inv[g] @ a != a.dom.identity() or a @ inv[g] != a.cod.identity():
+                if self.report is None and (inv[g] @ a != a.dom.identity()
+                                            or a @ inv[g] != a.cod.identity()):
                     raise NonInvertibleComponentError(f"α_{g} is not inverted by ^g(α_{{g⁻¹}}): "
                                                       "α_g is singular or the cocycle law fails")
             self._alpha_inv = inv
@@ -259,7 +260,7 @@ class EquivariantObject:
         base objects in the α_g's objects, the laws are decided on slot maps
         (`_slot_laws_hold`, by `category.slot_map`'s lemma), a pass recording the same
         checks as the law list; any other object, and any "no", goes through the law
-        list, so a failure reads as it always has.  `valid` is set either way.
+        list, so a failure reads as it always has.
         """
         rep = ValidationReport(f"equivariant object {self.name}" if self.name else "equivariant object")
         a = self.action
@@ -272,7 +273,6 @@ class EquivariantObject:
             rep.record_laws(() if self._slot_laws_hold() else self._laws(), {
                 "cocycle": ("cocycle ^g(α_g')∘α_g = α_gg'", "({},{})".format),
                 "inverse": ("α_g invertible", str)})
-        self.valid = rep.passed
         return rep
 
     def _slot_laws_hold(self) -> bool:
@@ -318,12 +318,12 @@ class EquivariantObject:
 
 def eq_hom_space(a: EquivariantObject, b: EquivariantObject) -> list[Morphism]:
     """Basis of {θ: X → Y with β_g∘θ = ^gθ∘α_g for all g}, in reduced echelon form: from
-    a = F(x) into a validated b by the adjunction (module docstring), else by one solve, as
-    no formula covers other sources, such as workspace extras and character objects."""
+    a = F(x) into a b that passes its laws by the adjunction (module docstring), else by one
+    solve, as no formula covers other sources, such as workspace extras and characters."""
     if a.action is not b.action:
         raise ValueError("equivariant objects under different actions")
     act = a.action
-    if a.free_on is not None and b.valid:
+    if a.free_on is not None and checked(b, EquivariantObject.validate).passed:
         thetas = [(b.counit @ act.monad_functor.on_morphism(phi)).coords()
                   for phi in hom_space_basis(act.base, a.free_on, b.carrier)]
         zero = [act.base.field.zero()] * hom_coord_dim(act.base, a.carrier, b.carrier)
@@ -353,7 +353,7 @@ def free_equivariant(action: GroupAction, x: CatObject, name: str = "") -> Equiv
         slots = [j * n + group.index(group.mult(gi, h)) for j in range(len(x.summands)) for h in els]
         alpha[g] = slot_placement(carrier, action.functors[g].on_object(carrier), slots, ids)
     z = EquivariantObject(action, carrier, alpha, name=name or f"F({'⊕'.join(x.summands)})")
-    z.validate().require(LawViolationError, "free equivariant object")
+    checked(z, EquivariantObject.validate).require(LawViolationError, "free equivariant object")
     z.free_on = x  # set only once validation has passed
     return z
 
@@ -381,7 +381,7 @@ def equivariant_monad(action: GroupAction) -> Monad:
     m2 = compose_functors(mf, mf, name="M²")
     monad = Monad(mf, _group_unit(action, mf), NatTrans(m2, mf, mult_comps, name="μ"),
                   name=f"group monad {action.name}")
-    monad.report = validate_monad(monad).require(LawViolationError, "group monad")
+    checked(monad, validate_monad).require(LawViolationError, "group monad")
     return monad
 
 
@@ -419,7 +419,8 @@ def equivariant_category(action: GroupAction, extra: dict | None = None,
     for label, z in extra.items():
         if label in objects:
             raise ValueError(f"duplicate equivariant object label {label!r}")
-        z.validate().require(PreconditionError, f"equivariant object {label}")
+        checked(z, EquivariantObject.validate).require(PreconditionError,
+                                                      f"equivariant object {label}")
         objects[label] = z
     labels = list(objects)
     bases = {}
@@ -495,11 +496,9 @@ def induce_adjunction(eqcat: EquivariantCategory) -> Adjunction:
     adj = Adjunction(induction, forgetful, unit, counit,
                      name=f"(F, U) for {action.name}")
     rep = ValidationReport("induced adjunction")
-    rep.merge(validate_functor(induction))
-    rep.merge(validate_functor(forgetful))
-    rep.merge(validate_nat(unit))
-    rep.merge(validate_nat(counit))
-    rep.merge(validate_adjunction(adj))
+    for s, validate in ((induction, validate_functor), (forgetful, validate_functor),
+                        (unit, validate_nat), (counit, validate_nat), (adj, validate_adjunction)):
+        rep.merge(checked(s, validate))
     rep.require(LawViolationError, "induced adjunction")
     forgetful.adjunction = adj  # set only once every check above has passed
     return adj
@@ -542,7 +541,7 @@ def to_equivariant(m, action: GroupAction) -> EquivariantObject:
         except ValueError:
             raise NonInvertibleComponentError(f"λ_{h} is not invertible")
     z = EquivariantObject(action, carrier, alpha, name=m.name or "dictionary image")
-    z.validate().require(LawViolationError, "dictionary to-equivariant")
+    checked(z, EquivariantObject.validate).require(LawViolationError, "dictionary to-equivariant")
     return z
 
 

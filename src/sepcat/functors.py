@@ -14,7 +14,7 @@ v∘H(g)∘u gives each with u or v an identity, and H(F v∘(g∘F u)) = v∘H(
 it back from them.  As F is a functor, the laws for v₁ and v₂ give
 H(F(v₁v₂)∘g) = v₁∘v₂∘H(g); for identities they hold trivially.
 
-A right adjoint G carrying its validated adjunction (`Functor.adjunction`) is decided
+A right adjoint G linked to its validated adjunction (`Functor.adjunction`) is decided
 through a section ξ of the counit (Rafael), |G|² unknowns on the point for H's |G|³:
 ξ ↦ H_ξ(g) = ε_Y∘F(g)∘ξ_X and H ↦ H(η_G) are inverse bijections of the solution sets
 and of the homogeneous ones up to the slack, H's ambient directions vanishing on the hom
@@ -38,7 +38,7 @@ from .category import (CatObject, LinearCategory, Morphism, MorSystem, compose_s
                        unit_morphisms, unit_vectors)
 from .errors import LawViolationError, NotFullyFaithfulError, PreconditionError
 from .linalg import coordinate_map, rank_extension, solve_sparse, transfer
-from .reports import ValidationReport
+from .reports import ValidationReport, checked
 
 
 class Functor:
@@ -51,6 +51,7 @@ class Functor:
         self.object_map = dict(object_map)
         self.hom_map = {k: tuple(v) for k, v in hom_map.items()}
         self.name = name
+        self.report = None  # the passing `validate_functor` report (`reports.checked`)
         self.adjunction = None  # the validated adjunction this is the right adjoint of
         self._ocache: dict = {}
         self._images: dict = {}
@@ -221,8 +222,10 @@ def _functor_laws(f: Functor, slots=None):
         for ib, b in enumerate(unit_vectors(src.field, dyz)):
             fb = f.hom_map[(y, z)][ib]
             for ia, a in enumerate(unit_vectors(src.field, dxy)):
+                fa = f.hom_map[(x, y)][ia]  # images that do not chain fail: None ≠ lhs
                 yield ("composition", (x, y, z, ia, ib),
-                       f.on_hom_vec(x, z, src.compose_vec(x, y, z, b, a)), fb @ f.hom_map[(x, y)][ia])
+                       f.on_hom_vec(x, z, src.compose_vec(x, y, z, b, a)),
+                       fb @ fa if fb.dom == fa.cod else None)
 
 
 def _slot_images(f: Functor):
@@ -257,6 +260,7 @@ class NatTrans:
         self.dst = dst
         self.components = dict(components)
         self.name = name
+        self.report = None  # the passing `validate_nat` report on its default laws
         self._at_cache: dict = {}
 
     def at(self, a: CatObject) -> Morphism:
@@ -345,6 +349,7 @@ class Adjunction:
         self.unit = unit
         self.counit = counit
         self.name = name
+        self.report = None  # the passing `validate_adjunction` report
 
     def __repr__(self):
         return f"<Adjunction {self.name or '(F, G)'}>"
@@ -475,10 +480,9 @@ def separability_solve(f: Functor):
     in (coordinate of Hom(x, y), unit morphism k): the image column H(e_k) is
     every a-th of them from the k-th.  The witness laws are imposed on that
     symbolic witness, and the returned witness is the solver's first solution,
-    re-verified; for a marked right adjoint, through ξ (module docstring).
+    re-verified; for a right adjoint linked to its adjunction, through ξ (module docstring).
     """
-    if f.adjunction is None:  # the mark is set only after the right adjoint is validated
-        validate_functor(f).require(PreconditionError, "separability_solve needs a functor")
+    checked(f, validate_functor).require(PreconditionError, "separability_solve needs a functor")
     layout, n_h = [], 0  # per source pair: (pair, dim Hom(x, y), a, first unknown)
     for x, y in f.source.hom_pairs():
         d, a = f.source.hom_dim(x, y), hom_coord_dim(f.target, f.object_map[x], f.object_map[y])
@@ -624,21 +628,6 @@ def witness_from_section(adj: Adjunction, xi: NatTrans) -> SepWitness:
         return adj.counit.components[y] @ adj.F.on_morphism(g) @ xi.components[x]
 
     return _tabulated_witness(adj.G, h, "from-xi transfer")
-
-
-def transfer_witness(rule: str, *args) -> SepWitness:
-    """Dispatch the witness-transfer rules; every result is re-verified."""
-    if rule == "compose":
-        return compose_witnesses(*args)
-    if rule == "left-factor":
-        return left_factor_witness(*args)
-    if rule == "retract":
-        return retract_witness(*args)
-    if rule == "fully-faithful":
-        return fully_faithful_witness(*args)
-    if rule == "from-xi":
-        return witness_from_section(*args)
-    raise ValueError(f"unknown transfer rule {rule!r}")
 
 
 def section_laws(adj: Adjunction, xi: NatTrans):

@@ -26,7 +26,7 @@ from .errors import LawViolationError, PreconditionError
 from .functors import (Adjunction, Functor, NatTrans, compose_functors, naturality_laws,
                        validate_nat, validate_section)
 from .linalg import transfer
-from .reports import ValidationReport
+from .reports import ValidationReport, checked
 
 
 class Monad:
@@ -39,7 +39,7 @@ class Monad:
         self.unit = unit
         self.mult = mult
         self.name = name
-        self.report = None  # `validate_monad`'s report, kept by a builder that required it
+        self.report = None  # the passing `validate_monad` report (`reports.checked`)
 
     @property
     def cat(self):
@@ -153,7 +153,7 @@ def monad_from_adjunction(adj: Adjunction, name: str = "") -> Monad:
     mu_comps = {x: adj.G.on_morphism(adj.counit.at(adj.F.object_map[x])) for x in mf.source.objects}
     mult = NatTrans(compose_functors(mf, mf), mf, mu_comps, name="μ")
     m = Monad(mf, unit, mult, name=name)
-    validate_monad(m).require(LawViolationError, "monad defined by adjunction")
+    checked(m, validate_monad).require(LawViolationError, "monad defined by adjunction")
     return m
 
 
@@ -199,10 +199,11 @@ _SIGMA_CHECKS = {"section law": ("section law μ∘σ = Id_M", str),
 def monad_separability_solve(m: Monad):
     """Find a section σ = μM∘Me of μ by solving for e = σ∘η; witness or Infeasible.
 
-    The monad must come from a validated builder (`equivariant_monad`,
-    `monad_from_adjunction` or a workspace declaration): its laws are not
-    re-checked here, and on a non-monad an "infeasible" verdict means nothing.
+    Raises PreconditionError when m fails its monad laws.  A monad from a builder
+    (`equivariant_monad`, `monad_from_adjunction`, a workspace declaration) carries
+    the report that passed, and an unmarked one is validated once (`reports.checked`).
     """
+    checked(m, validate_monad).require(PreconditionError, "monad_separability_solve needs a monad")
     cat, mf, m2 = m.cat, m.functor, m.squared
     sysm = MorSystem(cat.field)
     e = NatTrans(m.unit.src, m2, {x: sysm.unknown(cat.obj(x), m2.object_map[x])

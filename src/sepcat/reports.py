@@ -58,3 +58,13 @@ class ValidationReport:
     def __repr__(self):
         state = "pass" if self.passed else f"{len(self.failures())} failures"
         return f"<ValidationReport {self.subject!r}: {len(self.checks)} checks, {state}>"
+
+
+def checked(s, validate) -> ValidationReport:
+    """s's kept report, or else validate(s), s's own validator, kept as `s.report` only if
+    it passed: the one place a structure's mark is set.  The mark is sound because
+    structures are not mutated after construction, and one rebuilt from another's data
+    starts unmarked."""
+    if s.report is None and (rep := validate(s)).passed:
+        s.report = rep
+    return rep if s.report is None else s.report

@@ -23,7 +23,7 @@ from .functors import (Adjunction, Functor, NatTrans, SepWitness, compose_functo
                        validate_adjunction, validate_functor, validate_nat)
 from .modules import MModule, free_module, validate_module
 from .monads import Monad, MonadSepWitness, monad_from_adjunction, validate_monad
-from .reports import ValidationReport
+from .reports import ValidationReport, checked
 from .scalars import Field
 
 SCHEMA = "sepcat-workspace/1"
@@ -493,8 +493,8 @@ def _build_complex(name, spec, kind, ws):
 
 
 # Per section: the word naming one declaration, its builder and its law suite.
-# The suites are looked up when called, so wrapping them module-wide applies.  A group
-# monad's suite is the report that `equivariant_monad` required when it built the monad.
+# The suites are looked up when called, so wrapping them module-wide applies.  What a
+# builder validated (group monads, induced adjunctions, Φ_g) keeps its report (`checked`).
 _DECLARED = {
     "fields": ("field", lambda name, spec, kind, ws: Field.from_spec(spec),
                lambda f: ValidationReport()),
@@ -502,12 +502,12 @@ _DECLARED = {
     "groups": ("group", _build_group, lambda g: g.validate()),
     "actions": ("action", _build_action, lambda a: validate_action(a)),
     "equivariant_objects": ("equivariant object", _build_equivariant_object,
-                            lambda z: z.validate()),
-    "functors": ("functor", _build_functor, lambda f: validate_functor(f)),
+                            lambda z: checked(z, EquivariantObject.validate)),
+    "functors": ("functor", _build_functor, lambda f: checked(f, validate_functor)),
     "nat_transformations": ("natural transformation", _build_nat_transformation,
-                            lambda t: validate_nat(t)),
-    "adjunctions": ("adjunction", _build_adjunction, lambda a: validate_adjunction(a)),
-    "monads": ("monad", _build_monad, lambda m: m.report or validate_monad(m)),
+                            lambda t: checked(t, validate_nat)),
+    "adjunctions": ("adjunction", _build_adjunction, lambda a: checked(a, validate_adjunction)),
+    "monads": ("monad", _build_monad, lambda m: checked(m, validate_monad)),
     "modules": ("module", _build_module, lambda m: validate_module(m)),
     "complexes": ("complex", _build_complex, lambda c: c.validate()
                   if isinstance(c, ModuleComplex) else validate_complex(c)),

@@ -19,7 +19,8 @@ from sepcat import (GroupAction, MModule, MonadSepWitness,
                     monad_from_adjunction, monad_separability_solve,
                     derived_comparison_check, random_module_complex,
                     separability_solve, sigma_from_xi, to_equivariant,
-                    to_module, transfer_witness, validate_adjunction,
+                    to_module, compose_witnesses, fully_faithful_witness,
+                    left_factor_witness, witness_from_section, validate_adjunction,
                     xi_forgetful, xi_section)
 from sepcat.cli import run
 from sepcat.complexes import ModuleComplex, module_chain_hom_dim, lifted_module_hom_dim
@@ -226,20 +227,20 @@ def test_criterion_9_witness_calculus_coherence(adj_z2_q, adj_z3_q, act_swap_q):
             w = separability_solve(adj.G)
             assert isinstance(w, SepWitness)
             xi = extract_section(adj, w)
-            w2 = transfer_witness("from-xi", adj, xi)
+            w2 = witness_from_section(adj, xi)
             assert w2.verify().passed
         # compose and left-factor on composed fixture functors
         adj_swap = induce_adjunction(equivariant_category(act_swap_q))
         u = adj_swap.G
         phi = act_swap_q.functors["g"]
         w_u = separability_solve(u)
-        w_phi = transfer_witness("fully-faithful", phi)
-        w_comp = transfer_witness("compose", w_u, w_phi)
+        w_phi = fully_faithful_witness(phi)
+        w_comp = compose_witnesses(w_u, w_phi)
         assert w_comp.verify().passed
         composite = compose_functors(phi, u)
         w_direct = separability_solve(composite)
         assert isinstance(w_direct, SepWitness)
-        w_left = transfer_witness("left-factor", w_direct, phi, u)
+        w_left = left_factor_witness(w_direct, phi, u)
         assert w_left.verify().passed
 
 

@@ -23,6 +23,7 @@ from sepcat import (EquivariantObject, Field, FiniteGroup, Functor, GroupAction,
                     NonInvertibleComponentError, character_modules, eq_hom_space,
                     free_equivariant, to_equivariant, validate_action)
 from sepcat.category import CatObject, Morphism, MorSystem, invert_morphism
+from sepcat.reports import checked
 from sepcat.standard import (a2_quiver_category, cyclotomic_point_category, point_category,
                              two_point_category)
 
@@ -84,7 +85,7 @@ def scalar_characters(act):
         for chi in chars:
             z = EquivariantObject(act, pt, {h: pt.identity().scale(c) for h, c in chi.items()},
                                   name=f"char({x})")
-            if z.validate().passed:
+            if checked(z, EquivariantObject.validate).passed:
                 out.append(z)
     return out
 
@@ -98,7 +99,7 @@ def karoubi_extra(act):
                         Morphism(act.base, pt2, pt2, [[(one,), (zero,)], [(zero,), (zero,)]]))
     z = EquivariantObject(act, carrier, {h: carrier.identity() for h in act.group.elements},
                           name="K")
-    assert z.validate().passed
+    assert checked(z, EquivariantObject.validate).passed
     return z
 
 
@@ -152,7 +153,7 @@ def test_free_hom_spaces_are_the_solved_bases(case):
     act, free, targets = build_case(*case)
     for a in free:
         for b in targets:
-            assert a.free_on is not None and b.valid  # the formula's path, not the solve
+            assert a.free_on is not None and b.report is not None  # the formula's path
             got, want = eq_hom_space(a, b), reference_eq_hom_space(a, b)
             assert got == want, (a, b)
             assert [types(m) for m in got] == [types(m) for m in want], (a, b)
@@ -272,7 +273,7 @@ def test_an_unvalidated_target_is_solved(solves):
     for z in (z3_scalar_object(act, 2, Fraction(1, 2)), z3_scalar_object(act, 2, 1)):
         before = solves["solve"]
         assert eq_hom_space(free, z) == reference_eq_hom_space(free, z)
-        assert not z.validate().passed and not z.valid
+        assert not z.validate().passed and z.report is None
         assert eq_hom_space(free, z) == reference_eq_hom_space(free, z)
         assert solves["solve"] == before + 4
     assert solves["invert"] == 0

@@ -220,11 +220,20 @@ def doubled_identity(m):
 
 
 def image_off_its_endpoints(m):
-    """M's image of a: 1 → 2 given as a map M(1) → M(1), on which `validate_functor`'s
-    composition law raises, as the composed checks do not."""
+    """M's image of a: 1 → 2 given as a map M(1) → M(1), which does not chain with M(id_2):
+    `validate_functor` records the pair as a failing composition place."""
     (f,) = m.functor.hom_map[("1", "2")]
     m1 = m.functor.object_map["1"]
     return {("1", "2"): (Morphism(m.cat, m1, m1, f.blocks),)}
+
+
+def test_images_that_do_not_chain_fail_composition_preservation():
+    m = trivial_z2_on_a2(QQ).group_monad
+    mf = Functor(m.cat, m.cat, m.functor.object_map,
+                 {**m.functor.hom_map, **image_off_its_endpoints(m)}, name="M'")
+    failed = dict(validate_functor(mf).failures())
+    assert failed == {"hom images have the right endpoints": "",
+                      "composition preservation (4 pairs)": "(a, 1->1[0]); (2->2[0], a)"}
 
 
 @pytest.mark.parametrize("edit", [doubled_identity, image_off_its_endpoints])

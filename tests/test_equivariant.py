@@ -20,7 +20,7 @@ from sepcat import (EquivariantObject, Field, FiniteGroup, Functor, GroupAction,
                     free_equivariant, induce_adjunction,
                     monad_from_adjunction, monad_separability_solve,
                     separability_solve, sigma_from_xi, to_equivariant,
-                    to_module, transfer_witness, validate_action,
+                    to_module, witness_from_section, validate_action,
                     validate_adjunction, validate_module, validate_monad, xi_forgetful,
                     xi_section, zero_morphism)
 from sepcat import standard
@@ -313,7 +313,7 @@ class TestAdjunctionBijection:
 class TestMaschkePipeline:
     def test_from_xi_yields_witness_for_forgetful(self, adj_z2_q, eqcat_z2_q):
         xi = xi_section(eqcat_z2_q, adj_z2_q)
-        w = transfer_witness("from-xi", adj_z2_q, xi)
+        w = witness_from_section(adj_z2_q, xi)
         assert isinstance(w, SepWitness)
         assert w.functor is adj_z2_q.G
 

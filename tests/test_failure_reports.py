@@ -15,7 +15,7 @@ from sepcat import (Adjunction, BoundedComplex, ChainMap, EquivariantObject, Fie
                     ModuleComplex, NatTrans, PreconditionError, SepWitness, equivariant_category,
                     equivariant_monad, extract_section, induce_adjunction,
                     monad_separability_solve, separability_solve, sigma_from_xi,
-                    transfer_witness)
+                    witness_from_section)
 from sepcat.category import LinearCategory, Morphism, validate_presentation
 from sepcat.complexes import module_complex_retract, validate_complex
 from sepcat.equivariant import character_modules, validate_action
@@ -416,7 +416,16 @@ def test_section_preconditions_name_the_failing_law():
         sigma_from_xi(adj, xi2)
     with pytest.raises(PreconditionError,
                        match=r"^from-xi transfer needs a section of ε: ε∘ξ = Id \(F\(pt\)\)$"):
-        transfer_witness("from-xi", adj, xi2)
+        witness_from_section(adj, xi2)
+
+
+def test_monad_solve_refuses_a_monad_whose_laws_fail():
+    m = bumped_monad(equivariant_monad(z2_action()))
+    for _ in range(2):  # a failing report is not kept: the laws are checked again
+        with pytest.raises(PreconditionError, match=r"^monad_separability_solve needs a monad: "
+                           r"associativity μ∘Mμ = μ∘μM \(pt\); unit laws"):
+            monad_separability_solve(m)
+        assert m.report is None
 
 
 def test_extracted_section_is_rechecked():

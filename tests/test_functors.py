@@ -12,8 +12,9 @@ from sepcat import (Functor, Infeasible,
                     PreconditionError,
                     SepWitness, compose_functors, direct_sum, extract_section,
                     fully_faithful_on, hom_space_basis, section_feasibility,
-                    separability_solve, transfer_witness, validate_adjunction,
-                    validate_functor, zero_morphism)
+                    separability_solve, compose_witnesses, fully_faithful_witness,
+                    left_factor_witness, retract_witness, witness_from_section,
+                    validate_adjunction, validate_functor, zero_morphism)
 from sepcat.category import CatObject, unit_morphisms
 from sepcat.functors import Adjunction, hom_matrix
 from sepcat.linalg import LinForm
@@ -217,20 +218,20 @@ class TestBinaturalityFailures:
 class TestTransferRules:
     def test_compose_of_identity_witnesses(self, c1_q):
         idw = separability_solve(Functor.identity(c1_q))
-        w = transfer_witness("compose", idw, idw)
+        w = compose_witnesses(idw, idw)
         assert w.maps[("pt", "pt")] == [[c1_q.field.one()]]
 
     def test_retract_with_identity_transformations(self, adj_z2_q):
         w = separability_solve(adj_z2_q.G)
         g = adj_z2_q.G
         ident = NatTrans(g, g, {l: g.object_map[l].identity() for l in g.source.objects})
-        w2 = transfer_witness("retract", w, ident, ident)
+        w2 = retract_witness(w, ident, ident)
         assert w2.maps == w.maps or w2.verify().passed
 
     def test_from_xi_on_equivariant_fixture(self, adj_z2_q, eqcat_z2_q):
         from sepcat import xi_section
         xi = xi_section(eqcat_z2_q, adj_z2_q)
-        w = transfer_witness("from-xi", adj_z2_q, xi)
+        w = witness_from_section(adj_z2_q, xi)
         assert w.verify().passed
         # H(U(f)) = f on every presentation basis morphism
         pcat = eqcat_z2_q.cat
@@ -243,7 +244,7 @@ class TestTransferRules:
                 assert w.apply(pcat.obj(l1), pcat.obj(l2), mors[i]) == f
 
     def test_fully_faithful_rule_on_swap(self, swap_functor):
-        w = transfer_witness("fully-faithful", swap_functor)
+        w = fully_faithful_witness(swap_functor)
         assert w.verify().passed
 
     def test_compose_with_automorphism_and_left_factor(self, act_swap_q, c3_q):
@@ -254,14 +255,14 @@ class TestTransferRules:
         phi = act_swap_q.functors["g"]
         w_u = separability_solve(u)
         assert isinstance(w_u, SepWitness)
-        w_phi = transfer_witness("fully-faithful", phi)
+        w_phi = fully_faithful_witness(phi)
         composite = compose_functors(phi, u)
-        w_comp = transfer_witness("compose", w_u, w_phi)
+        w_comp = compose_witnesses(w_u, w_phi)
         assert w_comp.functor.equals(composite)
         # from a composite witness, recover one for the left factor
         w_direct = separability_solve(composite)
         assert isinstance(w_direct, SepWitness)
-        w_left = transfer_witness("left-factor", w_direct, phi, u)
+        w_left = left_factor_witness(w_direct, phi, u)
         assert w_left.verify().passed
 
 
@@ -323,7 +324,7 @@ class TestFullyFaithfulOn:
 
     def test_collapse_has_no_fully_faithful_witness(self, collapse):
         with pytest.raises(NotFullyFaithfulError):
-            transfer_witness("fully-faithful", collapse)
+            fully_faithful_witness(collapse)
 
 
 def test_witness_roundtrip_from_xi(adj_z2_q):
@@ -331,7 +332,7 @@ def test_witness_roundtrip_from_xi(adj_z2_q):
     # and check the rebuilt one satisfies the same laws
     w = separability_solve(adj_z2_q.G)
     xi = extract_section(adj_z2_q, w)
-    w2 = transfer_witness("from-xi", adj_z2_q, xi)
+    w2 = witness_from_section(adj_z2_q, xi)
     assert w2.verify().passed
 
 

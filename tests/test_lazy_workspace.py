@@ -222,12 +222,15 @@ def test_unreferenced_invalid_declaration_blocks_only_its_dependents(tmp_path, c
 
 
 def test_validate_runs_each_law_suite_once(tmp_path, monkeypatch):
-    counts = {}
-    depth = [0]
+    """Every structure that validate builds is validated once.  The validators of the
+    structures that keep a passing report are counted wherever they are looked up, builders
+    included; the other law suites where the workspace runs them, outermost calls only."""
+    counts, seen, depth, built = {}, [], [0], []
 
-    def counting(original, count=True):
+    def counting(original, anywhere):
         def wrapper(obj, *args, **kwargs):
-            if count and depth[0] == 0:
+            if anywhere or depth[0] == 0:
+                seen.append(obj)  # kept alive, so that no id is reused
                 counts[id(obj)] = counts.get(id(obj), 0) + 1
             depth[0] += 1
             try:
@@ -236,21 +239,29 @@ def test_validate_runs_each_law_suite_once(tmp_path, monkeypatch):
                 depth[0] -= 1
         return wrapper
 
-    for name in ("validate_presentation", "validate_action", "validate_functor",
-                 "validate_nat", "validate_adjunction", "validate_monad",
-                 "validate_module", "validate_complex"):
+    modules = [m for name, m in sorted(sys.modules.items()) if name.startswith("sepcat.")]
+    for name in ("validate_functor", "validate_nat", "validate_adjunction", "validate_monad"):
+        original = getattr(sepcat.workspace, name)
+        wrapper = counting(original, anywhere=True)
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapper)
+    monkeypatch.setattr(EquivariantObject, "validate",
+                        counting(EquivariantObject.validate, anywhere=True))
+    for name in ("validate_presentation", "validate_action", "validate_module",
+                 "validate_complex"):
         monkeypatch.setattr(sepcat.workspace, name,
-                            counting(getattr(sepcat.workspace, name)))
-    # a group monad's laws are checked where it is built, and the workspace reads that report
-    monkeypatch.setattr(sepcat.equivariant, "validate_monad",
-                        counting(sepcat.equivariant.validate_monad))
-    for cls in (FiniteGroup, EquivariantObject, ModuleComplex):
-        monkeypatch.setattr(cls, "validate", counting(cls.validate))
-    # equivariant_category re-checks the declared objects it presents; that
-    # check is a precondition of the construction, not a law suite run
-    monkeypatch.setattr(sepcat.workspace, "equivariant_category",
-                        counting(sepcat.workspace.equivariant_category, count=False))
+                            counting(getattr(sepcat.workspace, name), anywhere=False))
+    for cls in (FiniteGroup, ModuleComplex):
+        monkeypatch.setattr(cls, "validate", counting(cls.validate, anywhere=False))
+    parse = sepcat.cli.parse_workspace
+
+    def parsing(*args, **kwargs):
+        built.append(parse(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(sepcat.cli, "parse_workspace", parsing)
     assert run(["-w", str(FIXTURE), "--out", str(tmp_path), "validate"]) == 0
-    doc = json.loads(FIXTURE.read_text())
-    declared = sum(len(doc.get(section, {})) for section in sepcat.workspace.SECTIONS[1:-1])
-    assert sorted(counts.values()) == [1] * declared
+    declared = [obj for (section, _), obj in built[0]._built.items() if section != "fields"]
+    assert all(counts.get(id(obj)) == 1 for obj in declared)
+    assert set(counts.values()) == {1}

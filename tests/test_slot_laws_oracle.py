@@ -27,6 +27,7 @@ from sepcat import (EquivariantObject, Field, FiniteGroup, Functor, GroupAction,
 from sepcat.category import Morphism, slot_map, unit_vectors, zero_morphism
 from sepcat.cli import run
 from sepcat.monads import monad_from_adjunction, validate_monad
+from sepcat.reports import checked
 from sepcat.standard import (a2_quiver_category, cyclotomic_point_category,
                              dual_numbers_category, point_category, two_point_category)
 from sepcat.workspace import parse_workspace
@@ -357,19 +358,19 @@ def test_valid_and_free_on_are_set_as_by_the_law_list(case, monkeypatch):
     x = act.base.obj(*act.base.objects)
     z = free_equivariant(act, x)
     assert decided == [(None, True)]  # the slot decision, before the mark
-    assert z.valid and z.free_on == x
+    assert z.report is not None and z.free_on == x
     hand = EquivariantObject(act, z.carrier, z.alpha)
-    assert not hand.valid and hand.free_on is None
-    fast, full = reports(EquivariantObject.validate, hand)
-    assert fast.passed and hand.valid and hand.free_on is None
+    assert hand.report is None and hand.free_on is None
+    fast = checked(hand, EquivariantObject.validate)
+    assert fast.passed and hand.report is fast and hand.free_on is None
     for kind in ("2·id", "dropped block"):
         b = broken_object(z, kind, act.group.elements[1], 0, 0)
-        fast = b.validate()
-        assert not fast.passed and not b.valid and b.free_on is None
-        b.valid = True
+        fast = checked(b, EquivariantObject.validate)
+        assert not fast.passed and b.report is None and b.free_on is None
         with monkeypatch.context() as mp:
             mp.setattr(EquivariantObject, "_slot_laws_hold", lambda self: False)
-            assert b.validate().checks == fast.checks and not b.valid
+            again = checked(b, EquivariantObject.validate)
+            assert again.checks == fast.checks and b.report is None
 
 
 def test_the_workspace_group_monad_reports_are_the_law_lists():
