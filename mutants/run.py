@@ -46,6 +46,7 @@ EXACT_ONE = "tests/test_composition_oracle.py::test_a_product_by_an_exact_one_is
 INDEX_ORACLE = "tests/test_presentation_index_oracle.py"
 LEMMA_ORACLE = "tests/test_derived_lemma_oracle.py"
 MARK_ORACLE = "tests/test_mark_oracle.py"
+LIFTED_ORACLE = "tests/test_lifted_laws_oracle.py"
 
 MUTANTS = (
     ("independence-counts-zero", "src/sepcat/linalg.py",
@@ -179,11 +180,11 @@ MUTANTS = (
      "dom.summands[c] != s or block != cat.id_vec(s)", "dom.summands[c] != s",
      (f"{SLOT_ORACLE}::test_a_doubled_block_is_not_a_slot",)),
     ("slot-monad-skips-identity-preservation", "src/sepcat/monads.py",
-     "    if not mf.keeps_identities(m.cat.objects):\n        return False\n", "",
+     "    keeps = mf.keeps_identities(cat.objects)\n", "    keeps = True\n",
      (f"{SLOT_ORACLE}::test_a_monad_whose_m_keeps_no_identity_takes_the_law_list",)),
     ("slot-cocycle-skips-inverse", "src/sepcat/equivariant.py",
-     "\n                    or compose_slots(slots[g], images[gi]) != tuple(range(len(images[gi])))):",
-     "):",
+     "compose_slots(slots[g], image), tuple(range(len(image)))",
+     "compose_slots(slots[g], image), compose_slots(slots[g], image)",
      (f"{SLOT_ORACLE}::test_zero_alphas_keep_the_cocycle_law_and_break_the_inverse_law",)),
     ("slot-functor-zero-product-matches-anything", "src/sepcat/functors.py",
      "zero if t is None else slots[(x, z)][t]",
@@ -233,6 +234,16 @@ MUTANTS = (
      "if self.report is None and (inv[g] @ a", "if False and (inv[g] @ a",
      ("tests/test_equivariant.py::test_to_module_rejects_non_invertible_alpha_on_every_call",
       f"{MARK_ORACLE}::test_a_marked_object_inverts_its_alphas_without_composing[S_3 on C1]")),
+    ("lifted-laws-drop-right-unit", "src/sepcat/complexes.py",
+     "verdicts[p].append((key, lhs == rhs))",
+     "verdicts[p].append((key, lhs == rhs or key == 'right unit'))",
+     (f"{LIFTED_ORACLE}::test_a_place_that_fails_fails_only_its_degrees",)),
+    ("group-mark-before-validation", "src/sepcat/equivariant.py",
+     "        self.report = None  # the passing `validate` report (`reports.checked`)\n"
+     "        if unit is None:",
+     "        self.report = ValidationReport()  # the passing `validate` report (`reports.checked`)\n"
+     "        if unit is None:",
+     (f"{MARK_ORACLE}::test_a_rebuilt_structure_carries_no_mark[group]",)),
     ("monad-solve-skips-precondition", "src/sepcat/monads.py",
      '    checked(m, validate_monad).require(PreconditionError, "monad_separability_solve needs a monad")\n',
      "",

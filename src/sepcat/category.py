@@ -506,8 +506,10 @@ def slot_map(m: Morphism):
     column c holds at most one nonzero block, in a row r with cod.summands[r] =
     dom.summands[c] = s, and that block is id_vec(s) with id_s∘id_s = id_s in the base.
 
-    The lemma that lets `validate_monad` and `EquivariantObject.validate` decide laws on
-    these integer tuples:
+    The lemma that lets the law lists of monads (`monads._monad_laws`, read by
+    `validate_monad` and `LiftedMonad.validate_on`), of equivariant objects
+    (`EquivariantObject._laws`) and of functors (`validate_functor`) compare these integer
+    tuples where it applies, and that `Monad.mult_images` and `equivariant_category` build on:
     - Identity placements compose as their slot maps do (`compose_slots`): block (i, k)
       of A∘B is Σ_j A_ij∘B_jk, which is id∘id = id at i = a(b(k)) and zero elsewhere.
       Two of them between the same objects are equal iff their slot maps are, and the

@@ -18,8 +18,8 @@ import random
 import sys
 
 from .complexes import derived_comparison_check, random_module_complex
-from .equivariant import (character_modules, eq_hom_space, to_equivariant, to_module,
-                          validate_action, xi_section)
+from .equivariant import (FiniteGroup, character_modules, eq_hom_space, to_equivariant,
+                          to_module, validate_action, xi_section)
 from .errors import LawViolationError, NotInvertibleError, WorkspaceError
 from .functors import separability_solve, validate_adjunction, validate_functor, validate_nat
 from .linalg import Infeasible
@@ -178,8 +178,9 @@ def cmd_em_report(ws: Workspace, name: str, opts) -> Checks:
 def cmd_equivariant_report(ws: Workspace, name: str, opts) -> Checks:
     checks = Checks()
     act = ws.action(name)
-    checks.merge_report(f"equivariant-report {name}: group", act.group.validate())
-    checks.merge_report(f"equivariant-report {name}: action", validate_action(act))
+    checks.merge_report(f"equivariant-report {name}: group",
+                        checked(act.group, FiniteGroup.validate))
+    checks.merge_report(f"equivariant-report {name}: action", checked(act, validate_action))
     eqc = ws.eqcat_for_action(name)
     adj = ws.adjunction_for_action(name)
     checks.merge_report(f"equivariant-report {name}: induced adjunction",

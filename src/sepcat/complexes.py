@@ -30,7 +30,7 @@ from .errors import MonadNotSeparableError
 from .functors import Functor, validate_functor, validate_nat
 from .linalg import LinForm, rank_extension
 from .modules import MModule, module_hom_basis
-from .monads import Monad, MonadSepWitness, monad_separability_solve
+from .monads import Monad, MonadSepWitness, _monad_laws, monad_separability_solve
 from .reports import ValidationReport, checked
 
 SUPPORT_CAP = 8
@@ -276,54 +276,45 @@ class LiftedMonad:
         parts = {n: sw.sigma.at(c.term(n)) for n in c.degrees()}
         return ChainMap(mc, apply_functor_to_complex(self.monad.functor, mc), parts)
 
-    def _laws_at(self, t: CatObject, sw: MonadSepWitness | None):
-        """The monad (and section) laws at one closure object, (key, lhs, rhs) each."""
-        m = self.monad
-        mf = m.functor
-        mt = mf.on_object(t)
-        mu = m.mult.at(t)
-        yield "associativity", mu @ mf.on_morphism(mu), mu @ m.mult.at(mt)
-        yield "unit", mu @ mf.on_morphism(m.unit.at(t)), mt.identity()
-        yield "unit", mu @ m.unit.at(mt), mt.identity()
-        if sw is not None:
-            yield "section", mu @ sw.sigma.at(t), mt.identity()
-
     def validate_on(self, c: BoundedComplex, sw: MonadSepWitness | None = None) -> ValidationReport:
         """Monad (and optionally section) laws, degreewise on the sample complex.
 
-        M, η, μ and σ act blockwise on a plain sum, so each law is evaluated once
-        per distinct place, a base summand of a plain term or a whole term with
-        an idempotent, and a degree fails a law exactly when one of its places does.
-        σ's chain-map law Mc → M²c is composed here; `derived_comparison_check`
-        decides it by its lemma where that applies, and composes it where not.
+        M, η, μ and σ act blockwise on a plain sum, so the laws are evaluated once per
+        distinct place, a base summand of a plain term or a whole term with an idempotent,
+        in one pass over `monads._monad_laws` (on slot maps at a base summand where
+        `category.slot_map`'s lemma applies) and μ∘σ = Id; a degree fails a law exactly
+        when one of its places does.  σ's chain-map law Mc → M²c is composed here;
+        `derived_comparison_check` decides it by its lemma where that applies, and composes
+        it where not.
         """
         return self._validate_on(c, sw)
 
     def _validate_on(self, c: BoundedComplex, sw: MonadSepWitness | None,
                      natural: bool = False) -> ValidationReport:
         """`validate_on`; σ's chain-map law holds by `derived_comparison_check`'s lemma if natural."""
+        m = self.monad
         rep = ValidationReport(f"lifted monad on {c.name or 'complex'}")
         rep.merge(validate_complex(self.on_complex(c)))
-        verdicts = {}
 
-        def at(place):
-            if place not in verdicts:
-                verdicts[place] = [(key, lhs == rhs) for key, lhs, rhs in self._laws_at(place, sw)]
-            return verdicts[place]
+        def places_of(t):  # a plain term's base summands; any other term, zero too, is one
+            return [c.cat.obj(s) for s in t.summands] if t.idem is None and t.summands else [t]
 
-        def laws():
-            for n in c.degrees():
-                t = c.term(n)
-                # a zero term is one place of its own
-                places = map(c.cat.obj, t.summands) if t.idem is None and t.summands else [t]
-                for law in zip(*map(at, places)):  # one law's verdicts at every place
-                    yield law[0][0], (n,), all(ok for _, ok in law), True
-
+        at = {n: places_of(c.term(n)) for n in c.degrees()}
+        places = list(dict.fromkeys(p for ps in at.values() for p in ps))
+        verdicts = {p: [] for p in places}
+        for key, (p,), lhs, rhs in _monad_laws(m, places):
+            verdicts[p].append((key, lhs == rhs))
         checks = {"associativity": ("associativity degreewise", str),
-                  "unit": ("unit laws degreewise", str)}
+                  "left unit": ("unit laws degreewise", str),
+                  "right unit": ("unit laws degreewise", str)}
         if sw is not None:
             checks["section"] = ("μ∘σ = Id degreewise", str)
-        rep.record_laws(laws(), checks)
+            for p in places:
+                verdicts[p].append(("section", m.mult.at(p) @ sw.sigma.at(p)
+                                    == m.functor.on_object(p).identity()))
+        laws = ((law[0][0], (n,), all(ok for _, ok in law), True)  # one law at n's places
+                for n in c.degrees() for law in zip(*(verdicts[p] for p in at[n])))
+        rep.record_laws(laws, checks)
         if sw is not None:
             rep.merge(_chain_report() if natural else self.section(sw, c).verify())
         return rep

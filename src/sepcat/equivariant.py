@@ -44,6 +44,7 @@ class FiniteGroup:
         self.elements = tuple(elements)
         self.table = dict(table)
         self.name = name
+        self.report = None  # the passing `validate` report (`reports.checked`)
         if unit is None:
             unit = self._find_unit()
         self.unit = unit
@@ -130,6 +131,7 @@ class GroupAction:
         self.base = base
         self.functors = dict(functors)
         self.name = name
+        self.report = None  # the passing `validate_action` report (`reports.checked`)
 
     @cached_property
     def monad_functor(self) -> Functor:
@@ -188,7 +190,7 @@ class GroupAction:
 def validate_action(a: GroupAction) -> ValidationReport:
     """Strictness: Φ_e = Id and Φ_g∘Φ_h = Φ_{gh} as exact presentation data."""
     rep = ValidationReport(f"action {a.name}" if a.name else "action")
-    rep.merge(a.group.validate())
+    rep.merge(checked(a.group, FiniteGroup.validate))
     for g in a.group.elements:
         rep.merge(checked(a.functors[g], validate_functor))
     perm_ok = True
@@ -254,14 +256,9 @@ class EquivariantObject:
         return morphism(act.base, act.monad_functor.on_object(self.carrier), self.carrier, raw)
 
     def validate(self) -> ValidationReport:
-        """The components' endpoints, α_e = Id, then the cocycle and inverse laws (`_laws`).
-
-        When every α_g is an identity placement and every Φ_g keeps the identities of the
-        base objects in the α_g's objects, the laws are decided on slot maps
-        (`_slot_laws_hold`, by `category.slot_map`'s lemma), a pass recording the same
-        checks as the law list; any other object, and any "no", goes through the law
-        list, so a failure reads as it always has.
-        """
+        """The components' endpoints, α_e = Id, then the cocycle and inverse laws in one pass
+        over `_laws`: on slot maps where `category.slot_map`'s lemma applies at the law's
+        place, composed elsewhere, the same verdict either way."""
         rep = ValidationReport(f"equivariant object {self.name}" if self.name else "equivariant object")
         a = self.action
         g0 = a.group.unit
@@ -269,48 +266,38 @@ class EquivariantObject:
                or m.dom != self.carrier or m.cod != a.functors[g].on_object(self.carrier)]
         if rep.record("components α_g: X → ^gX present", not bad, "; ".join(map(str, bad))):
             rep.record("α_e = Id", self.alpha[g0] == self.carrier.identity())
-            # an empty law list records every check as passed: these names carry no count
-            rep.record_laws(() if self._slot_laws_hold() else self._laws(), {
+            rep.record_laws(self._laws(), {
                 "cocycle": ("cocycle ^g(α_g')∘α_g = α_gg'", "({},{})".format),
                 "inverse": ("α_g invertible", str)})
         return rep
 
-    def _slot_laws_hold(self) -> bool:
-        """Whether `_laws` all hold, decided on slot maps (`category.slot_map`'s lemma) for
-        components whose endpoints fit; False also where the lemma does not apply.  ^g(α_g')
-        takes its slot map from `Functor.on_slots`, and the objects the law list composes and
-        compares must agree: ^g(^g'X) with ^gg'X, and ^g(^{g⁻¹}X) with X."""
-        a, els = self.action, self.action.group.elements
-        slots = {g: slot_map(self.alpha[g]) for g in els}
-        if any(p is None for p in slots.values()):
-            return False
-        objects = set(self.carrier.summands).union(*(self.alpha[g].cod.summands for g in els))
-        if not all(phi.keeps_identities(objects) for phi in set(a.functors.values())):
-            return False
+    def _laws(self):
+        """The cocycle law ^g(α_g')∘α_g = α_gg' per pair (g, g'), then α_g∘^g(α_{g⁻¹}) = Id
+        per g, as (key, place, lhs, rhs).  Where every α_g is an identity placement and every
+        Φ_g keeps the identities of the base objects in their objects, a law whose objects
+        agree (^g(^g'X) with ^gg'X, ^g(^{g⁻¹}X) with X) compares slot maps, ^g(α_g') taking
+        its slot map from `Functor.on_slots` (`category.slot_map`'s lemma)."""
+        a, alpha = self.action, self.alpha
+        els, fs = a.group.elements, a.functors
+        slots = {g: slot_map(alpha[g]) for g in els}
+        objects = set(self.carrier.summands).union(*(alpha[g].cod.summands for g in els))
+        lemma = None not in slots.values() and all(phi.keeps_identities(objects)
+                                                   for phi in set(fs.values()))
         for g in els:
-            phi, gi = a.functors[g], a.group.inv(g)
-            images = {g2: phi.on_slots(self.alpha[g2], slots[g2]) for g2 in els}
             for g2 in els:
                 gg2 = a.group.mult(g, g2)
-                if (phi.on_object(self.alpha[g2].cod) != self.alpha[gg2].cod
-                        or compose_slots(images[g2], slots[g]) != slots[gg2]):
-                    return False
-            if (phi.on_object(self.alpha[gi].cod) != self.carrier
-                    or compose_slots(slots[g], images[gi]) != tuple(range(len(images[gi])))):
-                return False
-        return True
-
-    def _laws(self):
-        """The cocycle law per pair (g, g'), then α_g∘^g(α_{g⁻¹}) = Id per g."""
-        a = self.action
-        els = a.group.elements
+                if lemma and fs[g].on_object(alpha[g2].cod) == alpha[gg2].cod:
+                    yield ("cocycle", (g, g2),
+                           compose_slots(fs[g].on_slots(alpha[g2], slots[g2]), slots[g]), slots[gg2])
+                else:
+                    yield "cocycle", (g, g2), fs[g].on_morphism(alpha[g2]) @ alpha[g], alpha[gg2]
         for g in els:
-            for g2 in els:
-                yield ("cocycle", (g, g2), a.functors[g].on_morphism(self.alpha[g2]) @ self.alpha[g],
-                       self.alpha[a.group.mult(g, g2)])
-        for g in els:
-            left = a.functors[g].on_morphism(self.alpha[a.group.inv(g)])
-            yield "inverse", (g,), self.alpha[g] @ left, self.alpha[g].cod.identity()
+            gi = a.group.inv(g)
+            if lemma and fs[g].on_object(alpha[gi].cod) == self.carrier:
+                image = fs[g].on_slots(alpha[gi], slots[gi])
+                yield "inverse", (g,), compose_slots(slots[g], image), tuple(range(len(image)))
+            else:
+                yield "inverse", (g,), alpha[g] @ fs[g].on_morphism(alpha[gi]), alpha[g].cod.identity()
 
     def __repr__(self):
         return f"<EquivObject {self.name or self.carrier!r}>"

@@ -319,24 +319,18 @@ def naturality_laws(t: NatTrans):
                    t.components[y] @ m)
 
 
-def validate_nat(t: NatTrans, laws=None, checks=None, into=None) -> ValidationReport:
+def validate_nat(t: NatTrans, laws=None, checks=None) -> ValidationReport:
     """Component endpoints of t, then, when they fit, naturality and `checks` in one
-    pass over `laws` (by default `naturality_laws(t)`).
-
-    Recorded into the report `into` when one is given, with t's own checks named
-    under t's subject, as `ValidationReport.merge` would name them.
-    """
-    subject = f"natural transformation {t.name}" if t.name else "natural transformation"
-    rep, prefix = (ValidationReport(subject), "") if into is None else (into, f"{subject}: ")
+    pass over `laws` (by default `naturality_laws(t)`)."""
+    rep = ValidationReport(f"natural transformation {t.name}" if t.name else "natural transformation")
     if t.src.source is not t.dst.source or t.src.target is not t.dst.target:
-        rep.record(f"{prefix}parallel functors", False)
+        rep.record("parallel functors", False)
         return rep
     bad = [x for x in t.src.source.objects if (c := t.components.get(x)) is None
            or c.dom != t.src.object_map[x] or c.cod != t.dst.object_map[x]]
-    if rep.record(f"{prefix}components have the right endpoints", not bad, "; ".join(map(str, bad))):
+    if rep.record("components have the right endpoints", not bad, "; ".join(map(str, bad))):
         rep.record_laws(naturality_laws(t) if laws is None else laws, {
-            "naturality": (f"{prefix}naturality ({{n}} squares)", t.src.source.basis_label),
-            **(checks or {})})
+            "naturality": ("naturality ({n} squares)", t.src.source.basis_label), **(checks or {})})
     return rep
 
 

@@ -1,7 +1,10 @@
 """Monads with verified laws and separable-monad sections found by exact feasibility.
 
-The laws of a section σ: M → M² are written once, in `MonadSepWitness._laws`,
-which `MonadSepWitness.verify` checks in one pass.  With e = σ∘η, the bimodule
+The monad laws are written once, in `_monad_laws`, which `validate_monad` and
+`LiftedMonad.validate_on` read in one pass; at a base object where `category.slot_map`'s
+lemma applies, they compare slot maps instead of composites.  A section σ: M → M² has its
+naturality on σ's own `validate_nat` report, and the laws of `MonadSepWitness._laws`, which
+`MonadSepWitness.verify` checks in one pass after it.  With e = σ∘η, the bimodule
 law Mμ∘σM = σ∘μ = μM∘Mσ is stated restricted along the units: Mμ_x∘e_{Mx} = σ_x
 (left, at η_{Mx}) and σ_x = μ_{Mx}∘M(e_x) (right, at M(η_x)).  For a natural σ,
 associativity and naturality of e at μ_x, resp. of μ at e_x, give it back:
@@ -87,63 +90,68 @@ class Monad:
 
 
 def validate_monad(m: Monad) -> ValidationReport:
-    """Associativity and both unit laws, exactly at every base object.
-
-    When every η_x and μ_x is an identity placement and M(id_x) = id_{Mx} on base objects,
-    the laws are decided on slot maps (`_slot_laws_hold`, by `category.slot_map`'s
-    lemma), a pass recording the same checks as the law list; any other monad, and any
-    "no", goes through the law list, so a failure reads as it always has.
-    """
+    """Associativity and both unit laws, exactly at every base object, in one pass over
+    `_monad_laws`: on slot maps where `category.slot_map`'s lemma applies at the object,
+    composed elsewhere, the same verdict either way."""
     rep = ValidationReport(f"monad {m.name}" if m.name else "monad")
-    mf = m.functor
-
-    def fits(f, dom, cod):
-        return f is not None and f.dom == dom and f.cod == cod
-
-    if rep.record("unit/mult components have the right endpoints", all(
-            fits(m.unit.components.get(x), m.cat.obj(x), mf.object_map[x])
-            and fits(m.mult.components.get(x), mf.on_object(mf.object_map[x]), mf.object_map[x])
-            for x in m.cat.objects)):
-        # an empty law list records every check as passed: these names carry no count
-        rep.record_laws(() if _slot_laws_hold(m) else _monad_laws(m), {
+    if rep.record("unit/mult components have the right endpoints",
+                  all(_fits(m, x) for x in m.cat.objects)):
+        rep.record_laws(_monad_laws(m), {
             "associativity": ("associativity μ∘Mμ = μ∘μM", str),
             "left unit": ("unit laws μ∘Mη = Id = μ∘ηM", "μ∘Mη at {}".format),
             "right unit": ("unit laws μ∘Mη = Id = μ∘ηM", "μ∘ηM at {}".format)})
     return rep
 
 
-def _slot_laws_hold(m: Monad) -> bool:
-    """Whether `_monad_laws` all hold, decided on slot maps (`category.slot_map`'s lemma)
-    for components whose endpoints fit; False also where the lemma does not apply.  M(μ_x)
-    and M(η_x) take their slot maps from `Functor.on_slots`, μ_{Mx} and η_{Mx} from
-    `NatTrans.at_slots`, and the objects the law list composes and compares must agree."""
-    mf = m.functor
-    if not mf.keeps_identities(m.cat.objects):
-        return False
-    for x in m.cat.objects:
-        mx, eta, mu = mf.object_map[x], m.unit.components[x], m.mult.components[x]
-        e, u = slot_map(eta), slot_map(mu)
-        at_mu, at_eta = m.mult.at_slots(mx), m.unit.at_slots(mx)
-        if None in (e, u, at_mu, at_eta):
-            return False
-        (m3x, cod_mu, mu_m), (dom_eta, cod_eta, eta_m) = at_mu, at_eta
-        ident = tuple(range(len(mx.summands)))
-        if (cod_mu != mu.dom or cod_eta != mu.dom or m3x != mf.on_object(mu.dom) or dom_eta != mx
-                or compose_slots(u, mf.on_slots(mu, u)) != compose_slots(u, mu_m)
-                or compose_slots(u, mf.on_slots(eta, e)) != ident
-                or compose_slots(u, eta_m) != ident):
-            return False
-    return True
+def _fits(m: Monad, x) -> bool:
+    """Whether η_x: x → Mx and μ_x: M²x → Mx are given with these endpoints."""
+    mx, eta, mu = m.functor.object_map[x], m.unit.components.get(x), m.mult.components.get(x)
+    return (eta is not None and mu is not None and eta.dom == m.cat.obj(x) and eta.cod == mx
+            and mu.dom == m.functor.on_object(mx) and mu.cod == mx)
 
 
-def _monad_laws(m: Monad):
-    mf = m.functor
-    for x in m.cat.objects:
-        mx = mf.object_map[x]
-        mu_x = m.mult.components[x]
-        yield "associativity", (x,), mu_x @ m.mult_images[x], mu_x @ m.mult.at(mx)
-        yield "left unit", (x,), mu_x @ mf.on_morphism(m.unit.components[x]), mx.identity()
-        yield "right unit", (x,), mu_x @ m.unit.at(mx), mx.identity()
+def _monad_laws(m: Monad, places=None):
+    """Associativity, then the left and right unit law, at each place, as (key, (place,),
+    lhs, rhs): at every base object, named, or at each of the given closure objects.
+
+    At a base object x where M keeps identities, η_x and μ_x fit and are identity placements,
+    and the objects that the laws compose and compare agree, each side is a slot map
+    (`category.slot_map`'s lemma): M(μ_x) and M(η_x) from `Functor.on_slots`, μ_{Mx} and
+    η_{Mx} from `NatTrans.at_slots`.  Elsewhere each side is composed, M(μ_x) at a base
+    object being the cached `Monad.mult_images`.
+    """
+    mf, cat = m.functor, m.cat
+    keeps = mf.keeps_identities(cat.objects)
+    for place in cat.objects if places is None else places:
+        t = cat.obj(place) if places is None else place
+        x = t.summands[0] if t.idem is None and len(t.summands) == 1 else None
+        sides = keeps and x is not None and _slot_sides(m, x)
+        if not sides:
+            mu, mt = m.mult.at(t), mf.on_object(t)
+            m_mu = mf.on_morphism(mu) if x is None else m.mult_images[x]
+            sides = ((mu @ m_mu, mu @ m.mult.at(mt)),
+                     (mu @ mf.on_morphism(m.unit.at(t)), mt.identity()),
+                     (mu @ m.unit.at(mt), mt.identity()))
+        for key, (lhs, rhs) in zip(("associativity", "left unit", "right unit"), sides):
+            yield key, (place,), lhs, rhs
+
+
+def _slot_sides(m: Monad, x):
+    """The sides of `_monad_laws` at the base object x as slot maps, or None where the lemma
+    does not apply there; M must keep identities."""
+    if not _fits(m, x):
+        return None
+    mf, eta, mu = m.functor, m.unit.components[x], m.mult.components[x]
+    mx = mf.object_map[x]
+    e, u, at_mu, at_eta = slot_map(eta), slot_map(mu), m.mult.at_slots(mx), m.unit.at_slots(mx)
+    if None in (e, u, at_mu, at_eta):
+        return None
+    (m3x, cod_mu, mu_m), (dom_eta, cod_eta, eta_m) = at_mu, at_eta
+    if cod_mu != mu.dom or cod_eta != mu.dom or m3x != mf.on_object(mu.dom) or dom_eta != mx:
+        return None
+    ident = tuple(range(len(mx.summands)))
+    return ((compose_slots(u, mf.on_slots(mu, u)), compose_slots(u, mu_m)),
+            (compose_slots(u, mf.on_slots(eta, e)), ident), (compose_slots(u, eta_m), ident))
 
 
 def monad_from_adjunction(adj: Adjunction, name: str = "") -> Monad:
@@ -165,12 +173,11 @@ class MonadSepWitness:
         self.sigma = sigma
 
     def _laws(self):
-        """Every law of σ, as (label, place, lhs, rhs): naturality on basis morphisms,
-        per base object μ∘σ = Id_M and Mμ_x∘e_{Mx} = σ_x with e = σ∘η, then per base
-        object σ_x = μ_{Mx}∘M(e_x).  σ may have unknown components."""
+        """The laws of σ beside naturality, as (label, place, lhs, rhs): per base object
+        μ∘σ = Id_M and Mμ_x∘e_{Mx} = σ_x with e = σ∘η, then per base object
+        σ_x = μ_{Mx}∘M(e_x)."""
         m, sigma = self.monad, self.sigma
         mf = m.functor
-        yield from naturality_laws(sigma)
         e = NatTrans(m.unit.src, m.squared,
                      {x: sigma.components[x] @ m.unit.components[x] for x in m.cat.objects})
         for x in m.cat.objects:
@@ -182,9 +189,13 @@ class MonadSepWitness:
                    m.mult.at(mf.object_map[x]) @ mf.on_morphism(e.components[x]))
 
     def verify(self) -> ValidationReport:
-        """Component endpoints of σ, then, when they fit, every law of `_laws` in one pass."""
-        return validate_nat(self.sigma, self._laws(), _SIGMA_CHECKS,
-                            into=ValidationReport("monad separability witness"))
+        """σ's own naturality report (`reports.checked`), then, when σ's components fit, the
+        laws of `_laws` in one pass."""
+        rep, nat = ValidationReport("monad separability witness"), checked(self.sigma, validate_nat)
+        rep.merge(nat)
+        if nat.checks[0][1]:  # parallel functors and fitting components come first
+            rep.record_laws(self._laws(), _SIGMA_CHECKS)
+        return rep
 
     def __repr__(self):
         return f"<MonadSepWitness for {self.monad!r}>"

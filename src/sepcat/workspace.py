@@ -499,8 +499,8 @@ _DECLARED = {
     "fields": ("field", lambda name, spec, kind, ws: Field.from_spec(spec),
                lambda f: ValidationReport()),
     "categories": ("category", _build_category, lambda c: validate_presentation(c)),
-    "groups": ("group", _build_group, lambda g: g.validate()),
-    "actions": ("action", _build_action, lambda a: validate_action(a)),
+    "groups": ("group", _build_group, lambda g: checked(g, FiniteGroup.validate)),
+    "actions": ("action", _build_action, lambda a: checked(a, validate_action)),
     "equivariant_objects": ("equivariant object", _build_equivariant_object,
                             lambda z: checked(z, EquivariantObject.validate)),
     "functors": ("functor", _build_functor, lambda f: checked(f, validate_functor)),

@@ -5,14 +5,17 @@ distinct place give the same report as checking them degree by degree.
 degree's whole term.  The two must agree on every check, its name, its count
 and its failure detail, on random module complexes over Z/2 and Z/3, over Q
 and over F_p, on complexes whose terms carry idempotents, and on a broken
-monad and a broken section.  Each distinct place must be evaluated exactly
-once, also when it recurs in other degrees.
+monad and a broken section, also with the slot-map decision of `monads._monad_laws`
+switched off.  Each distinct place must reach `_monad_laws` exactly once, also when
+it recurs in other degrees.
 """
 
 import random
 
 import pytest
 
+import sepcat.complexes
+import sepcat.monads
 from sepcat import (BoundedComplex, CatObject, EquivariantObject, Field, FiniteGroup,
                     GroupAction, LiftedMonad, Monad, MonadSepWitness, Morphism, NatTrans,
                     free_equivariant,
@@ -66,18 +69,24 @@ def distinct_places(c):
 
 
 def assert_agrees(monkeypatch, lifted, c, sw=None):
+    """The per-place report equals the degreewise one, also with slot maps switched off,
+    and `_monad_laws` sees each distinct place once."""
     seen = []
-    laws_at = LiftedMonad._laws_at
+    monad_laws = sepcat.complexes._monad_laws
 
-    def counted(self, t, sw):
-        seen.append(t)
-        return laws_at(self, t, sw)
+    def counted(m, places):
+        seen.extend(places)
+        return monad_laws(m, places)
 
     with monkeypatch.context() as mp:
-        mp.setattr(LiftedMonad, "_laws_at", counted)
+        mp.setattr(sepcat.complexes, "_monad_laws", counted)
         got = lifted.validate_on(c, sw)
-    assert got.checks == degreewise(lifted, c, sw).checks
+    want = degreewise(lifted, c, sw).checks
+    assert got.checks == want
     assert len(seen) == len(set(seen)) and set(seen) == distinct_places(c)
+    with monkeypatch.context() as mp:
+        mp.setattr(sepcat.monads, "slot_map", lambda m: None)
+        assert lifted.validate_on(c, sw).checks == want
     return got
 
 

@@ -1,14 +1,16 @@
-"""The one validation mark: `Functor`, `NatTrans`, `Monad`, `Adjunction` and
-`EquivariantObject` keep, as `report`, the report that their own validator passed,
-and only `reports.checked` sets it.
+"""The one validation mark: `Functor`, `NatTrans`, `Monad`, `Adjunction`,
+`EquivariantObject`, `FiniteGroup` and `GroupAction` keep, as `report`, the report that
+their own validator passed, and only `reports.checked` sets it.
 
 - With `checked` patched to ignore kept reports, every golden fixture command writes
   the same bytes: reading a kept report never changes an output.
 - A structure rebuilt from a marked one's data starts unmarked; with one component
   changed it fails its validator and stays unmarked.
-- An `ast` scan finds `report` assigned only in the five constructors and the helper.
-- The readers: a marked equivariant object inverts its α without composing, and every
-  monad a builder makes solves without another `validate_monad` call.
+- An `ast` scan finds `report` assigned only in the seven constructors and the helper.
+- The readers: a marked equivariant object inverts its α without composing, every
+  monad a builder makes solves without another `validate_monad` call, an
+  equivariant report validates its group and its action once, and a derived check
+  reads the mark that the solved σ's verification set.
 """
 
 import ast
@@ -20,11 +22,13 @@ from pathlib import Path
 
 import pytest
 
+import sepcat.complexes
 import sepcat.monads
 import sepcat.reports
 from sepcat import (Adjunction, EquivariantObject, Field, FiniteGroup, Functor, GroupAction,
-                    Monad, MonadSepWitness, NatTrans, equivariant_category, free_equivariant,
-                    induce_adjunction, monad_from_adjunction, monad_separability_solve,
+                    Monad, MonadSepWitness, NatTrans, derived_comparison_check,
+                    equivariant_category, free_equivariant, induce_adjunction,
+                    monad_from_adjunction, monad_separability_solve, validate_action,
                     validate_adjunction, validate_functor, validate_monad, validate_nat)
 from sepcat.category import Morphism
 from sepcat.cli import run
@@ -98,6 +102,23 @@ def free_object(action):
     return free_equivariant(action, action.base.obj(*action.base.objects))
 
 
+def rebuilt_group():
+    """Z/3, validated, and its table with g·g = e, which breaks associativity only."""
+    group = FiniteGroup.cyclic(3)
+    checked(group, FiniteGroup.validate)
+    return group, FiniteGroup(group.elements, {**group.table, ("g", "g"): "e"},
+                              unit=group.unit, name=group.name)
+
+
+def rebuilt_action():
+    """The trivial Z/3 on the point, validated, and its data with Φ_g doubled."""
+    action = GroupAction.trivial(FiniteGroup.cyclic(3), point_category(QQ))
+    checked(action, validate_action)
+    _, doubled = rebuilt_functor(action.functors["g"])
+    return action, GroupAction(action.group, action.base, {**action.functors, "g": doubled},
+                               name=action.name)
+
+
 CASES = {
     "functor U": (lambda: rebuilt_functor(z3_adjunction().G), validate_functor),
     "functor F": (lambda: rebuilt_functor(z3_adjunction().F), validate_functor),
@@ -111,6 +132,8 @@ CASES = {
     "free object": (lambda: rebuilt_object(free_object(
         GroupAction.trivial(FiniteGroup.symmetric(3), point_category(QQ)))),
         EquivariantObject.validate),
+    "group": (rebuilt_group, FiniteGroup.validate),
+    "action": (rebuilt_action, validate_action),
 }
 
 
@@ -160,6 +183,8 @@ def test_report_is_assigned_only_in_the_constructors_and_the_helper():
         valid += [f"{path.name}:{n.lineno}" for n in ast.walk(tree)
                   if isinstance(n, ast.Attribute) and n.attr == "valid"]
     assert sorted(sites) == ["equivariant.EquivariantObject.__init__",
+                             "equivariant.FiniteGroup.__init__",
+                             "equivariant.GroupAction.__init__",
                              "functors.Adjunction.__init__", "functors.Functor.__init__",
                              "functors.NatTrans.__init__", "monads.Monad.__init__",
                              "reports.checked"]
@@ -212,3 +237,40 @@ def test_builder_monads_solve_without_validating_again(monkeypatch):
     for _ in range(2):
         assert isinstance(monad_separability_solve(ident), MonadSepWitness)
     assert calls == [ident]
+
+
+def counting(monkeypatch, owners, name):
+    """The first arguments of the calls of the validator `name`, patched on each owner."""
+    calls, original = [], getattr(owners[0], name)
+
+    def counted(s, *args):
+        calls.append(s)
+        return original(s, *args)
+
+    for owner in owners:
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_an_equivariant_report_validates_its_group_and_its_action_once(tmp_path, monkeypatch):
+    groups = counting(monkeypatch, [FiniteGroup], "validate")
+    actions = counting(monkeypatch, [m for m in sepcat_modules()
+                                     if getattr(m, "validate_action", None) is validate_action],
+                       "validate_action")
+    monkeypatch.chdir(ROOT)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(["-w", "fixtures/workspace.json", "--out", str(tmp_path),
+                    "equivariant-report", "triv_s3_q"]) == 0
+    assert [g.name for g in groups] == ["S3"] and [a.name for a in actions] == ["triv_s3_q"]
+
+
+def test_a_derived_check_reads_the_mark_of_the_solved_sigma(monkeypatch):
+    """The solver's verification of its witness marks σ natural, so no derived check
+    validates σ's naturality again."""
+    action = GroupAction.trivial(FiniteGroup.cyclic(2), point_category(QQ))
+    monad = action.group_monad
+    sigma = monad_separability_solve(monad)
+    calls = counting(monkeypatch, [sepcat.complexes], "validate_nat")
+    for _ in range(2):
+        assert derived_comparison_check(action, [], monad=monad, sigma=sigma).passed
+    assert sigma.sigma not in calls

@@ -1,19 +1,21 @@
 """The slot-map decisions of `validate_monad` and `EquivariantObject.validate`, against the
-law lists they stand for.
+composed laws they stand for.
 
-Both validators decide their laws on integer slot maps (`category.slot_map`'s lemma) when
-the data are identity placements, and run the law list for any other data and on a "no".
-The law list is the oracle: `reports` validates once as the code does and once with the
-slot decision switched off, and the two reports must have equal checks (name, verdict,
-detail).  The data are the group monad, the monad of the free/forgetful adjunction and the
-free objects of every standard action, and broken copies of them: a wrong slot, 2·id or
-another endomorphism (ω on Cw) as a block, a dropped block, a block between different
-summands, random slots, and an M or Φ_g that does not keep identities, each at fixed places
-and at places a hypothesis strategy draws.  Where the lemma applies (every component has
-a slot map and M or every Φ_g keeps identities), the slot decision must also equal the law
-list's verdict, so it decides and does not merely guard.
+Both validators read one law list, whose laws compare integer slot maps
+(`category.slot_map`'s lemma) where the data are identity placements and composed morphisms
+elsewhere.  The composed laws are the oracle: `reports` validates once as the code does and
+once with `slot_map` switched off in `sepcat.monads` and `sepcat.equivariant`, and the two
+reports must have equal checks (name, verdict, detail).  The data are the group monad, the
+monad of the free/forgetful adjunction and the free objects of every standard action, and
+broken copies of them: a wrong slot, 2·id or another endomorphism (ω on Cw) as a block, a
+dropped block, a block between different summands, random slots, and an M or Φ_g that does
+not keep identities, each at fixed places and at places a hypothesis strategy draws.
+Where the lemma applies (every component has a slot map and M or every Φ_g keeps
+identities), the code's validation must make no composition at all, passing or failing,
+so the slot maps decide and do not merely guard.
 """
 
+import contextlib
 import random
 from pathlib import Path
 
@@ -21,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sepcat.equivariant
 import sepcat.monads
 from sepcat import (EquivariantObject, Field, FiniteGroup, Functor, GroupAction, Monad,
                     NatTrans, equivariant_category, free_equivariant, induce_adjunction)
@@ -81,14 +84,36 @@ def build(case):
     return _BUILT[key]
 
 
-def reports(validate, subject):
-    """(the report as the code makes it, the law list's report)."""
-    fast = validate(subject)
+@contextlib.contextmanager
+def composing():
+    """The compositions `Morphism.__matmul__` makes inside the block, as a list."""
+    composed, matmul = [], Morphism.__matmul__
+
+    def spying(f, g):
+        composed.append((f, g))
+        return matmul(f, g)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sepcat.monads, "_slot_laws_hold", lambda m: False)
-        mp.setattr(EquivariantObject, "_slot_laws_hold", lambda self: False)
+        mp.setattr(Morphism, "__matmul__", spying)
+        yield composed
+
+
+@contextlib.contextmanager
+def composed_laws():
+    """The block with every law composed: `slot_map` answers None to the validators."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sepcat.monads, "slot_map", lambda m: None)
+        mp.setattr(sepcat.equivariant, "slot_map", lambda m: None)
+        yield
+
+
+def reports(validate, subject):
+    """(the report as the code makes it, its number of compositions, the composed report)."""
+    with composing() as composed:
+        fast = validate(subject)
+    with composed_laws():
         full = validate(subject)
-    return fast, full
+    return fast, len(composed), full
 
 
 def monad_lemma_applies(m):
@@ -104,20 +129,18 @@ def object_lemma_applies(z):
 
 
 def assert_monad_agrees(m):
-    fast, full = reports(validate_monad, m)
+    fast, composed, full = reports(validate_monad, m)
     assert fast.checks == full.checks
-    if full.checks[0][1] and monad_lemma_applies(m):
-        assert sepcat.monads._slot_laws_hold(m) == full.passed
+    if monad_lemma_applies(m):
+        assert composed == 0
     return full
 
 
 def assert_object_agrees(z):
-    fast, full = reports(EquivariantObject.validate, z)
+    fast, composed, full = reports(EquivariantObject.validate, z)
     assert fast.checks == full.checks
-    if full.checks[0][1] and object_lemma_applies(z):
-        assert z._slot_laws_hold() == all(ok for name, ok, _ in full.checks
-                                          if name in ("cocycle ^g(α_g')∘α_g = α_gg'",
-                                                      "α_g invertible"))
+    if object_lemma_applies(z):
+        assert composed == 0
     return full
 
 
@@ -209,10 +232,10 @@ def broken_object(z, kind, g, i, j):
 def test_built_monads_and_free_objects_agree_and_take_the_slot_decision(case):
     act, group_monad, adj_monad, free = build(case)
     for m in (group_monad, adj_monad):
-        assert monad_lemma_applies(m) and sepcat.monads._slot_laws_hold(m)
+        assert monad_lemma_applies(m)
         assert assert_monad_agrees(m).passed
     for z in free:
-        assert object_lemma_applies(z) and z._slot_laws_hold()
+        assert object_lemma_applies(z)
         assert assert_object_agrees(z).passed
 
 
@@ -304,7 +327,9 @@ def test_a_monad_whose_m_keeps_no_identity_takes_the_law_list():
     b = broken_monad(m, "M keeps no identity", 0, None, 0, 0)
     # η and μ are still identity placements: only M(id) = 2·id gives the laws away
     assert all(slot_map(c) is not None for t in (b.unit, b.mult) for c in t.components.values())
-    assert not sepcat.monads._slot_laws_hold(b)
+    with composing() as composed:
+        validate_monad(b)
+    assert composed
     assert not assert_monad_agrees(b).passed
 
 
@@ -348,16 +373,17 @@ def test_drawn_breaks_agree(data):
 def test_valid_and_free_on_are_set_as_by_the_law_list(case, monkeypatch):
     act, _, _, _ = build(case)
     decided = []
-    slot_laws_hold = EquivariantObject._slot_laws_hold
+    laws = EquivariantObject._laws
 
     def spying(self):
-        decided.append((self.free_on, slot_laws_hold(self)))
-        return decided[-1][1]
+        decided.append((self.free_on, self.report))
+        return laws(self)
 
-    monkeypatch.setattr(EquivariantObject, "_slot_laws_hold", spying)
+    monkeypatch.setattr(EquivariantObject, "_laws", spying)
     x = act.base.obj(*act.base.objects)
-    z = free_equivariant(act, x)
-    assert decided == [(None, True)]  # the slot decision, before the mark
+    with composing() as composed:
+        z = free_equivariant(act, x)
+    assert decided == [(None, None)] and composed == []  # slot maps decide, before the mark
     assert z.report is not None and z.free_on == x
     hand = EquivariantObject(act, z.carrier, z.alpha)
     assert hand.report is None and hand.free_on is None
@@ -367,8 +393,7 @@ def test_valid_and_free_on_are_set_as_by_the_law_list(case, monkeypatch):
         b = broken_object(z, kind, act.group.elements[1], 0, 0)
         fast = checked(b, EquivariantObject.validate)
         assert not fast.passed and b.report is None and b.free_on is None
-        with monkeypatch.context() as mp:
-            mp.setattr(EquivariantObject, "_slot_laws_hold", lambda self: False)
+        with composed_laws():
             again = checked(b, EquivariantObject.validate)
             assert again.checks == fast.checks and b.report is None
 
@@ -380,13 +405,12 @@ def test_the_workspace_group_monad_reports_are_the_law_lists():
     for name in names:
         m = ws.monad(name)
         assert m.report is not None
-        assert m.report.checks == reports(validate_monad, m)[1].checks
+        assert m.report.checks == reports(validate_monad, m)[2].checks
 
 
-def test_validate_writes_the_same_report_without_the_slot_decisions(tmp_path, monkeypatch):
+def test_validate_writes_the_same_report_without_the_slot_decisions(tmp_path):
     assert run(["-w", str(FIXTURE), "--out", str(tmp_path / "fast"), "validate"]) == 0
-    monkeypatch.setattr(sepcat.monads, "_slot_laws_hold", lambda m: False)
-    monkeypatch.setattr(EquivariantObject, "_slot_laws_hold", lambda self: False)
-    assert run(["-w", str(FIXTURE), "--out", str(tmp_path / "full"), "validate"]) == 0
+    with composed_laws():
+        assert run(["-w", str(FIXTURE), "--out", str(tmp_path / "full"), "validate"]) == 0
     assert ((tmp_path / "fast" / "report.json").read_bytes()
             == (tmp_path / "full" / "report.json").read_bytes())
