@@ -47,6 +47,7 @@ INDEX_ORACLE = "tests/test_presentation_index_oracle.py"
 LEMMA_ORACLE = "tests/test_derived_lemma_oracle.py"
 MARK_ORACLE = "tests/test_mark_oracle.py"
 LIFTED_ORACLE = "tests/test_lifted_laws_oracle.py"
+MODULE_ORACLE = "tests/test_module_hom_oracle.py"
 
 MUTANTS = (
     ("independence-counts-zero", "src/sepcat/linalg.py",
@@ -124,9 +125,10 @@ MUTANTS = (
      "act.functors[g].on_morphism(self.alpha[act.group.inv(g)])",
      "act.functors[g].on_morphism(self.alpha[g])",
      (f"{FORMULA_ORACLE}::test_inverses_are_the_solved_inverses[Z/3 on C1 over Q]",)),
-    ("free-hom-unreduced", "src/sepcat/equivariant.py",
-     "for k in reduced_form(zero, thetas, act.base.field).kernel]", "for k in thetas]",
-     (f"{FORMULA_ORACLE}::test_free_hom_spaces_are_the_solved_bases[S_3 on C1 over F5]",)),
+    ("free-hom-unreduced", "src/sepcat/monads.py",
+     "for k in reduced_form(zero, images, cat.field).kernel]", "for k in images]",
+     (f"{FORMULA_ORACLE}::test_free_hom_spaces_are_the_solved_bases[S_3 on C1 over F5]",
+      f"{MODULE_ORACLE}::test_group_monad_free_hom_spaces_are_the_solved_bases[S_3 on C1 over F5]")),
     ("free-mark-before-validation", "src/sepcat/equivariant.py",
      '    checked(z, EquivariantObject.validate).require(LawViolationError, "free equivariant object")\n'
      "    z.free_on = x  # set only once validation has passed\n",
@@ -249,6 +251,18 @@ MUTANTS = (
      "",
      ("tests/test_failure_reports.py::test_monad_solve_refuses_a_monad_whose_laws_fail",
       f"{MARK_ORACLE}::test_builder_monads_solve_without_validating_again")),
+    ("module-hom-formula-skips-target-gate", "src/sepcat/modules.py",
+     "    if x is not None and checked(b, validate_module).passed:\n",
+     "    if x is not None:\n",
+     (f"{MODULE_ORACLE}::test_a_target_that_fails_its_laws_is_solved",)),
+    ("module-free-test-on-carrier-alone", "src/sepcat/modules.py",
+     "\n              and m.mult.components.get(x) == a.action), None)",
+     "), None)",
+     (f"{MODULE_ORACLE}::test_a_source_free_only_by_its_carrier_is_solved",)),
+    ("module-mark-before-validation", "src/sepcat/modules.py",
+     "        self.report = None  # the passing `validate_module` report",
+     "        self.report = ValidationReport()  # the passing `validate_module` report",
+     (f"{MARK_ORACLE}::test_a_rebuilt_structure_carries_no_mark[module]",)),
 )
 
 

@@ -21,7 +21,8 @@ from .complexes import derived_comparison_check, random_module_complex
 from .equivariant import (FiniteGroup, character_modules, eq_hom_space, to_equivariant,
                           to_module, validate_action, xi_section)
 from .errors import LawViolationError, NotInvertibleError, WorkspaceError
-from .functors import separability_solve, validate_adjunction, validate_functor, validate_nat
+from .functors import (section_feasibility, separability_solve, validate_adjunction,
+                       validate_functor, validate_nat)
 from .linalg import Infeasible
 from .modules import (MModule, check_equiv_up_to_retracts, essential_preimage,
                       free_module, module_hom_basis)
@@ -206,18 +207,21 @@ def cmd_equivariant_report(ws: Workspace, name: str, opts) -> Checks:
                    "pass" if d_eq == d_mod else "fail", f"{d_eq} vs {d_mod}")
     direct = monad_separability_solve(monad)
     try:
-        xi = xi_section(eqc, adj)
-        checks.add(f"equivariant-report {name}: Maschke section", "pass",
-                   "ε∘ξ = Id verified on every object")
+        xi, how = xi_section(eqc, adj), "ε∘ξ = Id verified on every object"
+    except NotInvertibleError as exc:  # no formula: a ξ exists iff the exact solve finds one
+        xi = section_feasibility(adj)[1]
+        how = f"no Maschke formula ({exc}); ξ found by the exact section solve, verified"
+        if xi is None:
+            checks.add(f"equivariant-report {name}: Maschke section", "infeasible", str(exc))
+            checks.add(f"equivariant-report {name}: feasibility verdicts agree",
+                       "pass" if isinstance(direct, Infeasible) else "fail",
+                       "no ξ and no σ")
+    if xi is not None:
+        checks.add(f"equivariant-report {name}: Maschke section", "pass", how)
         sigma_from_xi(adj, xi, monad=monad)
         checks.add(f"equivariant-report {name}: σ = GξF", "pass", "all laws verified")
         checks.add(f"equivariant-report {name}: feasibility verdicts agree",
                    "pass" if isinstance(direct, MonadSepWitness) else "fail")
-    except NotInvertibleError as exc:
-        checks.add(f"equivariant-report {name}: Maschke section", "infeasible", str(exc))
-        checks.add(f"equivariant-report {name}: feasibility verdicts agree",
-                   "pass" if isinstance(direct, Infeasible) else "fail",
-                   "no ξ and no σ")
     usep = separability_solve(adj.G)
     status = "pass" if isinstance(usep, Infeasible) == isinstance(direct, Infeasible) \
         else "fail"

@@ -347,7 +347,7 @@ class ModuleComplex:
         rep.merge(validate_complex(self.underlying))
         mf = self.monad.functor
         distinct = {id(m): m for m in self.modules.values()}  # a module may recur
-        reports = {k: validate_module(m) for k, m in distinct.items()}
+        reports = {k: checked(m, validate_module) for k, m in distinct.items()}
         for _, m in sorted(self.modules.items()):
             rep.merge(reports[id(m)])
         diff = self.underlying.diff
@@ -388,7 +388,8 @@ def module_chain_hom_dim(a: ModuleComplex, b: ModuleComplex) -> int:
         key = id(ma), id(mb)
         if key not in bases:
             # module maps for the complexes' monad, whichever monad object a module names
-            src, dst = (MModule(a.monad, mod.carrier, mod.action) for mod in (ma, mb))
+            src, dst = (mod if mod.monad is a.monad else MModule(a.monad, mod.carrier, mod.action)
+                        for mod in (ma, mb))
             bases[key] = [f.mor for f in module_hom_basis(src, dst)]
         return bases[key]
 

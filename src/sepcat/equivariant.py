@@ -15,8 +15,8 @@ The adjunction F ⊣ U replaces two solves.  The cocycle law at (g, g⁻¹) give
 ^g(α_{g⁻¹}), composed only on an object that has not passed its validation.
 Hom(x, UZ) ≅ Hom^G(F x, Z) sends φ to ε_Z∘F(φ) = λ_Z∘M(φ), with the counit λ_Z =
 (β_h⁻¹)_h: ⊕_h ^hY → Y at Z = (Y, β).  So a basis of Hom(x, Y) maps to one of
-Hom^G(F x, Z), which `reduced_form` writes in the reduced echelon form that the
-equivariance solve returns.
+Hom^G(F x, Z), which `monads.free_hom_basis` writes in the reduced echelon form that the
+equivariance solve returns; `modules.module_hom_basis` reads its free sources the same way.
 """
 
 from __future__ import annotations
@@ -25,14 +25,14 @@ from fractions import Fraction
 from functools import cache, cached_property
 
 from .category import (CatObject, LinearCategory, Morphism, MorSystem, compose_slots,
-                       direct_sum, hom_coord_dim, hom_space_basis, int_invertible, is_one,
-                       invert_morphism, morphism, partwise, slot_map, slot_placement)
+                       direct_sum, hom_space_basis, int_invertible, is_one, invert_morphism,
+                       morphism, partwise, slot_map, slot_placement)
 from .errors import (LawViolationError, NonInvertibleComponentError,
                      NotInvertibleError, PreconditionError)
 from .functors import (Adjunction, Functor, NatTrans, compose_functors,
                        validate_adjunction, validate_functor, validate_nat, validate_section)
-from .linalg import coordinate_map, reduced_form
-from .monads import Monad, validate_monad
+from .linalg import coordinate_map
+from .monads import Monad, free_hom_basis, validate_monad
 from .reports import ValidationReport, checked
 from .scalars import rational
 
@@ -311,11 +311,7 @@ def eq_hom_space(a: EquivariantObject, b: EquivariantObject) -> list[Morphism]:
         raise ValueError("equivariant objects under different actions")
     act = a.action
     if a.free_on is not None and checked(b, EquivariantObject.validate).passed:
-        thetas = [(b.counit @ act.monad_functor.on_morphism(phi)).coords()
-                  for phi in hom_space_basis(act.base, a.free_on, b.carrier)]
-        zero = [act.base.field.zero()] * hom_coord_dim(act.base, a.carrier, b.carrier)
-        return [Morphism.from_coords(act.base, a.carrier, b.carrier, k)
-                for k in reduced_form(zero, thetas, act.base.field).kernel]
+        return free_hom_basis(act.monad_functor, a.free_on, b.counit)
     sysm = MorSystem(act.base.field)
     th = sysm.unknown(a.carrier, b.carrier)
     for g in act.group.elements:
@@ -502,7 +498,7 @@ def to_module(z: EquivariantObject, monad: Monad | None = None):
     mod = z._modules.get(monad)
     if mod is None:
         mod = MModule(monad, z.carrier, z.counit, name=z.name or "dictionary image")
-        validate_module(mod).require(LawViolationError, "dictionary to-module")
+        checked(mod, validate_module).require(LawViolationError, "dictionary to-module")
         z._modules[monad] = mod
     return mod
 
@@ -674,7 +670,6 @@ def character_modules(action: GroupAction, monad: Monad | None = None) -> list:
             lam = Morphism(base, monad.functor.object_map[x], base.obj(x), (tuple(row),))
             mod = MModule(monad, base.obj(x), lam,
                           name=f"char({x}; {','.join(str(c) for c in t_val)})")
-            rep = validate_module(mod)
-            if rep.passed:
+            if checked(mod, validate_module).passed:
                 out.append(mod)
     return out

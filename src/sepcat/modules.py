@@ -4,16 +4,36 @@ and the equivalence-up-to-retracts machinery.
 The module category is never enumerated: modules are concrete witnesses
 (X, λ), and every "for all modules" statement is exercised through samples
 plus the constructive retract argument.
+
+Module maps out of a free module are read off the free–forgetful adjunction
+(Eilenberg–Moore): for a base object x and a module (B, λ), φ ↦ λ∘M(φ) is a linear
+bijection Hom(x, B) → Hom_M((M x, μ_x), (B, λ)), inverse to f ↦ f∘η_x.  With M a functor,
+η and μ natural (each checked on basis morphisms, hence natural on the closure, where M, η
+and μ act blockwise), the unit laws μ∘Mη = Id = μ∘ηM and the module laws of (B, λ):
+  - λ∘M(φ) is a module map: λ∘M(φ)∘μ_x = λ∘μ_B∘M²(φ) = λ∘M(λ)∘M²(φ) = λ∘M(λ∘M(φ)), by
+    naturality of μ, then associativity of λ;
+  - every module map f is one: λ∘M(f∘η_x) = λ∘M(f)∘M(η_x) = f∘μ_x∘M(η_x) = f, by the
+    module-map law and the unit law;
+  - φ ↦ λ∘M(φ) is injective: λ∘M(φ)∘η_x = λ∘η_B∘φ = φ, by naturality of η and λ's unit law.
+On a carrier B = (X, e) with an idempotent, η_B = η_X∘e and μ_B = μ_X∘M²(e), and Hom(x, B)
+holds the φ = e∘φ.  An image g = λ∘M(φ) is such a map too: g = g∘μ_x∘η_{Mx} =
+λ∘M(g)∘η_{Mx} = P∘g for P = λ∘η_X, and P∘P = λ∘M(λ)∘η_{MX}∘η_X = λ∘μ_B∘η_{MX}∘η_X = P∘e = e,
+so e∘g = P∘P∘g = g; and λ∘η_B∘φ = P∘e∘φ = e∘φ = φ.
+So `module_hom_basis` writes the images of a basis of Hom(x, B) in the reduced echelon form
+of the solve (`monads.free_hom_basis`) where a = (M(x), μ_x) as data, the monad passes these
+laws and b its module laws, each read off its kept report (`reports.checked`), and solves
+otherwise.
 """
 
 from __future__ import annotations
 
 from .category import CatObject, Morphism, MorSystem, hom_space_basis, split_idempotent
 from .errors import LawViolationError, NotFullyFaithfulError, PreconditionError
-from .functors import Adjunction, NatTrans, bijectivity_record, hom_matrix
+from .functors import (Adjunction, NatTrans, bijectivity_record, hom_matrix, validate_functor,
+                       validate_nat)
 from .linalg import coordinate_map
-from .monads import Monad, MonadSepWitness, monad_from_adjunction
-from .reports import ValidationReport
+from .monads import Monad, MonadSepWitness, free_hom_basis, monad_from_adjunction, validate_monad
+from .reports import ValidationReport, checked
 
 
 class MModule:
@@ -24,6 +44,7 @@ class MModule:
         self.carrier = carrier
         self.action = action
         self.name = name
+        self.report = None  # the passing `validate_module` report (`reports.checked`)
 
     def __eq__(self, other):
         return (isinstance(other, MModule) and self.monad is other.monad
@@ -90,11 +111,28 @@ def free_module(monad: Monad, x: CatObject, name: str = "") -> MModule:
                    name=name or f"free({x!r})")
 
 
+def _free_on(a: MModule) -> CatObject | None:
+    """The base object x with a = (M(x), μ_x), over a monad whose functor, unit, multiplication
+    and laws pass their checks (module docstring); None for any other a."""
+    m = a.monad
+    x = next((x for x in m.cat.objects if m.functor.object_map[x] == a.carrier
+              and m.mult.components.get(x) == a.action), None)
+    if x is None or not all(checked(s, v).passed for s, v in (
+            (m.functor, validate_functor), (m.unit, validate_nat), (m.mult, validate_nat),
+            (m, validate_monad))):
+        return None
+    return m.cat.obj(x)
+
+
 def module_hom_basis(a: MModule, b: MModule) -> list[ModuleMor]:
-    """A basis of the space of module morphisms a → b, by one exact solve."""
+    """A basis of the space of module morphisms a → b, in the reduced echelon form of one
+    exact solve: out of a free module into a b that passes its laws by the adjunction
+    (module docstring), else by that solve."""
     if a.monad is not b.monad:
         raise ValueError("modules over different monads")
-    mf = a.monad.functor
+    mf, x = a.monad.functor, _free_on(a)
+    if x is not None and checked(b, validate_module).passed:
+        return [ModuleMor(a, b, f) for f in free_hom_basis(mf, x, b.action)]
     sysm = MorSystem(a.carrier.cat.field)
     f = sysm.unknown(a.carrier, b.carrier)
     sysm.require_equal(f @ a.action, b.action @ mf.on_morphism(f), "module morphism law")
@@ -161,7 +199,7 @@ class Comparison:
         if mod is None:
             mod = MModule(self.monad, carrier, g.on_morphism(self.adj.counit.at(d)),
                           name=f"K({d!r})")
-            validate_module(mod).require(LawViolationError, "comparison image")
+            checked(mod, validate_module).require(LawViolationError, "comparison image")
             self._ocache[d.key] = mod
         return mod
 

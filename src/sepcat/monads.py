@@ -24,11 +24,12 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .category import Morphism, MorSystem, compose_slots, slot_map, slot_placement
+from .category import (CatObject, Morphism, MorSystem, compose_slots, hom_coord_dim,
+                       hom_space_basis, slot_map, slot_placement)
 from .errors import LawViolationError, PreconditionError
 from .functors import (Adjunction, Functor, NatTrans, compose_functors, naturality_laws,
                        validate_nat, validate_section)
-from .linalg import transfer
+from .linalg import reduced_form, transfer
 from .reports import ValidationReport, checked
 
 
@@ -152,6 +153,19 @@ def _slot_sides(m: Monad, x):
     ident = tuple(range(len(mx.summands)))
     return ((compose_slots(u, mf.on_slots(mu, u)), compose_slots(u, mu_m)),
             (compose_slots(u, mf.on_slots(eta, e)), ident), (compose_slots(u, eta_m), ident))
+
+
+def free_hom_basis(mf: Functor, x: CatObject, action: Morphism) -> list[Morphism]:
+    """The maps λ∘M(φ): M(x) → B, φ over `hom_space_basis(x, B)`, for an action λ: M(B) → B, in
+    the reduced echelon form of `linalg.reduced_form`.  Out of the free module (M(x), μ_x) into
+    a module (B, λ) they are a basis of the module maps (`modules` docstring), and out of a
+    free equivariant object F(x) into Z = (B, β), with λ = λ_Z, of the equivariant maps
+    (`equivariant` docstring)."""
+    cat, b = mf.source, action.cod
+    src = mf.on_object(x)
+    images = [(action @ mf.on_morphism(phi)).coords() for phi in hom_space_basis(cat, x, b)]
+    zero = [cat.field.zero()] * hom_coord_dim(cat, src, b)
+    return [Morphism.from_coords(cat, src, b, k) for k in reduced_form(zero, images, cat.field).kernel]
 
 
 def monad_from_adjunction(adj: Adjunction, name: str = "") -> Monad:

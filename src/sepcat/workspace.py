@@ -508,7 +508,7 @@ _DECLARED = {
                             lambda t: checked(t, validate_nat)),
     "adjunctions": ("adjunction", _build_adjunction, lambda a: checked(a, validate_adjunction)),
     "monads": ("monad", _build_monad, lambda m: checked(m, validate_monad)),
-    "modules": ("module", _build_module, lambda m: validate_module(m)),
+    "modules": ("module", _build_module, lambda m: checked(m, validate_module)),
     "complexes": ("complex", _build_complex, lambda c: c.validate()
                   if isinstance(c, ModuleComplex) else validate_complex(c)),
 }

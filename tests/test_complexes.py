@@ -77,10 +77,17 @@ class TestValidateComplex:
 
         monkeypatch.setattr(sepcat.modules, "validate_module", counted)
         rep = mc.validate()
-        assert calls == [triv, sign]
+        assert calls == []  # `character_modules` keeps each character's passing report
         assert rep.passed and rep.checks[:len(want.checks)] == want.checks
         assert [name for name, _, _ in rep.checks[len(want.checks):]] == \
             ["differentials are module morphisms"]
+        # unmarked copies: each distinct module is validated once, and then carries its mark
+        triv, sign = (MModule(m.monad, m.carrier, m.action, name=m.name) for m in (triv, sign))
+        fresh = ModuleComplex(monad_z2_q, {0: triv, 1: triv, 2: sign, 3: triv},
+                              {0: pt.identity()}, name="recurring")
+        assert fresh.validate().checks == rep.checks
+        assert calls == [triv, sign]
+        assert triv.report is not None and sign.report is not None
 
 
 class TestHomotopyHoms:
@@ -223,8 +230,9 @@ class TestDerivedComparison:
 
     def test_d1_solves_once_plus_once_per_module_pair_and_d2_once(
             self, monad_z2_q, chars_z2_q, c1_q, monkeypatch):
-        # d₁ solves once for its chain squares and once per distinct module pair for
-        # that pair's module-hom basis; d₂ solves once, for the chain maps of K(x, y)
+        # d₁ solves once for its chain squares and once per distinct module pair out of a
+        # module that is not free for that pair's module-hom basis; d₂ solves once, for the
+        # chain maps of K(x, y)
         import sepcat.complexes
         from sepcat.category import MorSystem, hom_coord_dim
         pool = [chars_z2_q["triv"], chars_z2_q["sign"],
@@ -254,7 +262,10 @@ class TestDerivedComparison:
                  if b.module(m) is not None}
         assert len(pairs) == 4
         assert len(bases) == len(pairs) and set(bases) == pairs
-        assert len(solves) == 1 + len(pairs)
+        # a pair out of the free module takes its basis from the adjunction, without a solve
+        out_of_free = [pair for pair in pairs if pair[0] is pool[2]]
+        assert len(out_of_free) == 2
+        assert len(solves) == 1 + len(pairs) - len(out_of_free)
         solves.clear()
         for name in ("module_hom_basis", "module_chain_hom_dim", "monad_separability_solve"):
             monkeypatch.setattr(sepcat.complexes, name, forbidden)

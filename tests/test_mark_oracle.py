@@ -1,12 +1,12 @@
 """The one validation mark: `Functor`, `NatTrans`, `Monad`, `Adjunction`,
-`EquivariantObject`, `FiniteGroup` and `GroupAction` keep, as `report`, the report that
-their own validator passed, and only `reports.checked` sets it.
+`EquivariantObject`, `FiniteGroup`, `GroupAction` and `MModule` keep, as `report`, the
+report that their own validator passed, and only `reports.checked` sets it.
 
 - With `checked` patched to ignore kept reports, every golden fixture command writes
   the same bytes: reading a kept report never changes an output.
 - A structure rebuilt from a marked one's data starts unmarked; with one component
   changed it fails its validator and stays unmarked.
-- An `ast` scan finds `report` assigned only in the seven constructors and the helper.
+- An `ast` scan finds `report` assigned only in the eight constructors and the helper.
 - The readers: a marked equivariant object inverts its α without composing, every
   monad a builder makes solves without another `validate_monad` call, an
   equivariant report validates its group and its action once, and a derived check
@@ -27,9 +27,10 @@ import sepcat.monads
 import sepcat.reports
 from sepcat import (Adjunction, EquivariantObject, Field, FiniteGroup, Functor, GroupAction,
                     Monad, MonadSepWitness, NatTrans, derived_comparison_check,
-                    equivariant_category, free_equivariant, induce_adjunction,
-                    monad_from_adjunction, monad_separability_solve, validate_action,
-                    validate_adjunction, validate_functor, validate_monad, validate_nat)
+                    MModule, equivariant_category, free_equivariant, induce_adjunction,
+                    monad_from_adjunction, monad_separability_solve, to_module,
+                    validate_action, validate_adjunction, validate_functor, validate_module,
+                    validate_monad, validate_nat)
 from sepcat.category import Morphism
 from sepcat.cli import run
 from sepcat.reports import checked
@@ -119,6 +120,13 @@ def rebuilt_action():
                                name=action.name)
 
 
+def rebuilt_module():
+    """The dictionary image of a free S_3-object, validated by `to_module`, and its data
+    with λ doubled, which breaks the unit law."""
+    m = to_module(free_object(GroupAction.trivial(FiniteGroup.symmetric(3), point_category(QQ))))
+    return m, MModule(m.monad, m.carrier, m.action.scale(TWO), name=m.name)
+
+
 CASES = {
     "functor U": (lambda: rebuilt_functor(z3_adjunction().G), validate_functor),
     "functor F": (lambda: rebuilt_functor(z3_adjunction().F), validate_functor),
@@ -134,6 +142,7 @@ CASES = {
         EquivariantObject.validate),
     "group": (rebuilt_group, FiniteGroup.validate),
     "action": (rebuilt_action, validate_action),
+    "module": (rebuilt_module, validate_module),
 }
 
 
@@ -186,8 +195,8 @@ def test_report_is_assigned_only_in_the_constructors_and_the_helper():
                              "equivariant.FiniteGroup.__init__",
                              "equivariant.GroupAction.__init__",
                              "functors.Adjunction.__init__", "functors.Functor.__init__",
-                             "functors.NatTrans.__init__", "monads.Monad.__init__",
-                             "reports.checked"]
+                             "functors.NatTrans.__init__", "modules.MModule.__init__",
+                             "monads.Monad.__init__", "reports.checked"]
     assert all(len(lines) == 1 for lines in sites.values()), sites
     assert valid == []
 

@@ -100,6 +100,7 @@ COMMANDS = [
     ["em-report", "id_adj_c3q"],
     ["--complete-target", "em-report", "id_adj_c1q"],
     ["--complete-target", "em-report", "id_adj_c3q"],
+    ["equivariant-report", "swap_z2_f2"],
 ]
 
 
@@ -108,6 +109,21 @@ def test_commands_on_the_kinds_exit_zero(tmp_path, argv):
     assert run(["-w", KINDS, "--out", str(tmp_path), *argv]) == 0
     with open(tmp_path / "report.json", encoding="utf-8") as fh:
         assert json.load(fh)["status"] == "pass"
+
+
+def test_the_free_swap_over_f2_has_a_section_though_2_is_not_invertible(tmp_path):
+    """Z/2 swapping the two points over F_2: no (1/|G|)-formula, yet the exact solve finds ξ,
+    and σ = GξF and the monad's own σ agree; the trivial Z/2 over F_2 keeps its "no"
+    (`test_acceptance.py::test_criterion_8_negative_control_error_path`)."""
+    assert run(["-w", KINDS, "--out", str(tmp_path), "equivariant-report", "swap_z2_f2"]) == 0
+    with open(tmp_path / "report.json", encoding="utf-8") as fh:
+        records = {r["check"].split(": ", 1)[1]: r for r in json.load(fh)["checks"]}
+    maschke = records["Maschke section"]
+    assert maschke["status"] == "pass"
+    assert maschke["details"] == ("no Maschke formula (|G| = 2 is not invertible over F2); "
+                                  "ξ found by the exact section solve, verified")
+    assert [records[k]["status"] for k in ("σ = GξF", "feasibility verdicts agree",
+                                           "U-separability matches monad verdict")] == ["pass"] * 3
 
 
 @pytest.mark.parametrize("idem", [
